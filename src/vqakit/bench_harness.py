@@ -19,7 +19,6 @@ from .clip_io import VideoClip
 from .errors import BenchRunError, SpecMismatch
 
 __all__ = [
-    "Resize",
     "Conv2d",
     "Linear",
     "Elementwise",
@@ -34,23 +33,23 @@ __all__ = [
     "check_constraint",
 ]
 
-# features whose dominant cost is one 3x3 kernel pass over the plane
-_KERNEL_FEATURES = {"si", "ti", "sharpness"}
-
-
-@dataclass(frozen=True)
-class Resize:
-    w_in: int
-    h_in: int
-    w_out: int
-    h_out: int
-    per_frame: bool = True
-
-    def macs(self) -> int:
-        return 4 * self.w_out * self.h_out  # bilinear: 4 MACs per output pixel
-
-    def params(self) -> int:
-        return 0
+# MACs per pixel of each feature, pass by pass, as signal_features computes
+# them: a 3x3 stencil costs 9, any other pass over the plane (elementwise op,
+# product plane, cumulative sum, mean/std/var reduction) costs 1.
+_FEATURE_MACS = {
+    "si": 9 + 9 + 1 + 1,  # Sobel gx, Sobel gy, hypot, std
+    "ti": 1 + 1,  # frame difference, std
+    "sharpness": 9 + 1,  # Laplacian, var
+    "colorfulness": 1 + 1 + 2 + 2,  # rg, yb, std of each, mean of each
+    "avg_luminance": 1,  # mean
+    "contrast": 1,  # std
+    "ssim": 3 + 5 * 2,  # planes a*a, b*b, a*b; five integral images, two cumsums each
+}
+_SAME_PASSES = {"ti_first": "ti", "ssim_pair": "ssim", "ssim_first": "ssim"}
+# SSIM also spends 35 MACs per 8x8 window at stride 4, one window per 16
+# pixels: five window sums (3 each), two means, two variances and the
+# covariance (2 each), numerator 4, denominator 6, the ratio and the mean.
+_SSIM_WINDOW_MACS = 35
 
 
 @dataclass(frozen=True)
@@ -103,14 +102,15 @@ class Feature:
     per_frame: bool = True
 
     def macs(self) -> int:
-        kernel = 9 * self.plane_size if self.name in _KERNEL_FEATURES else 0
-        return kernel + self.plane_size  # plus one reduction pass
+        name = _SAME_PASSES.get(self.name, self.name)
+        windows = _SSIM_WINDOW_MACS * self.plane_size // 16 if name == "ssim" else 0
+        return _FEATURE_MACS.get(name, 1) * self.plane_size + windows
 
     def params(self) -> int:
         return 0
 
 
-Stage = Resize | Conv2d | Linear | Elementwise | Feature
+Stage = Conv2d | Linear | Elementwise | Feature
 
 
 @dataclass(frozen=True)
@@ -182,10 +182,6 @@ class ConstraintGate:
     def __post_init__(self):
         if self.budget_ms <= 0:
             raise ValueError("budget must be positive")
-
-
-# canonical design-rule gate: a 30-frame FHD clip under one second
-CANONICAL_GATE = ConstraintGate("30-FHD", 1000.0)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from .errors import JoinError, VqaError
 from .eval_metrics import evaluate
 from .pipelines import PIPELINE_NAMES, build_pipeline
 from .regressors import (
-    BranchNet,
     ForestModel,
     TrainConfig,
     finetune_mos,
@@ -57,7 +56,8 @@ EXIT_PARTIAL = 2
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0, help="global RNG seed")
     p.add_argument("--threads", type=int, default=os.cpu_count(),
-                   help="worker threads (never changes outputs)")
+                   help="threads for frame sampling and feature extraction "
+                   "(never changes outputs)")
     p.add_argument("--config", type=str, default=None,
                    help="JSON file of defaults; keys match flag names")
 
@@ -249,14 +249,10 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     ids, X = read_features_csv(args.features)
-    if isinstance(model, ForestModel):
-        scores = predict_forest(model, X)
-        scores = np.atleast_1d(scores)
-    elif isinstance(model, BranchNet):
+    if isinstance(model, ForestModel):  # load_model returns a forest or a BranchNet
+        scores = np.atleast_1d(predict_forest(model, X))
+    else:
         scores = predict_scores(model, X)
-    else:  # pragma: no cover - load_model only returns the two kinds
-        print(f"error: unsupported model {type(model)}", file=sys.stderr)
-        return EXIT_FATAL
     write_score_table(args.out, dict(zip(ids, map(float, scores))))
     return EXIT_OK
 

@@ -256,7 +256,8 @@ def _parse_pnm(data: bytes, name: str):
     toks = []
     pos = 0
     while len(toks) < 4:
-        m = re.match(rb"(?:\s+|#[^\n]*\n)*([^\s#]+)", data[pos:])
+        # one whitespace byte per repetition: a nested \s+ backtracks exponentially
+        m = re.match(rb"(?:\s|#[^\n]*\n)*([^\s#]+)", data[pos:])
         if not m:
             raise ParseError(pos, name)
         toks.append(m.group(1))
@@ -268,6 +269,8 @@ def _parse_pnm(data: bytes, name: str):
         w, h, maxval = int(w_), int(h_), int(maxval_)
     except ValueError:
         raise ParseError(pos, name) from None
+    if w <= 0 or h <= 0:
+        raise ParseError(pos, f"{name}: {w}x{h}")
     if maxval not in (255, 1023):
         raise Unsupported(f"maxval {maxval}")
     depth = 8 if maxval == 255 else 10
@@ -347,7 +350,7 @@ def synth_clip(spec: ClipSpec, pattern: str, *, value: float = 0.5, seed: int = 
     return VideoClip(w, h, Fraction(30), frames)
 
 
-def frame_rgb(frame: Frame, width: int | None = None, height: int | None = None) -> np.ndarray | None:
+def frame_rgb(frame: Frame) -> np.ndarray | None:
     """Return the frame as HxWx3 RGB in [0,1], or None for chroma-less frames.
 
     Subsampled chroma is upsampled to luma resolution by nearest neighbor;

@@ -83,16 +83,9 @@ def build_pipeline(
             return float(predict_scores(net, np.array(fv.as_row()))[0])
 
         d, k = net.embed_dim, net.head_hidden
-        clip_stages: list = []
-        for feats in BRANCH_GROUPS.values():
-            clip_stages.append(Linear(len(feats), d, per_frame=False))
-        for _ in range(2):  # two cross-gating blocks
-            clip_stages += [
-                Linear(d, d, per_frame=False),
-                Linear(d, d, per_frame=False),
-                Linear(d, d, per_frame=False),
-                Elementwise(d, per_frame=False),
-            ]
+        clip_stages = [Linear(len(feats), d, per_frame=False) for feats in BRANCH_GROUPS.values()]
+        for _ in range(2):  # two cross-gating blocks: px, py, po and the gate product
+            clip_stages += [Linear(d, d, per_frame=False)] * 3 + [Elementwise(d, per_frame=False)]
         for _ in range(3):  # heads
             clip_stages += [Linear(d, k, per_frame=False), Linear(k, 1, per_frame=False)]
         desc = PipelineDescriptor(

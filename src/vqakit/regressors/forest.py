@@ -2,18 +2,17 @@
 
 Each tree is fit on a bootstrap resample with a random feature subset per
 node (sqrt fraction by default). Per-tree RNG streams are derived from the
-forest seed and the tree index, so fitting is bit-reproducible regardless of
-thread count; prediction is the exact arithmetic mean over trees.
+forest seed and the tree index, so fitting is bit-reproducible; prediction is
+the exact arithmetic mean over trees.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EmptyInput
+from ..errors import EmptyInput, NumericalError
 
 __all__ = ["Tree", "ForestModel", "fit_forest", "predict_forest"]
 
@@ -145,6 +144,16 @@ def _fit_one(t: int, X, y, seed, max_depth, min_leaf, k_features) -> Tree:
     return builder.tree()
 
 
+def _check_finite(a: np.ndarray, what: str, names=None):
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        names = () if names is None else tuple(names)
+        row, *col = (int(i) for i in bad[0])
+        where = f"row {row}" + "".join(f", column {names[c] if c < len(names) else c}"
+                                       for c in col)
+        raise NumericalError(f"{what} has non-finite value {a[tuple(bad[0])]} at {where}")
+
+
 def fit_forest(
     X,
     y,
@@ -156,25 +165,25 @@ def fit_forest(
     threads: int | None = None,
     feature_names=None,
 ) -> ForestModel:
+    """Fit n_trees CART trees, one after another.
+
+    ``threads`` is accepted for call compatibility and has no effect: tree
+    building is Python code that holds the GIL, so a thread pool made fitting
+    slower, not faster.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise EmptyInput("feature matrix is empty")
     if X.shape[0] != y.size or y.size < 2:
         raise EmptyInput(f"need >= 2 rows with targets, got {X.shape[0]}/{y.size}")
+    _check_finite(X, "feature matrix", feature_names)
+    _check_finite(y, "target vector")
     d = X.shape[1]
     frac = feature_fraction if feature_fraction is not None else np.sqrt(d) / d
     k_features = min(d, max(1, round(frac * d)))
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            trees = list(
-                ex.map(lambda t: _fit_one(t, X, y, seed, max_depth, min_leaf, k_features),
-                       range(n_trees))
-            )
-    else:
-        trees = [_fit_one(t, X, y, seed, max_depth, min_leaf, k_features)
-                 for t in range(n_trees)]
+    trees = [_fit_one(t, X, y, seed, max_depth, min_leaf, k_features)
+             for t in range(n_trees)]
     return ForestModel(
         tuple(trees), n_trees, seed, max_depth, min_leaf, frac,
         tuple(feature_names) if feature_names is not None else None,
@@ -186,6 +195,7 @@ def predict_forest(model: ForestModel, x) -> float | np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
     X = np.atleast_2d(arr)
+    _check_finite(X, "feature matrix", model.feature_names)
     preds = np.stack([t.predict(X) for t in model.trees], axis=0)
     out = preds.mean(axis=0)
     return float(out[0]) if single else out

@@ -64,8 +64,6 @@ class BranchScores:
 
 def scgb_fuse(x, y, params) -> np.ndarray:
     """Simplified cross-gating block on vectors or (n, d) batches."""
-    if isinstance(params, dict):
-        params = ScgbParams(params["px"], params["py"], params["po"])
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     px, py, po = params.px, params.py, params.po
@@ -76,9 +74,15 @@ def scgb_fuse(x, y, params) -> np.ndarray:
         )
     if px.shape[0] != py.shape[0] or po.shape[1] != px.shape[0] or po.shape[0] != x.shape[-1]:
         raise DimensionMismatch("projection dims disagree at the gating junction")
+    return _cross_gate(x, y, px, py, po)[0]
+
+
+def _cross_gate(x, y, px, py, po, mask=None):
+    """The gating algebra behind scgb_fuse and the net: returns (out, u, g, z)."""
     u = x @ px.T
     g = _sigmoid(y @ py.T)
-    return (u * g) @ po.T + x
+    z = u * g if mask is None else u * g * mask
+    return z @ po.T + x, u, g, z
 
 
 @dataclass
@@ -100,10 +104,6 @@ class BranchNet:
             b: np.array([name_pos[f] for f in fs], dtype=np.intp)
             for b, fs in self.groups.items()
         }
-
-    @property
-    def branch_dims(self) -> dict[str, int]:
-        return {b: len(fs) for b, fs in self.groups.items()}
 
     def param_names(self) -> list[str]:
         names = []
@@ -214,11 +214,10 @@ def _forward_batch(net: BranchNet, Xb: dict[str, np.ndarray], dropout_masks=None
 
     H: dict[str, np.ndarray] = {"semantic": E["semantic"]}
     for b in GATED_BRANCHES:
-        u = E[b] @ P[f"scgb_{b}_px"].T
-        g = _sigmoid(E["semantic"] @ P[f"scgb_{b}_py"].T)
-        m = cache["masks"].get(b)
-        z = u * g if m is None else u * g * m
-        H[b] = z @ P[f"scgb_{b}_po"].T + E[b]
+        H[b], u, g, z = _cross_gate(
+            E[b], E["semantic"], P[f"scgb_{b}_px"], P[f"scgb_{b}_py"], P[f"scgb_{b}_po"],
+            cache["masks"].get(b),
+        )
         cache[f"scgb_{b}"] = (u, g, z)
     cache["H"] = H
 
@@ -280,6 +279,17 @@ def _backward_batch(net: BranchNet, cache: dict, dq: dict[str, np.ndarray]):
     return grads
 
 
+def _infer(net: BranchNet, Xb: dict[str, np.ndarray]):
+    """Dropout-free forward of a routed batch; returns (qs, final)."""
+    bad = [b for b in BRANCH_ORDER if b not in Xb or Xb[b].shape[1] != len(net.groups[b])]
+    if bad:
+        raise DimensionMismatch(f"branches {bad} are missing or have the wrong feature count")
+    qs, final, _ = _forward_batch(net, Xb)
+    if not np.isfinite(final).all():
+        raise NumericalError("non-finite scores")
+    return qs, final
+
+
 def forward(net: BranchNet, features_per_branch) -> tuple[BranchScores, float]:
     """Score one clip from its per-branch feature vectors (inference path).
 
@@ -288,30 +298,14 @@ def forward(net: BranchNet, features_per_branch) -> tuple[BranchScores, float]:
     Gate dropout is disabled.
     """
     if isinstance(features_per_branch, dict):
-        Xb = {
-            b: np.atleast_2d(np.asarray(v, dtype=np.float64))
-            for b, v in features_per_branch.items()
-        }
+        Xb = {b: np.atleast_2d(np.asarray(v, dtype=np.float64))
+              for b, v in features_per_branch.items()}
     else:
         Xb = net.route(np.atleast_2d(np.asarray(features_per_branch, dtype=np.float64)))
-    for b in BRANCH_ORDER:
-        if b not in Xb:
-            raise DimensionMismatch(f"missing branch {b!r}")
-        if Xb[b].shape[1] != len(net.groups[b]):
-            raise DimensionMismatch(
-                f"branch {b!r} expects {len(net.groups[b])} features, got {Xb[b].shape[1]}"
-            )
-    qs, final, _ = _forward_batch(net, Xb)
-    vals = (float(qs["semantic"][0]), float(qs["aesthetic"][0]), float(qs["technical"][0]))
-    if not all(np.isfinite(v) for v in vals):
-        raise NumericalError(f"non-finite branch scores {vals}")
-    return BranchScores(*vals), float(final[0])
+    qs, final = _infer(net, Xb)
+    return BranchScores(*(float(qs[b][0]) for b in BRANCH_ORDER)), float(final[0])
 
 
 def predict_scores(net: BranchNet, X: np.ndarray) -> np.ndarray:
     """Final scores for a raw feature matrix (rows in net.feature_names order)."""
-    Xb = net.route(np.atleast_2d(np.asarray(X, dtype=np.float64)))
-    _, final, _ = _forward_batch(net, Xb)
-    if not np.isfinite(final).all():
-        raise NumericalError("non-finite scores")
-    return final
+    return _infer(net, net.route(np.atleast_2d(np.asarray(X, dtype=np.float64))))[1]

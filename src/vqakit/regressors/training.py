@@ -15,7 +15,8 @@ import numpy as np
 
 from ..errors import NoTrainablePairs
 from .losses import rel_loss_grad
-from .net import BRANCH_ORDER, GATED_BRANCHES, BranchNet, _backward_batch, _forward_batch
+from .net import (BRANCH_ORDER, GATED_BRANCHES, BranchNet, _backward_batch, _forward_batch,
+                  _sigmoid)
 
 __all__ = ["TrainConfig", "train_siamese", "finetune_mos", "total_loss_gradients"]
 
@@ -147,7 +148,7 @@ def train_siamese(datasets, net: BranchNet, config: TrainConfig,
                 _, s_l, cache_l = _forward_batch(net, net.route(X[li]), masks_l)
                 d = s_w - s_l
                 losses.append(float(np.mean(np.logaddexp(0.0, -d))))
-                dd = -_sigmoid_neg(d) / B  # d(mean loss)/dd
+                dd = -_sigmoid(-d) / B  # d(mean loss)/dd
                 dq_w = {b: dd / 3.0 for b in BRANCH_ORDER}
                 dq_l = {b: -dd / 3.0 for b in BRANCH_ORDER}
                 g_w = _backward_batch(net, cache_w, dq_w)
@@ -161,15 +162,6 @@ def train_siamese(datasets, net: BranchNet, config: TrainConfig,
                 "pairs": {str(k): v for k, v in pair_counts.items()},
             })
     return net
-
-
-def _sigmoid_neg(d: np.ndarray) -> np.ndarray:
-    """sigmoid(-d), stable for large |d|."""
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = np.exp(-d[pos]) / (1.0 + np.exp(-d[pos]))
-    out[~pos] = 1.0 / (1.0 + np.exp(d[~pos]))
-    return out
 
 
 def finetune_mos(dataset, net: BranchNet, config: TrainConfig,

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from ._parallel import parallel_map
 from .clip_io import VideoClip, frame_rgb
 from .errors import InsufficientFrames, SourceTooSmall
 
@@ -33,7 +33,6 @@ __all__ = [
     "resize_bilinear",
     "pad_to_square",
     "fragment_sample",
-    "apply_transform",
     "build_view",
 ]
 
@@ -286,42 +285,30 @@ def fragment_sample(
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    h, w = plane.shape[:2]
-    tops, lefts = _fragment_offsets(h, w, grid, patch, rng)
+    tops, lefts = _fragment_offsets(*plane.shape[:2], grid, patch, rng)
     return _apply_offsets(plane, tops, lefts, grid, patch)
 
 
-def apply_transform(
-    plane: np.ndarray,
-    transform: SpatialTransform,
-    rng: np.random.Generator | None = None,
-    companions: list[np.ndarray] | None = None,
-):
-    """Apply a spatial transform to a luma plane (and aligned companions).
+def _apply_transform(plane: np.ndarray, transform: SpatialTransform,
+                     rng: np.random.Generator, companions: list[np.ndarray]):
+    """Apply a spatial transform to a luma plane and aligned companions.
 
     Companion planes (e.g. RGB channels) receive the identical geometry —
     for fragments the same random windows. Returns (plane, companions).
     """
-    comp = companions or []
-    if transform.kind == "none":
-        return plane, comp
-    if transform.kind == "resize":
-        f = lambda p: resize_bilinear(p, transform.width, transform.height)
-        return f(plane), [f(p) for p in comp]
-    if transform.kind == "pad_square_then_resize":
-        f = lambda p: resize_bilinear(pad_to_square(p), transform.size, transform.size)
-        return f(plane), [f(p) for p in comp]
-    if transform.kind == "fragment":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        h, w = plane.shape
-        tops, lefts = _fragment_offsets(h, w, transform.grid, transform.patch, rng)
-        g, p = transform.grid, transform.patch
-        return (
-            _apply_offsets(plane, tops, lefts, g, p),
-            [_apply_offsets(c, tops, lefts, g, p) for c in comp],
-        )
-    raise ValueError(f"unknown transform {transform.kind!r}")
+    t = transform
+    if t.kind == "none":
+        return plane, companions
+    if t.kind == "resize":
+        f = lambda p: resize_bilinear(p, t.width, t.height)
+    elif t.kind == "pad_square_then_resize":
+        f = lambda p: resize_bilinear(pad_to_square(p), t.size, t.size)
+    elif t.kind == "fragment":
+        tops, lefts = _fragment_offsets(*plane.shape, t.grid, t.patch, rng)
+        f = lambda p: _apply_offsets(p, tops, lefts, t.grid, t.patch)
+    else:
+        raise ValueError(f"unknown transform {t.kind!r}")
+    return f(plane), [f(p) for p in companions]
 
 
 def _frame_rng(seed: int, frame_index: int) -> np.random.Generator:
@@ -349,15 +336,10 @@ def build_view(
         frame = clip.frames[i]
         rgb = frame_rgb(frame) if has_rgb else None
         comp = [rgb[..., c] for c in range(3)] if rgb is not None else []
-        luma, comp = apply_transform(frame.luma, transform, _frame_rng(seed, i), comp)
+        luma, comp = _apply_transform(frame.luma, transform, _frame_rng(seed, i), comp)
         return luma, (np.stack(comp, axis=-1) if comp else None)
 
-    if threads and threads > 1 and len(plan.indices) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(one, plan.indices))
-    else:
-        results = [one(i) for i in plan.indices]
-
+    results = parallel_map(one, plan.indices, threads)
     lumas = tuple(r[0] for r in results)
     rgbs = tuple(r[1] for r in results) if has_rgb else None
     return SampledView(lumas, tuple(plan.indices), transform, rgbs)

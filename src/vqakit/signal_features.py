@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from ._parallel import parallel_map
 from .clip_io import VideoClip
 from .errors import DimensionMismatch, PlaneTooSmall
 from .sampling import SampledView, SpatialTransform, TemporalPlan, build_view
+from .tables import read_id_rows
 
 __all__ = [
     "FEATURE_ORDER",
@@ -229,11 +229,7 @@ def extract_view_features(view: SampledView, threads: int | None = None) -> Feat
             out["ssim_first"] = ssim(lumas[i], lumas[0])
         return out
 
-    if threads and threads > 1 and k > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            rows = list(ex.map(per_frame, range(k)))
-    else:
-        rows = [per_frame(i) for i in range(k)]
+    rows = parallel_map(per_frame, range(k), threads)
 
     values = {name: float(np.mean([r[name] for r in rows])) for name in
               ("si", "avg_luminance", "sharpness", "contrast", "colorfulness")}
@@ -269,18 +265,8 @@ def write_features_csv(path, rows: list[tuple[str, FeatureVector]]):
 
 def read_features_csv(path) -> tuple[list[str], np.ndarray]:
     """Read a features CSV; returns (clip_ids, matrix in FEATURE_ORDER)."""
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header is None or tuple(header) != ("clip_id",) + FEATURE_ORDER:
-            raise ValueError(f"bad feature CSV header in {Path(path).name}: {header}")
-        ids, data = [], []
-        for row in r:
-            if not row:
-                continue
-            ids.append(row[0])
-            data.append([float(x) for x in row[1:]])
-    return ids, np.array(data, dtype=np.float64).reshape(len(ids), len(FEATURE_ORDER))
+    ids, rows = read_id_rows(path, FEATURE_ORDER)
+    return ids, np.array(rows, dtype=np.float64).reshape(len(ids), len(FEATURE_ORDER))
 
 
 def features_to_json(rows: list[tuple[str, FeatureVector]]) -> str:

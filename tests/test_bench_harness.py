@@ -11,7 +11,6 @@ from vqakit.bench_harness import (
     Feature,
     Linear,
     PipelineDescriptor,
-    Resize,
     check_constraint,
     count_macs,
     count_params,
@@ -55,15 +54,21 @@ class TestCountMacs:
         assert count_macs(PipelineDescriptor((), 1)) == 0.0
 
     def test_resize_and_elementwise(self):
-        desc = PipelineDescriptor((Resize(1920, 1080, 512, 512), Elementwise(100)), 1)
+        desc = PipelineDescriptor((Elementwise(4 * 512 * 512), Elementwise(100)), 1)
         assert count_macs(desc) == (4 * 512 * 512 + 100) / 1e9
 
     def test_feature_costs(self):
-        plane = 100
-        assert Feature("si", plane).macs() == 10 * plane
-        assert Feature("ti", plane).macs() == 10 * plane
+        plane = 1600
+        assert Feature("si", plane).macs() == 20 * plane
+        assert Feature("ti", plane).macs() == 2 * plane
+        assert Feature("ti_first", plane).macs() == 2 * plane
         assert Feature("sharpness", plane).macs() == 10 * plane
+        assert Feature("colorfulness", plane).macs() == 6 * plane
+        assert Feature("contrast", plane).macs() == plane
         assert Feature("avg_luminance", plane).macs() == plane
+        # 13 per pixel plus 35 per 8x8 window at stride 4 (plane / 16 windows)
+        for name in ("ssim", "ssim_pair", "ssim_first"):
+            assert Feature(name, plane).macs() == 13 * plane + 35 * plane // 16
 
     def test_additive_over_concatenation(self):
         a = PipelineDescriptor((Linear(8, 8),), 2)
@@ -88,7 +93,7 @@ class TestCountParams:
         assert count_params(PipelineDescriptor((Conv2d(3, 8, 3, 3, 4, 4),), 1)) == 224 / 1e6
 
     def test_no_learned_stages(self):
-        desc = PipelineDescriptor((Resize(8, 8, 4, 4), Feature("si", 16), Elementwise(4)), 2)
+        desc = PipelineDescriptor((Feature("si", 16), Elementwise(4)), 2)
         assert count_params(desc) == 0.0
 
     def test_forest_reports_zero(self):

@@ -216,6 +216,42 @@ class TestTrainPredict:
                    "--mode", "forest", "--out", str(tmp_path / "m.json")])
         assert rc == 1
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_tables_exit_1(self, tmp_path, clip_dir, capsys, bad):
+        feats = _extract(tmp_path, clip_dir)
+        mos = tmp_path / "mos.csv"
+        _mos_for(feats, mos)
+        model = tmp_path / "forest.json"
+        assert main(["train", "--features", str(feats), "--mos", str(mos),
+                     "--mode", "forest", "--trees", "5", "--out", str(model)]) == 0
+
+        lines = feats.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[2] = bad  # clip1, column "ti"
+        lines[2] = ",".join(cells)
+        bad_feats = tmp_path / "bad_feat.csv"
+        bad_feats.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        for argv in (
+            ["train", "--features", str(bad_feats), "--mos", str(mos), "--mode", "forest",
+             "--trees", "5", "--out", str(tmp_path / "m.json")],
+            ["predict", "--model", str(model), "--features", str(bad_feats),
+             "--out", str(tmp_path / "pred.csv")],
+        ):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert "bad_feat.csv" in err and "row 3" in err and "'ti'" in err
+        assert not (tmp_path / "pred.csv").exists()
+
+        lines = mos.read_text().splitlines()
+        lines[2] = f"clip1,{bad}"
+        bad_mos = tmp_path / "bad_mos.csv"
+        bad_mos.write_text("\n".join(lines) + "\n")
+        assert main(["train", "--features", str(feats), "--mos", str(bad_mos),
+                     "--mode", "forest", "--trees", "5", "--out", str(tmp_path / "m.json")]) == 1
+        err = capsys.readouterr().err
+        assert "bad_mos.csv" in err and "row 3" in err and "'mos'" in err
+
 
 METRIC_SCHEMA = {
     "type": "object",
@@ -243,6 +279,13 @@ class TestEvalFuse:
         write_score_table(pred, {"a": 1.0, "zz": 2.0}, "score")
         write_score_table(mos, {"a": 1.0, "b": 2.0}, "mos")
         assert main(["eval", "--pred", str(pred), "--mos", str(mos)]) == 1
+
+    def test_eval_short_row_exit_1(self, tmp_path, capsys):
+        pred, mos = tmp_path / "p.csv", tmp_path / "m.csv"
+        pred.write_text("clip_id,score\na,1.0\nb\n")
+        write_score_table(mos, {"a": 1.0, "b": 2.0}, "mos")
+        assert main(["eval", "--pred", str(pred), "--mos", str(mos)]) == 1
+        assert "row 3 has 1 fields" in capsys.readouterr().err
 
     def test_fuse_7_8(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from vqakit.clip_io import (
     VideoClip,
     frame_rgb,
     load_frame_dir,
+    _parse_pnm,
     parse_y4m,
     synth_clip,
     write_y4m,
@@ -187,6 +190,22 @@ class TestFrameDir:
         clip = load_frame_dir(tmp_path, 30)
         assert clip.frames[0].source_bit_depth == 10
         assert clip.frames[0].luma[0, 0] == 1.0
+
+    @pytest.mark.parametrize("data", [
+        b"P5 -2 3 255\n" + bytes(6),
+        b"P5 0 0 255\n",
+        b"P6 2 -2 255\n" + bytes(12),
+    ])
+    def test_non_positive_dimensions_rejected(self, data):
+        with pytest.raises(ParseError):
+            _parse_pnm(data, "bad.pgm")
+
+    def test_long_whitespace_run_is_linear(self):
+        # a header regex with a nested quantifier took seconds on 26 bytes
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError):
+            _parse_pnm(b"P5" + b" " * 26, "blank.pgm")
+        assert time.perf_counter() - t0 < 0.25
 
 
 class TestSynthClip:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vqakit.errors import EmptyInput
+from vqakit.errors import EmptyInput, NumericalError
 from vqakit.regressors import ForestModel, fit_forest, load_model, predict_forest, save_model
 
 
@@ -42,6 +42,24 @@ class TestForestBasics:
             fit_forest(np.zeros((0, 3)), np.zeros(0))
         with pytest.raises(EmptyInput):
             fit_forest(np.zeros((1, 3)), np.zeros(1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input(self, bad):
+        rng = np.random.default_rng(2)
+        X, y = rng.random((10, 3)), rng.random(10)
+        Xb = X.copy()
+        Xb[4, 1] = bad
+        with pytest.raises(NumericalError, match="row 4, column b"):
+            fit_forest(Xb, y, n_trees=2, feature_names=("a", "b", "c"))
+        yb = y.copy()
+        yb[7] = bad
+        with pytest.raises(NumericalError, match="row 7"):
+            fit_forest(X, yb, n_trees=2)
+        model = fit_forest(X, y, n_trees=2)
+        with pytest.raises(NumericalError, match="row 4, column 1"):
+            predict_forest(model, Xb)
+        with pytest.raises(NumericalError, match="row 0, column 1"):
+            predict_forest(model, Xb[4])
 
 
 class TestForestDeterminism:

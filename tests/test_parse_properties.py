@@ -1,0 +1,132 @@
+"""Property tests: any byte string either parses or raises a VqaError.
+
+An IndexError, ValueError, MemoryError or any other exception escaping
+parse_y4m or _parse_pnm fails the test.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import y4m_bytes
+from vqakit.clip_io import VideoClip, _parse_pnm, parse_y4m
+from vqakit.errors import VqaError
+
+SETTINGS = settings(max_examples=300, deadline=None, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+# sizes a header may claim: degenerate, small, plausible and absurd
+dims = st.one_of(
+    st.integers(-3, 4),
+    st.integers(-(10**6), 10**6),
+    st.integers(10**9, 10**40),
+)
+payload = st.binary(max_size=600)
+
+
+def parses_or_vqa_error(parse, data):
+    try:
+        return parse(data)
+    except VqaError:
+        return None
+
+
+def _valid_y4m(w=4, h=4, frames=2):
+    rng = np.random.default_rng(0)
+    planes = [
+        (rng.integers(0, 256, (h, w), dtype=np.uint8),
+         rng.integers(0, 256, (h // 2, w // 2), dtype=np.uint8),
+         rng.integers(0, 256, (h // 2, w // 2), dtype=np.uint8))
+        for _ in range(frames)
+    ]
+    return y4m_bytes(w, h, planes)
+
+
+@st.composite
+def mutated(draw, base: bytes):
+    """base with a few bytes replaced, inserted or deleted."""
+    data = bytearray(base)
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(("replace", "insert", "delete")))
+        byte = draw(st.integers(0, 255))
+        if op == "insert" or pos == len(data):
+            data.insert(pos, byte)
+        elif op == "replace":
+            data[pos] = byte
+        else:
+            del data[pos]
+    return bytes(data)
+
+
+@st.composite
+def y4m_headers(draw):
+    tokens = [
+        f"W{draw(dims)}",
+        f"H{draw(dims)}",
+        f"F{draw(st.integers(-2, 60))}:{draw(st.integers(-1, 1001))}",
+        "C" + draw(st.sampled_from(("420", "422", "444", "420p10", "444p10", "411", "mono", ""))),
+    ]
+    tokens += draw(st.lists(st.text("IAXWHFC0123456789:-", max_size=6), max_size=2))
+    tokens = draw(st.permutations(tokens))
+    frame = draw(st.sampled_from((b"FRAME\n", b"FRAME Ixyz\n", b"FRAM\n", b"")))
+    return ("YUV4MPEG2 " + " ".join(tokens) + "\n").encode() + frame + draw(payload)
+
+
+@st.composite
+def pnm_headers(draw):
+    magic = draw(st.sampled_from((b"P5", b"P6", b"P4", b"P7", b"PX")))
+    sep = st.sampled_from((b" ", b"\n", b"\t ", b" # note\n", b"#\n", b"  \r\n"))
+    w, h = draw(dims), draw(dims)
+    maxval = draw(st.sampled_from((255, 1023, 0, -1, 65535, 256)))
+    out = magic
+    for f in (w, h, maxval):
+        out += draw(sep) + str(f).encode()
+    data = out + draw(st.sampled_from((b"\n", b" ", b""))) + draw(payload)
+    return data, (h, w) if magic == b"P5" else (h, w, 3)
+
+
+class TestParseY4mProperties:
+    @SETTINGS
+    @given(st.binary(max_size=600))
+    def test_random_bytes(self, data):
+        parses_or_vqa_error(parse_y4m, data)
+
+    @SETTINGS
+    @given(st.binary(max_size=600))
+    def test_random_bytes_after_magic(self, data):
+        parses_or_vqa_error(parse_y4m, b"YUV4MPEG2 " + data)
+
+    @SETTINGS
+    @given(y4m_headers())
+    def test_mutated_headers(self, data):
+        clip = parses_or_vqa_error(parse_y4m, data)
+        if clip is not None:
+            assert isinstance(clip, VideoClip)
+            assert clip.width > 0 and clip.height > 0 and clip.fps > 0
+
+    @SETTINGS
+    @given(mutated(_valid_y4m()))
+    def test_mutated_valid_stream(self, data):
+        parses_or_vqa_error(parse_y4m, data)
+
+
+class TestParsePnmProperties:
+    @SETTINGS
+    @given(st.binary(max_size=600))
+    def test_random_bytes(self, data):
+        parses_or_vqa_error(lambda d: _parse_pnm(d, "fuzz.pgm"), data)
+
+    @SETTINGS
+    @given(pnm_headers())
+    def test_mutated_headers(self, case):
+        data, claimed_shape = case
+        out = parses_or_vqa_error(lambda d: _parse_pnm(d, "fuzz.pnm"), data)
+        if out is not None:
+            arr, depth = out
+            assert arr.shape == claimed_shape and depth in (8, 10)
+
+    @SETTINGS
+    @given(mutated(b"P6 2 2 255\n" + bytes(range(12))))
+    def test_mutated_valid_file(self, data):
+        parses_or_vqa_error(lambda d: _parse_pnm(d, "fuzz.ppm"), data)

@@ -134,6 +134,22 @@ class TestForward:
         batch = predict_scores(net, raw[None, :])
         assert final == batch[0]
 
+    def test_forward_and_predict_scores_same_bits(self):
+        net = init_branchnet(seed=6)
+        rng = np.random.default_rng(8)
+        X = rng.random((12, len(net.feature_names)))
+        net.norm_shift = X.mean(axis=0)
+        net.norm_scale = X.std(axis=0)
+        net.norm_fitted = True
+        # one row at a time on both sides: BLAS may round a row of a larger
+        # batch differently in the last bit
+        single = np.array([predict_scores(net, x[None, :])[0] for x in X])
+        raw = np.array([forward(net, x)[1] for x in X])
+        routed = np.array([forward(net, {b: v[0] for b, v in net.route(x[None, :]).items()})[1]
+                           for x in X])
+        assert np.array_equal(raw.view(np.uint64), single.view(np.uint64))
+        assert np.array_equal(routed.view(np.uint64), single.view(np.uint64))
+
     def test_missing_branch(self):
         net = init_branchnet(seed=0)
         with pytest.raises(DimensionMismatch):
