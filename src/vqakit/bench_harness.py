@@ -28,7 +28,6 @@ __all__ = [
     "ConstraintGate",
     "ConstraintVerdict",
     "count_macs",
-    "count_params",
     "time_pipeline",
     "check_constraint",
 ]
@@ -65,9 +64,6 @@ class Conv2d:
     def macs(self) -> int:
         return self.c_in * self.c_out * self.k_h * self.k_w * self.h_out * self.w_out
 
-    def params(self) -> int:
-        return self.c_in * self.c_out * self.k_h * self.k_w + self.c_out
-
 
 @dataclass(frozen=True)
 class Linear:
@@ -79,9 +75,6 @@ class Linear:
     def macs(self) -> int:
         return self.d_in * self.d_out * self.tokens
 
-    def params(self) -> int:
-        return self.d_in * self.d_out + self.d_out
-
 
 @dataclass(frozen=True)
 class Elementwise:
@@ -90,9 +83,6 @@ class Elementwise:
 
     def macs(self) -> int:
         return self.n
-
-    def params(self) -> int:
-        return 0
 
 
 @dataclass(frozen=True)
@@ -105,9 +95,6 @@ class Feature:
         name = _SAME_PASSES.get(self.name, self.name)
         windows = _SSIM_WINDOW_MACS * self.plane_size // 16 if name == "ssim" else 0
         return _FEATURE_MACS.get(name, 1) * self.plane_size + windows
-
-    def params(self) -> int:
-        return 0
 
 
 Stage = Conv2d | Linear | Elementwise | Feature
@@ -131,25 +118,6 @@ def count_macs(descriptor: PipelineDescriptor) -> float:
         m = s.macs()
         total += m * descriptor.frames_per_clip if s.per_frame else m
     return total / 1e9
-
-
-def count_params(descriptor_or_model) -> float:
-    """Learned parameters in millions.
-
-    Accepts a PipelineDescriptor, a BranchNet, or a ForestModel (forests and
-    samplers carry no learned parameters; tree nodes are reported separately
-    via ForestModel.node_count()).
-    """
-    from .regressors.forest import ForestModel
-    from .regressors.net import BranchNet
-
-    if isinstance(descriptor_or_model, PipelineDescriptor):
-        return sum(s.params() for s in descriptor_or_model.stages) / 1e6
-    if isinstance(descriptor_or_model, BranchNet):
-        return descriptor_or_model.n_params() / 1e6
-    if isinstance(descriptor_or_model, ForestModel):
-        return 0.0
-    raise TypeError(f"cannot count parameters of {type(descriptor_or_model).__name__}")
 
 
 @dataclass(frozen=True)
@@ -201,18 +169,16 @@ def time_pipeline(
     """Run warmups then timed executions of a clip->score callable.
 
     pipeline is either a callable or an object with .score (callable),
-    .descriptor and optional .params_m — MACs and parameter counts are taken
-    from the descriptor when present. Clip ingestion is outside the timed
-    region (the clip is already in memory).
+    .descriptor and .params_m — MACs are counted from the descriptor, and a
+    bare callable reports 0 MACs and 0 parameters. Clip ingestion is outside
+    the timed region (the clip is already in memory).
     """
     if runs < 1:
         raise ValueError("need at least one timed run")
     score = getattr(pipeline, "score", pipeline)
     descriptor = getattr(pipeline, "descriptor", None)
     macs_g = count_macs(descriptor) if descriptor is not None else 0.0
-    params_m = getattr(pipeline, "params_m", None)
-    if params_m is None:
-        params_m = count_params(descriptor) if descriptor is not None else 0.0
+    params_m = getattr(pipeline, "params_m", 0.0)
 
     for i in range(warmup):
         try:

@@ -3,7 +3,7 @@
 The in-memory representation is planar and full-range normalized: every
 sample is stored as float64 in [0,1], obtained as raw / (2^bit_depth - 1).
 Chroma (when present) stays at its source resolution and is only upsampled
-(nearest neighbor) when RGB is requested.
+(nearest neighbor) when RGB is requested; RGB is three separate planes.
 """
 
 from __future__ import annotations
@@ -127,7 +127,14 @@ _COLORSPACES: dict[str, tuple[int, int, int]] = {
 }
 
 
-def _read_plane(buf: bytes, pos: int, w: int, h: int, depth: int, index: int):
+def _check_10bit(raw: np.ndarray, pos: int, where: str):
+    """Raise ParseError at the first 10-bit sample above 1023."""
+    if raw.max() > 1023:
+        bad = int(np.argmax(raw > 1023))
+        raise ParseError(pos + 2 * bad, f"{where}: sample {int(raw[bad])} above 1023")
+
+
+def _read_plane(buf: bytes, pos: int, w: int, h: int, depth: int, index: int, name: str):
     n = w * h
     if depth == 8:
         end = pos + n
@@ -139,6 +146,7 @@ def _read_plane(buf: bytes, pos: int, w: int, h: int, depth: int, index: int):
     if end > len(buf):
         raise TruncatedFrame(index)
     plane = np.frombuffer(buf, dtype="<u2", count=n, offset=pos)
+    _check_10bit(plane, pos, f"frame {index} {name}")
     return plane.reshape(h, w).astype(np.float64) / 1023.0, end
 
 
@@ -204,9 +212,9 @@ def parse_y4m(byte_stream) -> VideoClip:
         if fnl < 0:
             raise TruncatedFrame(len(frames))
         pos = fnl + 1
-        luma, pos = _read_plane(buf, pos, width, height, depth, len(frames))
-        cb, pos = _read_plane(buf, pos, cw, ch, depth, len(frames))
-        cr, pos = _read_plane(buf, pos, cw, ch, depth, len(frames))
+        luma, pos = _read_plane(buf, pos, width, height, depth, len(frames), "luma")
+        cb, pos = _read_plane(buf, pos, cw, ch, depth, len(frames), "cb")
+        cr, pos = _read_plane(buf, pos, cw, ch, depth, len(frames), "cr")
         frames.append(Frame(luma, cb, cr, source_bit_depth=depth))
 
     if not frames:
@@ -282,6 +290,8 @@ def _parse_pnm(data: bytes, name: str):
         raise TruncatedFrame(0)
     dtype = np.uint8 if maxval == 255 else ">u2"  # netpbm 16-bit is big-endian
     raw = np.frombuffer(data, dtype=dtype, count=n, offset=pos)
+    if maxval == 1023:
+        _check_10bit(raw, pos, name)
     arr = raw.reshape((h, w) if channels == 1 else (h, w, 3)).astype(np.float64) / maxval
     return arr, depth
 
@@ -350,8 +360,8 @@ def synth_clip(spec: ClipSpec, pattern: str, *, value: float = 0.5, seed: int = 
     return VideoClip(w, h, Fraction(30), frames)
 
 
-def frame_rgb(frame: Frame) -> np.ndarray | None:
-    """Return the frame as HxWx3 RGB in [0,1], or None for chroma-less frames.
+def frame_rgb(frame: Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Return the frame's (r, g, b) planes in [0,1], or None for chroma-less frames.
 
     Subsampled chroma is upsampled to luma resolution by nearest neighbor;
     conversion uses BT.709 with clamping.
@@ -373,5 +383,4 @@ def frame_rgb(frame: Frame) -> np.ndarray | None:
     r = y + 2.0 * (1.0 - _KR) * cr
     b = y + 2.0 * (1.0 - _KB) * cb
     g = (y - _KR * r - _KB * b) / _KG
-    rgb = np.stack([r, g, b], axis=-1)
-    return np.clip(rgb, 0.0, 1.0)
+    return tuple(np.clip(p, 0.0, 1.0) for p in (r, g, b))

@@ -17,7 +17,6 @@ from .errors import JoinError, UndefinedCorrelation
 from .tables import read_score_table
 
 __all__ = [
-    "EvalPair",
     "MetricReport",
     "srocc",
     "krocc",
@@ -26,24 +25,6 @@ __all__ = [
     "average_ranks",
     "evaluate",
 ]
-
-
-@dataclass(frozen=True)
-class EvalPair:
-    predictions: np.ndarray
-    mos: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.predictions, dtype=np.float64)
-        m = np.asarray(self.mos, dtype=np.float64)
-        if p.ndim != 1 or m.ndim != 1 or p.shape != m.shape:
-            raise ValueError("predictions and mos must be 1-D vectors of equal length")
-        if p.size < 2:
-            raise ValueError("need at least 2 points")
-        if not (np.isfinite(p).all() and np.isfinite(m).all()):
-            raise ValueError("non-finite values")
-        object.__setattr__(self, "predictions", p)
-        object.__setattr__(self, "mos", m)
 
 
 @dataclass(frozen=True)
@@ -59,10 +40,17 @@ class MetricReport:
         )
 
 
-def _as_pair(pair_or_x, y=None) -> EvalPair:
-    if y is None:
-        return pair_or_x if isinstance(pair_or_x, EvalPair) else EvalPair(*pair_or_x)
-    return EvalPair(pair_or_x, y)
+def _check(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Predictions and MOS as equal-length, finite float vectors of >= 2 points."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
+        raise ValueError("predictions and mos must be 1-D vectors of equal length")
+    if x.size < 2:
+        raise ValueError("need at least 2 points")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("non-finite values")
+    return x, y
 
 
 def average_ranks(x: np.ndarray) -> np.ndarray:
@@ -84,18 +72,17 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float((xc @ yc) / np.sqrt(sxx * syy))
 
 
-def srocc(pair_or_x, y=None) -> float:
-    pair = _as_pair(pair_or_x, y)
-    return _pearson(average_ranks(pair.predictions), average_ranks(pair.mos))
+def srocc(x, y) -> float:
+    x, y = _check(x, y)
+    return _pearson(average_ranks(x), average_ranks(y))
 
 
-def krocc(pair_or_x, y=None) -> float:
+def krocc(x, y) -> float:
     """Kendall tau-b: (C-D)/sqrt((n0-n1)(n0-n2)) with tie corrections."""
-    pair = _as_pair(pair_or_x, y)
-    x, ym = pair.predictions, pair.mos
+    x, y = _check(x, y)
     n = x.size
     dx = np.sign(x[:, None] - x[None, :])
-    dy = np.sign(ym[:, None] - ym[None, :])
+    dy = np.sign(y[:, None] - y[None, :])
     iu = np.triu_indices(n, k=1)
     cd = float(np.sum(dx[iu] * dy[iu]))
     n0 = n * (n - 1) / 2.0
@@ -107,14 +94,13 @@ def krocc(pair_or_x, y=None) -> float:
     return cd / float(np.sqrt(denom))
 
 
-def plcc(pair_or_x, y=None) -> float:
-    pair = _as_pair(pair_or_x, y)
-    return _pearson(pair.predictions, pair.mos)
+def plcc(x, y) -> float:
+    return _pearson(*_check(x, y))
 
 
-def rmse(pair_or_x, y=None) -> float:
-    pair = _as_pair(pair_or_x, y)
-    d = pair.predictions - pair.mos
+def rmse(x, y) -> float:
+    x, y = _check(x, y)
+    d = x - y
     return float(np.sqrt(np.mean(d * d)))
 
 
@@ -128,8 +114,6 @@ def evaluate(predictions_csv, mos_csv) -> MetricReport:
     for cid in preds:
         if cid not in moses:
             raise JoinError(cid)
-    ids = list(preds)
-    pair = EvalPair(
-        np.array([preds[c] for c in ids]), np.array([moses[c] for c in ids])
-    )
-    return MetricReport(srocc(pair), krocc(pair), plcc(pair), rmse(pair))
+    x = np.array(list(preds.values()))
+    y = np.array([moses[c] for c in preds])
+    return MetricReport(srocc(x, y), krocc(x, y), plcc(x, y), rmse(x, y))

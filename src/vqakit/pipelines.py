@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bench_harness import Elementwise, Feature, Linear, PipelineDescriptor, count_params
+from .bench_harness import Elementwise, Feature, Linear, PipelineDescriptor
 from .clip_io import CANONICAL_SPECS, ClipSpec, VideoClip
 from .regressors import fit_forest, init_branchnet, predict_forest, predict_scores
 from .sampling import plan_indices, temporal_sample
@@ -71,7 +71,7 @@ def build_pipeline(
             return float(predict_forest(model, np.array(fv.as_row())))
 
         desc = PipelineDescriptor(_feature_stages(spec), _frames_after_sampling(spec))
-        return Pipeline("feature-forest", score, desc, count_params(model))
+        return Pipeline("feature-forest", score, desc, 0.0)  # trees learn no weights
 
     if name == "feature-branchnet":
         net = init_branchnet(seed=seed)
@@ -91,6 +91,6 @@ def build_pipeline(
         desc = PipelineDescriptor(
             _feature_stages(spec) + tuple(clip_stages), _frames_after_sampling(spec)
         )
-        return Pipeline("feature-branchnet", score, desc, count_params(net))
+        return Pipeline("feature-branchnet", score, desc, net.n_params() / 1e6)
 
     raise ValueError(f"unknown pipeline {name!r}; choose from {PIPELINE_NAMES}")

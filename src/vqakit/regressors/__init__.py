@@ -2,20 +2,11 @@
 
 from .checkpoint import FOREST_FORMAT, NET_FORMAT, load_model, save_model
 from .forest import ForestModel, Tree, fit_forest, predict_forest
-from .losses import (
-    RelLossTerms,
-    rel_loss,
-    rel_loss_grad,
-    rel_loss_terms,
-    siamese_rank_loss,
-    total_loss,
-)
+from .losses import rel_loss, rel_loss_grad, total_loss
 from .net import (
     BRANCH_ORDER,
     BranchNet,
-    BranchScores,
     ScgbParams,
-    forward,
     init_branchnet,
     predict_scores,
     scgb_fuse,
@@ -25,22 +16,17 @@ from .training import TrainConfig, finetune_mos, total_loss_gradients, train_sia
 __all__ = [
     "BRANCH_ORDER",
     "BranchNet",
-    "BranchScores",
     "ScgbParams",
     "ForestModel",
     "Tree",
     "TrainConfig",
-    "RelLossTerms",
     "init_branchnet",
-    "forward",
     "predict_scores",
     "scgb_fuse",
     "rel_loss",
-    "rel_loss_terms",
     "rel_loss_grad",
     "total_loss",
     "total_loss_gradients",
-    "siamese_rank_loss",
     "train_siamese",
     "finetune_mos",
     "fit_forest",

@@ -1,35 +1,17 @@
-"""Training objectives: relative (rank + linearity) loss and siamese pair loss.
+"""Training objective: the relative (rank + linearity) loss.
 
 The relative loss combines a pairwise margin rank term over all ordered MOS
 pairs with a linearity term 1 - PLCC(pred, mos); the per-branch sum of this
-loss supervises all three branch scores against the same MOS. The siamese
-loss is the logistic pair loss log(1 + exp(-(s_winner - s_loser))).
+loss supervises all three branch scores against the same MOS. (Siamese
+pretraining uses the logistic pair loss log(1 + exp(-(s_winner - s_loser)))
+inline in training.train_siamese.)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = [
-    "RelLossTerms",
-    "rel_loss_terms",
-    "rel_loss",
-    "total_loss",
-    "siamese_rank_loss",
-]
-
-
-@dataclass(frozen=True)
-class RelLossTerms:
-    rank: float
-    linearity: float
-    plcc_skipped: bool
-
-    @property
-    def value(self) -> float:
-        return self.rank + self.linearity
+__all__ = ["rel_loss", "rel_loss_grad", "total_loss"]
 
 
 def _as_batch(v) -> np.ndarray:
@@ -39,93 +21,52 @@ def _as_batch(v) -> np.ndarray:
     return a
 
 
-def _rank_term(pred: np.ndarray, mos: np.ndarray, margin: float, want_grad: bool):
+def _rank_term(pred: np.ndarray, mos: np.ndarray, margin: float):
     dm = mos[:, None] - mos[None, :]
     ordered = dm > 0
     count = int(ordered.sum())
     if count == 0:
-        return 0.0, (np.zeros_like(pred) if want_grad else None), 0
+        return 0.0, np.zeros_like(pred)
     dp = pred[:, None] - pred[None, :]
     hinge = np.maximum(0.0, margin - dp)
     value = float(hinge[ordered].sum() / count)
-    grad = None
-    if want_grad:
-        active = (ordered & (hinge > 0.0)).astype(np.float64)
-        grad = (active.sum(axis=0) - active.sum(axis=1)) / count
-    return value, grad, count
+    active = (ordered & (hinge > 0.0)).astype(np.float64)
+    return value, (active.sum(axis=0) - active.sum(axis=1)) / count
 
 
-def _linearity_term(pred: np.ndarray, mos: np.ndarray, want_grad: bool):
+def _linearity_term(pred: np.ndarray, mos: np.ndarray):
     mc = mos - mos.mean()
     smm = float(mc @ mc)
     if smm == 0.0:  # constant MOS: PLCC undefined, term skipped
-        return 0.0, (np.zeros_like(pred) if want_grad else None), True
+        return 0.0, np.zeros_like(pred)
     pc = pred - pred.mean()
     spp = float(pc @ pc)
     if spp == 0.0:
         # constant predictions against varying MOS: PLCC treated as 0 with a
         # flat (zero) gradient; the rank term drives the batch off this point
-        return 1.0, (np.zeros_like(pred) if want_grad else None), False
+        return 1.0, np.zeros_like(pred)
     r = float((pc @ mc) / np.sqrt(spp * smm))
-    grad = None
-    if want_grad:
-        grad = -(mc / np.sqrt(spp * smm) - r * pc / spp)
-    return 1.0 - r, grad, False
+    return 1.0 - r, -(mc / np.sqrt(spp * smm) - r * pc / spp)
 
 
-def rel_loss_terms(
-    predictions,
-    mos,
-    margin: float = 0.05,
-    rank_weight: float = 1.0,
-    linearity_weight: float = 1.0,
-) -> RelLossTerms:
+def rel_loss_grad(predictions, mos, margin: float = 0.05):
+    """(loss value, d loss / d predictions) for one branch batch."""
     pred = _as_batch(predictions)
     m = _as_batch(mos)
     if pred.shape != m.shape:
         raise ValueError("predictions and mos must have equal length")
-    rank, _, _ = _rank_term(pred, m, margin, want_grad=False)
-    lin, _, skipped = _linearity_term(pred, m, want_grad=False)
-    return RelLossTerms(rank_weight * rank, linearity_weight * lin, skipped)
+    rank, grank = _rank_term(pred, m, margin)
+    lin, glin = _linearity_term(pred, m)
+    return rank + lin, grank + glin
 
 
-def rel_loss(predictions, mos, margin: float = 0.05,
-             rank_weight: float = 1.0, linearity_weight: float = 1.0) -> float:
-    return rel_loss_terms(predictions, mos, margin, rank_weight, linearity_weight).value
+def rel_loss(predictions, mos, margin: float = 0.05) -> float:
+    return rel_loss_grad(predictions, mos, margin)[0]
 
 
-def rel_loss_grad(predictions, mos, margin: float = 0.05,
-                  rank_weight: float = 1.0, linearity_weight: float = 1.0):
-    """(loss value, d loss / d predictions) for one branch batch."""
-    pred = _as_batch(predictions)
-    m = _as_batch(mos)
-    rank, grank, _ = _rank_term(pred, m, margin, want_grad=True)
-    lin, glin, skipped = _linearity_term(pred, m, want_grad=True)
-    value = rank_weight * rank + linearity_weight * lin
-    grad = rank_weight * grank + linearity_weight * glin
-    return value, grad
-
-
-def total_loss(branch_scores_batch, mos_batch, margin: float = 0.05,
-               rank_weight: float = 1.0, linearity_weight: float = 1.0) -> float:
-    """Sum of the relative loss over the three branch score batches."""
-    if isinstance(branch_scores_batch, dict):
-        batches = list(branch_scores_batch.values())
-    else:
-        batches = list(branch_scores_batch)
+def total_loss(branch_batches, mos_batch, margin: float = 0.05) -> float:
+    """Sum of the relative loss over a sequence of three branch score batches."""
+    batches = list(branch_batches)
     if len(batches) != 3:
         raise ValueError(f"expected 3 branch batches, got {len(batches)}")
-    return sum(
-        rel_loss(b, mos_batch, margin, rank_weight, linearity_weight) for b in batches
-    )
-
-
-def siamese_rank_loss(score_a: float, score_b: float, label: str) -> float:
-    """Logistic pair loss; label says which input has the higher ground truth."""
-    if label == "a_better":
-        d = score_a - score_b
-    elif label == "b_better":
-        d = score_b - score_a
-    else:
-        raise ValueError(f"label must be 'a_better' or 'b_better', got {label!r}")
-    return float(np.logaddexp(0.0, -d))
+    return sum(rel_loss(b, mos_batch, margin) for b in batches)

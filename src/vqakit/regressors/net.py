@@ -23,11 +23,10 @@ __all__ = [
     "BRANCH_ORDER",
     "GATED_BRANCHES",
     "ScgbParams",
-    "BranchScores",
     "BranchNet",
     "init_branchnet",
     "scgb_fuse",
-    "forward",
+    "predict_scores",
 ]
 
 BRANCH_ORDER = ("semantic", "aesthetic", "technical")
@@ -50,16 +49,6 @@ class ScgbParams:
     px: np.ndarray
     py: np.ndarray
     po: np.ndarray
-
-
-@dataclass(frozen=True)
-class BranchScores:
-    q_s: float
-    q_a: float
-    q_t: float
-
-    def final(self) -> float:
-        return (self.q_s + self.q_a + self.q_t) / 3.0
 
 
 def scgb_fuse(x, y, params) -> np.ndarray:
@@ -281,29 +270,10 @@ def _backward_batch(net: BranchNet, cache: dict, dq: dict[str, np.ndarray]):
 
 def _infer(net: BranchNet, Xb: dict[str, np.ndarray]):
     """Dropout-free forward of a routed batch; returns (qs, final)."""
-    bad = [b for b in BRANCH_ORDER if b not in Xb or Xb[b].shape[1] != len(net.groups[b])]
-    if bad:
-        raise DimensionMismatch(f"branches {bad} are missing or have the wrong feature count")
     qs, final, _ = _forward_batch(net, Xb)
     if not np.isfinite(final).all():
         raise NumericalError("non-finite scores")
     return qs, final
-
-
-def forward(net: BranchNet, features_per_branch) -> tuple[BranchScores, float]:
-    """Score one clip from its per-branch feature vectors (inference path).
-
-    features_per_branch is either a dict {branch: vector} or a raw feature
-    vector in net.feature_names order (routed + standardized internally).
-    Gate dropout is disabled.
-    """
-    if isinstance(features_per_branch, dict):
-        Xb = {b: np.atleast_2d(np.asarray(v, dtype=np.float64))
-              for b, v in features_per_branch.items()}
-    else:
-        Xb = net.route(np.atleast_2d(np.asarray(features_per_branch, dtype=np.float64)))
-    qs, final = _infer(net, Xb)
-    return BranchScores(*(float(qs[b][0]) for b in BRANCH_ORDER)), float(final[0])
 
 
 def predict_scores(net: BranchNet, X: np.ndarray) -> np.ndarray:

@@ -28,8 +28,6 @@ class TrainConfig:
     batch_size: int = 8
     seed: int = 0
     rank_margin: float = 0.05
-    rank_weight: float = 1.0
-    linearity_weight: float = 1.0
     weight_decay: float = 0.05
 
     def __post_init__(self):
@@ -96,7 +94,7 @@ def total_loss_gradients(net: BranchNet, X, mos, cfg: TrainConfig | None = None,
     value = 0.0
     dq = {}
     for b in BRANCH_ORDER:
-        v, g = rel_loss_grad(qs[b], m, cfg.rank_margin, cfg.rank_weight, cfg.linearity_weight)
+        v, g = rel_loss_grad(qs[b], m, cfg.rank_margin)
         value += v
         dq[b] = g
     return value, _backward_batch(net, cache, dq)

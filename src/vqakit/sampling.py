@@ -11,7 +11,6 @@ derived as seed XOR frame_index so parallel and serial runs agree bit-exactly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,14 +56,6 @@ class TemporalPlan:
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise ValueError("plan indices must be strictly increasing")
 
-    def to_json(self) -> str:
-        return json.dumps({"mode": self.mode, "indices": list(self.indices)})
-
-    @classmethod
-    def from_json(cls, s: str) -> "TemporalPlan":
-        d = json.loads(s)
-        return cls(d["mode"], tuple(d["indices"]))
-
 
 @dataclass(frozen=True)
 class SpatialTransform:
@@ -97,12 +88,13 @@ class SpatialTransform:
 
 @dataclass(frozen=True)
 class SampledView:
-    """Transformed planes for the sampled frames of one clip."""
+    """Transformed planes for the sampled frames of one clip; rgb holds one
+    (r, g, b) plane triple per frame, or None for chroma-less clips."""
 
     frames: tuple[np.ndarray, ...]
     origin_indices: tuple[int, ...]
     transform: SpatialTransform
-    rgb: tuple[np.ndarray, ...] | None = None
+    rgb: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] | None = None
 
     def __post_init__(self):
         if len(self.frames) != len(self.origin_indices):
@@ -290,11 +282,11 @@ def fragment_sample(
 
 
 def _apply_transform(plane: np.ndarray, transform: SpatialTransform,
-                     rng: np.random.Generator, companions: list[np.ndarray]):
+                     rng: np.random.Generator, companions: tuple[np.ndarray, ...]):
     """Apply a spatial transform to a luma plane and aligned companions.
 
-    Companion planes (e.g. RGB channels) receive the identical geometry —
-    for fragments the same random windows. Returns (plane, companions).
+    Companion planes (the RGB planes) receive the identical geometry — for
+    fragments the same random windows. Returns (plane, companions).
     """
     t = transform
     if t.kind == "none":
@@ -308,7 +300,7 @@ def _apply_transform(plane: np.ndarray, transform: SpatialTransform,
         f = lambda p: _apply_offsets(p, tops, lefts, t.grid, t.patch)
     else:
         raise ValueError(f"unknown transform {t.kind!r}")
-    return f(plane), [f(p) for p in companions]
+    return f(plane), tuple(f(p) for p in companions)
 
 
 def _frame_rng(seed: int, frame_index: int) -> np.random.Generator:
@@ -324,8 +316,8 @@ def build_view(
 ) -> SampledView:
     """Materialize the transformed planes for a temporal plan.
 
-    Chroma-bearing clips also yield transformed RGB stacks. Deterministic in
-    (clip, plan, transform, seed) regardless of thread count.
+    Chroma-bearing clips also yield transformed (r, g, b) planes. Deterministic
+    in (clip, plan, transform, seed) regardless of thread count.
     """
     for i in plan.indices:
         if i < 0 or i >= len(clip):
@@ -334,10 +326,8 @@ def build_view(
 
     def one(i: int):
         frame = clip.frames[i]
-        rgb = frame_rgb(frame) if has_rgb else None
-        comp = [rgb[..., c] for c in range(3)] if rgb is not None else []
-        luma, comp = _apply_transform(frame.luma, transform, _frame_rng(seed, i), comp)
-        return luma, (np.stack(comp, axis=-1) if comp else None)
+        rgb = frame_rgb(frame) if has_rgb else ()
+        return _apply_transform(frame.luma, transform, _frame_rng(seed, i), rgb)
 
     results = parallel_map(one, plan.indices, threads)
     lumas = tuple(r[0] for r in results)

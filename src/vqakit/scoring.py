@@ -9,7 +9,6 @@ mean, optionally after per-model z-scoring.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,6 @@ import numpy as np
 from .errors import DegenerateScores, OutOfRange
 
 __all__ = [
-    "LEVELS",
     "LevelDistribution",
     "ScoreRange",
     "FusionSpec",
@@ -26,8 +24,6 @@ __all__ = [
     "expected_score",
     "fuse_scores",
 ]
-
-LEVELS = ("bad", "poor", "fair", "good", "excellent")
 
 
 @dataclass(frozen=True)
@@ -71,14 +67,6 @@ class FusionSpec:
         if self.normalization not in ("none", "zscore"):
             raise ValueError(f"unknown normalization {self.normalization!r}")
 
-    def to_json(self) -> str:
-        return json.dumps({"weights": list(self.weights), "normalization": self.normalization})
-
-    @classmethod
-    def from_json(cls, s: str) -> "FusionSpec":
-        d = json.loads(s)
-        return cls(tuple(d["weights"]), d.get("normalization", "none"))
-
 
 def bin_score(s: float, score_range: ScoreRange = MOS_RANGE) -> int:
     """Map a score to its level index in 1..5.
@@ -93,10 +81,6 @@ def bin_score(s: float, score_range: ScoreRange = MOS_RANGE) -> int:
         if s <= lo + (i * (hi - lo)) / 5.0:
             return i
     return 5
-
-
-def bin_label(s: float, score_range: ScoreRange = MOS_RANGE) -> str:
-    return LEVELS[bin_score(s, score_range) - 1]
 
 
 def softmax_levels(logits) -> LevelDistribution:

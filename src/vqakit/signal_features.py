@@ -80,12 +80,6 @@ class FeatureVector:
     def as_row(self) -> list[float]:
         return [self.values[k] for k in FEATURE_ORDER]
 
-    def branch_inputs(self) -> dict[str, np.ndarray]:
-        return {
-            b: np.array([self.values[f] for f in fs], dtype=np.float64)
-            for b, fs in BRANCH_GROUPS.items()
-        }
-
     def to_json_dict(self, clip_id: str | None = None) -> dict:
         d: dict = {"features": {k: self.values[k] for k in FEATURE_ORDER}}
         if self.flags:
@@ -123,9 +117,8 @@ def ti(luma_t: np.ndarray, luma_prev: np.ndarray) -> float:
     return float((luma_t - luma_prev).std())
 
 
-def colorfulness(rgb_frame: np.ndarray) -> float:
-    """Hasler-Suesstrunk colorfulness on [0,1] RGB."""
-    r, g, b = rgb_frame[..., 0], rgb_frame[..., 1], rgb_frame[..., 2]
+def colorfulness(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> float:
+    """Hasler-Suesstrunk colorfulness on [0,1] RGB planes."""
     rg = r - g
     yb = 0.5 * (r + g) - b
     return float(
@@ -202,7 +195,8 @@ def extract_view_features(view: SampledView, threads: int | None = None) -> Feat
 
     Per-frame features are averaged over all frames; pairwise features (ti,
     ssim) use consecutive sampled frames or the first sampled frame and are
-    0 (with a flag) for single-frame views. The reduction order is fixed, so
+    0 (with a flag) for single-frame views. Frame 1's consecutive pair is its
+    first-frame pair, so it is computed once. The reduction order is fixed, so
     threaded extraction is bit-identical to serial.
     """
     lumas = view.frames
@@ -220,13 +214,13 @@ def extract_view_features(view: SampledView, threads: int | None = None) -> Feat
             "avg_luminance": avg_luminance(lumas[i]),
             "sharpness": sharpness(lumas[i]),
             "contrast": contrast(lumas[i]),
-            "colorfulness": colorfulness(rgbs[i]) if rgbs is not None else 0.0,
+            "colorfulness": colorfulness(*rgbs[i]) if rgbs is not None else 0.0,
         }
         if i > 0:
             out["ti"] = ti(lumas[i], lumas[i - 1])
-            out["ti_first"] = ti(lumas[i], lumas[0])
             out["ssim_pair"] = ssim(lumas[i], lumas[i - 1])
-            out["ssim_first"] = ssim(lumas[i], lumas[0])
+            out["ti_first"] = out["ti"] if i == 1 else ti(lumas[i], lumas[0])
+            out["ssim_first"] = out["ssim_pair"] if i == 1 else ssim(lumas[i], lumas[0])
         return out
 
     rows = parallel_map(per_frame, range(k), threads)

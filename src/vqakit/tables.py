@@ -10,11 +10,25 @@ from .errors import DuplicateId, NumericalError
 __all__ = ["read_score_table", "write_score_table"]
 
 
+def _cell(path, line: int, clip_id: str, column: str, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is not None and math.isfinite(value):
+        return value
+    where = f"{path}: row {line} (clip {clip_id!r}), column {column!r} is {text!r}"
+    if value is None:
+        raise ValueError(f"{where}, not a number")
+    raise NumericalError(f"{where}, not a finite number")
+
+
 def read_id_rows(path, columns: tuple[str, ...]) -> tuple[list[str], list[list[float]]]:
     """Read a `clip_id,<columns...>` CSV into (clip ids, rows of floats).
 
-    A wrong header or a row of the wrong width raises ValueError; a nan or
-    inf cell raises NumericalError naming the file, row and column.
+    A wrong header, a row of the wrong width or a cell that is not a number
+    raises ValueError; a nan or inf cell raises NumericalError. Cell errors
+    name the file, row and column.
     """
     with open(path, newline="") as fh:
         r = csv.reader(fh)
@@ -28,13 +42,9 @@ def read_id_rows(path, columns: tuple[str, ...]) -> tuple[list[str], list[list[f
             if len(row) != len(columns) + 1:
                 raise ValueError(f"{path}: row {r.line_num} has {len(row)} fields, "
                                  f"the header {len(columns) + 1}")
-            values = [float(x) for x in row[1:]]
-            for col, text, value in zip(columns, row[1:], values):
-                if not math.isfinite(value):
-                    raise NumericalError(f"{path}: row {r.line_num} (clip {row[0]!r}), column "
-                                         f"{col!r} is {text!r}, not a finite number")
+            rows.append([_cell(path, r.line_num, row[0], col, text)
+                         for col, text in zip(columns, row[1:])])
             ids.append(row[0])
-            rows.append(values)
     return ids, rows
 
 

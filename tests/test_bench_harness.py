@@ -13,13 +13,12 @@ from vqakit.bench_harness import (
     PipelineDescriptor,
     check_constraint,
     count_macs,
-    count_params,
     time_pipeline,
 )
 from vqakit.clip_io import CANONICAL_SPECS, synth_clip
 from vqakit.errors import BenchRunError, SpecMismatch
 from vqakit.pipelines import build_pipeline
-from vqakit.regressors import fit_forest, init_branchnet
+from vqakit.regressors import init_branchnet
 
 
 def busy_wait(ms: float):
@@ -86,25 +85,15 @@ class TestCountMacs:
 
 
 class TestCountParams:
-    def test_linear(self):
-        assert count_params(PipelineDescriptor((Linear(10, 1),), 1)) == 11 / 1e6
-
-    def test_conv(self):
-        assert count_params(PipelineDescriptor((Conv2d(3, 8, 3, 3, 4, 4),), 1)) == 224 / 1e6
-
     def test_no_learned_stages(self):
-        desc = PipelineDescriptor((Feature("si", 16), Elementwise(4)), 2)
-        assert count_params(desc) == 0.0
+        assert build_pipeline("identity", "30-FHD").params_m == 0.0
 
     def test_forest_reports_zero(self):
-        rng = np.random.default_rng(0)
-        model = fit_forest(rng.random((20, 3)), rng.random(20), n_trees=3, seed=0)
-        assert count_params(model) == 0.0
-        assert model.node_count() > 0
+        assert build_pipeline("feature-forest", "30-FHD", n_trees=3).params_m == 0.0
 
     def test_branchnet_counts(self):
         net = init_branchnet(seed=0)
-        assert count_params(net) == net.n_params() / 1e6
+        assert build_pipeline("feature-branchnet", "30-FHD").params_m == net.n_params() / 1e6
 
 
 class TestTimePipeline:

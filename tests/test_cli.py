@@ -216,7 +216,8 @@ class TestTrainPredict:
                    "--mode", "forest", "--out", str(tmp_path / "m.json")])
         assert rc == 1
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    # "abc" is not a number at all: the same exit code and the same location
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "abc"])
     def test_non_finite_tables_exit_1(self, tmp_path, clip_dir, capsys, bad):
         feats = _extract(tmp_path, clip_dir)
         mos = tmp_path / "mos.csv"

@@ -68,6 +68,14 @@ class TestParseY4m:
         assert clip.frames[0].luma[0, 0] == 1.0
         assert clip.frames[0].chroma_b[0, 0] == 512 / 1023
 
+    def test_10bit_sample_above_1023_rejected(self):
+        y = np.full((4, 4), 0xFFFF, dtype="<u2")
+        c = np.full((2, 2), 512, dtype="<u2")
+        frames = [(np.zeros((4, 4), dtype="<u2"), c, c), (y, c, c)]
+        with pytest.raises(ParseError) as ei:
+            parse_y4m(y4m_bytes(4, 4, frames, ctag="C420p10"))
+        assert "frame 1 luma" in str(ei.value)
+
     def test_bad_magic(self):
         with pytest.raises(ParseError):
             parse_y4m(b"JUNK W2 H2 F30:1\nFRAME\n" + b"\x00" * 6)
@@ -180,9 +188,11 @@ class TestFrameDir:
         write_ppm(tmp_path / "a.ppm", rgb)
         clip = load_frame_dir(tmp_path, 24)
         assert clip.frames[0].has_chroma
-        back = frame_rgb(clip.frames[0])
-        assert np.allclose(back[..., 0], 200 / 255, atol=1e-9)
-        assert np.allclose(back[..., 1:], 0.0, atol=1e-9)
+        r, g, b = frame_rgb(clip.frames[0])
+        assert r.shape == g.shape == b.shape == (8, 8)
+        assert np.allclose(r, 200 / 255, atol=1e-9)
+        assert np.allclose(g, 0.0, atol=1e-9)
+        assert np.allclose(b, 0.0, atol=1e-9)
 
     def test_pgm_16bit_maxval_1023(self, tmp_path):
         arr = np.full((4, 4), 1023, dtype=np.uint16)
@@ -190,6 +200,13 @@ class TestFrameDir:
         clip = load_frame_dir(tmp_path, 30)
         assert clip.frames[0].source_bit_depth == 10
         assert clip.frames[0].luma[0, 0] == 1.0
+
+    def test_pnm_sample_above_1023_rejected(self, tmp_path):
+        arr = np.full((4, 4), 0xFFFF, dtype=np.uint16)
+        write_pgm(tmp_path / "hot.pgm", arr, maxval=1023)
+        with pytest.raises(ParseError) as ei:
+            load_frame_dir(tmp_path, 30)
+        assert "hot.pgm" in str(ei.value)
 
     @pytest.mark.parametrize("data", [
         b"P5 -2 3 255\n" + bytes(6),

@@ -1,4 +1,5 @@
-"""Design rules: one thread pool in the package, none where threads do not pay."""
+"""Design rules: one thread pool in the package, none where threads do not pay;
+the benchmark harness does not depend on the regressors."""
 
 import ast
 import threading
@@ -41,3 +42,14 @@ def test_fit_forest_starts_no_threads(monkeypatch):
     rng = np.random.default_rng(0)
     fit_forest(rng.random((30, 4)), rng.random(30), n_trees=4, seed=0, threads=4)
     assert started == []
+
+
+def test_bench_harness_does_not_import_regressors():
+    imported = []
+    for node in ast.walk(ast.parse((SRC / "bench_harness.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.append(("." * node.level) + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+    assert imported, "the parse found no imports at all"
+    assert not [m for m in imported if "regressors" in m.split(".")]

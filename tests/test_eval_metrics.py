@@ -3,7 +3,7 @@ import pytest
 
 from oracles import krocc_oracle, pearson_oracle, rmse_oracle, srocc_oracle
 from vqakit.errors import DuplicateId, JoinError, UndefinedCorrelation
-from vqakit.eval_metrics import EvalPair, average_ranks, evaluate, krocc, plcc, rmse, srocc
+from vqakit.eval_metrics import average_ranks, evaluate, krocc, plcc, rmse, srocc
 from vqakit.tables import write_score_table
 
 
@@ -101,10 +101,13 @@ class TestInvariants:
         assert rmse(x, z) <= rmse(x, y) + rmse(y, z) + 1e-12
 
     def test_pair_validation(self):
-        with pytest.raises(ValueError):
-            EvalPair(np.array([1.0]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            EvalPair(np.array([1.0, np.nan]), np.array([1.0, 2.0]))
+        for metric in (srocc, krocc, plcc, rmse):
+            with pytest.raises(ValueError):
+                metric(np.array([1.0]), np.array([1.0]))
+            with pytest.raises(ValueError):
+                metric(np.array([1.0, np.nan]), np.array([1.0, 2.0]))
+            with pytest.raises(ValueError):
+                metric(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0]))
 
 
 class TestEvaluate:

@@ -5,16 +5,14 @@ import pytest
 
 from vqakit.errors import DimensionMismatch
 from vqakit.regressors import (
-    BranchScores,
     ScgbParams,
-    forward,
     init_branchnet,
     load_model,
     predict_scores,
     save_model,
     scgb_fuse,
 )
-from vqakit.regressors.net import BRANCH_ORDER, _forward_batch
+from vqakit.regressors.net import BRANCH_ORDER, _infer
 
 
 def scgb_oracle(x, y, px, py, po):
@@ -85,17 +83,13 @@ def _forced_head_net(values):
 class TestForward:
     def test_forced_constant_heads(self):
         net = _forced_head_net((4.0, 4.0, 4.0))
-        feats = {b: np.zeros(len(net.groups[b])) for b in BRANCH_ORDER}
-        scores, final = forward(net, feats)
-        assert final == 4.0
+        assert predict_scores(net, np.zeros(len(net.feature_names)))[0] == 4.0
 
     def test_mean_of_heads(self):
         net = _forced_head_net((1.0, 3.0, 5.0))
-        feats = {b: np.ones(len(net.groups[b])) for b in BRANCH_ORDER}
-        scores, final = forward(net, feats)
-        assert (scores.q_s, scores.q_a, scores.q_t) == (1.0, 3.0, 5.0)
-        assert final == pytest.approx(3.0, abs=0)
-        assert scores.final() == final
+        qs, final = _infer(net, net.route(np.ones((1, len(net.feature_names)))))
+        assert tuple(float(qs[b][0]) for b in BRANCH_ORDER) == (1.0, 3.0, 5.0)
+        assert final[0] == pytest.approx(3.0, abs=0)
 
     def test_final_equals_isolated_branch_recompute(self):
         # recompute each branch score with standalone scgb_fuse + head math
@@ -103,7 +97,7 @@ class TestForward:
         net = init_branchnet(embed_dim=3, head_hidden=2, seed=5)
         net.norm_fitted = True
         feats = {b: rng.standard_normal(len(net.groups[b])) for b in BRANCH_ORDER}
-        scores, final = forward(net, feats)
+        qs, final = _infer(net, {b: v[None, :] for b, v in feats.items()})
 
         P = net.params
         E = {b: np.tanh(P[f"enc_{b}_w"] @ feats[b] + P[f"enc_{b}_b"]) for b in BRANCH_ORDER}
@@ -117,10 +111,9 @@ class TestForward:
         for b in BRANCH_ORDER:
             r = np.tanh(P[f"head_{b}_w1"] @ H[b] + P[f"head_{b}_b1"])
             expected[b] = float(r @ P[f"head_{b}_w2"] + P[f"head_{b}_b2"])
-        assert scores.q_s == pytest.approx(expected["semantic"], abs=1e-12)
-        assert scores.q_a == pytest.approx(expected["aesthetic"], abs=1e-12)
-        assert scores.q_t == pytest.approx(expected["technical"], abs=1e-12)
-        assert final == pytest.approx(
+        for b in BRANCH_ORDER:
+            assert qs[b][0] == pytest.approx(expected[b], abs=1e-12)
+        assert final[0] == pytest.approx(
             (expected["semantic"] + expected["aesthetic"] + expected["technical"]) / 3.0,
             abs=1e-12,
         )
@@ -130,30 +123,13 @@ class TestForward:
         net.norm_fitted = True
         rng = np.random.default_rng(4)
         raw = rng.random(len(net.feature_names))
-        scores, final = forward(net, raw)
-        batch = predict_scores(net, raw[None, :])
-        assert final == batch[0]
-
-    def test_forward_and_predict_scores_same_bits(self):
-        net = init_branchnet(seed=6)
-        rng = np.random.default_rng(8)
-        X = rng.random((12, len(net.feature_names)))
-        net.norm_shift = X.mean(axis=0)
-        net.norm_scale = X.std(axis=0)
-        net.norm_fitted = True
-        # one row at a time on both sides: BLAS may round a row of a larger
-        # batch differently in the last bit
-        single = np.array([predict_scores(net, x[None, :])[0] for x in X])
-        raw = np.array([forward(net, x)[1] for x in X])
-        routed = np.array([forward(net, {b: v[0] for b, v in net.route(x[None, :]).items()})[1]
-                           for x in X])
-        assert np.array_equal(raw.view(np.uint64), single.view(np.uint64))
-        assert np.array_equal(routed.view(np.uint64), single.view(np.uint64))
+        assert predict_scores(net, raw)[0] == predict_scores(net, raw[None, :])[0]
 
     def test_missing_branch(self):
+        # a row without every branch's features cannot be routed
         net = init_branchnet(seed=0)
         with pytest.raises(DimensionMismatch):
-            forward(net, {"semantic": np.zeros(3)})
+            predict_scores(net, np.zeros(3))
 
 
 class TestCheckpoint:

@@ -7,7 +7,6 @@ from vqakit.clip_io import ClipSpec, synth_clip
 from vqakit.errors import InsufficientFrames, SourceTooSmall
 from vqakit.sampling import (
     SpatialTransform,
-    TemporalPlan,
     build_view,
     fragment_sample,
     frankenstone_subset,
@@ -78,10 +77,6 @@ class TestTemporalPlans:
                     assert len(a) <= min(2 * -(-n // 30), n)
                     if n % 30 == 0:
                         assert len(a) == 2 * (n // 30)
-
-    def test_plan_json_roundtrip(self):
-        plan = TemporalPlan("one_per_30", (0, 30, 60))
-        assert TemporalPlan.from_json(plan.to_json()) == plan
 
 
 class TestFrankenstoneSubset:

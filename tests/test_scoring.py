@@ -8,7 +8,6 @@ from vqakit.scoring import (
     FusionSpec,
     LevelDistribution,
     ScoreRange,
-    bin_label,
     bin_score,
     expected_score,
     fuse_scores,
@@ -37,10 +36,6 @@ class TestBinScore:
             bin_score(0.99, ScoreRange(1, 5))
         with pytest.raises(OutOfRange):
             bin_score(5.01, ScoreRange(1, 5))
-
-    def test_labels(self):
-        assert bin_label(1.5, ScoreRange(1, 5)) == "bad"
-        assert bin_label(5.0, ScoreRange(1, 5)) == "excellent"
 
     def test_midpoint_roundtrip(self):
         rng = ScoreRange(1, 5)
@@ -141,10 +136,6 @@ class TestFusion:
         fused = fuse_scores([a, b], FusionSpec((1, 1), "zscore"))
         expected = (a - a.mean()) / a.std()
         assert np.allclose(fused, expected, atol=1e-12)
-
-    def test_spec_json_roundtrip(self):
-        spec = FusionSpec((7, 8), "none")
-        assert FusionSpec.from_json(spec.to_json()) == spec
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

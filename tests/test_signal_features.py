@@ -4,9 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vqakit.clip_io import ClipSpec, Frame, VideoClip, synth_clip
+import vqakit.signal_features as sf
+from conftest import y4m_bytes
+from vqakit.clip_io import ClipSpec, Frame, VideoClip, parse_y4m, synth_clip
 from vqakit.errors import DimensionMismatch, PlaneTooSmall
-from vqakit.sampling import TemporalPlan, temporal_sample
+from vqakit.regressors import init_branchnet
+from vqakit.sampling import SpatialTransform, TemporalPlan, build_view, temporal_sample
 from vqakit.signal_features import (
     BRANCH_GROUPS,
     FEATURE_ORDER,
@@ -121,21 +124,55 @@ class TestTi:
             ti(np.zeros((4, 4)), np.zeros((4, 5)))
 
 
+def _planes(rgb):
+    return rgb[..., 0], rgb[..., 1], rgb[..., 2]
+
+
+def colorfulness_stacked(rgb):
+    """The Hasler-Suesstrunk formula on an HxWx3 stack, in numpy."""
+    r, g, b = _planes(rgb)
+    rg = r - g
+    yb = 0.5 * (r + g) - b
+    return float(np.hypot(rg.std(), yb.std()) + 0.3 * np.hypot(rg.mean(), yb.mean()))
+
+
 class TestColorfulness:
     def test_gray_zero(self):
         gray = np.full((6, 6, 3), 0.42)
-        assert colorfulness(gray) == 0.0
+        assert colorfulness(*_planes(gray)) == 0.0
 
     def test_half_red_half_green_oracle(self):
         rgb = np.zeros((4, 4, 3))
         rgb[:, :2, 0] = 1.0
         rgb[:, 2:, 1] = 1.0
-        assert colorfulness(rgb) == pytest.approx(colorfulness_oracle(rgb), abs=1e-12)
+        assert colorfulness(*_planes(rgb)) == pytest.approx(colorfulness_oracle(rgb), abs=1e-12)
 
     def test_constant_saturated(self):
         rgb = np.zeros((5, 5, 3))
         rgb[..., 0] = 1.0  # pure red: rg=1, yb=0.5, zero variance
-        assert colorfulness(rgb) == pytest.approx(0.3 * math.sqrt(1.0 + 0.25), abs=1e-12)
+        assert colorfulness(*_planes(rgb)) == pytest.approx(0.3 * math.sqrt(1.0 + 0.25),
+                                                              abs=1e-12)
+
+    @pytest.mark.parametrize("ctag", ["C420", "C422", "C444", "C420p10", "C422p10", "C444p10"])
+    @pytest.mark.parametrize("transform", [
+        SpatialTransform(), SpatialTransform.resize(15, 11),
+        SpatialTransform.pad_square_then_resize(13), SpatialTransform.fragment(2, 8),
+    ], ids=lambda t: t.kind)
+    def test_planes_match_stacked_formula_bits(self, ctag, transform):
+        # the view's plane triples give the same bits as the formula on a stack
+        w, h = 24, 20
+        sx, sy = {"420": (2, 2), "422": (2, 1), "444": (1, 1)}[ctag[1:4]]
+        cw, ch = w // sx, h // sy
+        maxv, dtype = (1023, "<u2") if ctag.endswith("p10") else (255, np.uint8)
+        rng = np.random.default_rng(len(ctag) + sx + sy)
+        frames = [tuple(rng.integers(0, maxv + 1, shape).astype(dtype)
+                        for shape in ((h, w), (ch, cw), (ch, cw))) for _ in range(3)]
+        clip = parse_y4m(y4m_bytes(w, h, frames, ctag=ctag))
+        view = build_view(clip, temporal_sample(clip, "all"), transform, seed=4)
+        assert len(view.rgb) == 3
+        for planes in view.rgb:
+            stacked = colorfulness_stacked(np.stack(planes, axis=-1))
+            assert colorfulness(*planes).hex() == stacked.hex()
 
 
 class TestLumaStats:
@@ -256,6 +293,33 @@ class TestExtraction:
         for k in ("si", "avg_luminance", "sharpness", "contrast"):
             assert f5.values[k] == f1.values[k]
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_each_pair_computed_once(self, monkeypatch, k):
+        # frame 1's consecutive pair is also its first-frame pair
+        rng = np.random.default_rng(k)
+        planes = [rng.random((16, 16)) for _ in range(k)]
+        calls = {"ti": 0, "ssim": 0}
+
+        def counted(name):
+            fn = getattr(sf, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(sf, "ti", counted("ti"))
+        monkeypatch.setattr(sf, "ssim", counted("ssim"))
+        clip = _clip_from_planes(planes)
+        fv = extract_clip_features(clip, temporal_sample(clip, "all"))
+        want = max(2 * k - 3, 0)
+        assert calls == {"ti": want, "ssim": want}
+        if k > 1:
+            firsts = [ti(p, planes[0]) for p in planes[1:]]
+            assert fv.values["ti_first"] == float(np.mean(firsts))
+            firsts = [ssim(p, planes[0]) for p in planes[1:]]
+            assert fv.values["ssim_first"] == float(np.mean(firsts))
+
     def test_parallel_bit_identical(self):
         clip = synth_clip(ClipSpec("t", 8, 48, 64), "noise", seed=3)
         plan = temporal_sample(clip, "all")
@@ -279,11 +343,11 @@ class TestSerialization:
             assert set(feats) <= set(FEATURE_ORDER)
 
     def test_branch_inputs_shapes(self):
-        vals = {k: 0.1 for k in FEATURE_ORDER}
-        fv = FeatureVector(vals)
-        inputs = fv.branch_inputs()
-        assert inputs["technical"].shape == (4,)
-        assert inputs["semantic"].shape == (3,)
+        # the net routes a feature row into one input per branch group
+        fv = FeatureVector({k: 0.1 for k in FEATURE_ORDER})
+        inputs = init_branchnet().route(np.array([fv.as_row()]))
+        assert inputs["technical"].shape == (1, 4)
+        assert inputs["semantic"].shape == (1, 3)
 
     def test_nonfinite_rejected(self):
         vals = {k: 0.0 for k in FEATURE_ORDER}
