@@ -1,14 +1,18 @@
 """Clip ingestion: YUV4MPEG2 parsing, frame directories, synthetic clips.
 
-The in-memory representation is planar and full-range normalized: every
-sample is stored as float64 in [0,1], obtained as raw / (2^bit_depth - 1).
-Chroma (when present) stays at its source resolution and is only upsampled
-(nearest neighbor) when RGB is requested; RGB is three separate planes.
+Frames are planar and full-range normalized: every sample is a float64 in
+[0,1], obtained as raw / (2^bit_depth - 1). A parsed YUV4MPEG2 clip keeps the
+stream's bytes and an index of its frames, and decodes a frame each time it is
+read, so memory is the stream's bytes plus the frames in use. Chroma (when
+present) stays at its source resolution and is only upsampled (nearest
+neighbor) when RGB is requested; RGB is three separate planes.
 """
 
 from __future__ import annotations
 
+import operator
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -72,22 +76,32 @@ class Frame:
 
 @dataclass(frozen=True)
 class VideoClip:
+    """A clip's geometry, rate and frames.
+
+    ``frames`` is any sequence of Frame (stored as a tuple), or the lazy
+    sequence parse_y4m builds, whose geometry comes from the stream header.
+    """
+
     width: int
     height: int
     fps: Fraction
-    frames: tuple[Frame, ...]
+    frames: Sequence[Frame]
 
     def __post_init__(self):
         object.__setattr__(self, "fps", Fraction(self.fps))
-        object.__setattr__(self, "frames", tuple(self.frames))
+        if isinstance(self.frames, _Y4mFrames):
+            shapes = [self.frames.luma_shape]
+        else:
+            object.__setattr__(self, "frames", tuple(self.frames))
+            shapes = [f.luma.shape for f in self.frames]
         if not self.frames:
             raise EmptyInput("clip needs at least one frame")
         if self.fps.numerator <= 0 or self.fps.denominator <= 0:
             raise ValueError(f"fps must be positive, got {self.fps}")
-        for i, f in enumerate(self.frames):
-            if f.luma.shape != (self.height, self.width):
+        for i, shape in enumerate(shapes):
+            if shape != (self.height, self.width):
                 raise DimensionMismatch(
-                    f"frame {i} luma is {f.luma.shape}, clip is {(self.height, self.width)}"
+                    f"frame {i} luma is {shape}, clip is {(self.height, self.width)}"
                 )
 
     def __len__(self) -> int:
@@ -134,20 +148,41 @@ def _check_10bit(raw: np.ndarray, pos: int, where: str):
         raise ParseError(pos + 2 * bad, f"{where}: sample {int(raw[bad])} above 1023")
 
 
-def _read_plane(buf: bytes, pos: int, w: int, h: int, depth: int, index: int, name: str):
-    n = w * h
+def _read_plane(buf: bytes, pos: int, w: int, h: int, depth: int):
+    """Decode the plane at ``pos`` (already length- and range-checked).
+
+    Returns the normalized plane and the offset just past it.
+    """
     if depth == 8:
-        end = pos + n
-        if end > len(buf):
-            raise TruncatedFrame(index)
-        plane = np.frombuffer(buf, dtype=np.uint8, count=n, offset=pos)
-        return plane.reshape(h, w).astype(np.float64) / 255.0, end
-    end = pos + 2 * n
-    if end > len(buf):
-        raise TruncatedFrame(index)
-    plane = np.frombuffer(buf, dtype="<u2", count=n, offset=pos)
-    _check_10bit(plane, pos, f"frame {index} {name}")
-    return plane.reshape(h, w).astype(np.float64) / 1023.0, end
+        raw = np.frombuffer(buf, dtype=np.uint8, count=w * h, offset=pos)
+        return raw.reshape(h, w).astype(np.float64) / 255.0, pos + w * h
+    raw = np.frombuffer(buf, dtype="<u2", count=w * h, offset=pos)
+    return raw.reshape(h, w).astype(np.float64) / 1023.0, pos + 2 * w * h
+
+
+class _Y4mFrames(Sequence):
+    """The frames of a parsed stream, decoded from its bytes on every access.
+
+    Nothing is cached: a frame lives only as long as its caller holds it.
+    """
+
+    def __init__(self, buf: bytes, offsets: list[int], planes, depth: int):
+        self._buf = buf
+        self._offsets = offsets
+        self._planes = planes  # ((width, height), ...) for luma, cb, cr
+        self._depth = depth
+        self.luma_shape = planes[0][::-1]
+
+    def __len__(self) -> int:
+        return len(self._offsets)
+
+    def __getitem__(self, index: int) -> Frame:
+        pos = self._offsets[operator.index(index)]
+        planes = []
+        for w, h in self._planes:
+            plane, pos = _read_plane(self._buf, pos, w, h, self._depth)
+            planes.append(plane)
+        return Frame(*planes, source_bit_depth=self._depth)
 
 
 def parse_y4m(byte_stream) -> VideoClip:
@@ -155,6 +190,10 @@ def parse_y4m(byte_stream) -> VideoClip:
 
     Supports 4:2:0, 4:2:2 and 4:4:4 layouts, 8- or 10-bit. Samples are
     normalized to [0,1] by the full-range maximum (255 or 1023).
+
+    Every frame is checked here (its FRAME line, its length and, for 10-bit
+    streams, every sample's range), but none is decoded: the clip keeps the
+    bytes and decodes a frame each time ``clip.frames[i]`` is read.
     """
     buf = byte_stream if isinstance(byte_stream, (bytes, bytearray)) else byte_stream.read()
     buf = bytes(buf)
@@ -203,23 +242,31 @@ def parse_y4m(byte_stream) -> VideoClip:
     cw = -(-width // sx)
     ch = -(-height // sy)
 
-    frames: list[Frame] = []
+    planes = ((width, height), (cw, ch), (cw, ch))
+    itemsize = 1 if depth == 8 else 2
+    offsets: list[int] = []
     pos = nl + 1
     while pos < len(buf):
+        i = len(offsets)
         if not buf.startswith(b"FRAME", pos):
             raise ParseError(pos, buf[pos : pos + 8].decode("latin-1", "replace"))
         fnl = buf.find(b"\n", pos)
         if fnl < 0:
-            raise TruncatedFrame(len(frames))
+            raise TruncatedFrame(i)
         pos = fnl + 1
-        luma, pos = _read_plane(buf, pos, width, height, depth, len(frames), "luma")
-        cb, pos = _read_plane(buf, pos, cw, ch, depth, len(frames), "cb")
-        cr, pos = _read_plane(buf, pos, cw, ch, depth, len(frames), "cr")
-        frames.append(Frame(luma, cb, cr, source_bit_depth=depth))
+        offsets.append(pos)
+        for name, (w, h) in zip(("luma", "cb", "cr"), planes):
+            end = pos + itemsize * w * h
+            if end > len(buf):
+                raise TruncatedFrame(i)
+            if depth == 10:
+                raw = np.frombuffer(buf, dtype="<u2", count=w * h, offset=pos)
+                _check_10bit(raw, pos, f"frame {i} {name}")
+            pos = end
 
-    if not frames:
+    if not offsets:
         raise TruncatedFrame(0)
-    return VideoClip(width, height, fps, tuple(frames))
+    return VideoClip(width, height, fps, _Y4mFrames(buf, offsets, planes, depth))
 
 
 def write_y4m(clip: VideoClip) -> bytes:
@@ -309,27 +356,32 @@ def _rgb_to_planes(rgb: np.ndarray):
 
 
 def load_frame_dir(path, fps) -> VideoClip:
-    """Load a directory of same-sized PGM/PPM frames, ordered by filename."""
+    """Load a directory of same-sized PGM/PPM frames, ordered by filename.
+
+    The frames must all be PGM (luma only) or all PPM (chroma).
+    """
     root = Path(path)
     files = sorted(p for p in root.iterdir() if p.suffix.lower() in _PNM_EXT)
     if not files:
         raise EmptyInput(f"no PGM/PPM files in {root}")
 
     frames: list[Frame] = []
-    dims: tuple[int, int] | None = None
+    shape: tuple[int, ...] | None = None
     for p in files:
         arr, depth = _parse_pnm(p.read_bytes(), p.name)
-        hw = arr.shape[:2]
-        if dims is None:
-            dims = hw
-        elif hw != dims:
+        if shape is None:
+            shape = arr.shape
+        elif arr.shape[:2] != shape[:2]:
             raise DimensionMismatch(str(p))
+        elif arr.ndim != len(shape):
+            has = "has" if arr.ndim == 3 else "lacks"
+            raise DimensionMismatch(f"{p}: {has} chroma, unlike {files[0].name}")
         if arr.ndim == 2:
             frames.append(Frame(arr, source_bit_depth=depth))
         else:
             y, cb, cr = _rgb_to_planes(arr)
             frames.append(Frame(y, cb, cr, source_bit_depth=depth))
-    h, w = dims
+    h, w = shape[:2]
     return VideoClip(w, h, Fraction(fps), tuple(frames))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .clip_io import VideoClip, frame_rgb
-from .errors import InsufficientFrames, SourceTooSmall
+from .errors import DimensionMismatch, InsufficientFrames, SourceTooSmall
 
 __all__ = [
     "TEMPORAL_MODES",
@@ -322,14 +322,20 @@ def build_view(
     for i in plan.indices:
         if i < 0 or i >= len(clip):
             raise IndexError(f"plan index {i} outside clip of {len(clip)} frames")
-    has_rgb = clip.frames[plan.indices[0]].has_chroma if plan.indices else False
 
     def one(i: int):
-        frame = clip.frames[i]
-        rgb = frame_rgb(frame) if has_rgb else ()
+        frame = clip.frames[i]  # decodes a parsed stream's frame: read it once
+        rgb = frame_rgb(frame) if frame.has_chroma else ()
         return _apply_transform(frame.luma, transform, _frame_rng(seed, i), rgb)
 
     results = parallel_map(one, plan.indices, threads)
+    has_rgb = bool(results) and bool(results[0][1])
+    for i, (_, rgb) in zip(plan.indices, results):
+        if bool(rgb) != has_rgb:
+            raise DimensionMismatch(
+                f"sampled frame {i} {'has' if rgb else 'lacks'} chroma, "
+                f"unlike frame {plan.indices[0]}"
+            )
     lumas = tuple(r[0] for r in results)
     rgbs = tuple(r[1] for r in results) if has_rgb else None
     return SampledView(lumas, tuple(plan.indices), transform, rgbs)

@@ -5,7 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conftest import y4m_bytes
+from conftest import write_pgm, write_ppm, y4m_bytes
 from vqakit.cli import main
 from vqakit.regressors import load_model
 from vqakit.signal_features import FEATURE_ORDER
@@ -64,6 +64,17 @@ class TestExtract:
         assert rc == 2
         assert len(out.read_text().strip().splitlines()) == 4  # header + 3 good rows
         assert "borked" in capsys.readouterr().err
+
+    def test_mixed_frame_dir_fails_cleanly(self, tmp_path, capsys):
+        d = tmp_path / "frames"
+        d.mkdir()
+        write_ppm(d / "a.ppm", np.zeros((16, 16, 3), dtype=np.uint8))
+        write_pgm(d / "b.pgm", np.zeros((16, 16), dtype=np.uint8))
+        rc = main(["extract", "--input", str(d), "--out", str(tmp_path / "f.csv"),
+                   "--temporal", "all"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "b.pgm" in err and "Traceback" not in err
 
     def test_no_clips_fatal(self, tmp_path, capsys):
         empty = tmp_path / "none"

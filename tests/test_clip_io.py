@@ -76,6 +76,20 @@ class TestParseY4m:
             parse_y4m(y4m_bytes(4, 4, frames, ctag="C420p10"))
         assert "frame 1 luma" in str(ei.value)
 
+    def test_10bit_sample_above_1023_in_last_frame_raises_at_parse(self):
+        # frames are decoded on access, but every sample is range-checked at parse
+        c = np.full((2, 2), 512, dtype="<u2")
+        bad_cb = c.copy()
+        bad_cb[0, 1] = 1024
+        frames = [(np.zeros((4, 4), dtype="<u2"), c, c)] * 4 + [(np.zeros((4, 4), dtype="<u2"), bad_cb, c)]
+        data = y4m_bytes(4, 4, frames, ctag="C420p10")
+        with pytest.raises(ParseError) as ei:
+            parse_y4m(data)
+        header = len(b"YUV4MPEG2 W4 H4 F30:1 C420p10\n")
+        frame = len(b"FRAME\n") + 2 * (16 + 4 + 4)
+        assert ei.value.position == header + 4 * frame + len(b"FRAME\n") + 2 * 16 + 2 * 1
+        assert ei.value.token == "frame 4 cb: sample 1024 above 1023"
+
     def test_bad_magic(self):
         with pytest.raises(ParseError):
             parse_y4m(b"JUNK W2 H2 F30:1\nFRAME\n" + b"\x00" * 6)
@@ -94,6 +108,13 @@ class TestParseY4m:
         with pytest.raises(TruncatedFrame) as ei:
             parse_y4m(data[:-3])
         assert ei.value.index == 0
+
+    def test_truncated_last_frame_raises_at_parse(self):
+        frame = (_flat(4, 4, 0), _flat(2, 2, 0), _flat(2, 2, 0))
+        with pytest.raises(TruncatedFrame) as ei:
+            parse_y4m(y4m_bytes(4, 4, [frame] * 5)[:-1])
+        assert ei.value.index == 4
+        assert str(ei.value) == "truncated payload for frame 4"
 
     def test_roundtrip_bit_identical(self):
         rng = np.random.default_rng(5)
@@ -148,6 +169,23 @@ class TestParseY4m:
                 for p in (f.luma, f.chroma_b, f.chroma_r):
                     assert p.min() >= 0.0 and p.max() <= 1.0
 
+    def test_write_returns_the_parsed_stream(self):
+        rng = np.random.default_rng(8)
+        frames = [(rng.integers(0, 256, (4, 6), dtype=np.uint8),
+                   rng.integers(0, 256, (2, 3), dtype=np.uint8),
+                   rng.integers(0, 256, (2, 3), dtype=np.uint8)) for _ in range(3)]
+        data = y4m_bytes(6, 4, frames)
+        assert write_y4m(parse_y4m(data)) == data
+
+    def test_frames_sequence(self):
+        frames = [(_flat(4, 4, v), _flat(2, 2, 128), _flat(2, 2, 128)) for v in (10, 20, 30)]
+        clip = parse_y4m(y4m_bytes(4, 4, frames))
+        assert len(clip.frames) == 3
+        assert [f.luma[0, 0] * 255 for f in clip.frames] == [10, 20, 30]
+        assert clip.frames[-1].luma[0, 0] == 30 / 255
+        with pytest.raises(IndexError):
+            clip.frames[3]
+
     def test_parse_is_pure(self):
         data = y4m_bytes(4, 4, [(_flat(4, 4, 7), _flat(2, 2, 3), _flat(2, 2, 9))])
         a, b = parse_y4m(data), parse_y4m(data)
@@ -168,6 +206,13 @@ class TestFrameDir:
         write_pgm(tmp_path / "b.pgm", _flat(16, 16, 0))
         with pytest.raises(DimensionMismatch):
             load_frame_dir(tmp_path, 30)
+
+    def test_mixed_chroma_presence(self, tmp_path):
+        write_ppm(tmp_path / "a.ppm", np.zeros((8, 8, 3), dtype=np.uint8))
+        write_pgm(tmp_path / "b.pgm", _flat(8, 8, 0))
+        with pytest.raises(DimensionMismatch) as ei:
+            load_frame_dir(tmp_path, 30)
+        assert "b.pgm" in str(ei.value) and "lacks chroma" in str(ei.value)
 
     def test_empty_dir(self, tmp_path):
         with pytest.raises(EmptyInput):

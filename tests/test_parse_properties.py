@@ -1,7 +1,8 @@
 """Property tests: any byte string either parses or raises a VqaError.
 
 An IndexError, ValueError, MemoryError or any other exception escaping
-parse_y4m or _parse_pnm fails the test.
+parse_y4m or _parse_pnm fails the test. A y4m stream that parses must then
+decode every frame: parse_y4m checks what decoding on access relies on.
 """
 
 import numpy as np
@@ -31,15 +32,27 @@ def parses_or_vqa_error(parse, data):
         return None
 
 
-def _valid_y4m(w=4, h=4, frames=2):
+def y4m_parses_and_decodes_or_vqa_error(data):
+    """A stream that parses decodes every frame, without error, to its header's shape."""
+    clip = parses_or_vqa_error(parse_y4m, data)
+    if clip is not None:
+        for f in clip.frames:
+            assert f.luma.shape == (clip.height, clip.width)
+            for p in (f.luma, f.chroma_b, f.chroma_r):
+                assert p.min() >= 0.0 and p.max() <= 1.0
+    return clip
+
+
+def _valid_y4m(w=4, h=4, frames=2, ctag="C420"):
     rng = np.random.default_rng(0)
+    top, dtype = (1024, "<u2") if ctag.endswith("p10") else (256, np.uint8)
     planes = [
-        (rng.integers(0, 256, (h, w), dtype=np.uint8),
-         rng.integers(0, 256, (h // 2, w // 2), dtype=np.uint8),
-         rng.integers(0, 256, (h // 2, w // 2), dtype=np.uint8))
+        (rng.integers(0, top, (h, w), dtype=dtype),
+         rng.integers(0, top, (h // 2, w // 2), dtype=dtype),
+         rng.integers(0, top, (h // 2, w // 2), dtype=dtype))
         for _ in range(frames)
     ]
-    return y4m_bytes(w, h, planes)
+    return y4m_bytes(w, h, planes, ctag=ctag)
 
 
 @st.composite
@@ -90,17 +103,17 @@ class TestParseY4mProperties:
     @SETTINGS
     @given(st.binary(max_size=600))
     def test_random_bytes(self, data):
-        parses_or_vqa_error(parse_y4m, data)
+        y4m_parses_and_decodes_or_vqa_error(data)
 
     @SETTINGS
     @given(st.binary(max_size=600))
     def test_random_bytes_after_magic(self, data):
-        parses_or_vqa_error(parse_y4m, b"YUV4MPEG2 " + data)
+        y4m_parses_and_decodes_or_vqa_error(b"YUV4MPEG2 " + data)
 
     @SETTINGS
     @given(y4m_headers())
     def test_mutated_headers(self, data):
-        clip = parses_or_vqa_error(parse_y4m, data)
+        clip = y4m_parses_and_decodes_or_vqa_error(data)
         if clip is not None:
             assert isinstance(clip, VideoClip)
             assert clip.width > 0 and clip.height > 0 and clip.fps > 0
@@ -108,7 +121,12 @@ class TestParseY4mProperties:
     @SETTINGS
     @given(mutated(_valid_y4m()))
     def test_mutated_valid_stream(self, data):
-        parses_or_vqa_error(parse_y4m, data)
+        y4m_parses_and_decodes_or_vqa_error(data)
+
+    @SETTINGS
+    @given(mutated(_valid_y4m(ctag="C420p10")))
+    def test_mutated_valid_10bit_stream(self, data):
+        y4m_parses_and_decodes_or_vqa_error(data)
 
 
 class TestParsePnmProperties:

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from vqakit.clip_io import ClipSpec, synth_clip
-from vqakit.errors import InsufficientFrames, SourceTooSmall
+from conftest import y4m_bytes
+from vqakit import clip_io
+from vqakit.clip_io import ClipSpec, Frame, VideoClip, parse_y4m, synth_clip
+from vqakit.errors import DimensionMismatch, InsufficientFrames, SourceTooSmall
 from vqakit.sampling import (
     SpatialTransform,
     build_view,
@@ -219,3 +222,53 @@ class TestBuildView:
         view = build_view(clip, temporal_sample(clip, "all"),
                           SpatialTransform.pad_square_then_resize(448))
         assert view.frames[0].shape == (448, 448)
+
+    def test_mixed_chroma_rejected(self):
+        luma = np.zeros((8, 8))
+        clip = VideoClip(8, 8, 30, (Frame(luma, luma[::2, ::2], luma[::2, ::2]), Frame(luma)))
+        with pytest.raises(DimensionMismatch, match="sampled frame 1 lacks chroma"):
+            build_view(clip, temporal_sample(clip, "all"))
+
+
+def _noise_y4m(n_frames, w, h):
+    rng = np.random.default_rng(3)
+    frames = [(rng.integers(0, 256, (h, w), dtype=np.uint8),
+               rng.integers(0, 256, (h // 2, w // 2), dtype=np.uint8),
+               rng.integers(0, 256, (h // 2, w // 2), dtype=np.uint8))
+              for _ in range(n_frames)]
+    return y4m_bytes(w, h, frames)
+
+
+class TestSampledDecode:
+    """A parsed 90-frame clip with a 3-frame plan decodes those 3 frames only."""
+
+    def test_only_sampled_planes_read(self, monkeypatch):
+        reads = []
+        read_plane = clip_io._read_plane
+
+        def counting(*args):
+            reads.append(args)
+            return read_plane(*args)
+
+        monkeypatch.setattr(clip_io, "_read_plane", counting)
+        clip = parse_y4m(_noise_y4m(90, 32, 16))
+        plan = temporal_sample(clip, "one_fps")
+        assert plan.indices == (0, 30, 60)
+        build_view(clip, plan, threads=1)
+        assert len(reads) == 3 * 3
+
+    def test_peak_memory_bounded_by_sampled_frames(self):
+        w, h = 64, 48
+        data = _noise_y4m(90, w, h)
+        # what one sampled frame holds while build_view works on it: its
+        # decoded float64 planes plus the three RGB planes made from them
+        frame_bytes = 8 * (w * h + 2 * (w // 2) * (h // 2) + 3 * w * h)
+        tracemalloc.start()
+        try:
+            clip = parse_y4m(data)
+            build_view(clip, temporal_sample(clip, "one_fps"),
+                       SpatialTransform.resize(8, 8), threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * frame_bytes
