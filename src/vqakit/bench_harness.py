@@ -34,21 +34,29 @@ __all__ = [
 
 # MACs per pixel of each feature, pass by pass, as signal_features computes
 # them: a 3x3 stencil costs 9, any other pass over the plane (elementwise op,
-# product plane, cumulative sum, mean/std/var reduction) costs 1.
+# product plane, block sum, mean/std/var reduction) costs 1.
 _FEATURE_MACS = {
-    "si": 9 + 9 + 1 + 1,  # Sobel gx, Sobel gy, hypot, std
+    "si": (3 + 1) * 2 + 1 + 1,  # per gradient: [1,2,1] smoothing (3), difference; hypot, std
     "ti": 1 + 1,  # frame difference, std
     "sharpness": 9 + 1,  # Laplacian, var
     "colorfulness": 1 + 1 + 2 + 2,  # rg, yb, std of each, mean of each
     "avg_luminance": 1,  # mean
     "contrast": 1,  # std
-    "ssim": 3 + 5 * 2,  # planes a*a, b*b, a*b; five integral images, two cumsums each
 }
-_SAME_PASSES = {"ti_first": "ti", "ssim_pair": "ssim", "ssim_first": "ssim"}
-# SSIM also spends 35 MACs per 8x8 window at stride 4, one window per 16
-# pixels: five window sums (3 each), two means, two variances and the
-# covariance (2 each), numerator 4, denominator 6, the ratio and the mean.
-_SSIM_WINDOW_MACS = 35
+_SAME_PASSES = {"ti_first": "ti"}
+# SSIM costs (per pixel, per 8x8 window at stride 4, one window per 16
+# pixels). A frame's statistics: the a*a plane and the 4x4 block sums of a and
+# a*a; per window, two sums of 2x2 blocks (2 passes each), the mean (1) and
+# the variance (3).
+_SSIM_FRAME = (1 + 2, 4 + 1 + 3)
+# A pair's cross term: the a*b plane and its block sums; per window, its sum
+# of 2x2 blocks (2), mu_a*mu_b (1), the covariance (2), numerator 5,
+# denominator 7, the ratio and the mean.
+_SSIM_PAIR = (1 + 1, 2 + 1 + 2 + 5 + 7 + 1 + 1)
+# (frame statistics, pairs) per call: ssim() makes both frames' statistics;
+# extraction makes each frame's once, counted with ssim_pair, so ssim_first
+# adds a pair only.
+_SSIM_CALLS = {"ssim": (2, 1), "ssim_pair": (1, 1), "ssim_first": (0, 1)}
 
 
 @dataclass(frozen=True)
@@ -92,9 +100,11 @@ class Feature:
     per_frame: bool = True
 
     def macs(self) -> int:
-        name = _SAME_PASSES.get(self.name, self.name)
-        windows = _SSIM_WINDOW_MACS * self.plane_size // 16 if name == "ssim" else 0
-        return _FEATURE_MACS.get(name, 1) * self.plane_size + windows
+        if self.name in _SSIM_CALLS:
+            frames, pairs = _SSIM_CALLS[self.name]
+            pixel, window = (frames * f + pairs * p for f, p in zip(_SSIM_FRAME, _SSIM_PAIR))
+            return pixel * self.plane_size + window * self.plane_size // 16
+        return _FEATURE_MACS.get(_SAME_PASSES.get(self.name, self.name), 1) * self.plane_size
 
 
 Stage = Conv2d | Linear | Elementwise | Feature

@@ -412,27 +412,40 @@ def synth_clip(spec: ClipSpec, pattern: str, *, value: float = 0.5, seed: int = 
     return VideoClip(w, h, Fraction(30), frames)
 
 
+def _plus_chroma(y: np.ndarray, c: np.ndarray, k: float) -> np.ndarray:
+    """y + k * (c - 0.5), with c upsampled to y's shape by nearest neighbor.
+
+    Each of the fy x fx luma phases (rows dy::fy, columns dx::fx) takes one
+    strided add of the chroma-resolution plane, so no upsampled copy is made.
+    """
+    h, w = y.shape
+    ph, pw = c.shape
+    fy, fx = -(-h // ph), -(-w // pw)
+    c = k * (c - 0.5)
+    out = np.empty((h, w))
+    for dy in range(fy):
+        for dx in range(fx):
+            phase = out[dy::fy, dx::fx]
+            np.add(y[dy::fy, dx::fx], c[: phase.shape[0], : phase.shape[1]], out=phase)
+    return out
+
+
 def frame_rgb(frame: Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Return the frame's (r, g, b) planes in [0,1], or None for chroma-less frames.
 
     Subsampled chroma is upsampled to luma resolution by nearest neighbor;
-    conversion uses BT.709 with clamping.
+    conversion uses BT.709 with clamping. Beyond the three planes it returns,
+    it allocates one luma-sized temporary.
     """
     if not frame.has_chroma:
         return None
-    h, w = frame.luma.shape
     y = frame.luma
-
-    def up(plane: np.ndarray) -> np.ndarray:
-        ph, pw = plane.shape
-        if (ph, pw) == (h, w):
-            return plane
-        out = np.repeat(np.repeat(plane, -(-h // ph), axis=0), -(-w // pw), axis=1)
-        return out[:h, :w]
-
-    cb = up(frame.chroma_b) - 0.5
-    cr = up(frame.chroma_r) - 0.5
-    r = y + 2.0 * (1.0 - _KR) * cr
-    b = y + 2.0 * (1.0 - _KB) * cb
-    g = (y - _KR * r - _KB * b) / _KG
-    return tuple(np.clip(p, 0.0, 1.0) for p in (r, g, b))
+    r = _plus_chroma(y, frame.chroma_r, 2.0 * (1.0 - _KR))
+    b = _plus_chroma(y, frame.chroma_b, 2.0 * (1.0 - _KB))
+    g = np.multiply(r, _KR)
+    np.subtract(y, g, out=g)
+    g -= _KB * b
+    g /= _KG
+    for p in (r, g, b):
+        np.clip(p, 0.0, 1.0, out=p)
+    return r, g, b

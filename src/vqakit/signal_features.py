@@ -1,9 +1,16 @@
 """Per-frame signal features and their clip-level mean aggregation.
 
 SI/TI follow the ITU-T P.910 convention (stddev of Sobel magnitude, stddev of
-the frame difference) computed on the normalized [0,1] luma domain;
-colorfulness is the Hasler-Suesstrunk metric; sharpness is the variance of a
-3x3 Laplacian response. All statistics use population (ddof=0) moments.
+the frame difference) computed on the normalized [0,1] luma domain; the
+Sobel kernels are applied separably (smoothing, then a difference), which
+rounds exactly as the full 3x3 stencils. Colorfulness is the Hasler-Suesstrunk
+metric; sharpness is the variance of a 3x3 Laplacian response. All
+statistics use population (ddof=0) moments.
+
+SSIM (8x8 windows at stride 4) is built from 4x4 block sums: a window is 2x2
+adjacent blocks. Each sampled frame's window means and variances are
+computed once per view, and each pair of frames adds only the block sums of
+its product plane.
 
 Feature values are grouped into three branch families (technical,
 aesthetic-proxy, semantic-proxy) which feed the fusion regressor.
@@ -98,16 +105,23 @@ def _require(plane: np.ndarray, min_side: int, what: str):
 
 
 def si(luma_plane: np.ndarray) -> float:
-    """Spatial information: stddev of the Sobel gradient magnitude (interior)."""
+    """Spatial information: stddev of the Sobel gradient magnitude (interior).
+
+    The Sobel kernels are applied separably: a [1, 2, 1] smoothing across the
+    gradient, then a central difference along it.
+    """
     _require(luma_plane, 3, "si")
     p = luma_plane
-    gx = (p[:-2, 2:] + 2.0 * p[1:-1, 2:] + p[2:, 2:]) - (
-        p[:-2, :-2] + 2.0 * p[1:-1, :-2] + p[2:, :-2]
-    )
-    gy = (p[2:, :-2] + 2.0 * p[2:, 1:-1] + p[2:, 2:]) - (
-        p[:-2, :-2] + 2.0 * p[:-2, 1:-1] + p[:-2, 2:]
-    )
-    return float(np.hypot(gx, gy).std())
+    smooth = 2.0 * p[1:-1]
+    np.add(p[:-2], smooth, out=smooth)
+    smooth += p[2:]
+    gx = smooth[:, 2:] - smooth[:, :-2]
+    smooth = 2.0 * p[:, 1:-1]
+    np.add(p[:, :-2], smooth, out=smooth)
+    smooth += p[:, 2:]
+    gy = smooth[2:] - smooth[:-2]
+    del smooth
+    return float(np.hypot(gx, gy, out=gx).std())
 
 
 def ti(luma_t: np.ndarray, luma_prev: np.ndarray) -> float:
@@ -149,43 +163,50 @@ def contrast(luma_plane: np.ndarray) -> float:
 _SSIM_C1 = 0.01 ** 2
 _SSIM_C2 = 0.03 ** 2
 _SSIM_WIN = 8
-_SSIM_STRIDE = 4
+_SSIM_STRIDE = 4  # a window is 2x2 blocks of stride x stride pixels
+_SSIM_N = float(_SSIM_WIN * _SSIM_WIN)
 
 
-def _window_sums(plane: np.ndarray, win: int, stride: int) -> np.ndarray:
-    """Sums over win x win windows at stride offsets, via integral images."""
-    h, w = plane.shape
-    ii = np.zeros((h + 1, w + 1))
-    np.cumsum(np.cumsum(plane, axis=0), axis=1, out=ii[1:, 1:])
-    ys = np.arange(0, h - win + 1, stride)
-    xs = np.arange(0, w - win + 1, stride)
-    return (
-        ii[np.ix_(ys + win, xs + win)]
-        - ii[np.ix_(ys, xs + win)]
-        - ii[np.ix_(ys + win, xs)]
-        + ii[np.ix_(ys, xs)]
-    )
+def _ssim_windows(q: np.ndarray) -> np.ndarray:
+    """Sums of q over the 8x8 windows at stride 4, from its 4x4 block sums.
+
+    Block sums add the four row phases, then the four column phases, of the
+    rows and columns that whole blocks cover. Each window covers 2x2 adjacent
+    blocks, so the window grid is one block shorter than the block grid on
+    each side.
+    """
+    b = _SSIM_STRIDE
+    h, w = q.shape[0] // b * b, q.shape[1] // b * b
+    rows = sum(q[d:h:b] for d in range(b))
+    blocks = sum(rows[:, d:w:b] for d in range(b))
+    pairs = blocks[:-1] + blocks[1:]
+    return pairs[:, :-1] + pairs[:, 1:]
+
+
+def _ssim_stats(plane: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One plane's SSIM window means and variances, shared by all its pairs."""
+    _require(plane, _SSIM_WIN, "ssim")
+    mu = _ssim_windows(plane) / _SSIM_N
+    var = _ssim_windows(plane * plane) / _SSIM_N - mu * mu
+    return mu, var
+
+
+def _ssim_cross(plane_a: np.ndarray, plane_b: np.ndarray, stats_a, stats_b) -> float:
+    """Mean SSIM of two planes given their _ssim_stats: only the cross term is new."""
+    mu_a, var_a = stats_a
+    mu_b, var_b = stats_b
+    mu_ab = mu_a * mu_b
+    cov = _ssim_windows(plane_a * plane_b) / _SSIM_N - mu_ab
+    num = (2.0 * mu_ab + _SSIM_C1) * (2.0 * cov + _SSIM_C2)
+    den = (mu_a * mu_a + mu_b * mu_b + _SSIM_C1) * (var_a + var_b + _SSIM_C2)
+    return float(np.mean(num / den))
 
 
 def ssim(plane_a: np.ndarray, plane_b: np.ndarray) -> float:
     """Mean SSIM over 8x8 windows with stride 4, standard C1/C2 constants."""
     if plane_a.shape != plane_b.shape:
         raise DimensionMismatch(f"{plane_a.shape} vs {plane_b.shape}")
-    _require(plane_a, _SSIM_WIN, "ssim")
-    n = float(_SSIM_WIN * _SSIM_WIN)
-    sa = _window_sums(plane_a, _SSIM_WIN, _SSIM_STRIDE)
-    sb = _window_sums(plane_b, _SSIM_WIN, _SSIM_STRIDE)
-    saa = _window_sums(plane_a * plane_a, _SSIM_WIN, _SSIM_STRIDE)
-    sbb = _window_sums(plane_b * plane_b, _SSIM_WIN, _SSIM_STRIDE)
-    sab = _window_sums(plane_a * plane_b, _SSIM_WIN, _SSIM_STRIDE)
-    mu_a = sa / n
-    mu_b = sb / n
-    var_a = saa / n - mu_a * mu_a
-    var_b = sbb / n - mu_b * mu_b
-    cov = sab / n - mu_a * mu_b
-    num = (2.0 * mu_a * mu_b + _SSIM_C1) * (2.0 * cov + _SSIM_C2)
-    den = (mu_a * mu_a + mu_b * mu_b + _SSIM_C1) * (var_a + var_b + _SSIM_C2)
-    return float(np.mean(num / den))
+    return _ssim_cross(plane_a, plane_b, _ssim_stats(plane_a), _ssim_stats(plane_b))
 
 
 # --- clip-level aggregation ---------------------------------------------------
@@ -195,9 +216,12 @@ def extract_view_features(view: SampledView, threads: int | None = None) -> Feat
 
     Per-frame features are averaged over all frames; pairwise features (ti,
     ssim) use consecutive sampled frames or the first sampled frame and are
-    0 (with a flag) for single-frame views. Frame 1's consecutive pair is its
-    first-frame pair, so it is computed once. The reduction order is fixed, so
-    threaded extraction is bit-identical to serial.
+    0 (with a flag) for single-frame views. The work runs in two phases: one
+    task per frame computes its features and, when there are pairs, its SSIM
+    window statistics; then one task per distinct pair computes ti and the
+    SSIM cross term. Frame 1's consecutive pair is its first-frame pair, so k
+    frames make 2k-3 pairs. The reduction order is fixed, so threaded
+    extraction is bit-identical to serial.
     """
     lumas = view.frames
     rgbs = view.rgb
@@ -208,31 +232,38 @@ def extract_view_features(view: SampledView, threads: int | None = None) -> Feat
     if rgbs is None:
         flags.add(FLAG_DEGRADED_COLOR)
 
-    def per_frame(i: int) -> dict[str, float]:
-        out = {
+    def per_frame(i: int) -> dict:
+        return {
             "si": si(lumas[i]),
             "avg_luminance": avg_luminance(lumas[i]),
             "sharpness": sharpness(lumas[i]),
             "contrast": contrast(lumas[i]),
             "colorfulness": colorfulness(*rgbs[i]) if rgbs is not None else 0.0,
+            "stats": _ssim_stats(lumas[i]) if k > 1 else None,
         }
-        if i > 0:
-            out["ti"] = ti(lumas[i], lumas[i - 1])
-            out["ssim_pair"] = ssim(lumas[i], lumas[i - 1])
-            out["ti_first"] = out["ti"] if i == 1 else ti(lumas[i], lumas[0])
-            out["ssim_first"] = out["ssim_pair"] if i == 1 else ssim(lumas[i], lumas[0])
-        return out
 
     rows = parallel_map(per_frame, range(k), threads)
-
     values = {name: float(np.mean([r[name] for r in rows])) for name in
               ("si", "avg_luminance", "sharpness", "contrast", "colorfulness")}
-    if k > 1:
-        for name in ("ti", "ti_first", "ssim_pair", "ssim_first"):
-            values[name] = float(np.mean([r[name] for r in rows[1:]]))
-    else:
+    if k == 1:
         flags.add(FLAG_SINGLE_FRAME)
         values.update(ti=0.0, ti_first=0.0, ssim_pair=0.0, ssim_first=0.0)
+        return FeatureVector(values, frozenset(flags))
+
+    def per_pair(pair: tuple[int, int]) -> tuple[float, float]:
+        i, j = pair
+        return (ti(lumas[i], lumas[j]),
+                _ssim_cross(lumas[i], lumas[j], rows[i]["stats"], rows[j]["stats"]))
+
+    pairs = [(i, i - 1) for i in range(1, k)] + [(i, 0) for i in range(2, k)]
+    done = parallel_map(per_pair, pairs, threads)
+    groups = {
+        ("ti", "ssim_pair"): done[: k - 1],
+        ("ti_first", "ssim_first"): done[:1] + done[k - 1:],
+    }
+    for names, got in groups.items():
+        for name, vals in zip(names, zip(*got)):
+            values[name] = float(np.mean(vals))
     return FeatureVector(values, frozenset(flags))
 
 

@@ -58,16 +58,19 @@ class TestCountMacs:
 
     def test_feature_costs(self):
         plane = 1600
-        assert Feature("si", plane).macs() == 20 * plane
+        assert Feature("si", plane).macs() == 10 * plane
         assert Feature("ti", plane).macs() == 2 * plane
         assert Feature("ti_first", plane).macs() == 2 * plane
         assert Feature("sharpness", plane).macs() == 10 * plane
         assert Feature("colorfulness", plane).macs() == 6 * plane
         assert Feature("contrast", plane).macs() == plane
         assert Feature("avg_luminance", plane).macs() == plane
-        # 13 per pixel plus 35 per 8x8 window at stride 4 (plane / 16 windows)
-        for name in ("ssim", "ssim_pair", "ssim_first"):
-            assert Feature(name, plane).macs() == 13 * plane + 35 * plane // 16
+        # per pixel plus per 8x8 window at stride 4 (plane / 16 windows): a
+        # frame's statistics cost 3 + 8, a pair's cross term 2 + 19; ssim()
+        # makes two frames' statistics, extraction one per frame (with ssim_pair)
+        assert Feature("ssim", plane).macs() == 8 * plane + 35 * plane // 16
+        assert Feature("ssim_pair", plane).macs() == 5 * plane + 27 * plane // 16
+        assert Feature("ssim_first", plane).macs() == 2 * plane + 19 * plane // 16
 
     def test_additive_over_concatenation(self):
         a = PipelineDescriptor((Linear(8, 8),), 2)

@@ -270,6 +270,39 @@ class TestFrameDir:
         assert time.perf_counter() - t0 < 0.25
 
 
+def frame_rgb_repeat(frame):
+    """BT.709 RGB with chroma upsampled by np.repeat: the reference formula."""
+    kr, kg, kb = 0.2126, 0.7152, 0.0722
+    y = frame.luma
+    h, w = y.shape
+
+    def up(plane):
+        ph, pw = plane.shape
+        return np.repeat(np.repeat(plane, -(-h // ph), axis=0), -(-w // pw), axis=1)[:h, :w]
+
+    cb = up(frame.chroma_b) - 0.5
+    cr = up(frame.chroma_r) - 0.5
+    r = y + 2.0 * (1.0 - kr) * cr
+    b = y + 2.0 * (1.0 - kb) * cb
+    g = (y - kr * r - kb * b) / kg
+    return tuple(np.clip(p, 0.0, 1.0) for p in (r, g, b))
+
+
+class TestFrameRgb:
+    @pytest.mark.parametrize("h, w, ch, cw", [
+        (20, 24, 10, 12), (21, 25, 11, 13), (20, 24, 20, 12), (21, 25, 21, 13),
+        (20, 24, 20, 24), (7, 9, 4, 5), (1, 1, 1, 1), (2, 3, 1, 2),
+    ])
+    def test_matches_repeat_formula_bits(self, h, w, ch, cw):
+        # values outside [0, 1] after conversion exercise the clamp
+        rng = np.random.default_rng(h * w + ch)
+        frame = Frame(rng.random((h, w)), rng.random((ch, cw)), rng.random((ch, cw)))
+        got = frame_rgb(frame)
+        for p, want in zip(got, frame_rgb_repeat(frame)):
+            assert p.flags.c_contiguous
+            assert p.tobytes() == want.tobytes()
+
+
 class TestSynthClip:
     def test_constant(self):
         clip = synth_clip(CANONICAL_SPECS["30-FHD"], "constant", value=0.5)

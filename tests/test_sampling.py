@@ -271,4 +271,6 @@ class TestSampledDecode:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * frame_bytes
+        # frames are converted one at a time, each with one luma-sized
+        # temporary (measured peak: 1.37 sampled frames)
+        assert peak < 1.5 * frame_bytes

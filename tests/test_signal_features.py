@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import corpus as corpus_mod
 import vqakit.signal_features as sf
 from conftest import y4m_bytes
 from vqakit.clip_io import ClipSpec, Frame, VideoClip, parse_y4m, synth_clip
@@ -69,6 +70,17 @@ def ssim_oracle(a, b, win=8, stride=4):
     return sum(vals) / len(vals)
 
 
+def si_two_stencil(p):
+    """SI from the two full 3x3 Sobel stencils: the reference for bit identity."""
+    gx = (p[:-2, 2:] + 2.0 * p[1:-1, 2:] + p[2:, 2:]) - (
+        p[:-2, :-2] + 2.0 * p[1:-1, :-2] + p[2:, :-2]
+    )
+    gy = (p[2:, :-2] + 2.0 * p[2:, 1:-1] + p[2:, 2:]) - (
+        p[:-2, :-2] + 2.0 * p[:-2, 1:-1] + p[:-2, 2:]
+    )
+    return float(np.hypot(gx, gy).std())
+
+
 def colorfulness_oracle(rgb):
     r, g, b = rgb[..., 0].ravel(), rgb[..., 1].ravel(), rgb[..., 2].ravel()
     rg = r - g
@@ -100,6 +112,16 @@ class TestSi:
         rng = np.random.default_rng(3)
         p = rng.random((6, 7))
         assert si(p) == pytest.approx(sobel_si_oracle(p), abs=1e-12)
+
+    def test_two_stencil_formula_bits(self):
+        # the separable passes round exactly as the two 3x3 stencils did
+        rng = np.random.default_rng(11)
+        planes = [f.luma for _ in range(400)
+                  for f in corpus_mod.make_clip(rng.random(), rng).frames]
+        planes += [rng.random(shape) for shape in ((3, 3), (5, 9), (37, 53), (64, 48))]
+        planes.append(np.round(rng.random((1080, 1920)) * 255) / 255)
+        for p in planes:
+            assert si(p).hex() == si_two_stencil(p).hex()
 
 
 class TestTi:
@@ -215,6 +237,22 @@ class TestSsim:
         a, b = rng.random((20, 24)), rng.random((20, 24))
         assert ssim(a, b) == pytest.approx(ssim_oracle(a, b), abs=1e-9)
 
+    @pytest.mark.parametrize("shape", [(8, 8), (13, 16), (15, 20), (16, 18), (12, 23), (37, 53)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_block_sums_match_oracle(self, shape):
+        # window grids that leave rows, columns or both of the plane unused
+        rng = np.random.default_rng(shape[0] * shape[1])
+        a, b = rng.random(shape), rng.random(shape)
+        assert ssim(a, b) == pytest.approx(ssim_oracle(a, b), abs=1e-9)
+        assert ssim(a, 0.5 * a + 0.25) == pytest.approx(ssim_oracle(a, 0.5 * a + 0.25), abs=1e-9)
+
+    @pytest.mark.parametrize("va, vb", [(0.3, 0.3), (0.0, 1.0), (0.8, 0.2)])
+    def test_constant_planes_match_oracle(self, va, vb):
+        a, b = np.full((13, 18), va), np.full((13, 18), vb)
+        assert ssim(a, b) == pytest.approx(ssim_oracle(a, b), abs=1e-9)
+        noise = np.random.default_rng(1).random((13, 18))
+        assert ssim(a, noise) == pytest.approx(ssim_oracle(a, noise), abs=1e-9)
+
     def test_errors(self):
         with pytest.raises(DimensionMismatch):
             ssim(np.zeros((8, 8)), np.zeros((8, 9)))
@@ -295,10 +333,11 @@ class TestExtraction:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_each_pair_computed_once(self, monkeypatch, k):
-        # frame 1's consecutive pair is also its first-frame pair
+        # each frame's SSIM statistics are made once; frame 1's consecutive
+        # pair is also its first-frame pair, so k frames make 2k-3 pairs
         rng = np.random.default_rng(k)
         planes = [rng.random((16, 16)) for _ in range(k)]
-        calls = {"ti": 0, "ssim": 0}
+        calls = {"ti": 0, "ssim": 0, "_ssim_stats": 0, "_ssim_cross": 0}
 
         def counted(name):
             fn = getattr(sf, name)
@@ -308,12 +347,13 @@ class TestExtraction:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(sf, "ti", counted("ti"))
-        monkeypatch.setattr(sf, "ssim", counted("ssim"))
+        for name in calls:
+            monkeypatch.setattr(sf, name, counted(name))
         clip = _clip_from_planes(planes)
         fv = extract_clip_features(clip, temporal_sample(clip, "all"))
-        want = max(2 * k - 3, 0)
-        assert calls == {"ti": want, "ssim": want}
+        pairs = max(2 * k - 3, 0)
+        stats = k if k > 1 else 0
+        assert calls == {"ti": pairs, "ssim": 0, "_ssim_stats": stats, "_ssim_cross": pairs}
         if k > 1:
             firsts = [ti(p, planes[0]) for p in planes[1:]]
             assert fv.values["ti_first"] == float(np.mean(firsts))
@@ -326,6 +366,20 @@ class TestExtraction:
         serial = extract_clip_features(clip, plan, threads=1)
         pooled = extract_clip_features(clip, plan, threads=4)
         assert serial.values == pooled.values
+
+    def test_parallel_bit_identical_chroma(self):
+        w, h = 40, 36
+        rng = np.random.default_rng(12)
+        frames = [tuple(rng.integers(0, 256, shape).astype(np.uint8)
+                        for shape in ((h, w), (h // 2, w // 2), (h // 2, w // 2)))
+                  for _ in range(5)]
+        clip = parse_y4m(y4m_bytes(w, h, frames))
+        plan = temporal_sample(clip, "all")
+        serial = extract_clip_features(clip, plan, threads=1)
+        pooled = extract_clip_features(clip, plan, threads=4)
+        assert plan.indices == (0, 1, 2, 3, 4) and not serial.flags
+        assert {k: v.hex() for k, v in serial.values.items()} == \
+            {k: v.hex() for k, v in pooled.values.items()}
 
 
 class TestSerialization:
