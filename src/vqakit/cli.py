@@ -224,7 +224,7 @@ def cmd_train(args) -> int:
         y = np.concatenate([d[2] for d in datasets])
         model = fit_forest(X, y, n_trees=args.trees, seed=args.seed,
                            max_depth=args.max_depth, min_leaf=args.min_leaf,
-                           threads=args.threads, feature_names=FEATURE_ORDER)
+                           feature_names=FEATURE_ORDER)
         save_model(args.out, model)
         log_entries.append({"phase": "forest", "n_trees": model.n_trees,
                             "rows": int(X.shape[0]), "nodes": model.node_count()})

@@ -66,6 +66,10 @@ class NumericalError(VqaError):
     pass
 
 
+class CheckpointError(VqaError):
+    pass
+
+
 # --- scoring ----------------------------------------------------------------
 
 class OutOfRange(VqaError):

@@ -1,7 +1,7 @@
 """Quality regressors: gated-fusion branch network and random forest."""
 
 from .checkpoint import FOREST_FORMAT, NET_FORMAT, load_model, save_model
-from .forest import ForestModel, Tree, fit_forest, predict_forest
+from .forest import ForestModel, fit_forest, predict_forest
 from .losses import rel_loss, rel_loss_grad, total_loss
 from .net import (
     BRANCH_ORDER,
@@ -18,7 +18,6 @@ __all__ = [
     "BranchNet",
     "ScgbParams",
     "ForestModel",
-    "Tree",
     "TrainConfig",
     "init_branchnet",
     "predict_scores",

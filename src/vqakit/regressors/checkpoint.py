@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .forest import ForestModel, Tree
+from ..errors import CheckpointError
+from .forest import ForestModel
 from .net import BranchNet
 
 __all__ = ["save_model", "load_model", "NET_FORMAT", "FOREST_FORMAT"]
@@ -52,7 +54,23 @@ def _net_from_dict(d: dict) -> BranchNet:
     )
 
 
+_TREE_ARRAYS = (("feature", np.intp), ("threshold", np.float64), ("left", np.intp),
+                ("right", np.intp), ("value", np.float64))
+
+
 def _forest_to_dict(model: ForestModel) -> dict:
+    # v1 stores each tree on its own: nodes counted from its root, leaves with -1 children
+    ends = model.roots[1:].tolist() + [model.node_count()]
+    trees = []
+    for r, e in zip(model.roots.tolist(), ends):
+        leaf = model.feature[r:e] < 0
+        trees.append({
+            "feature": model.feature[r:e].tolist(),
+            "threshold": model.threshold[r:e].tolist(),
+            "left": np.where(leaf, -1, model.left[r:e] - r).tolist(),
+            "right": np.where(leaf, -1, model.right[r:e] - r).tolist(),
+            "value": model.value[r:e].tolist(),
+        })
     return {
         "format": FOREST_FORMAT,
         "n_trees": model.n_trees,
@@ -61,38 +79,69 @@ def _forest_to_dict(model: ForestModel) -> dict:
         "min_leaf": model.min_leaf,
         "feature_fraction": model.feature_fraction,
         "feature_names": list(model.feature_names) if model.feature_names else None,
-        "trees": [
-            {
-                "feature": t.feature.tolist(),
-                "threshold": t.threshold.tolist(),
-                "left": t.left.tolist(),
-                "right": t.right.tolist(),
-                "value": t.value.tolist(),
-            }
-            for t in model.trees
-        ],
+        "trees": trees,
     }
 
 
-def _forest_from_dict(d: dict) -> ForestModel:
-    trees = tuple(
-        Tree(
-            np.array(t["feature"], dtype=np.intp),
-            np.array(t["threshold"], dtype=np.float64),
-            np.array(t["left"], dtype=np.intp),
-            np.array(t["right"], dtype=np.intp),
-            np.array(t["value"], dtype=np.float64),
-        )
-        for t in d["trees"]
-    )
+def _pack_trees(trees: list[dict], width: int | None, path) -> tuple[np.ndarray, ...]:
+    """The stored trees as packed node arrays and root offsets.
+
+    Raises CheckpointError, naming the file, tree and node, unless every tree
+    is one that every row walks from root to leaf: children after their
+    parent inside the same tree, one parent per node, -1 children at leaves,
+    finite numbers and feature indices inside the width.
+    """
+    for t, tree in enumerate(trees):
+        lengths = {k: len(tree[k]) for k, _ in _TREE_ARRAYS}
+        if len(set(lengths.values())) != 1 or lengths["feature"] == 0:
+            raise CheckpointError(f"{path}: tree {t}: node arrays must be non-empty lists "
+                                  f"of one length, got lengths {lengths}")
+    # one conversion per array for the whole forest
+    feature, threshold, left, right, value = (
+        np.fromiter(chain.from_iterable(tree[k] for tree in trees), dtype=dt)
+        for k, dt in _TREE_ARRAYS)
+    sizes = np.array([len(tree["feature"]) for tree in trees], dtype=np.intp)
+    roots = np.concatenate(([0], np.cumsum(sizes[:-1]))).astype(np.intp)
+    first = np.repeat(roots, sizes)        # each node's root
+    own = np.arange(feature.size) - first  # and its index within that tree
+    size = np.repeat(sizes, sizes)
+    internal = feature >= 0
+
+    def reject(bad, what):
+        at = np.flatnonzero(bad)
+        if at.size:
+            t = int(np.searchsorted(roots, at[0], side="right")) - 1
+            raise CheckpointError(f"{path}: tree {t}, node {at[0] - roots[t]}: {what}")
+
+    too_wide = feature >= width if width is not None else False
+    reject((feature < -1) | too_wide,
+           "feature index below -1" if width is None else f"feature index outside -1..{width - 1}")
+    reject(internal & ~((own < left) & (left < size) & (own < right) & (right < size)),
+           "an internal node's children must come after it inside its tree")
+    reject(~internal & ((left != -1) | (right != -1)), "a leaf's children must be -1")
+    reject(~(np.isfinite(threshold) & np.isfinite(value)), "non-finite threshold or value")
+    left = np.where(internal, left, own) + first
+    right = np.where(internal, right, own) + first
+    parents = np.bincount(np.concatenate((left[internal], right[internal])),
+                          minlength=feature.size)
+    reject(parents != (own > 0), "every node but the root needs exactly one parent")
+    return feature, threshold, left, right, value, roots
+
+
+def _forest_from_dict(d: dict, path) -> ForestModel:
+    names = tuple(d["feature_names"]) if d.get("feature_names") else None
+    width = len(names) if names else None
+    if not d["trees"] or len(d["trees"]) != int(d["n_trees"]):
+        raise CheckpointError(f"{path}: n_trees is {d['n_trees']} but {len(d['trees'])} "
+                              "trees are stored")
     return ForestModel(
-        trees,
-        int(d["n_trees"]),
-        int(d["seed"]),
-        int(d["max_depth"]),
-        int(d["min_leaf"]),
-        float(d["feature_fraction"]),
-        tuple(d["feature_names"]) if d.get("feature_names") else None,
+        *_pack_trees(d["trees"], width, path),
+        n_features=width,
+        seed=int(d["seed"]),
+        max_depth=int(d["max_depth"]),
+        min_leaf=int(d["min_leaf"]),
+        feature_fraction=float(d["feature_fraction"]),
+        feature_names=names,
     )
 
 
@@ -112,5 +161,8 @@ def load_model(path) -> BranchNet | ForestModel:
     if fmt == NET_FORMAT:
         return _net_from_dict(d)
     if fmt == FOREST_FORMAT:
-        return _forest_from_dict(d)
+        try:
+            return _forest_from_dict(d, path)
+        except (KeyError, TypeError, ValueError) as e:
+            raise CheckpointError(f"{path}: malformed forest checkpoint: {e}") from e
     raise ValueError(f"unknown checkpoint format {fmt!r}")

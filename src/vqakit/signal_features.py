@@ -134,7 +134,9 @@ def ti(luma_t: np.ndarray, luma_prev: np.ndarray) -> float:
 def colorfulness(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> float:
     """Hasler-Suesstrunk colorfulness on [0,1] RGB planes."""
     rg = r - g
-    yb = 0.5 * (r + g) - b
+    yb = np.add(r, g)  # 0.5 * (r + g) - b, in place
+    yb *= 0.5
+    yb -= b
     return float(
         np.hypot(rg.std(), yb.std()) + 0.3 * np.hypot(rg.mean(), yb.mean())
     )
@@ -150,7 +152,11 @@ def sharpness(luma_plane: np.ndarray) -> float:
     """Variance of the 3x3 Laplacian response over interior pixels."""
     _require(luma_plane, 3, "sharpness")
     p = luma_plane
-    lap = p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * p[1:-1, 1:-1]
+    # up + down + left + right - 4 * centre, added in that order into one buffer
+    lap = np.add(p[:-2, 1:-1], p[2:, 1:-1])
+    lap += p[1:-1, :-2]
+    lap += p[1:-1, 2:]
+    lap -= np.multiply(p[1:-1, 1:-1], 4.0)
     return float(lap.var())
 
 

@@ -2,11 +2,17 @@
 
 Kept deliberately independent of the vqakit implementations (no numpy
 vectorization, fsum accumulation, explicit O(n^2) pair counting).
+
+The forest oracle is the plain per-node CART split search (one stable argsort
+per drawn feature at every node). It rounds exactly as the forest's fit is
+required to, so the two are compared bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def ranks_oracle(x):
@@ -65,3 +71,70 @@ def krocc_oracle(x, y):
 
 def rmse_oracle(x, y):
     return math.sqrt(math.fsum((a - b) ** 2 for a, b in zip(x, y)) / len(x))
+
+
+# --- random forest ------------------------------------------------------------
+
+def _grow_tree_oracle(X, y, max_depth, min_leaf, k, rng):
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def best_split(idx):
+        feats = np.sort(rng.choice(X.shape[1], size=k, replace=False))
+        best = None  # (sse, feature, threshold)
+        ys_all, n = y[idx], idx.size
+        for f in feats:
+            x = X[idx, f]
+            order = np.argsort(x, kind="stable")
+            xs, ys = x[order], ys_all[order]
+            cum, cum2 = np.cumsum(ys), np.cumsum(ys * ys)
+            # split after sorted position c-1; only between distinct values
+            cs = np.arange(min_leaf, n - min_leaf + 1)
+            if cs.size:
+                cs = cs[xs[cs - 1] < xs[cs]]
+            if cs.size == 0:
+                continue
+            lsum, lsum2 = cum[cs - 1], cum2[cs - 1]
+            rsum, rsum2 = cum[-1] - lsum, cum2[-1] - lsum2
+            sse = (lsum2 - lsum * lsum / cs) + (rsum2 - rsum * rsum / (n - cs))
+            j = int(np.argmin(sse))
+            if best is None or sse[j] < best[0]:
+                best = (float(sse[j]), int(f), 0.5 * (xs[cs[j] - 1] + xs[cs[j]]))
+        return best
+
+    def build(idx, depth):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        ys = y[idx]
+        value.append(float(ys.mean()))
+        if depth >= max_depth or idx.size < 2 * min_leaf or np.all(ys == ys[0]):
+            return node
+        best = best_split(idx)
+        if best is None:
+            return node
+        _, f, thr = best
+        mask = X[idx, f] <= thr
+        feature[node], threshold[node] = f, thr
+        left[node] = build(idx[mask], depth + 1)
+        right[node] = build(idx[~mask], depth + 1)
+        return node
+
+    build(np.arange(X.shape[0]), 0)
+    return (np.array(feature), np.array(threshold), np.array(left), np.array(right),
+            np.array(value))
+
+
+def forest_trees_oracle(X, y, n_trees, seed, max_depth, min_leaf, feature_fraction=None):
+    """Each tree's (feature, threshold, left, right, value), nodes counted from
+    its root and leaves with -1 children, as a v1 checkpoint stores them."""
+    d = X.shape[1]
+    frac = feature_fraction if feature_fraction is not None else np.sqrt(d) / d
+    k = min(d, max(1, round(frac * d)))
+    trees = []
+    for t in range(n_trees):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
+        boot = rng.integers(0, X.shape[0], size=X.shape[0])
+        trees.append(_grow_tree_oracle(X[boot], y[boot], max_depth, min_leaf, k, rng))
+    return trees

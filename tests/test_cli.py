@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import vqakit
 from conftest import write_pgm, write_ppm, y4m_bytes
 from vqakit.cli import main
 from vqakit.regressors import load_model
@@ -263,6 +267,34 @@ class TestTrainPredict:
                      "--mode", "forest", "--trees", "5", "--out", str(tmp_path / "m.json")]) == 1
         err = capsys.readouterr().err
         assert "bad_mos.csv" in err and "row 3" in err and "'mos'" in err
+
+
+    @pytest.mark.parametrize("edit, at_root", [
+        (lambda t: t["right"].__setitem__(0, 0), True),   # a cycle
+        (lambda t: t["value"].pop(), False),              # ragged arrays
+        (lambda t: t["feature"].__setitem__(0, 9), True),  # beyond the width
+    ], ids=["cycle", "ragged", "feature-too-wide"])
+    def test_malformed_forest_exit_1(self, tmp_path, clip_dir, edit, at_root):
+        feats = _extract(tmp_path, clip_dir)
+        mos = tmp_path / "mos.csv"
+        _mos_for(feats, mos)
+        model = tmp_path / "forest.json"
+        assert main(["train", "--features", str(feats), "--mos", str(mos), "--mode", "forest",
+                     "--trees", "5", "--min-leaf", "1", "--out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        t = next(i for i, tree in enumerate(doc["trees"]) if tree["feature"][0] >= 0)
+        edit(doc["trees"][t])
+        where = f"tree {t}, node 0:" if at_root else f"tree {t}:"
+        model.write_text(json.dumps(doc))
+        # in a child process, so a forest that never reaches a leaf cannot hang the suite
+        env = {**os.environ, "PYTHONPATH": str(Path(vqakit.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "vqakit.cli", "predict", "--model", str(model),
+             "--features", str(feats), "--out", str(tmp_path / "pred.csv")],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert done.returncode == 1, done.stderr
+        assert "forest.json" in done.stderr and where in done.stderr
+        assert not (tmp_path / "pred.csv").exists()
 
 
 METRIC_SCHEMA = {

@@ -1,8 +1,37 @@
+import json
+
 import numpy as np
 import pytest
 
-from vqakit.errors import EmptyInput, NumericalError
+from oracles import forest_trees_oracle
+from vqakit.errors import CheckpointError, DimensionMismatch, EmptyInput, NumericalError
 from vqakit.regressors import ForestModel, fit_forest, load_model, predict_forest, save_model
+
+
+def tree_ranges(model):
+    """(first node, end) of each tree in the packed arrays."""
+    ends = model.roots[1:].tolist() + [model.node_count()]
+    return list(zip(model.roots.tolist(), ends))
+
+
+def local_trees(model):
+    """Each tree's arrays counted from its root, leaves with -1 children."""
+    out = []
+    for r, e in tree_ranges(model):
+        leaf = model.feature[r:e] < 0
+        out.append((model.feature[r:e], model.threshold[r:e],
+                    np.where(leaf, -1, model.left[r:e] - r),
+                    np.where(leaf, -1, model.right[r:e] - r), model.value[r:e]))
+    return out
+
+
+def leaf_of(model, root, row):
+    """The leaf a row reaches from a root, one node at a time."""
+    node = root
+    while model.feature[node] >= 0:
+        f = model.feature[node]
+        node = model.left[node] if row[f] <= model.threshold[node] else model.right[node]
+    return node
 
 
 class TestForestBasics:
@@ -20,9 +49,8 @@ class TestForestBasics:
         y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
         model = fit_forest(X, y, n_trees=1, seed=3, max_depth=1, min_leaf=1,
                            feature_fraction=1.0)
-        tree = model.trees[0]
-        assert tree.feature[0] == 0
-        assert tree.threshold[0] == pytest.approx(0.5)
+        assert model.feature[0] == 0
+        assert model.threshold[0] == pytest.approx(0.5)
         # bootstrap resample: leaf values are the resample's side means, which
         # for a perfectly separated binary target are exactly 0 and 1
         assert predict_forest(model, np.array([0.0])) == 0.0
@@ -98,8 +126,10 @@ class TestForestStructure:
         y = rng.random(40)
         model = fit_forest(X, y, n_trees=9, seed=0)
         q = rng.random((6, 3))
-        per_tree = np.stack([t.predict(q) for t in model.trees])
-        assert np.array_equal(predict_forest(model, q), per_tree.mean(axis=0))
+        # each row's mean over its own walk of every tree, in tree order
+        walked = [np.array([model.value[leaf_of(model, r, row)] for r in model.roots]).mean()
+                  for row in q]
+        assert np.array_equal(predict_forest(model, q), walked)
 
     def test_depth_bound(self):
         rng = np.random.default_rng(5)
@@ -107,12 +137,13 @@ class TestForestStructure:
         y = rng.random(200)
         model = fit_forest(X, y, n_trees=4, seed=0, max_depth=3)
 
-        def depth(tree, node=0):
-            if tree.feature[node] < 0:
+        def depth(node):
+            if model.feature[node] < 0:
                 return 0
-            return 1 + max(depth(tree, tree.left[node]), depth(tree, tree.right[node]))
+            return 1 + max(depth(model.left[node]), depth(model.right[node]))
 
-        assert all(depth(t) <= 3 for t in model.trees)
+        assert all(depth(r) <= 3 for r in model.roots)
+        assert model.depth == max(depth(r) for r in model.roots)
 
     def test_min_leaf_respected(self):
         rng = np.random.default_rng(6)
@@ -121,27 +152,36 @@ class TestForestStructure:
         model = fit_forest(X, y, n_trees=3, seed=0, min_leaf=5)
         # every split must leave >= min_leaf bootstrap rows per side; verify by
         # routing the training resample down each tree
-        for t, tree in enumerate(model.trees):
+        assert model.n_trees == 3
+        counts = np.zeros(model.node_count(), dtype=int)
+        for t, root in enumerate(model.roots):
             trng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(t,)))
             boot = trng.integers(0, 50, size=50)
-            counts = np.zeros(tree.feature.size, dtype=int)
             for row in X[boot]:
-                node = 0
+                node = root
                 counts[node] += 1
-                while tree.feature[node] >= 0:
-                    node = tree.left[node] if row[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+                while model.feature[node] >= 0:
+                    f = model.feature[node]
+                    node = model.left[node] if row[f] <= model.threshold[node] else model.right[node]
                     counts[node] += 1
-            internal = tree.feature >= 0
-            for node in np.flatnonzero(internal):
-                assert counts[tree.left[node]] >= 5
-                assert counts[tree.right[node]] >= 5
+        for node in np.flatnonzero(model.feature >= 0):
+            assert counts[model.left[node]] >= 5
+            assert counts[model.right[node]] >= 5
 
     def test_node_count_reported(self):
         rng = np.random.default_rng(7)
         X = rng.random((30, 3))
         y = rng.random(30)
         model = fit_forest(X, y, n_trees=2, seed=0)
-        assert model.node_count() == sum(t.n_nodes() for t in model.trees)
+
+        def reachable(node):
+            if model.feature[node] < 0:
+                return 1
+            return 1 + reachable(model.left[node]) + reachable(model.right[node])
+
+        # every node belongs to exactly one tree, the one whose range holds it
+        assert model.node_count() == sum(reachable(r) for r in model.roots)
+        assert [reachable(r) for r in model.roots] == [e - r for r, e in tree_ranges(model)]
         assert model.node_count() >= 2
 
     def test_checkpoint_roundtrip(self, tmp_path):
@@ -154,5 +194,136 @@ class TestForestStructure:
         loaded = load_model(path)
         assert isinstance(loaded, ForestModel)
         assert loaded.feature_names == ("a", "b", "c", "d")
+        for k in ("feature", "threshold", "left", "right", "value", "roots"):
+            assert getattr(loaded, k).tobytes() == getattr(model, k).tobytes()
+        assert (loaded.depth, loaded.n_features) == (model.depth, 4)
         q = rng.random((8, 4))
         assert np.array_equal(predict_forest(model, q), predict_forest(loaded, q))
+
+
+def _table(rows, seed, quantised=False):
+    rng = np.random.default_rng([seed, rows])
+    X = rng.random((rows, 9))
+    y = rng.random(rows)
+    if quantised:
+        X[:, :4] = np.round(X[:, :4] * 3) / 3  # four values per column: many ties
+        X[:, 7] = X[:, 8]                      # two identical columns
+        y[::5] = y[0]
+    return X, y
+
+
+class TestForestPacked:
+    def test_batch_bits_equal_single_rows(self):
+        X, y = _table(64, 9)
+        model = fit_forest(X, y, n_trees=300, seed=3)
+        q = np.random.default_rng(10).random((200, 9))
+        batch = [v.hex() for v in predict_forest(model, q)]
+        assert batch == [predict_forest(model, row).hex() for row in q]
+        assert predict_forest(model, q[:1])[0].hex() == batch[0]
+
+    def test_width_mismatch(self):
+        X, y = _table(64, 1)
+        model = fit_forest(X, y, n_trees=3, seed=0)
+        for bad in (X[:, :8], np.zeros((2, 10)), np.zeros(8), np.zeros((2, 3, 9))):
+            with pytest.raises(DimensionMismatch):
+                predict_forest(model, bad)
+
+    @pytest.mark.parametrize("rows", [64, 160])
+    @pytest.mark.parametrize("kwargs", [
+        {"min_leaf": 1}, {"min_leaf": 2}, {"min_leaf": 5},
+        {"max_depth": 1}, {"max_depth": 3}, {"max_depth": 12},
+        {"feature_fraction": 1.0},
+    ], ids=lambda kw: "-".join(f"{k}{v}" for k, v in kw.items()))
+    @pytest.mark.parametrize("quantised", [False, True], ids=["distinct", "tied"])
+    def test_fit_matches_per_node_oracle(self, rows, kwargs, quantised):
+        X, y = _table(rows, rows + len(kwargs), quantised)
+        params = {"max_depth": 12, "min_leaf": 2, **kwargs}
+        model = fit_forest(X, y, n_trees=6, seed=rows, **params)
+        want = forest_trees_oracle(X, y, 6, rows, params["max_depth"], params["min_leaf"],
+                                   params.get("feature_fraction"))
+        got = local_trees(model)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            for a, b in zip(g, w):
+                assert a.tobytes() == b.astype(a.dtype).tobytes()
+
+
+def _v1_file(path, trees, names=("a", "b", "c")):
+    """A forest checkpoint written as v1 files have always been written."""
+    doc = {
+        "format": "vqakit-forest-v1", "n_trees": len(trees), "seed": 4, "max_depth": 12,
+        "min_leaf": 2, "feature_fraction": 0.5773502691896257,
+        "feature_names": list(names) if names else None,
+        "trees": [{k: [x.item() for x in a] for k, a in
+                   zip(("feature", "threshold", "left", "right", "value"), t)}
+                  for t in trees],
+    }
+    path.write_text(json.dumps(doc))
+    return doc
+
+
+def _stump():
+    return [[0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.5, 0.0, 1.0]]
+
+
+class TestForestCheckpoint:
+    @pytest.mark.parametrize("names", [("a", "b", "c"), None])
+    def test_v1_file_round_trips_byte_identical(self, tmp_path, names):
+        rng = np.random.default_rng(12)
+        X, y = rng.random((50, 3)), rng.random(50)
+        path = tmp_path / "v1.json"
+        _v1_file(path, forest_trees_oracle(X, y, 7, 4, 12, 2), names)
+        again = tmp_path / "again.json"
+        save_model(again, load_model(path))
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_file_without_names_needs_the_columns_it_splits_on(self, tmp_path):
+        stump = _stump()
+        stump[0][0] = 2  # the root splits on column 2
+        path = tmp_path / "f.json"
+        _v1_file(path, [[np.array(a) for a in stump]], names=None)
+        model = load_model(path)
+        assert model.n_features is None
+        assert predict_forest(model, np.array([9.0, 9.0, 0.2])) == 0.0
+        assert predict_forest(model, np.array([0.0, 0.0, 0.7, 0.0])) == 1.0
+        with pytest.raises(DimensionMismatch):
+            predict_forest(model, np.zeros(2))
+
+    def _write(self, tmp_path, trees, over=()):
+        path = tmp_path / "bad.json"
+        doc = _v1_file(path, [[np.array(a) for a in t] for t in trees])
+        doc.update(over)
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t[3].__setitem__(0, 0), "tree 1, node 0: an internal node's children"),
+        (lambda t: t[2].__setitem__(0, 5), "tree 1, node 0: an internal node's children"),
+        (lambda t: t[2].__setitem__(1, 2), "tree 1, node 1: a leaf's children must be -1"),
+        (lambda t: t[0].__setitem__(0, 3), "tree 1, node 0: feature index outside -1..2"),
+        (lambda t: t[0].__setitem__(1, -2), "tree 1, node 1: feature index outside"),
+        (lambda t: t[4].__setitem__(2, float("nan")), "tree 1, node 2: non-finite"),
+        (lambda t: t[1].pop(), "tree 1: node arrays must be"),
+        (lambda t: [a.clear() for a in t], "tree 1: node arrays must be"),
+    ], ids=["cycle", "child-outside-tree", "leaf-child", "feature-too-wide",
+            "feature-below-leaf", "nan-value", "ragged", "empty"])
+    def test_malformed_tree_rejected(self, tmp_path, edit, message):
+        bad = _stump()
+        edit(bad)
+        path = self._write(tmp_path, [_stump(), bad])
+        with pytest.raises(CheckpointError, match=message) as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+
+    def test_shared_child_rejected(self, tmp_path):
+        # node 2 is the right child of node 0 and the left child of node 1
+        tree = [[0, 1, -1, -1], [0.5, 0.2, 0.0, 0.0], [1, 2, -1, -1], [2, 3, -1, -1],
+                [0.5, 0.2, 0.0, 1.0]]
+        with pytest.raises(CheckpointError, match="tree 0, node 2: every node but the root"):
+            load_model(self._write(tmp_path, [tree]))
+
+    @pytest.mark.parametrize("over", [{"n_trees": 3}, {"trees": []}, {"seed": "x"},
+                                      {"trees": [{"feature": [-1]}]}])
+    def test_malformed_header_rejected(self, tmp_path, over):
+        with pytest.raises(CheckpointError, match="bad.json"):
+            load_model(self._write(tmp_path, [_stump()], over))

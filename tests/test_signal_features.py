@@ -7,7 +7,7 @@ import pytest
 import corpus as corpus_mod
 import vqakit.signal_features as sf
 from conftest import y4m_bytes
-from vqakit.clip_io import ClipSpec, Frame, VideoClip, parse_y4m, synth_clip
+from vqakit.clip_io import ClipSpec, Frame, VideoClip, frame_rgb, parse_y4m, synth_clip
 from vqakit.errors import DimensionMismatch, PlaneTooSmall
 from vqakit.regressors import init_branchnet
 from vqakit.sampling import SpatialTransform, TemporalPlan, build_view, temporal_sample
@@ -196,6 +196,17 @@ class TestColorfulness:
             stacked = colorfulness_stacked(np.stack(planes, axis=-1))
             assert colorfulness(*planes).hex() == stacked.hex()
 
+    def test_expression_formula_bits(self):
+        # the in-place yb rounds exactly as the expression 0.5 * (r + g) - b
+        rng = np.random.default_rng(12)
+        triples = [frame_rgb(f) for _ in range(400)
+                   for f in corpus_mod.make_clip(rng.random(), rng).frames]
+        triples += [tuple(rng.random(shape) for _ in range(3)) for shape in ((1, 1), (5, 9))]
+        triples.append(tuple(np.round(rng.random((1080, 1920)) * 255) / 255 for _ in range(3)))
+        for r, g, b in triples:
+            expr = colorfulness_stacked(np.stack((r, g, b), axis=-1))
+            assert colorfulness(r, g, b).hex() == expr.hex()
+
 
 class TestLumaStats:
     def test_constants(self):
@@ -214,6 +225,17 @@ class TestLumaStats:
         yy, xx = np.indices((10, 10))
         p = (2.0 * xx + 3.0 * yy) / 50.0
         assert sharpness(p) == pytest.approx(0.0, abs=1e-20)
+
+    def test_sharpness_expression_formula_bits(self):
+        # the in-place Laplacian rounds exactly as the five-term expression
+        rng = np.random.default_rng(13)
+        planes = [f.luma for _ in range(400)
+                  for f in corpus_mod.make_clip(rng.random(), rng).frames]
+        planes += [rng.random(shape) for shape in ((3, 3), (5, 9), (37, 53))]
+        planes.append(np.round(rng.random((1080, 1920)) * 255) / 255)
+        for p in planes:
+            lap = p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * p[1:-1, 1:-1]
+            assert sharpness(p).hex() == float(lap.var()).hex()
 
 
 class TestSsim:
