@@ -112,7 +112,8 @@ def build_parser():
     p.add_argument("--head-hidden", type=int, default=4)
     p.add_argument("--trees", type=int, default=300)
     p.add_argument("--max-depth", type=int, default=12)
-    p.add_argument("--min-leaf", type=int, default=2)
+    p.add_argument("--min-leaf", type=int, default=2,
+                   help="rows per leaf; a forest needs at least twice this many rows")
     _add_common(p)
     commands["train"] = p
 

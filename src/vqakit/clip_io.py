@@ -153,11 +153,10 @@ def _read_plane(buf: bytes, pos: int, w: int, h: int, depth: int):
 
     Returns the normalized plane and the offset just past it.
     """
-    if depth == 8:
-        raw = np.frombuffer(buf, dtype=np.uint8, count=w * h, offset=pos)
-        return raw.reshape(h, w).astype(np.float64) / 255.0, pos + w * h
-    raw = np.frombuffer(buf, dtype="<u2", count=w * h, offset=pos)
-    return raw.reshape(h, w).astype(np.float64) / 1023.0, pos + 2 * w * h
+    dtype, maxv = (np.uint8, 255.0) if depth == 8 else (np.dtype("<u2"), 1023.0)
+    raw = np.frombuffer(buf, dtype=dtype, count=w * h, offset=pos)
+    plane = np.divide(raw.reshape(h, w), maxv, out=np.empty((h, w)))
+    return plane, pos + raw.nbytes
 
 
 class _Y4mFrames(Sequence):
@@ -421,7 +420,8 @@ def _plus_chroma(y: np.ndarray, c: np.ndarray, k: float) -> np.ndarray:
     h, w = y.shape
     ph, pw = c.shape
     fy, fx = -(-h // ph), -(-w // pw)
-    c = k * (c - 0.5)
+    c = np.subtract(c, 0.5)
+    c *= k
     out = np.empty((h, w))
     for dy in range(fy):
         for dx in range(fx):

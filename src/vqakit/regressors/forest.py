@@ -192,6 +192,9 @@ def fit_forest(
     ``threads`` is accepted for call compatibility and has no effect: tree
     building is Python code that holds the GIL, so a thread pool made fitting
     slower, not faster.
+
+    Fewer than ``2 * min_leaf`` rows raise ``EmptyInput``: no node could
+    split, so every tree would be one leaf that scores every input the same.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -199,6 +202,9 @@ def fit_forest(
         raise EmptyInput("feature matrix is empty")
     if X.shape[0] != y.size or y.size < 2:
         raise EmptyInput(f"need >= 2 rows with targets, got {X.shape[0]}/{y.size}")
+    if y.size < 2 * min_leaf:
+        raise EmptyInput(f"{y.size} rows cannot split with min_leaf={min_leaf}: "
+                         f"need >= {2 * min_leaf}")
     if n_trees < 1:
         raise EmptyInput(f"need >= 1 tree, got {n_trees}")
     _check_finite(X, "feature matrix", feature_names)

@@ -12,6 +12,14 @@ adjacent blocks. Each sampled frame's window means and variances are
 computed once per view, and each pair of frames adds only the block sums of
 its product plane.
 
+A view's features are one pass: every per-frame and per-pair kernel call is
+one task of a single thread-pool call, and only the small SSIM window arrays
+are combined after it. The kernels write their plane-sized temporaries
+(gradients, differences, products, deviations) into scratch planes that each
+worker thread reuses for the length of that call, laid out in the memory
+order of the input plane so that sums add in numpy's own order. Called
+outside a pool, a kernel allocates fresh planes and keeps none.
+
 Feature values are grouped into three branch families (technical,
 aesthetic-proxy, semantic-proxy) which feed the fusion regressor.
 """
@@ -20,11 +28,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map
+from ._parallel import parallel_map, scratch
 from .clip_io import VideoClip
 from .errors import DimensionMismatch, PlaneTooSmall
 from .sampling import SampledView, SpatialTransform, TemporalPlan, build_view
@@ -104,6 +113,31 @@ def _require(plane: np.ndarray, min_side: int, what: str):
         raise PlaneTooSmall(f"{what} needs at least {min_side}x{min_side}, got {w}x{h}")
 
 
+def _order(*planes: np.ndarray) -> str:
+    """The memory order numpy gives a plane computed from these planes.
+
+    A new array follows its inputs' strides: column-major when every input
+    is, row-major otherwise. Sums reduce in memory order, so a temporary
+    that is summed must be laid out as numpy would have laid it out.
+    """
+    column_major = (p.ndim == 2 and abs(p.strides[0]) < abs(p.strides[1]) for p in planes)
+    return "F" if all(column_major) else "C"
+
+
+def _moments(x: np.ndarray, slot: int) -> tuple[float, float]:
+    """``(x.mean(), x.var())``, with the deviations in scratch plane ``slot``.
+
+    These are numpy's own steps for ``var``: the sum with keepdims over n,
+    the deviations from it, squared in place, their sum over n. Each step
+    rounds as numpy's does, so both values keep numpy's bits.
+    """
+    n = x.size
+    mean = np.add.reduce(x, axis=None, keepdims=True) / n
+    dev = np.subtract(x, mean, out=scratch(slot, x.shape, _order(x)))
+    np.square(dev, out=dev)
+    return mean.item(), float(np.add.reduce(dev, axis=None) / n)
+
+
 def si(luma_plane: np.ndarray) -> float:
     """Spatial information: stddev of the Sobel gradient magnitude (interior).
 
@@ -112,33 +146,39 @@ def si(luma_plane: np.ndarray) -> float:
     """
     _require(luma_plane, 3, "si")
     p = luma_plane
-    smooth = 2.0 * p[1:-1]
-    np.add(p[:-2], smooth, out=smooth)
-    smooth += p[2:]
-    gx = smooth[:, 2:] - smooth[:, :-2]
-    smooth = 2.0 * p[:, 1:-1]
+    h, w = p.shape
+    o = _order(p)
+    smooth = np.multiply(p[:, 1:-1], 2.0, out=scratch(0, (h, w - 2), o))
     np.add(p[:, :-2], smooth, out=smooth)
     smooth += p[:, 2:]
-    gy = smooth[2:] - smooth[:-2]
-    del smooth
-    return float(np.hypot(gx, gy, out=gx).std())
+    gy = np.subtract(smooth[2:], smooth[:-2], out=scratch(1, (h - 2, w - 2), o))
+    smooth = np.multiply(p[1:-1], 2.0, out=scratch(0, (h - 2, w), o))
+    np.add(p[:-2], smooth, out=smooth)
+    smooth += p[2:]
+    gx = np.subtract(smooth[:, 2:], smooth[:, :-2], out=scratch(2, (h - 2, w - 2), o))
+    return math.sqrt(_moments(np.hypot(gx, gy, out=gx), 0)[1])
 
 
 def ti(luma_t: np.ndarray, luma_prev: np.ndarray) -> float:
     """Temporal information: stddev of the pixelwise difference plane."""
     if luma_t.shape != luma_prev.shape:
         raise DimensionMismatch(f"{luma_t.shape} vs {luma_prev.shape}")
-    return float((luma_t - luma_prev).std())
+    diff = np.subtract(luma_t, luma_prev,
+                       out=scratch(0, luma_t.shape, _order(luma_t, luma_prev)))
+    return math.sqrt(_moments(diff, 1)[1])
 
 
 def colorfulness(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> float:
     """Hasler-Suesstrunk colorfulness on [0,1] RGB planes."""
-    rg = r - g
-    yb = np.add(r, g)  # 0.5 * (r + g) - b, in place
+    o = _order(r, g)
+    rg = np.subtract(r, g, out=scratch(0, r.shape, o))
+    yb = np.add(r, g, out=scratch(1, r.shape, o))  # 0.5 * (r + g) - b, in place
     yb *= 0.5
     yb -= b
+    rg_mean, rg_var = _moments(rg, 2)
+    yb_mean, yb_var = _moments(yb, 2)
     return float(
-        np.hypot(rg.std(), yb.std()) + 0.3 * np.hypot(rg.mean(), yb.mean())
+        np.hypot(math.sqrt(rg_var), math.sqrt(yb_var)) + 0.3 * np.hypot(rg_mean, yb_mean)
     )
 
 
@@ -152,18 +192,20 @@ def sharpness(luma_plane: np.ndarray) -> float:
     """Variance of the 3x3 Laplacian response over interior pixels."""
     _require(luma_plane, 3, "sharpness")
     p = luma_plane
+    h, w = p.shape
+    o = _order(p)
     # up + down + left + right - 4 * centre, added in that order into one buffer
-    lap = np.add(p[:-2, 1:-1], p[2:, 1:-1])
+    lap = np.add(p[:-2, 1:-1], p[2:, 1:-1], out=scratch(0, (h - 2, w - 2), o))
     lap += p[1:-1, :-2]
     lap += p[1:-1, 2:]
-    lap -= np.multiply(p[1:-1, 1:-1], 4.0)
-    return float(lap.var())
+    lap -= np.multiply(p[1:-1, 1:-1], 4.0, out=scratch(1, lap.shape, o))
+    return _moments(lap, 1)[1]
 
 
 def contrast(luma_plane: np.ndarray) -> float:
     if luma_plane.size == 0:
         raise PlaneTooSmall("empty plane")
-    return float(luma_plane.std())
+    return math.sqrt(_moments(luma_plane, 0)[1])
 
 
 _SSIM_C1 = 0.01 ** 2
@@ -179,30 +221,44 @@ def _ssim_windows(q: np.ndarray) -> np.ndarray:
     Block sums add the four row phases, then the four column phases, of the
     rows and columns that whole blocks cover. Each window covers 2x2 adjacent
     blocks, so the window grid is one block shorter than the block grid on
-    each side.
+    each side. Only the returned window sums are a new array.
     """
+    _require(q, _SSIM_WIN, "ssim")
     b = _SSIM_STRIDE
     h, w = q.shape[0] // b * b, q.shape[1] // b * b
-    rows = sum(q[d:h:b] for d in range(b))
-    blocks = sum(rows[:, d:w:b] for d in range(b))
-    pairs = blocks[:-1] + blocks[1:]
+    o = _order(q)
+    rows = np.add(q[0:h:b], q[1:h:b], out=scratch(1, (h // b, q.shape[1]), o))
+    rows += q[2:h:b]
+    rows += q[3:h:b]
+    blocks = np.add(rows[:, 0:w:b], rows[:, 1:w:b], out=scratch(2, (h // b, w // b), o))
+    blocks += rows[:, 2:w:b]
+    blocks += rows[:, 3:w:b]
+    pairs = np.add(blocks[:-1], blocks[1:], out=scratch(1, (h // b - 1, w // b), o))
     return pairs[:, :-1] + pairs[:, 1:]
 
 
 def _ssim_stats(plane: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One plane's SSIM window means and variances, shared by all its pairs."""
-    _require(plane, _SSIM_WIN, "ssim")
-    mu = _ssim_windows(plane) / _SSIM_N
-    var = _ssim_windows(plane * plane) / _SSIM_N - mu * mu
+    mu = _ssim_windows(plane)
+    mu /= _SSIM_N
+    var = _ssim_windows(np.multiply(plane, plane, out=scratch(0, plane.shape, _order(plane))))
+    var /= _SSIM_N
+    var -= mu * mu
     return mu, var
 
 
-def _ssim_cross(plane_a: np.ndarray, plane_b: np.ndarray, stats_a, stats_b) -> float:
-    """Mean SSIM of two planes given their _ssim_stats: only the cross term is new."""
+def _ssim_cross_sums(plane_a: np.ndarray, plane_b: np.ndarray) -> np.ndarray:
+    """The window sums of a·b: all that a pair adds to its planes' _ssim_stats."""
+    ab = scratch(0, plane_a.shape, _order(plane_a, plane_b))
+    return _ssim_windows(np.multiply(plane_a, plane_b, out=ab))
+
+
+def _ssim_combine(stats_a, stats_b, cross_sums: np.ndarray) -> float:
+    """Mean SSIM of two planes from their _ssim_stats and their _ssim_cross_sums."""
     mu_a, var_a = stats_a
     mu_b, var_b = stats_b
     mu_ab = mu_a * mu_b
-    cov = _ssim_windows(plane_a * plane_b) / _SSIM_N - mu_ab
+    cov = cross_sums / _SSIM_N - mu_ab
     num = (2.0 * mu_ab + _SSIM_C1) * (2.0 * cov + _SSIM_C2)
     den = (mu_a * mu_a + mu_b * mu_b + _SSIM_C1) * (var_a + var_b + _SSIM_C2)
     return float(np.mean(num / den))
@@ -212,7 +268,8 @@ def ssim(plane_a: np.ndarray, plane_b: np.ndarray) -> float:
     """Mean SSIM over 8x8 windows with stride 4, standard C1/C2 constants."""
     if plane_a.shape != plane_b.shape:
         raise DimensionMismatch(f"{plane_a.shape} vs {plane_b.shape}")
-    return _ssim_cross(plane_a, plane_b, _ssim_stats(plane_a), _ssim_stats(plane_b))
+    return _ssim_combine(_ssim_stats(plane_a), _ssim_stats(plane_b),
+                         _ssim_cross_sums(plane_a, plane_b))
 
 
 # --- clip-level aggregation ---------------------------------------------------
@@ -222,12 +279,17 @@ def extract_view_features(view: SampledView, threads: int | None = None) -> Feat
 
     Per-frame features are averaged over all frames; pairwise features (ti,
     ssim) use consecutive sampled frames or the first sampled frame and are
-    0 (with a flag) for single-frame views. The work runs in two phases: one
-    task per frame computes its features and, when there are pairs, its SSIM
-    window statistics; then one task per distinct pair computes ti and the
-    SSIM cross term. Frame 1's consecutive pair is its first-frame pair, so k
-    frames make 2k-3 pairs. The reduction order is fixed, so threaded
-    extraction is bit-identical to serial.
+    0 (with a flag) for single-frame views. Frame 1's consecutive pair is its
+    first-frame pair, so k frames make 2k-3 distinct pairs.
+
+    All the work is one task list run by one ``parallel_map``, heaviest tasks
+    first: per frame, si; per frame, sharpness and colorfulness; per frame,
+    contrast, average luminance and, when there are pairs, the frame's SSIM
+    window statistics; per pair, ti and the window sums of the pair's product
+    plane. No task waits for another: each pair's SSIM is formed from the
+    small window arrays after the pool returns. The kernels' temporaries are
+    scratch planes of that pool call. Every mean adds its terms in a fixed
+    order, so threaded extraction is bit-identical to serial.
     """
     lumas = view.frames
     rgbs = view.rgb
@@ -237,39 +299,42 @@ def extract_view_features(view: SampledView, threads: int | None = None) -> Feat
     flags = set()
     if rgbs is None:
         flags.add(FLAG_DEGRADED_COLOR)
+    pairs = [(i, i - 1) for i in range(1, k)] + [(i, 0) for i in range(2, k)]
 
-    def per_frame(i: int) -> dict:
-        return {
-            "si": si(lumas[i]),
-            "avg_luminance": avg_luminance(lumas[i]),
-            "sharpness": sharpness(lumas[i]),
-            "contrast": contrast(lumas[i]),
-            "colorfulness": colorfulness(*rgbs[i]) if rgbs is not None else 0.0,
-            "stats": _ssim_stats(lumas[i]) if k > 1 else None,
-        }
+    def looks(i: int) -> tuple[float, float]:
+        return sharpness(lumas[i]), colorfulness(*rgbs[i]) if rgbs is not None else 0.0
 
-    rows = parallel_map(per_frame, range(k), threads)
-    values = {name: float(np.mean([r[name] for r in rows])) for name in
-              ("si", "avg_luminance", "sharpness", "contrast", "colorfulness")}
-    if k == 1:
+    def pair(i: int, j: int):
+        return ti(lumas[i], lumas[j]), _ssim_cross_sums(lumas[i], lumas[j])
+
+    def stats(i: int):
+        return (contrast(lumas[i]), avg_luminance(lumas[i]),
+                _ssim_stats(lumas[i]) if pairs else None)
+
+    tasks = ([(si, lumas[i]) for i in range(k)] + [(looks, i) for i in range(k)]
+             + [(stats, i) for i in range(k)] + [(pair, i, j) for i, j in pairs])
+    done = parallel_map(lambda task: task[0](*task[1:]), tasks, threads)
+    frame_looks, frame_stats = done[k:2 * k], done[2 * k:3 * k]
+    per_frame = {
+        "si": done[:k],
+        "sharpness": [v[0] for v in frame_looks],
+        "colorfulness": [v[1] for v in frame_looks],
+        "contrast": [v[0] for v in frame_stats],
+        "avg_luminance": [v[1] for v in frame_stats],
+    }
+    values = {name: float(np.mean(vals)) for name, vals in per_frame.items()}
+    if not pairs:
         flags.add(FLAG_SINGLE_FRAME)
         values.update(ti=0.0, ti_first=0.0, ssim_pair=0.0, ssim_first=0.0)
         return FeatureVector(values, frozenset(flags))
 
-    def per_pair(pair: tuple[int, int]) -> tuple[float, float]:
-        i, j = pair
-        return (ti(lumas[i], lumas[j]),
-                _ssim_cross(lumas[i], lumas[j], rows[i]["stats"], rows[j]["stats"]))
-
-    pairs = [(i, i - 1) for i in range(1, k)] + [(i, 0) for i in range(2, k)]
-    done = parallel_map(per_pair, pairs, threads)
-    groups = {
-        ("ti", "ssim_pair"): done[: k - 1],
-        ("ti_first", "ssim_first"): done[:1] + done[k - 1:],
-    }
-    for names, got in groups.items():
-        for name, vals in zip(names, zip(*got)):
-            values[name] = float(np.mean(vals))
+    tis, ssims = [], []
+    for (i, j), (t, sums) in zip(pairs, done[3 * k:]):
+        tis.append(t)
+        ssims.append(_ssim_combine(frame_stats[i][2], frame_stats[j][2], sums))
+    for consecutive, first, vals in (("ti", "ti_first", tis), ("ssim_pair", "ssim_first", ssims)):
+        values[consecutive] = float(np.mean(vals[: k - 1]))
+        values[first] = float(np.mean(vals[:1] + vals[k - 1:]))
     return FeatureVector(values, frozenset(flags))
 
 

@@ -160,7 +160,7 @@ class TestTrainPredict:
         _mos_for(feats, mos)
         model = tmp_path / "forest.json"
         rc = main(["train", "--features", str(feats), "--mos", str(mos),
-                   "--mode", "forest", "--out", str(model)])
+                   "--mode", "forest", "--min-leaf", "1", "--out", str(model)])
         assert rc == 0
         doc = json.loads(model.read_text())
         jsonschema.validate(doc, FOREST_SCHEMA)
@@ -208,14 +208,26 @@ class TestTrainPredict:
             model = tmp_path / name
             args = ["train", "--features", str(feats), "--mos", str(mos),
                     "--mode", mode, "--out", str(model)]
-            if mode != "forest":
-                args += ["--epochs", "2"]
+            args += ["--min-leaf", "1"] if mode == "forest" else ["--epochs", "2"]
             assert main(args) == 0
             pred = tmp_path / f"pred_{mode}.csv"
             assert main(["predict", "--model", str(model), "--features", str(feats),
                          "--out", str(pred)]) == 0
             table = read_score_table(pred, "score")
             assert list(table) == ["clip0", "clip1", "clip2"]
+
+    def test_too_few_rows_for_min_leaf_exit_1(self, tmp_path, clip_dir, capsys):
+        # 3 rows cannot split with --min-leaf 2: no forest of root-only trees
+        feats = _extract(tmp_path, clip_dir)
+        mos = tmp_path / "mos.csv"
+        _mos_for(feats, mos)
+        model = tmp_path / "forest.json"
+        capsys.readouterr()
+        assert main(["train", "--features", str(feats), "--mos", str(mos), "--mode", "forest",
+                     "--trees", "5", "--min-leaf", "2", "--out", str(model)]) == 1
+        err = capsys.readouterr().err
+        assert "3 rows" in err and "min_leaf=2" in err
+        assert not model.exists() and not Path(str(model) + ".log").exists()
 
     def test_mismatched_dataset_counts(self, tmp_path, clip_dir):
         feats = _extract(tmp_path, clip_dir)
@@ -238,8 +250,8 @@ class TestTrainPredict:
         mos = tmp_path / "mos.csv"
         _mos_for(feats, mos)
         model = tmp_path / "forest.json"
-        assert main(["train", "--features", str(feats), "--mos", str(mos),
-                     "--mode", "forest", "--trees", "5", "--out", str(model)]) == 0
+        assert main(["train", "--features", str(feats), "--mos", str(mos), "--mode", "forest",
+                     "--trees", "5", "--min-leaf", "1", "--out", str(model)]) == 0
 
         lines = feats.read_text().splitlines()
         cells = lines[2].split(",")

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+import corpus as corpus_mod
 from conftest import write_pgm, write_ppm, y4m_bytes
 from vqakit.clip_io import (
     CANONICAL_SPECS,
@@ -115,6 +116,28 @@ class TestParseY4m:
             parse_y4m(y4m_bytes(4, 4, [frame] * 5)[:-1])
         assert ei.value.index == 4
         assert str(ei.value) == "truncated payload for frame 4"
+
+    @pytest.mark.parametrize("depth", [8, 10])
+    def test_decode_matches_cast_then_divide_bits(self, depth):
+        # one divide into a float64 plane rounds as a cast then a divide does,
+        # and RGB from the in-place chroma shift matches the reference formula
+        maxv, dtype, p10 = (255, np.uint8, "") if depth == 8 else (1023, np.dtype("<u2"), "p10")
+        rng = np.random.default_rng(depth)
+        fhd = [tuple(rng.integers(0, maxv + 1, shape).astype(dtype)
+                     for shape in ((1080, 1920), (540, 960), (540, 960)))]
+        streams = [(fhd, y4m_bytes(1920, 1080, fhd, ctag="C420" + p10))]
+        for _ in range(400):
+            clip = corpus_mod.make_clip(rng.random(), rng)
+            raws = [tuple(np.rint(p * maxv).astype(dtype) for p in (f.luma, f.chroma_b, f.chroma_r))
+                    for f in clip.frames]
+            streams.append((raws, y4m_bytes(clip.width, clip.height, raws, ctag="C444" + p10)))
+        for raws, data in streams:
+            for planes, frame in zip(raws, parse_y4m(data).frames):
+                got = (frame.luma, frame.chroma_b, frame.chroma_r)
+                for raw, plane in zip(planes, got):
+                    assert plane.tobytes() == (raw.astype(np.float64) / maxv).tobytes()
+                for p, want in zip(frame_rgb(frame), frame_rgb_repeat(frame)):
+                    assert p.tobytes() == want.tobytes()
 
     def test_roundtrip_bit_identical(self):
         rng = np.random.default_rng(5)

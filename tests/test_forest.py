@@ -71,6 +71,17 @@ class TestForestBasics:
         with pytest.raises(EmptyInput):
             fit_forest(np.zeros((1, 3)), np.zeros(1))
 
+    @pytest.mark.parametrize("min_leaf", [2, 5])
+    def test_too_few_rows_to_split(self, min_leaf):
+        # below 2 * min_leaf rows no node can split: every tree would score the mean
+        rng = np.random.default_rng(min_leaf)
+        rows = 2 * min_leaf
+        X, y = rng.random((rows, 3)), rng.random(rows)
+        with pytest.raises(EmptyInput, match=f"^{rows - 1} rows .* min_leaf={min_leaf}"):
+            fit_forest(X[1:], y[1:], n_trees=2, min_leaf=min_leaf)
+        model = fit_forest(X, y, n_trees=2, min_leaf=min_leaf)
+        assert model.n_trees == 2
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input(self, bad):
         rng = np.random.default_rng(2)

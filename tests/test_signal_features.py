@@ -1,10 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import corpus as corpus_mod
+import vqakit._parallel as _parallel
 import vqakit.signal_features as sf
 from conftest import y4m_bytes
 from vqakit.clip_io import ClipSpec, Frame, VideoClip, frame_rgb, parse_y4m, synth_clip
@@ -79,6 +86,11 @@ def si_two_stencil(p):
         p[:-2, :-2] + 2.0 * p[:-2, 1:-1] + p[:-2, 2:]
     )
     return float(np.hypot(gx, gy).std())
+
+
+def laplacian_expression(p):
+    """The 3x3 Laplacian response as one five-term numpy expression."""
+    return p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * p[1:-1, 1:-1]
 
 
 def colorfulness_oracle(rgb):
@@ -234,8 +246,7 @@ class TestLumaStats:
         planes += [rng.random(shape) for shape in ((3, 3), (5, 9), (37, 53))]
         planes.append(np.round(rng.random((1080, 1920)) * 255) / 255)
         for p in planes:
-            lap = p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * p[1:-1, 1:-1]
-            assert sharpness(p).hex() == float(lap.var()).hex()
+            assert sharpness(p).hex() == float(laplacian_expression(p).var()).hex()
 
 
 class TestSsim:
@@ -356,10 +367,11 @@ class TestExtraction:
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_each_pair_computed_once(self, monkeypatch, k):
         # each frame's SSIM statistics are made once; frame 1's consecutive
-        # pair is also its first-frame pair, so k frames make 2k-3 pairs
+        # pair is also its first-frame pair, so k frames make 2k-3 pairs, each
+        # adding ti and the window sums of its product plane
         rng = np.random.default_rng(k)
         planes = [rng.random((16, 16)) for _ in range(k)]
-        calls = {"ti": 0, "ssim": 0, "_ssim_stats": 0, "_ssim_cross": 0}
+        calls = {"ti": 0, "ssim": 0, "_ssim_stats": 0, "_ssim_cross_sums": 0}
 
         def counted(name):
             fn = getattr(sf, name)
@@ -375,7 +387,7 @@ class TestExtraction:
         fv = extract_clip_features(clip, temporal_sample(clip, "all"))
         pairs = max(2 * k - 3, 0)
         stats = k if k > 1 else 0
-        assert calls == {"ti": pairs, "ssim": 0, "_ssim_stats": stats, "_ssim_cross": pairs}
+        assert calls == {"ti": pairs, "ssim": 0, "_ssim_stats": stats, "_ssim_cross_sums": pairs}
         if k > 1:
             firsts = [ti(p, planes[0]) for p in planes[1:]]
             assert fv.values["ti_first"] == float(np.mean(firsts))
@@ -389,19 +401,100 @@ class TestExtraction:
         pooled = extract_clip_features(clip, plan, threads=4)
         assert serial.values == pooled.values
 
-    def test_parallel_bit_identical_chroma(self):
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("transform", [
+        SpatialTransform(), SpatialTransform.resize(26, 22),
+        SpatialTransform.pad_square_then_resize(28), SpatialTransform.fragment(2, 16),
+    ], ids=lambda t: t.kind)
+    def test_parallel_bit_identical_chroma(self, transform, k):
+        # resized views are column-major, fragments and decoded planes
+        # row-major: scratch planes must reduce in the order numpy's own
+        # temporaries do, on one thread or on more threads than cores
         w, h = 40, 36
         rng = np.random.default_rng(12)
         frames = [tuple(rng.integers(0, 256, shape).astype(np.uint8)
                         for shape in ((h, w), (h // 2, w // 2), (h // 2, w // 2)))
-                  for _ in range(5)]
+                  for _ in range(k)]
         clip = parse_y4m(y4m_bytes(w, h, frames))
         plan = temporal_sample(clip, "all")
-        serial = extract_clip_features(clip, plan, threads=1)
-        pooled = extract_clip_features(clip, plan, threads=4)
-        assert plan.indices == (0, 1, 2, 3, 4) and not serial.flags
-        assert {k: v.hex() for k, v in serial.values.items()} == \
-            {k: v.hex() for k, v in pooled.values.items()}
+        serial = extract_clip_features(clip, plan, transform, seed=5, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = extract_clip_features(clip, plan, transform, seed=5, threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert plan.indices == tuple(range(k))
+        assert serial.flags == ({FLAG_SINGLE_FRAME} if k == 1 else set())
+        hexes = {name: v.hex() for name, v in serial.values.items()}
+        assert hexes == {name: v.hex() for name, v in pooled.values.items()}
+
+        # the same bits as numpy's own expressions on the view's planes
+        view = build_view(clip, plan, transform, seed=5)
+        lumas = view.frames
+        ref = {
+            "si": [si_two_stencil(p) for p in lumas],
+            "colorfulness": [colorfulness_stacked(np.stack(c, axis=-1)) for c in view.rgb],
+            "avg_luminance": [float(p.mean()) for p in lumas],
+            "sharpness": [float(laplacian_expression(p).var()) for p in lumas],
+            "contrast": [float(p.std()) for p in lumas],
+        }
+        if k > 1:
+            ref["ti"] = [float((a - b).std()) for a, b in zip(lumas[1:], lumas)]
+            ref["ti_first"] = [float((a - lumas[0]).std()) for a in lumas[1:]]
+            ref["ssim_pair"] = [ssim(a, b) for a, b in zip(lumas[1:], lumas)]
+        for name, vals in ref.items():
+            assert hexes[name] == float(np.mean(vals)).hex(), name
+
+    def test_scratch_planes_released(self, monkeypatch):
+        # the pool call's scratch buffers are gone once extraction returns
+        seen = []
+        real_si = sf.si
+
+        def watched(p):
+            value = real_si(p)
+            buffer = _parallel.scratch(0, (1,), "C").base
+            assert buffer.size >= p.size - 2 * p.shape[0]
+            seen.append(weakref.ref(buffer))
+            return value
+
+        monkeypatch.setattr(sf, "si", watched)
+        clip = synth_clip(ClipSpec("t", 5, 32, 24), "noise", seed=2)
+        for threads in (1, 2):
+            extract_clip_features(clip, temporal_sample(clip, "all"), threads=threads)
+        assert len(seen) == 10 and all(ref() is None for ref in seen)
+
+    def test_allocations_bounded_by_scratch_slots(self):
+        # Under MALLOC_MMAP_THRESHOLD_ every plane-sized temporary is a fresh
+        # mapping that faults its pages in. A repeat extraction of a 5-frame
+        # view (25 kernel calls) faults in the three scratch planes and the
+        # small SSIM window arrays, about 7 planes in all; when every kernel
+        # call maps its own temporaries it is about 100.
+        code = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from vqakit.sampling import SampledView, SpatialTransform
+            from vqakit.signal_features import extract_view_features
+
+            rng = np.random.default_rng(0)
+            side = 256
+            lumas = tuple(rng.random((side, side)) for _ in range(5))
+            rgbs = tuple(tuple(rng.random((side, side)) for _ in range(3)) for _ in lumas)
+            view = SampledView(lumas, tuple(range(5)), SpatialTransform(), rgbs)
+            extract_view_features(view, threads=1)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(4):
+                extract_view_features(view, threads=1)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+            print(faults / 4 / (side * side * 8 / resource.getpagesize()))
+        """)
+        env = {**os.environ, "MALLOC_MMAP_THRESHOLD_": "131072",
+               "PYTHONPATH": str(Path(sf.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env=env)
+        assert done.returncode == 0, done.stderr
+        planes_faulted = float(done.stdout)
+        assert planes_faulted < 12, planes_faulted
 
 
 class TestSerialization:
