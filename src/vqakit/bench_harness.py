@@ -4,7 +4,9 @@ Runtime is measured on a pre-loaded in-memory clip with a monotonic clock:
 a few untimed warmup executions, then the configured number of timed runs
 whose arithmetic mean is reported. MACs follow a multiply-accumulate-only
 convention (comparisons, copies and index math count zero), with per-frame
-stages multiplied by the number of frames left after temporal sampling.
+stages multiplied by the number of frames left after temporal sampling. A
+feature's cost per call is read from ``signal_features.KERNEL_MACS``, beside
+the kernels it describes.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 from .clip_io import VideoClip
 from .errors import BenchRunError, SpecMismatch
+from .signal_features import KERNEL_MACS
 
 __all__ = [
     "Conv2d",
@@ -31,32 +34,6 @@ __all__ = [
     "time_pipeline",
     "check_constraint",
 ]
-
-# MACs per pixel of each feature, pass by pass, as signal_features computes
-# them: a 3x3 stencil costs 9, any other pass over the plane (elementwise op,
-# product plane, block sum, mean/std/var reduction) costs 1.
-_FEATURE_MACS = {
-    "si": (3 + 1) * 2 + 1 + 1,  # per gradient: [1,2,1] smoothing (3), difference; hypot, std
-    "ti": 1 + 1,  # frame difference, std
-    "sharpness": 9 + 1,  # Laplacian, var
-    "colorfulness": 1 + 1 + 2 + 2,  # rg, yb, std of each, mean of each
-    "avg_luminance": 1,  # mean
-    "contrast": 1,  # std
-}
-_SAME_PASSES = {"ti_first": "ti"}
-# SSIM costs (per pixel, per 8x8 window at stride 4, one window per 16
-# pixels). A frame's statistics: the a*a plane and the 4x4 block sums of a and
-# a*a; per window, two sums of 2x2 blocks (2 passes each), the mean (1) and
-# the variance (3).
-_SSIM_FRAME = (1 + 2, 4 + 1 + 3)
-# A pair's cross term: the a*b plane and its block sums; per window, its sum
-# of 2x2 blocks (2), mu_a*mu_b (1), the covariance (2), numerator 5,
-# denominator 7, the ratio and the mean.
-_SSIM_PAIR = (1 + 1, 2 + 1 + 2 + 5 + 7 + 1 + 1)
-# (frame statistics, pairs) per call: ssim() makes both frames' statistics;
-# extraction makes each frame's once, counted with ssim_pair, so ssim_first
-# adds a pair only.
-_SSIM_CALLS = {"ssim": (2, 1), "ssim_pair": (1, 1), "ssim_first": (0, 1)}
 
 
 @dataclass(frozen=True)
@@ -100,11 +77,8 @@ class Feature:
     per_frame: bool = True
 
     def macs(self) -> int:
-        if self.name in _SSIM_CALLS:
-            frames, pairs = _SSIM_CALLS[self.name]
-            pixel, window = (frames * f + pairs * p for f, p in zip(_SSIM_FRAME, _SSIM_PAIR))
-            return pixel * self.plane_size + window * self.plane_size // 16
-        return _FEATURE_MACS.get(_SAME_PASSES.get(self.name, self.name), 1) * self.plane_size
+        pixel, window = KERNEL_MACS[self.name]
+        return pixel * self.plane_size + window * self.plane_size // 16
 
 
 Stage = Conv2d | Linear | Elementwise | Feature
@@ -114,11 +88,6 @@ Stage = Conv2d | Linear | Elementwise | Feature
 class PipelineDescriptor:
     stages: tuple[Stage, ...] = ()
     frames_per_clip: int = 1
-
-    def __add__(self, other: "PipelineDescriptor") -> "PipelineDescriptor":
-        if other.frames_per_clip != self.frames_per_clip:
-            raise ValueError("cannot concatenate descriptors with different frame counts")
-        return PipelineDescriptor(self.stages + other.stages, self.frames_per_clip)
 
 
 def count_macs(descriptor: PipelineDescriptor) -> float:

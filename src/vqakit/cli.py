@@ -62,20 +62,20 @@ def _add_common(p: argparse.ArgumentParser):
                    help="JSON file of defaults; keys match flag names")
 
 
+# each --spatial kind: its SpatialTransform constructor and the argument counts it takes
+_SPATIAL = {
+    "none": (SpatialTransform, (0,)),
+    "resize": (SpatialTransform.resize, (2,)),
+    "pad_square": (SpatialTransform.pad_square_then_resize, (1,)),
+    "fragment": (SpatialTransform.fragment, (0, 2)),
+}
+
+
 def _parse_spatial(s: str) -> SpatialTransform:
-    parts = s.split(":")
-    kind = parts[0]
-    if kind == "none":
-        return SpatialTransform()
-    if kind == "resize":
-        return SpatialTransform.resize(int(parts[1]), int(parts[2]))
-    if kind == "pad_square":
-        return SpatialTransform.pad_square_then_resize(int(parts[1]))
-    if kind == "fragment":
-        if len(parts) == 3:
-            return SpatialTransform.fragment(int(parts[1]), int(parts[2]))
-        return SpatialTransform.fragment()
-    raise ValueError(f"unknown spatial transform {s!r}")
+    kind, *args = s.split(":")
+    if kind not in _SPATIAL or len(args) not in _SPATIAL[kind][1]:
+        raise ValueError(f"unknown spatial transform {s!r}")
+    return _SPATIAL[kind][0](*map(int, args))
 
 
 def build_parser():
@@ -353,10 +353,7 @@ def main(argv=None) -> int:
     args = _apply_config(argv if argv is not None else sys.argv[1:], parser, commands)
     try:
         return _HANDLERS[args.command](args)
-    except VqaError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_FATAL
-    except ValueError as e:
+    except (VqaError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FATAL
 

@@ -18,8 +18,9 @@ import numpy as np
 from .bench_harness import Elementwise, Feature, Linear, PipelineDescriptor
 from .clip_io import CANONICAL_SPECS, ClipSpec, VideoClip
 from .regressors import fit_forest, init_branchnet, predict_forest, predict_scores
+from .regressors.net import GATED_BRANCHES
 from .sampling import plan_indices, temporal_sample
-from .signal_features import BRANCH_GROUPS, FEATURE_ORDER, extract_clip_features
+from .signal_features import FEATURE_ORDER, extract_clip_features
 
 __all__ = ["Pipeline", "PIPELINE_NAMES", "build_pipeline"]
 
@@ -36,20 +37,19 @@ class Pipeline:
     params_m: float
 
 
-def _feature_stages(spec: ClipSpec) -> tuple[Feature, ...]:
-    plane = spec.width * spec.height
-    return tuple(Feature(name, plane) for name in FEATURE_ORDER)
+def _net_stages(net) -> tuple[Linear | Elementwise, ...]:
+    """The net's MACs per clip, read from its parameters.
 
-
-def _frames_after_sampling(spec: ClipSpec) -> int:
-    return len(plan_indices(spec.frame_count, 30, _REFERENCE_PLAN))
-
-
-def _synthetic_training_set(seed: int, rows: int = 64):
-    rng = np.random.default_rng(seed)
-    X = rng.random((rows, len(FEATURE_ORDER)))
-    y = 1.0 + 4.0 * X[:, 0] + 0.1 * rng.standard_normal(rows)
-    return X, y
+    A weight matrix or head vector is a Linear layer (biases add, they do not
+    multiply); each gated branch also multiplies its projection by its gate.
+    """
+    stages: list[Linear | Elementwise] = []
+    for name in net.param_names():
+        if not name.rstrip("12").endswith("_b"):
+            d_out, d_in = np.atleast_2d(net.params[name]).shape
+            stages.append(Linear(d_in, d_out, per_frame=False))
+    return tuple(stages) + tuple(Elementwise(net.embed_dim, per_frame=False)
+                                 for _ in GATED_BRANCHES)
 
 
 def build_pipeline(
@@ -62,35 +62,26 @@ def build_pipeline(
         return Pipeline("identity", lambda clip: 0.0, PipelineDescriptor((), 1), 0.0)
 
     if name == "feature-forest":
-        X, y = _synthetic_training_set(seed)
+        rng = np.random.default_rng(seed)  # seeded synthetic rows: quality follows si
+        X = rng.random((64, len(FEATURE_ORDER)))
+        y = 1.0 + 4.0 * X[:, 0] + 0.1 * rng.standard_normal(64)
         model = fit_forest(X, y, n_trees=n_trees, seed=seed, feature_names=FEATURE_ORDER)
-
-        def score(clip: VideoClip) -> float:
-            plan = temporal_sample(clip, _REFERENCE_PLAN)
-            fv = extract_clip_features(clip, plan, seed=seed, threads=threads)
-            return float(predict_forest(model, np.array(fv.as_row())))
-
-        desc = PipelineDescriptor(_feature_stages(spec), _frames_after_sampling(spec))
-        return Pipeline("feature-forest", score, desc, 0.0)  # trees learn no weights
-
-    if name == "feature-branchnet":
+        predict, stages = (lambda row: predict_forest(model, row)), ()
+        params_m = 0.0  # trees learn no weights
+    elif name == "feature-branchnet":
         net = init_branchnet(seed=seed)
         net.norm_fitted = True  # identity normalization: raw features go in as-is
+        predict, stages = (lambda row: predict_scores(net, row)[0]), _net_stages(net)
+        params_m = net.n_params() / 1e6
+    else:
+        raise ValueError(f"unknown pipeline {name!r}; choose from {PIPELINE_NAMES}")
 
-        def score(clip: VideoClip) -> float:
-            plan = temporal_sample(clip, _REFERENCE_PLAN)
-            fv = extract_clip_features(clip, plan, seed=seed, threads=threads)
-            return float(predict_scores(net, np.array(fv.as_row()))[0])
+    def score(clip: VideoClip) -> float:
+        plan = temporal_sample(clip, _REFERENCE_PLAN)
+        fv = extract_clip_features(clip, plan, seed=seed, threads=threads)
+        return float(predict(np.array(fv.as_row())))
 
-        d, k = net.embed_dim, net.head_hidden
-        clip_stages = [Linear(len(feats), d, per_frame=False) for feats in BRANCH_GROUPS.values()]
-        for _ in range(2):  # two cross-gating blocks: px, py, po and the gate product
-            clip_stages += [Linear(d, d, per_frame=False)] * 3 + [Elementwise(d, per_frame=False)]
-        for _ in range(3):  # heads
-            clip_stages += [Linear(d, k, per_frame=False), Linear(k, 1, per_frame=False)]
-        desc = PipelineDescriptor(
-            _feature_stages(spec) + tuple(clip_stages), _frames_after_sampling(spec)
-        )
-        return Pipeline("feature-branchnet", score, desc, net.n_params() / 1e6)
-
-    raise ValueError(f"unknown pipeline {name!r}; choose from {PIPELINE_NAMES}")
+    features = tuple(Feature(f, spec.width * spec.height) for f in FEATURE_ORDER)
+    frames = len(plan_indices(spec.frame_count, 30, _REFERENCE_PLAN))
+    desc = PipelineDescriptor(features + stages, frames)
+    return Pipeline(name, score, desc, params_m)

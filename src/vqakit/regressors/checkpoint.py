@@ -10,7 +10,7 @@ import numpy as np
 
 from ..errors import CheckpointError
 from .forest import ForestModel
-from .net import BranchNet
+from .net import BranchNet, init_branchnet
 
 __all__ = ["save_model", "load_model", "NET_FORMAT", "FOREST_FORMAT"]
 
@@ -18,15 +18,15 @@ NET_FORMAT = "vqakit-branchnet-v1"
 FOREST_FORMAT = "vqakit-forest-v1"
 
 
+# init_branchnet's arguments, in their order on disk, and how each is read back
+_NET_HYPER = (("feature_names", tuple), ("groups", lambda g: {b: tuple(fs) for b, fs in g.items()}),
+              ("embed_dim", int), ("head_hidden", int), ("gate_dropout", float), ("seed", int))
+
+
 def _net_to_dict(net: BranchNet) -> dict:
     return {
         "format": NET_FORMAT,
-        "feature_names": list(net.feature_names),
-        "groups": {b: list(fs) for b, fs in net.groups.items()},
-        "embed_dim": net.embed_dim,
-        "head_hidden": net.head_hidden,
-        "gate_dropout": net.gate_dropout,
-        "seed": net.seed,
+        **{k: getattr(net, k) for k, _ in _NET_HYPER},
         "norm_fitted": net.norm_fitted,
         "norm_shift": net.norm_shift.tolist(),
         "norm_scale": net.norm_scale.tolist(),
@@ -34,24 +34,47 @@ def _net_to_dict(net: BranchNet) -> dict:
     }
 
 
-def _net_from_dict(d: dict) -> BranchNet:
-    params = {k: np.array(v, dtype=np.float64) for k, v in d["params"].items()}
-    # scalar biases serialize as plain numbers
-    for k, v in params.items():
-        if v.ndim == 0:
-            params[k] = np.array(float(v))
-    return BranchNet(
-        tuple(d["feature_names"]),
-        {b: tuple(fs) for b, fs in d["groups"].items()},
-        int(d["embed_dim"]),
-        int(d["head_hidden"]),
-        float(d["gate_dropout"]),
-        params,
-        np.array(d["norm_shift"], dtype=np.float64),
-        np.array(d["norm_scale"], dtype=np.float64),
-        bool(d["norm_fitted"]),
-        int(d["seed"]),
-    )
+def _stored(d: dict, key: str, cast, path, where: str | None = None):
+    """``cast(d[key])``, or CheckpointError naming the file and the key."""
+    where = where or key
+    try:
+        return cast(d[key])
+    except KeyError:
+        raise CheckpointError(f"{path}: missing key {where!r}") from None
+    except (AttributeError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: {where}: {e}") from e
+
+
+def _stored_array(d: dict, key: str, shape: tuple, path, where: str | None = None):
+    """A stored array of the given shape with finite entries only."""
+    a = _stored(d, key, lambda v: np.array(v, dtype=np.float64), path, where)
+    if a.shape != shape:
+        raise CheckpointError(f"{path}: {where or key}: shape {a.shape}, the net needs {shape}")
+    if not np.isfinite(a).all():
+        raise CheckpointError(f"{path}: {where or key}: non-finite entry")
+    return a
+
+
+def _net_from_dict(d: dict, path) -> BranchNet:
+    """The net init_branchnet builds from the stored hyper-parameters, holding
+    the stored arrays: each a parameter of that net, of its shape, finite."""
+    try:
+        net = init_branchnet(**{k: _stored(d, k, cast, path) for k, cast in _NET_HYPER})
+    except ValueError as e:
+        raise CheckpointError(f"{path}: {e}") from e
+    params = _stored(d, "params", dict, path)
+    extra = sorted(set(params) - set(net.params))
+    if extra:
+        raise CheckpointError(f"{path}: params: {extra[0]!r} is not a parameter of this net")
+    for k, template in net.params.items():
+        net.params[k] = _stored_array(params, k, template.shape, path, f"params.{k}")
+    n = (len(net.feature_names),)
+    net.norm_shift = _stored_array(d, "norm_shift", n, path)
+    net.norm_scale = _stored_array(d, "norm_scale", n, path)
+    if not net.norm_scale.all():
+        raise CheckpointError(f"{path}: norm_scale: a zero entry")
+    net.norm_fitted = _stored(d, "norm_fitted", bool, path)
+    return net
 
 
 _TREE_ARRAYS = (("feature", np.intp), ("threshold", np.float64), ("left", np.intp),
@@ -157,12 +180,12 @@ def save_model(path, model: BranchNet | ForestModel):
 
 def load_model(path) -> BranchNet | ForestModel:
     d = json.loads(Path(path).read_text())
-    fmt = d.get("format")
+    fmt = d.get("format") if isinstance(d, dict) else None
     if fmt == NET_FORMAT:
-        return _net_from_dict(d)
+        return _net_from_dict(d, path)
     if fmt == FOREST_FORMAT:
         try:
             return _forest_from_dict(d, path)
         except (KeyError, TypeError, ValueError) as e:
             raise CheckpointError(f"{path}: malformed forest checkpoint: {e}") from e
-    raise ValueError(f"unknown checkpoint format {fmt!r}")
+    raise CheckpointError(f"{path}: unknown checkpoint format {fmt!r}")

@@ -12,6 +12,7 @@ bit-reproducible gradient descent with no framework dependency.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,8 @@ def _cross_gate(x, y, px, py, po, mask=None):
 
 @dataclass
 class BranchNet:
+    """The gated-fusion net; init_branchnet alone builds one and names its params."""
+
     feature_names: tuple[str, ...]
     groups: dict[str, tuple[str, ...]]
     embed_dim: int
@@ -95,17 +98,9 @@ class BranchNet:
         }
 
     def param_names(self) -> list[str]:
-        names = []
-        for b in BRANCH_ORDER:
-            names += [f"enc_{b}_w", f"enc_{b}_b"]
-        for b in GATED_BRANCHES:
-            names += [f"scgb_{b}_px", f"scgb_{b}_py", f"scgb_{b}_po"]
-        for b in BRANCH_ORDER:
-            if self.head_hidden > 0:
-                names += [f"head_{b}_w1", f"head_{b}_b1", f"head_{b}_w2", f"head_{b}_b2"]
-            else:
-                names += [f"head_{b}_w", f"head_{b}_b"]
-        return names
+        """The parameters in the order init_branchnet makes them, the order of
+        flatten, unflatten and checkpoints."""
+        return list(self.params)
 
     def n_params(self) -> int:
         return sum(self.params[n].size for n in self.param_names())
@@ -123,18 +118,7 @@ class BranchNet:
             raise ValueError(f"flat vector has {flat.size} values, net needs {pos}")
 
     def copy(self) -> "BranchNet":
-        return BranchNet(
-            self.feature_names,
-            {b: tuple(fs) for b, fs in self.groups.items()},
-            self.embed_dim,
-            self.head_hidden,
-            self.gate_dropout,
-            {k: v.copy() for k, v in self.params.items()},
-            self.norm_shift.copy(),
-            self.norm_scale.copy(),
-            self.norm_fitted,
-            self.seed,
-        )
+        return copy.deepcopy(self)
 
     def route(self, X: np.ndarray) -> dict[str, np.ndarray]:
         """Standardize a raw feature matrix and split it into branch inputs."""
@@ -155,9 +139,14 @@ def init_branchnet(
     gate_dropout: float = 0.1,
     seed: int = 0,
 ) -> BranchNet:
-    groups = {b: tuple(fs) for b, fs in (groups or BRANCH_GROUPS).items()}
+    groups = {b: tuple(fs) for b, fs in (BRANCH_GROUPS if groups is None else groups).items()}
     if set(groups) != set(BRANCH_ORDER):
         raise ValueError(f"groups must cover {BRANCH_ORDER}")
+    unknown = {f for fs in groups.values() for f in fs} - set(feature_names)
+    if unknown:
+        raise ValueError(f"groups name {sorted(unknown)}, which feature_names lacks")
+    if embed_dim < 1 or head_hidden < 0:
+        raise ValueError(f"embed_dim {embed_dim} must be >= 1, head_hidden {head_hidden} >= 0")
     rng = np.random.default_rng(seed)
     d, k = embed_dim, head_hidden
 

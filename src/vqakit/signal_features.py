@@ -50,6 +50,7 @@ __all__ = [
     "sharpness",
     "contrast",
     "ssim",
+    "KERNEL_MACS",
     "extract_clip_features",
     "extract_view_features",
     "write_features_csv",
@@ -170,6 +171,8 @@ def ti(luma_t: np.ndarray, luma_prev: np.ndarray) -> float:
 
 def colorfulness(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> float:
     """Hasler-Suesstrunk colorfulness on [0,1] RGB planes."""
+    if not r.shape == g.shape == b.shape:
+        raise DimensionMismatch(f"{r.shape} vs {g.shape} vs {b.shape}")
     o = _order(r, g)
     rg = np.subtract(r, g, out=scratch(0, r.shape, o))
     yb = np.add(r, g, out=scratch(1, r.shape, o))  # 0.5 * (r + g) - b, in place
@@ -270,6 +273,28 @@ def ssim(plane_a: np.ndarray, plane_b: np.ndarray) -> float:
         raise DimensionMismatch(f"{plane_a.shape} vs {plane_b.shape}")
     return _ssim_combine(_ssim_stats(plane_a), _ssim_stats(plane_b),
                          _ssim_cross_sums(plane_a, plane_b))
+
+
+# MACs per kernel call as (per pixel, per SSIM window; one 8x8 window per 16
+# pixels), pass by pass: a 3x3 stencil costs 9, any other pass over the plane
+# (elementwise op, product plane, block sum, mean/std/var reduction) costs 1.
+# SSIM is a frame's statistics, 3 per pixel (the a*a plane, block sums of a and
+# a*a) and 8 per window (two sums of 2x2 blocks at 2 each, the mean, the
+# variance 3), plus a pair's cross term, 2 per pixel (the a*b plane, its block
+# sums) and 19 per window (its 2x2 sum 2, mu_a*mu_b, the covariance 2,
+# numerator 5, denominator 7, the ratio and the mean).
+KERNEL_MACS: dict[str, tuple[int, int]] = {
+    "si": ((3 + 1) * 2 + 1 + 1, 0),  # per gradient: [1,2,1] smoothing (3), difference; hypot, std
+    "ti": (1 + 1, 0),  # frame difference, std
+    "ti_first": (1 + 1, 0),  # the same passes as ti
+    "sharpness": (9 + 1, 0),  # Laplacian, var
+    "colorfulness": (1 + 1 + 2 + 2, 0),  # rg, yb, std of each, mean of each
+    "avg_luminance": (1, 0),  # mean
+    "contrast": (1, 0),  # std
+    "ssim": (2 * 3 + 2, 2 * 8 + 19),  # ssim(): both frames' statistics, one pair
+    "ssim_pair": (3 + 2, 8 + 19),  # extraction makes each frame's statistics once, counted here
+    "ssim_first": (2, 19),  # one pair only
+}
 
 
 # --- clip-level aggregation ---------------------------------------------------

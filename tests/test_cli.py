@@ -11,7 +11,7 @@ import pytest
 import vqakit
 from conftest import write_pgm, write_ppm, y4m_bytes
 from vqakit.cli import main
-from vqakit.regressors import load_model
+from vqakit.regressors import init_branchnet, load_model, save_model
 from vqakit.signal_features import FEATURE_ORDER
 from vqakit.tables import read_score_table, write_score_table
 
@@ -94,9 +94,17 @@ class TestExtract:
         assert len(out.read_text().strip().splitlines()) == 2
 
     def test_temporal_and_spatial_flags(self, tmp_path, clip_dir):
-        out = _extract(tmp_path, clip_dir, "f.csv",
-                       ("--temporal", "one_per_30", "--spatial", "resize:16:16"))
-        assert len(out.read_text().strip().splitlines()) == 4
+        outputs = set()
+        for spatial in ("resize:16:16", "pad_square:20", "fragment:2:8"):
+            out = _extract(tmp_path, clip_dir, "f.csv",
+                           ("--temporal", "one_per_30", "--spatial", spatial))
+            assert len(out.read_text().strip().splitlines()) == 4
+            outputs.add(out.read_text())
+        assert len(outputs) == 3  # each transform gives its own features
+        for bad in ("resize:16", "fragment:7", "none:1", "pad_square:x"):
+            assert main(["extract", "--input", str(clip_dir), "--out", str(tmp_path / "g.csv"),
+                         "--spatial", bad]) == 1
+        assert not (tmp_path / "g.csv").exists()
 
     def test_json_format(self, tmp_path, clip_dir):
         out = tmp_path / "f.json"
@@ -106,6 +114,11 @@ class TestExtract:
         rows = json.loads(out.read_text())
         assert len(rows) == 3
         assert set(rows[0]["features"]) == set(FEATURE_ORDER)
+        assert "flags" not in rows[0]
+        # a one-frame plan has no frame pairs, and says so
+        assert main(["extract", "--input", str(clip_dir), "--out", str(out),
+                     "--format", "json", "--temporal", "one_per_30"]) == 0
+        assert [row["flags"] for row in json.loads(out.read_text())] == [["single_frame"]] * 3
 
     def test_config_file_defaults(self, tmp_path, clip_dir):
         cfg = tmp_path / "cfg.json"
@@ -193,8 +206,6 @@ class TestTrainPredict:
                    "--mode", "siamese+finetune", "--epochs", "0",
                    "--seed", "4", "--out", str(model)])
         assert rc == 0
-        from vqakit.regressors import init_branchnet
-
         loaded = load_model(model)
         init = init_branchnet(seed=4)
         assert np.array_equal(loaded.flatten(), init.flatten())
@@ -308,6 +319,39 @@ class TestTrainPredict:
         assert "forest.json" in done.stderr and where in done.stderr
         assert not (tmp_path / "pred.csv").exists()
 
+    @pytest.mark.parametrize("edit, key", [
+        (lambda d: d["params"].pop("head_technical_w2"), "params.head_technical_w2"),
+        (lambda d: d["params"]["enc_semantic_w"].pop(), "params.enc_semantic_w"),
+        (lambda d: d["params"]["scgb_technical_po"][0].__setitem__(0, float("inf")),
+         "params.scgb_technical_po"),
+        (lambda d: d["params"]["enc_aesthetic_b"].__setitem__(3, float("nan")),
+         "params.enc_aesthetic_b"),
+        (lambda d: d.pop("embed_dim"), "embed_dim"),
+        (lambda d: d["groups"]["technical"].__setitem__(1, "blockiness"), "groups"),
+        (lambda d: d["params"].__setitem__("enc_extra_w", [[0.0]]), "enc_extra_w"),
+        (lambda d: d["norm_scale"].pop(), "norm_scale"),
+        (lambda d: d["norm_scale"].__setitem__(4, 0.0), "norm_scale"),
+    ], ids=["missing-param", "wrong-shape", "inf-weight", "nan-bias", "missing-hyper",
+            "unknown-group-feature", "extra-param", "short-norm-scale", "zero-norm-scale"])
+    def test_malformed_net_exit_1(self, tmp_path, clip_dir, edit, key):
+        feats = _extract(tmp_path, clip_dir)
+        net = init_branchnet(seed=2)
+        net.norm_fitted = True
+        model = tmp_path / "net.json"
+        save_model(model, net)
+        doc = json.loads(model.read_text())
+        edit(doc)
+        model.write_text(json.dumps(doc))
+        env = {**os.environ, "PYTHONPATH": str(Path(vqakit.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "vqakit.cli", "predict", "--model", str(model),
+             "--features", str(feats), "--out", str(tmp_path / "pred.csv")],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert done.returncode == 1, done.stderr
+        assert "net.json" in done.stderr and key in done.stderr, done.stderr
+        assert "Traceback" not in done.stderr and not done.stdout
+        assert not (tmp_path / "pred.csv").exists()
+
 
 METRIC_SCHEMA = {
     "type": "object",
@@ -328,6 +372,12 @@ class TestEvalFuse:
         doc = json.loads(capsys.readouterr().out)
         jsonschema.validate(doc, METRIC_SCHEMA)
         assert doc == {"srocc": 1, "krocc": 1, "plcc": 1, "rmse": 0}
+        out = tmp_path / "metrics.csv"
+        assert main(["eval", "--pred", str(pred), "--mos", str(mos), "--format", "csv",
+                     "--out", str(out)]) == 0
+        text = "metric,value\nsrocc,1.0\nkrocc,1.0\nplcc,1.0\nrmse,0.0\n"
+        assert out.read_text() == text
+        assert capsys.readouterr().out == text
 
     def test_eval_join_error(self, tmp_path):
         pred = tmp_path / "p.csv"
@@ -393,6 +443,14 @@ class TestBench:
         assert doc["spec"] == "30-FHD"
         assert len(doc["runs"]) == 4
         assert doc["pass"] is True
+        assert doc["macs_g"] == 0 and doc["params_m"] == 0
+        # the net's pipeline scores the clip: the features' MACs on one
+        # sampled FHD frame plus the net's 596, and its 619 parameters
+        assert main(["bench", "--pipeline", "feature-branchnet", "--spec", "30-FHD",
+                     "--runs", "1", "--warmup", "0", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        jsonschema.validate(doc, BENCH_SCHEMA)
+        assert (doc["macs_g"], doc["params_m"]) == (86_832_596 / 1e9, 619 / 1e6)
 
     def test_csv_summary(self, tmp_path, capsys):
         rc = main(["bench", "--pipeline", "identity", "--spec", "60-HD",

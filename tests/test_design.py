@@ -1,5 +1,6 @@
 """Design rules: one thread pool in the package, none where threads do not pay;
-the benchmark harness does not depend on the regressors."""
+the benchmark harness does not depend on the regressors; one function builds
+a branch net."""
 
 import ast
 import threading
@@ -53,3 +54,15 @@ def test_bench_harness_does_not_import_regressors():
             imported += [a.name for a in node.names]
     assert imported, "the parse found no imports at all"
     assert not [m for m in imported if "regressors" in m.split(".")]
+
+
+def test_only_init_branchnet_builds_a_net():
+    callers = []
+    for path in SRC.rglob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(c, ast.Call) and getattr(c.func, "id", None) == "BranchNet"
+                for c in ast.walk(fn)
+            ):
+                callers.append(fn.name)
+    assert callers == ["init_branchnet"]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vqakit.errors import DimensionMismatch
+from vqakit.errors import CheckpointError, DimensionMismatch
 from vqakit.regressors import (
     ScgbParams,
     init_branchnet,
@@ -145,6 +145,26 @@ class TestCheckpoint:
         rng = np.random.default_rng(0)
         X = rng.random((4, len(net.feature_names)))
         assert np.allclose(predict_scores(net, X), predict_scores(loaded, X), atol=0)
+
+    @pytest.mark.parametrize("fitted", [False, True])
+    def test_save_of_load_is_byte_identical(self, tmp_path, fitted):
+        net = init_branchnet(seed=3)
+        if fitted:  # arbitrary doubles everywhere, as training leaves them
+            rng = np.random.default_rng(5)
+            net.unflatten(rng.standard_normal(net.n_params()) * 10.0 ** rng.integers(-9, 9))
+            net.norm_shift, net.norm_scale = rng.random((2, len(net.feature_names))) * 1e-3
+            net.norm_fitted = True
+        path, again = tmp_path / "net.json", tmp_path / "again.json"
+        save_model(path, net)
+        save_model(again, load_model(path))
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("text", ["[]", '{"format": "vqakit-branchnet-v0"}', "7"])
+    def test_not_a_checkpoint(self, tmp_path, text):
+        path = tmp_path / "other.json"
+        path.write_text(text)
+        with pytest.raises(CheckpointError, match="other.json: unknown checkpoint format"):
+            load_model(path)
 
     def test_flatten_roundtrip(self):
         net = init_branchnet(embed_dim=3, head_hidden=2, seed=2)

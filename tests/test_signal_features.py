@@ -187,6 +187,14 @@ class TestColorfulness:
         assert colorfulness(*_planes(rgb)) == pytest.approx(0.3 * math.sqrt(1.0 + 0.25),
                                                               abs=1e-12)
 
+    def test_dimension_mismatch(self):
+        # planes that would broadcast against each other are still rejected
+        rng = np.random.default_rng(3)
+        with pytest.raises(DimensionMismatch):
+            colorfulness(rng.random((4, 4)), rng.random((1, 4)), rng.random((4, 1)))
+        with pytest.raises(DimensionMismatch):
+            colorfulness(*(rng.random((4, 4)),) * 2, rng.random((4, 1)))
+
     @pytest.mark.parametrize("ctag", ["C420", "C422", "C444", "C420p10", "C422p10", "C444p10"])
     @pytest.mark.parametrize("transform", [
         SpatialTransform(), SpatialTransform.resize(15, 11),
