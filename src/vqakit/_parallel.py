@@ -50,8 +50,8 @@ def parallel_map(fn: Callable, items: Sequence, threads: int | None) -> list:
         buffers.clear()
 
 
-def scratch(slot: int, shape: tuple[int, ...], order: str) -> np.ndarray:
-    """An uninitialised float64 array of ``shape`` in memory order ``order``.
+def scratch(slot: int, shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised row-major float64 array of ``shape``.
 
     Inside a ``parallel_map`` task it is a view of the running thread's
     buffer number ``slot``, grown when too small and reused by the thread's
@@ -61,9 +61,9 @@ def scratch(slot: int, shape: tuple[int, ...], order: str) -> np.ndarray:
     """
     buffers = getattr(_local, "buffers", None)
     if buffers is None:
-        return np.empty(shape, order=order)
+        return np.empty(shape)
     n = math.prod(shape)
     buf = buffers.get(slot)
     if buf is None or buf.size < n:
         buf = buffers[slot] = np.empty(n)
-    return buf[:n].reshape(shape, order=order)
+    return buf[:n].reshape(shape)

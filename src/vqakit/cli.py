@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from . import __version__
 from .bench_harness import ConstraintGate, check_constraint, time_pipeline
 from .clip_io import CANONICAL_SPECS, load_frame_dir, parse_y4m, synth_clip
-from .errors import JoinError, VqaError
+from .errors import CheckpointError, JoinError, VqaError
 from .eval_metrics import evaluate
 from .pipelines import PIPELINE_NAMES, build_pipeline
 from .regressors import (
@@ -249,6 +250,14 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
+    # the CSV's columns are FEATURE_ORDER and a model reads them by position;
+    # a forest saved without names is taken to use that order
+    names = tuple(model.feature_names or FEATURE_ORDER)
+    if names != FEATURE_ORDER:
+        i, got, want = next((i, a, b) for i, (a, b) in enumerate(zip_longest(names, FEATURE_ORDER))
+                            if a != b)
+        raise CheckpointError(f"{args.model}: feature {i} is {got!r}, "
+                              f"but column {i} of the features file is {want!r}")
     ids, X = read_features_csv(args.features)
     if isinstance(model, ForestModel):  # load_model returns a forest or a BranchNet
         scores = np.atleast_1d(predict_forest(model, X))
@@ -353,7 +362,7 @@ def main(argv=None) -> int:
     args = _apply_config(argv if argv is not None else sys.argv[1:], parser, commands)
     try:
         return _HANDLERS[args.command](args)
-    except (VqaError, ValueError) as e:
+    except (VqaError, ValueError, OSError) as e:  # OSError: a missing or unreadable file
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FATAL
 

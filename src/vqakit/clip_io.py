@@ -33,7 +33,6 @@ __all__ = [
     "ClipSpec",
     "CANONICAL_SPECS",
     "parse_y4m",
-    "write_y4m",
     "load_frame_dir",
     "synth_clip",
     "frame_rgb",
@@ -266,38 +265,6 @@ def parse_y4m(byte_stream) -> VideoClip:
     if not offsets:
         raise TruncatedFrame(0)
     return VideoClip(width, height, fps, _Y4mFrames(buf, offsets, planes, depth))
-
-
-def write_y4m(clip: VideoClip) -> bytes:
-    """Serialize a clip back to YUV4MPEG2 bytes.
-
-    Round-trips clips produced by parse_y4m bit-exactly; clips without chroma
-    cannot be represented and are rejected.
-    """
-    first = clip.frames[0]
-    if not first.has_chroma:
-        raise Unsupported("mono")
-    ch, cw = first.chroma_b.shape
-    sx = -(-clip.width // cw)
-    sy = -(-clip.height // ch)
-    depth = first.source_bit_depth
-    base = {(2, 2): "420", (2, 1): "422", (1, 1): "444"}.get((sx, sy))
-    if base is None:
-        raise Unsupported(f"{sx}:{sy} subsampling")
-    ctag = base + ("p10" if depth == 10 else "")
-
-    maxv = (1 << depth) - 1
-    dtype = np.uint8 if depth == 8 else "<u2"
-    out = bytearray(
-        f"YUV4MPEG2 W{clip.width} H{clip.height} "
-        f"F{clip.fps.numerator}:{clip.fps.denominator} C{ctag}\n".encode()
-    )
-    for f in clip.frames:
-        out += b"FRAME\n"
-        for plane in (f.luma, f.chroma_b, f.chroma_r):
-            raw = np.rint(plane * maxv).astype(dtype)
-            out += raw.tobytes()
-    return bytes(out)
 
 
 # --- PGM/PPM frame directories ----------------------------------------------

@@ -191,34 +191,25 @@ def frankenstone_subset(m: int, t: int = 5) -> tuple[int, ...]:
 
 # --- spatial -----------------------------------------------------------------
 
-def _axis_weights(n_in: int, n_out: int):
-    """Half-pixel-center source coordinates for 1-D bilinear resampling."""
+def _axis_taps(n_in: int, n_out: int):
+    """Half-pixel-center bilinear taps along one axis: the lower source index,
+    the upper one clamped to the last sample, and the upper tap's weight."""
     src = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
     src = np.clip(src, 0.0, n_in - 1.0)
     lo = np.floor(src).astype(np.intp)
-    lo = np.minimum(lo, n_in - 2) if n_in > 1 else np.zeros_like(lo)
-    frac = src - lo
-    return lo, frac
+    return lo, np.minimum(lo + 1, n_in - 1), src - lo
 
 
 def resize_bilinear(plane: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
-    """Separable bilinear resize with half-pixel centers."""
+    """Separable bilinear resize with half-pixel centers, to a row-major
+    float64 plane: rows are blended first, then columns."""
     h, w = plane.shape
     if h < 1 or w < 1 or out_w < 1 or out_h < 1:
         raise ValueError("resize dimensions must be >= 1")
-    if (h, w) == (out_h, out_w):
-        return plane.copy()
-    ylo, yfrac = _axis_weights(h, out_h)
-    xlo, xfrac = _axis_weights(w, out_w)
-    if h > 1:
-        rows = plane[ylo] * (1.0 - yfrac)[:, None] + plane[ylo + 1] * yfrac[:, None]
-    else:
-        rows = plane[ylo]
-    if w > 1:
-        out = rows[:, xlo] * (1.0 - xfrac)[None, :] + rows[:, xlo + 1] * xfrac[None, :]
-    else:
-        out = rows[:, xlo]
-    return out
+    ylo, yhi, yfrac = _axis_taps(h, out_h)
+    xlo, xhi, xfrac = _axis_taps(w, out_w)
+    rows = plane[ylo] * (1.0 - yfrac)[:, None] + plane[yhi] * yfrac[:, None]
+    return rows.take(xlo, axis=1) * (1.0 - xfrac) + rows.take(xhi, axis=1) * xfrac
 
 
 def pad_to_square(plane: np.ndarray, fill: float = 0.0) -> np.ndarray:

@@ -16,9 +16,8 @@ A view's features are one pass: every per-frame and per-pair kernel call is
 one task of a single thread-pool call, and only the small SSIM window arrays
 are combined after it. The kernels write their plane-sized temporaries
 (gradients, differences, products, deviations) into scratch planes that each
-worker thread reuses for the length of that call, laid out in the memory
-order of the input plane so that sums add in numpy's own order. Called
-outside a pool, a kernel allocates fresh planes and keeps none.
+worker thread reuses for the length of that call. Called outside a pool,
+a kernel allocates fresh planes and keeps none.
 
 Feature values are grouped into three branch families (technical,
 aesthetic-proxy, semantic-proxy) which feed the fusion regressor.
@@ -114,27 +113,17 @@ def _require(plane: np.ndarray, min_side: int, what: str):
         raise PlaneTooSmall(f"{what} needs at least {min_side}x{min_side}, got {w}x{h}")
 
 
-def _order(*planes: np.ndarray) -> str:
-    """The memory order numpy gives a plane computed from these planes.
-
-    A new array follows its inputs' strides: column-major when every input
-    is, row-major otherwise. Sums reduce in memory order, so a temporary
-    that is summed must be laid out as numpy would have laid it out.
-    """
-    column_major = (p.ndim == 2 and abs(p.strides[0]) < abs(p.strides[1]) for p in planes)
-    return "F" if all(column_major) else "C"
-
-
 def _moments(x: np.ndarray, slot: int) -> tuple[float, float]:
     """``(x.mean(), x.var())``, with the deviations in scratch plane ``slot``.
 
     These are numpy's own steps for ``var``: the sum with keepdims over n,
-    the deviations from it, squared in place, their sum over n. Each step
-    rounds as numpy's does, so both values keep numpy's bits.
+    the deviations from it, squared in place, their sum over n. On a
+    row-major x each step rounds as numpy's does, so both values keep
+    numpy's bits.
     """
     n = x.size
     mean = np.add.reduce(x, axis=None, keepdims=True) / n
-    dev = np.subtract(x, mean, out=scratch(slot, x.shape, _order(x)))
+    dev = np.subtract(x, mean, out=scratch(slot, x.shape))
     np.square(dev, out=dev)
     return mean.item(), float(np.add.reduce(dev, axis=None) / n)
 
@@ -148,15 +137,14 @@ def si(luma_plane: np.ndarray) -> float:
     _require(luma_plane, 3, "si")
     p = luma_plane
     h, w = p.shape
-    o = _order(p)
-    smooth = np.multiply(p[:, 1:-1], 2.0, out=scratch(0, (h, w - 2), o))
+    smooth = np.multiply(p[:, 1:-1], 2.0, out=scratch(0, (h, w - 2)))
     np.add(p[:, :-2], smooth, out=smooth)
     smooth += p[:, 2:]
-    gy = np.subtract(smooth[2:], smooth[:-2], out=scratch(1, (h - 2, w - 2), o))
-    smooth = np.multiply(p[1:-1], 2.0, out=scratch(0, (h - 2, w), o))
+    gy = np.subtract(smooth[2:], smooth[:-2], out=scratch(1, (h - 2, w - 2)))
+    smooth = np.multiply(p[1:-1], 2.0, out=scratch(0, (h - 2, w)))
     np.add(p[:-2], smooth, out=smooth)
     smooth += p[2:]
-    gx = np.subtract(smooth[:, 2:], smooth[:, :-2], out=scratch(2, (h - 2, w - 2), o))
+    gx = np.subtract(smooth[:, 2:], smooth[:, :-2], out=scratch(2, (h - 2, w - 2)))
     return math.sqrt(_moments(np.hypot(gx, gy, out=gx), 0)[1])
 
 
@@ -164,8 +152,7 @@ def ti(luma_t: np.ndarray, luma_prev: np.ndarray) -> float:
     """Temporal information: stddev of the pixelwise difference plane."""
     if luma_t.shape != luma_prev.shape:
         raise DimensionMismatch(f"{luma_t.shape} vs {luma_prev.shape}")
-    diff = np.subtract(luma_t, luma_prev,
-                       out=scratch(0, luma_t.shape, _order(luma_t, luma_prev)))
+    diff = np.subtract(luma_t, luma_prev, out=scratch(0, luma_t.shape))
     return math.sqrt(_moments(diff, 1)[1])
 
 
@@ -173,9 +160,8 @@ def colorfulness(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> float:
     """Hasler-Suesstrunk colorfulness on [0,1] RGB planes."""
     if not r.shape == g.shape == b.shape:
         raise DimensionMismatch(f"{r.shape} vs {g.shape} vs {b.shape}")
-    o = _order(r, g)
-    rg = np.subtract(r, g, out=scratch(0, r.shape, o))
-    yb = np.add(r, g, out=scratch(1, r.shape, o))  # 0.5 * (r + g) - b, in place
+    rg = np.subtract(r, g, out=scratch(0, r.shape))
+    yb = np.add(r, g, out=scratch(1, r.shape))  # 0.5 * (r + g) - b, in place
     yb *= 0.5
     yb -= b
     rg_mean, rg_var = _moments(rg, 2)
@@ -196,12 +182,11 @@ def sharpness(luma_plane: np.ndarray) -> float:
     _require(luma_plane, 3, "sharpness")
     p = luma_plane
     h, w = p.shape
-    o = _order(p)
     # up + down + left + right - 4 * centre, added in that order into one buffer
-    lap = np.add(p[:-2, 1:-1], p[2:, 1:-1], out=scratch(0, (h - 2, w - 2), o))
+    lap = np.add(p[:-2, 1:-1], p[2:, 1:-1], out=scratch(0, (h - 2, w - 2)))
     lap += p[1:-1, :-2]
     lap += p[1:-1, 2:]
-    lap -= np.multiply(p[1:-1, 1:-1], 4.0, out=scratch(1, lap.shape, o))
+    lap -= np.multiply(p[1:-1, 1:-1], 4.0, out=scratch(1, lap.shape))
     return _moments(lap, 1)[1]
 
 
@@ -229,14 +214,13 @@ def _ssim_windows(q: np.ndarray) -> np.ndarray:
     _require(q, _SSIM_WIN, "ssim")
     b = _SSIM_STRIDE
     h, w = q.shape[0] // b * b, q.shape[1] // b * b
-    o = _order(q)
-    rows = np.add(q[0:h:b], q[1:h:b], out=scratch(1, (h // b, q.shape[1]), o))
+    rows = np.add(q[0:h:b], q[1:h:b], out=scratch(1, (h // b, q.shape[1])))
     rows += q[2:h:b]
     rows += q[3:h:b]
-    blocks = np.add(rows[:, 0:w:b], rows[:, 1:w:b], out=scratch(2, (h // b, w // b), o))
+    blocks = np.add(rows[:, 0:w:b], rows[:, 1:w:b], out=scratch(2, (h // b, w // b)))
     blocks += rows[:, 2:w:b]
     blocks += rows[:, 3:w:b]
-    pairs = np.add(blocks[:-1], blocks[1:], out=scratch(1, (h // b - 1, w // b), o))
+    pairs = np.add(blocks[:-1], blocks[1:], out=scratch(1, (h // b - 1, w // b)))
     return pairs[:, :-1] + pairs[:, 1:]
 
 
@@ -244,7 +228,7 @@ def _ssim_stats(plane: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One plane's SSIM window means and variances, shared by all its pairs."""
     mu = _ssim_windows(plane)
     mu /= _SSIM_N
-    var = _ssim_windows(np.multiply(plane, plane, out=scratch(0, plane.shape, _order(plane))))
+    var = _ssim_windows(np.multiply(plane, plane, out=scratch(0, plane.shape)))
     var /= _SSIM_N
     var -= mu * mu
     return mu, var
@@ -252,8 +236,7 @@ def _ssim_stats(plane: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _ssim_cross_sums(plane_a: np.ndarray, plane_b: np.ndarray) -> np.ndarray:
     """The window sums of a·b: all that a pair adds to its planes' _ssim_stats."""
-    ab = scratch(0, plane_a.shape, _order(plane_a, plane_b))
-    return _ssim_windows(np.multiply(plane_a, plane_b, out=ab))
+    return _ssim_windows(np.multiply(plane_a, plane_b, out=scratch(0, plane_a.shape)))
 
 
 def _ssim_combine(stats_a, stats_b, cross_sums: np.ndarray) -> float:

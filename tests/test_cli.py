@@ -331,8 +331,11 @@ class TestTrainPredict:
         (lambda d: d["params"].__setitem__("enc_extra_w", [[0.0]]), "enc_extra_w"),
         (lambda d: d["norm_scale"].pop(), "norm_scale"),
         (lambda d: d["norm_scale"].__setitem__(4, 0.0), "norm_scale"),
+        # loads, but would read the features file's columns in another order
+        (lambda d: d["feature_names"].reverse(), "'ssim_first'"),
     ], ids=["missing-param", "wrong-shape", "inf-weight", "nan-bias", "missing-hyper",
-            "unknown-group-feature", "extra-param", "short-norm-scale", "zero-norm-scale"])
+            "unknown-group-feature", "extra-param", "short-norm-scale", "zero-norm-scale",
+            "permuted-feature-names"])
     def test_malformed_net_exit_1(self, tmp_path, clip_dir, edit, key):
         feats = _extract(tmp_path, clip_dir)
         net = init_branchnet(seed=2)
@@ -351,6 +354,53 @@ class TestTrainPredict:
         assert "net.json" in done.stderr and key in done.stderr, done.stderr
         assert "Traceback" not in done.stderr and not done.stdout
         assert not (tmp_path / "pred.csv").exists()
+
+    def test_permuted_forest_feature_names_exit_1(self, tmp_path, clip_dir, capsys):
+        # the features CSV's columns are FEATURE_ORDER: a forest that names
+        # them in another order would score the wrong columns
+        feats = _extract(tmp_path, clip_dir)
+        mos = tmp_path / "mos.csv"
+        _mos_for(feats, mos)
+        model = tmp_path / "forest.json"
+        assert main(["train", "--features", str(feats), "--mos", str(mos), "--mode", "forest",
+                     "--trees", "5", "--min-leaf", "1", "--out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        doc["feature_names"] = doc["feature_names"][::-1]
+        model.write_text(json.dumps(doc))
+        pred = tmp_path / "pred.csv"
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--features", str(feats),
+                     "--out", str(pred)]) == 1
+        err = capsys.readouterr().err
+        assert "forest.json" in err and "'ssim_first'" in err, err
+        assert not pred.exists()
+        # a forest saved without names scores by position
+        doc["feature_names"] = None
+        model.write_text(json.dumps(doc))
+        assert main(["predict", "--model", str(model), "--features", str(feats),
+                     "--out", str(pred)]) == 0
+        assert list(read_score_table(pred, "score")) == ["clip0", "clip1", "clip2"]
+
+    @pytest.mark.parametrize("command", ["predict", "train", "eval", "fuse"])
+    def test_missing_input_file_exit_1(self, tmp_path, command):
+        missing = tmp_path / "absent" / "input.csv"
+        mos = tmp_path / "mos.csv"
+        write_score_table(mos, {"clip0": 3.0}, "mos")
+        argv = {
+            "predict": ["--model", str(missing), "--features", str(mos)],
+            "train": ["--features", str(missing), "--mos", str(mos)],
+            "eval": ["--pred", str(missing), "--mos", str(mos)],
+            "fuse": ["--pred", str(missing), "--weights", "1"],
+        }[command]
+        out = tmp_path / "out.csv"
+        env = {**os.environ, "PYTHONPATH": str(Path(vqakit.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "vqakit.cli", command, *argv, "--out", str(out)],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert done.returncode == 1, done.stderr
+        assert str(missing) in done.stderr and done.stderr.startswith("error: "), done.stderr
+        assert "Traceback" not in done.stderr and len(done.stderr.splitlines()) == 1
+        assert not out.exists()
 
 
 METRIC_SCHEMA = {

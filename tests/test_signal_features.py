@@ -415,9 +415,9 @@ class TestExtraction:
         SpatialTransform.pad_square_then_resize(28), SpatialTransform.fragment(2, 16),
     ], ids=lambda t: t.kind)
     def test_parallel_bit_identical_chroma(self, transform, k):
-        # resized views are column-major, fragments and decoded planes
-        # row-major: scratch planes must reduce in the order numpy's own
-        # temporaries do, on one thread or on more threads than cores
+        # every view plane is row-major float64, so scratch planes reduce in
+        # the order numpy's own temporaries do, on one thread or on more
+        # threads than cores
         w, h = 40, 36
         rng = np.random.default_rng(12)
         frames = [tuple(rng.integers(0, 256, shape).astype(np.uint8)
@@ -440,6 +440,8 @@ class TestExtraction:
         # the same bits as numpy's own expressions on the view's planes
         view = build_view(clip, plan, transform, seed=5)
         lumas = view.frames
+        for p in lumas + tuple(c for rgb in view.rgb for c in rgb):
+            assert p.dtype == np.float64 and p.flags.c_contiguous
         ref = {
             "si": [si_two_stencil(p) for p in lumas],
             "colorfulness": [colorfulness_stacked(np.stack(c, axis=-1)) for c in view.rgb],
@@ -461,7 +463,7 @@ class TestExtraction:
 
         def watched(p):
             value = real_si(p)
-            buffer = _parallel.scratch(0, (1,), "C").base
+            buffer = _parallel.scratch(0, (1,)).base
             assert buffer.size >= p.size - 2 * p.shape[0]
             seen.append(weakref.ref(buffer))
             return value
