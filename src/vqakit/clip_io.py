@@ -4,8 +4,12 @@ Frames are planar and full-range normalized: every sample is a float64 in
 [0,1], obtained as raw / (2^bit_depth - 1). A parsed YUV4MPEG2 clip keeps the
 stream's bytes and an index of its frames, and decodes a frame each time it is
 read, so memory is the stream's bytes plus the frames in use. Chroma (when
-present) stays at its source resolution and is only upsampled (nearest
-neighbor) when RGB is requested; RGB is three separate planes.
+present) stays at its source resolution. Colour is converted to clamped
+BT.709 RGB in bands of rows that fit in cache (``color_bands``):
+``ycbcr_to_rgb`` converts one band, with chroma upsampled by nearest
+neighbor, into planes the caller owns, so a consumer that keeps only a band
+at a time needs no full-frame RGB plane. ``frame_rgb`` runs it over all
+rows.
 """
 
 from __future__ import annotations
@@ -35,6 +39,9 @@ __all__ = [
     "parse_y4m",
     "load_frame_dir",
     "synth_clip",
+    "chroma_factors",
+    "color_bands",
+    "ycbcr_to_rgb",
     "frame_rgb",
 ]
 
@@ -378,41 +385,79 @@ def synth_clip(spec: ClipSpec, pattern: str, *, value: float = 0.5, seed: int = 
     return VideoClip(w, h, Fraction(30), frames)
 
 
-def _plus_chroma(y: np.ndarray, c: np.ndarray, k: float) -> np.ndarray:
-    """y + k * (c - 0.5), with c upsampled to y's shape by nearest neighbor.
+def chroma_factors(luma_shape, chroma_shape) -> tuple[int, int]:
+    """The (vertical, horizontal) chroma subsampling factors: luma row y and
+    column x take chroma row y // fy and column x // fx."""
+    return -(-luma_shape[0] // chroma_shape[0]), -(-luma_shape[1] // chroma_shape[1])
 
-    Each of the fy x fx luma phases (rows dy::fy, columns dx::fx) takes one
-    strided add of the chroma-resolution plane, so no upsampled copy is made.
+
+# Pixels per band of colour conversion: a band's r, g, b and work strip take
+# 1 MiB as float64, which stays in L2 (about 16 rows of FHD, 50 of 640x360).
+# The budget is in pixels, not rows, because a narrow frame's bands would
+# otherwise cost more numpy calls than their pixels are worth.
+_BAND_PIXELS = 1 << 15
+
+
+def color_bands(shape: tuple[int, int], fy: int) -> list[tuple[slice, slice]]:
+    """The (luma rows, chroma rows) of each band a plane of ``shape`` is
+    converted in.
+
+    A band holds the rows of ``_BAND_PIXELS`` pixels rounded down to a
+    multiple of ``fy`` (at least ``fy``), so every band starts on a chroma
+    row; the last may be short.
     """
-    h, w = y.shape
-    ph, pw = c.shape
-    fy, fx = -(-h // ph), -(-w // pw)
-    c = np.subtract(c, 0.5)
-    c *= k
-    out = np.empty((h, w))
-    for dy in range(fy):
-        for dx in range(fx):
-            phase = out[dy::fy, dx::fx]
-            np.add(y[dy::fy, dx::fx], c[: phase.shape[0], : phase.shape[1]], out=phase)
-    return out
+    height, width = shape
+    step = max(_BAND_PIXELS // width // fy, 1) * fy
+    bands = []
+    for top in range(0, height, step):
+        end = min(top + step, height)
+        bands.append((slice(top, end), slice(top // fy, -(-end // fy))))
+    return bands
+
+
+def ycbcr_to_rgb(y, cb, cr, fy: int, fx: int, out) -> None:
+    """Write the clamped BT.709 (r, g, b) of luma rows ``y`` into ``out``.
+
+    ``cb`` and ``cr`` are the chroma rows of those luma rows, subsampled by
+    ``fy`` x ``fx``: luma row i takes chroma row i // fy, so ``y`` must start
+    on a chroma row, as every band of ``color_bands`` does. ``out`` is four
+    row-major planes of ``y``'s shape: r, g, b, then a work plane. Chroma is
+    upsampled by nearest neighbor: each of the fy x fx luma phases (rows
+    dy::fy, columns dx::fx) takes one strided add of the shifted and scaled
+    chroma, so no upsampled copy is made. Every step is per pixel, so a band
+    gets the bits the same rows get in a whole frame.
+    """
+    r, g, b, work = out
+    for plane, c, k in ((r, cr, 2.0 * (1.0 - _KR)), (b, cb, 2.0 * (1.0 - _KB))):
+        shifted = np.subtract(c, 0.5, out=work.reshape(-1)[: c.size].reshape(c.shape))
+        shifted *= k
+        for dy in range(fy):
+            for dx in range(fx):
+                phase = plane[dy::fy, dx::fx]
+                np.add(y[dy::fy, dx::fx], shifted[: phase.shape[0], : phase.shape[1]],
+                       out=phase)
+    np.multiply(r, _KR, out=g)
+    np.subtract(y, g, out=g)
+    g -= np.multiply(b, _KB, out=work)
+    g /= _KG
+    for p in (r, g, b):
+        np.clip(p, 0.0, 1.0, out=p)
 
 
 def frame_rgb(frame: Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Return the frame's (r, g, b) planes in [0,1], or None for chroma-less frames.
 
-    Subsampled chroma is upsampled to luma resolution by nearest neighbor;
-    conversion uses BT.709 with clamping. Beyond the three planes it returns,
-    it allocates one luma-sized temporary.
+    This is ``ycbcr_to_rgb`` over all rows, band by band. Beyond the three
+    planes it returns, it allocates one band-sized work strip.
     """
     if not frame.has_chroma:
         return None
-    y = frame.luma
-    r = _plus_chroma(y, frame.chroma_r, 2.0 * (1.0 - _KR))
-    b = _plus_chroma(y, frame.chroma_b, 2.0 * (1.0 - _KB))
-    g = np.multiply(r, _KR)
-    np.subtract(y, g, out=g)
-    g -= _KB * b
-    g /= _KG
-    for p in (r, g, b):
-        np.clip(p, 0.0, 1.0, out=p)
+    y, cb, cr = frame.luma, frame.chroma_b, frame.chroma_r
+    fy, fx = chroma_factors(y.shape, cb.shape)
+    r, g, b = (np.empty(y.shape) for _ in range(3))
+    bands = color_bands(y.shape, fy)
+    work = np.empty(y[bands[0][0]].shape)
+    for rows, chroma_rows in bands:
+        strips = (r[rows], g[rows], b[rows], work[: rows.stop - rows.start])
+        ycbcr_to_rgb(y[rows], cb[chroma_rows], cr[chroma_rows], fy, fx, strips)
     return r, g, b

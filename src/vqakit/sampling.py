@@ -5,6 +5,10 @@ rates, or the end-weighted reduction used by the feature+forest pipeline);
 spatial transforms resize, pad-to-square, or mosaic random patches from a
 7x7 grid into a 224x224 frame while preserving relative spatial order.
 
+Views whose transform only selects samples (none, fragment) keep colour as
+YCbCr and leave the RGB conversion to the colour feature; resizes keep RGB
+(``SampledView`` says why).
+
 All randomness flows through explicit 64-bit seeds; per-frame generators are
 derived as seed XOR frame_index so parallel and serial runs agree bit-exactly.
 """
@@ -18,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._parallel import parallel_map
-from .clip_io import VideoClip, frame_rgb
+from .clip_io import Frame, VideoClip, chroma_factors, frame_rgb
 from .errors import DimensionMismatch, InsufficientFrames, SourceTooSmall
 
 __all__ = [
@@ -85,20 +89,40 @@ class SpatialTransform:
     def fragment(cls, grid: int = 7, patch: int = 32) -> "SpatialTransform":
         return cls("fragment", grid=grid, patch=patch)
 
+    @property
+    def selects_samples(self) -> bool:
+        """Whether every output sample is a source sample (no interpolation)."""
+        return self.kind in ("none", "fragment")
+
 
 @dataclass(frozen=True)
 class SampledView:
-    """Transformed planes for the sampled frames of one clip; rgb holds one
-    (r, g, b) plane triple per frame, or None for chroma-less clips."""
+    """Transformed planes for the sampled frames of one clip.
+
+    ``color`` holds one colour tuple per frame, or is None for chroma-less
+    clips. A transform that only selects samples (``none``, ``fragment``)
+    keeps each frame's colour as YCbCr: its luma plane in ``frames`` is Y
+    and ``color`` holds (cb, cr), the decoded chroma at source resolution for
+    ``none`` and the nearest-neighbour chroma under each kept luma sample for
+    ``fragment``. Selecting samples commutes with the per-pixel conversion to
+    RGB, so colour can be converted where it is measured. Resizes interpolate,
+    and interpolation does not commute with the conversion's clamp, so they
+    keep (r, g, b), converted at source resolution and then transformed.
+    """
 
     frames: tuple[np.ndarray, ...]
     origin_indices: tuple[int, ...]
     transform: SpatialTransform
-    rgb: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] | None = None
+    color: tuple[tuple[np.ndarray, ...], ...] | None = None
 
     def __post_init__(self):
         if len(self.frames) != len(self.origin_indices):
             raise ValueError("frames and origin_indices must align")
+        if self.color is not None:
+            want = 2 if self.transform.selects_samples else 3
+            if len(self.color) != len(self.frames) or any(len(c) != want for c in self.color):
+                raise ValueError(f"a {self.transform.kind} view keeps {want} colour planes "
+                                 "per frame")
 
 
 # --- temporal ----------------------------------------------------------------
@@ -247,15 +271,13 @@ def _fragment_offsets(h: int, w: int, grid: int, patch: int, rng: np.random.Gene
     return tops, lefts
 
 
-def _apply_offsets(plane: np.ndarray, tops, lefts, grid: int, patch: int) -> np.ndarray:
-    out = np.empty((grid * patch, grid * patch) + plane.shape[2:], dtype=plane.dtype)
-    for i in range(grid):
-        for j in range(grid):
-            t, l = tops[i, j], lefts[i, j]
-            out[i * patch : (i + 1) * patch, j * patch : (j + 1) * patch] = plane[
-                t : t + patch, l : l + patch
-            ]
-    return out
+def _patch_index(tops, lefts, patch: int):
+    """Source (row, column) index planes of a mosaic: output cell (i, j) takes
+    the patch x patch window at (tops[i, j], lefts[i, j])."""
+    step = np.tile(np.arange(patch), tops.shape[0])
+    rows = tops.repeat(patch, 0).repeat(patch, 1) + step[:, None]
+    cols = lefts.repeat(patch, 0).repeat(patch, 1) + step
+    return rows, cols
 
 
 def fragment_sample(
@@ -268,30 +290,37 @@ def fragment_sample(
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    tops, lefts = _fragment_offsets(*plane.shape[:2], grid, patch, rng)
-    return _apply_offsets(plane, tops, lefts, grid, patch)
+    rows, cols = _patch_index(*_fragment_offsets(*plane.shape[:2], grid, patch, rng), patch)
+    return plane[rows, cols]
 
 
-def _apply_transform(plane: np.ndarray, transform: SpatialTransform,
-                     rng: np.random.Generator, companions: tuple[np.ndarray, ...]):
-    """Apply a spatial transform to a luma plane and aligned companions.
+def _apply_transform(frame: Frame, transform: SpatialTransform, rng: np.random.Generator):
+    """Apply a spatial transform to a frame's luma and colour.
 
-    Companion planes (the RGB planes) receive the identical geometry — for
-    fragments the same random windows. Returns (plane, companions).
+    Returns (luma plane, colour planes): () for a chroma-less frame, (cb, cr)
+    for a transform that selects samples, else the transformed (r, g, b).
     """
     t = transform
+    luma = frame.luma
+    chroma = (frame.chroma_b, frame.chroma_r) if frame.has_chroma else ()
     if t.kind == "none":
-        return plane, companions
+        return luma, chroma
+    if t.kind == "fragment":
+        tops, lefts = _fragment_offsets(*luma.shape, t.grid, t.patch, rng)
+        rows, cols = _patch_index(tops, lefts, t.patch)
+        if chroma:
+            fy, fx = chroma_factors(luma.shape, chroma[0].shape)
+            rows_c, cols_c = rows // fy, cols // fx
+            chroma = tuple(c[rows_c, cols_c] for c in chroma)
+        return luma[rows, cols], chroma
     if t.kind == "resize":
         f = lambda p: resize_bilinear(p, t.width, t.height)
     elif t.kind == "pad_square_then_resize":
         f = lambda p: resize_bilinear(pad_to_square(p), t.size, t.size)
-    elif t.kind == "fragment":
-        tops, lefts = _fragment_offsets(*plane.shape, t.grid, t.patch, rng)
-        f = lambda p: _apply_offsets(p, tops, lefts, t.grid, t.patch)
     else:
         raise ValueError(f"unknown transform {t.kind!r}")
-    return f(plane), tuple(f(p) for p in companions)
+    rgb = frame_rgb(frame) if chroma else ()
+    return f(luma), tuple(f(p) for p in rgb)
 
 
 def _frame_rng(seed: int, frame_index: int) -> np.random.Generator:
@@ -307,26 +336,27 @@ def build_view(
 ) -> SampledView:
     """Materialize the transformed planes for a temporal plan.
 
-    Chroma-bearing clips also yield transformed (r, g, b) planes. Deterministic
-    in (clip, plan, transform, seed) regardless of thread count.
+    Chroma-bearing clips also yield each frame's colour planes, as
+    ``SampledView`` describes: (cb, cr) when the transform only selects
+    samples, else transformed (r, g, b). Deterministic in (clip, plan,
+    transform, seed) regardless of thread count.
     """
     for i in plan.indices:
         if i < 0 or i >= len(clip):
             raise IndexError(f"plan index {i} outside clip of {len(clip)} frames")
 
     def one(i: int):
-        frame = clip.frames[i]  # decodes a parsed stream's frame: read it once
-        rgb = frame_rgb(frame) if frame.has_chroma else ()
-        return _apply_transform(frame.luma, transform, _frame_rng(seed, i), rgb)
+        # decodes a parsed stream's frame: read it once
+        return _apply_transform(clip.frames[i], transform, _frame_rng(seed, i))
 
     results = parallel_map(one, plan.indices, threads)
-    has_rgb = bool(results) and bool(results[0][1])
-    for i, (_, rgb) in zip(plan.indices, results):
-        if bool(rgb) != has_rgb:
+    has_color = bool(results) and bool(results[0][1])
+    for i, (_, color) in zip(plan.indices, results):
+        if bool(color) != has_color:
             raise DimensionMismatch(
-                f"sampled frame {i} {'has' if rgb else 'lacks'} chroma, "
+                f"sampled frame {i} {'has' if color else 'lacks'} chroma, "
                 f"unlike frame {plan.indices[0]}"
             )
     lumas = tuple(r[0] for r in results)
-    rgbs = tuple(r[1] for r in results) if has_rgb else None
-    return SampledView(lumas, tuple(plan.indices), transform, rgbs)
+    colors = tuple(r[1] for r in results) if has_color else None
+    return SampledView(lumas, tuple(plan.indices), transform, colors)

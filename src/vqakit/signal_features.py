@@ -19,6 +19,14 @@ are combined after it. The kernels write their plane-sized temporaries
 worker thread reuses for the length of that call. Called outside a pool,
 a kernel allocates fresh planes and keeps none.
 
+Colour of a view that keeps YCbCr is converted where it is measured: the
+frame is walked in bands of rows (``clip_io.color_bands``), each band
+is converted to RGB in four scratch strips that stay in cache, and its
+opponent planes rg and yb are written into two full-size scratch planes.
+Their moments then reduce whole planes, as ``colorfulness`` does, so the
+value has the bits of ``colorfulness(*frame_rgb(frame))`` and no full-size
+RGB plane is made.
+
 Feature values are grouped into three branch families (technical,
 aesthetic-proxy, semantic-proxy) which feed the fusion regressor.
 """
@@ -33,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import parallel_map, scratch
-from .clip_io import VideoClip
+from .clip_io import VideoClip, chroma_factors, color_bands, ycbcr_to_rgb
 from .errors import DimensionMismatch, PlaneTooSmall
 from .sampling import SampledView, SpatialTransform, TemporalPlan, build_view
 from .tables import read_id_rows
@@ -156,19 +164,41 @@ def ti(luma_t: np.ndarray, luma_prev: np.ndarray) -> float:
     return math.sqrt(_moments(diff, 1)[1])
 
 
-def colorfulness(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> float:
-    """Hasler-Suesstrunk colorfulness on [0,1] RGB planes."""
-    if not r.shape == g.shape == b.shape:
-        raise DimensionMismatch(f"{r.shape} vs {g.shape} vs {b.shape}")
-    rg = np.subtract(r, g, out=scratch(0, r.shape))
-    yb = np.add(r, g, out=scratch(1, r.shape))  # 0.5 * (r + g) - b, in place
+def _opponents(r, g, b, rg: np.ndarray, yb: np.ndarray):
+    """Write the opponent planes r - g into rg and 0.5 * (r + g) - b into yb."""
+    np.subtract(r, g, out=rg)
+    np.add(r, g, out=yb)  # 0.5 * (r + g) - b, in place
     yb *= 0.5
     yb -= b
+
+
+def _hasler(rg: np.ndarray, yb: np.ndarray) -> float:
     rg_mean, rg_var = _moments(rg, 2)
     yb_mean, yb_var = _moments(yb, 2)
     return float(
         np.hypot(math.sqrt(rg_var), math.sqrt(yb_var)) + 0.3 * np.hypot(rg_mean, yb_mean)
     )
+
+
+def colorfulness(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> float:
+    """Hasler-Suesstrunk colorfulness on [0,1] RGB planes."""
+    if not r.shape == g.shape == b.shape:
+        raise DimensionMismatch(f"{r.shape} vs {g.shape} vs {b.shape}")
+    rg, yb = scratch(0, r.shape), scratch(1, r.shape)
+    _opponents(r, g, b, rg, yb)
+    return _hasler(rg, yb)
+
+
+def _ycbcr_colorfulness(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> float:
+    """``colorfulness(*frame_rgb(Frame(y, cb, cr)))``, converted in bands,
+    with the same bits (see the module docstring)."""
+    fy, fx = chroma_factors(y.shape, cb.shape)
+    rg, yb = scratch(0, y.shape), scratch(1, y.shape)
+    for rows, chroma_rows in color_bands(y.shape, fy):
+        strips = scratch(3, (4, rows.stop - rows.start, y.shape[1]))
+        ycbcr_to_rgb(y[rows], cb[chroma_rows], cr[chroma_rows], fy, fx, strips)
+        _opponents(*strips[:3], rg[rows], yb[rows])
+    return _hasler(rg, yb)
 
 
 def avg_luminance(luma_plane: np.ndarray) -> float:
@@ -260,7 +290,11 @@ def ssim(plane_a: np.ndarray, plane_b: np.ndarray) -> float:
 
 # MACs per kernel call as (per pixel, per SSIM window; one 8x8 window per 16
 # pixels), pass by pass: a 3x3 stencil costs 9, any other pass over the plane
-# (elementwise op, product plane, block sum, mean/std/var reduction) costs 1.
+# (elementwise op, product plane, block sum, mean/std/var reduction) costs 1,
+# and a clamp, a comparison, costs 0. Colorfulness includes the conversion
+# to RGB that the extraction runs, with 4:2:0 chroma: the shift and scale of
+# both chroma planes (4 passes over a quarter of the pixels), the r and b
+# adds (2), and g (5: two products, two differences, a quotient).
 # SSIM is a frame's statistics, 3 per pixel (the a*a plane, block sums of a and
 # a*a) and 8 per window (two sums of 2x2 blocks at 2 each, the mean, the
 # variance 3), plus a pair's cross term, 2 per pixel (the a*b plane, its block
@@ -271,8 +305,8 @@ KERNEL_MACS: dict[str, tuple[int, int]] = {
     "ti": (1 + 1, 0),  # frame difference, std
     "ti_first": (1 + 1, 0),  # the same passes as ti
     "sharpness": (9 + 1, 0),  # Laplacian, var
-    "colorfulness": (1 + 1 + 2 + 2, 0),  # rg, yb, std of each, mean of each
-    "avg_luminance": (1, 0),  # mean
+    "colorfulness": (1 + 2 + 5 + 1 + 1 + 2 + 2, 0),  # to RGB; rg, yb, std of each, mean of each
+    "avg_luminance": (0, 0),  # extraction takes the mean contrast computes
     "contrast": (1, 0),  # std
     "ssim": (2 * 3 + 2, 2 * 8 + 19),  # ssim(): both frames' statistics, one pair
     "ssim_pair": (3 + 2, 8 + 19),  # extraction makes each frame's statistics once, counted here
@@ -290,34 +324,43 @@ def extract_view_features(view: SampledView, threads: int | None = None) -> Feat
     0 (with a flag) for single-frame views. Frame 1's consecutive pair is its
     first-frame pair, so k frames make 2k-3 distinct pairs.
 
-    All the work is one task list run by one ``parallel_map``, heaviest tasks
-    first: per frame, si; per frame, sharpness and colorfulness; per frame,
-    contrast, average luminance and, when there are pairs, the frame's SSIM
-    window statistics; per pair, ti and the window sums of the pair's product
-    plane. No task waits for another: each pair's SSIM is formed from the
-    small window arrays after the pool returns. The kernels' temporaries are
-    scratch planes of that pool call. Every mean adds its terms in a fixed
-    order, so threaded extraction is bit-identical to serial.
+    All the work is one task list run by one ``parallel_map``, long tasks
+    first: per frame, si; per frame, colorfulness (from YCbCr in bands, or
+    from the view's RGB planes) and sharpness; per frame, contrast, with
+    average luminance as the mean it computes, and, when there are pairs,
+    the frame's SSIM window statistics; per pair, ti and the window sums of
+    the pair's product plane. No task waits for another: each pair's SSIM is
+    formed from the small window arrays after the pool returns. The kernels'
+    temporaries are scratch planes of that pool call. Every mean adds its
+    terms in a fixed order, so threaded extraction is bit-identical to serial.
     """
     lumas = view.frames
-    rgbs = view.rgb
+    colors = view.color
     k = len(lumas)
     if k == 0:
         raise PlaneTooSmall("view has no frames")
     flags = set()
-    if rgbs is None:
+    if colors is None:
         flags.add(FLAG_DEGRADED_COLOR)
     pairs = [(i, i - 1) for i in range(1, k)] + [(i, 0) for i in range(2, k)]
 
+    def color(i: int) -> float:
+        if colors is None:
+            return 0.0
+        if view.transform.selects_samples:
+            return _ycbcr_colorfulness(lumas[i], *colors[i])
+        return colorfulness(*colors[i])
+
     def looks(i: int) -> tuple[float, float]:
-        return sharpness(lumas[i]), colorfulness(*rgbs[i]) if rgbs is not None else 0.0
+        c = color(i)  # first, so that sharpness reuses its full-size scratch planes
+        return sharpness(lumas[i]), c
 
     def pair(i: int, j: int):
         return ti(lumas[i], lumas[j]), _ssim_cross_sums(lumas[i], lumas[j])
 
     def stats(i: int):
-        return (contrast(lumas[i]), avg_luminance(lumas[i]),
-                _ssim_stats(lumas[i]) if pairs else None)
+        mean, var = _moments(lumas[i], 0)  # contrast and average luminance
+        return math.sqrt(var), mean, _ssim_stats(lumas[i]) if pairs else None
 
     tasks = ([(si, lumas[i]) for i in range(k)] + [(looks, i) for i in range(k)]
              + [(stats, i) for i in range(k)] + [(pair, i, j) for i, j in pairs])

@@ -500,7 +500,7 @@ class TestBench:
                      "--runs", "1", "--warmup", "0", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         jsonschema.validate(doc, BENCH_SCHEMA)
-        assert (doc["macs_g"], doc["params_m"]) == (86_832_596 / 1e9, 619 / 1e6)
+        assert (doc["macs_g"], doc["params_m"]) == (101_347_796 / 1e9, 619 / 1e6)
 
     def test_csv_summary(self, tmp_path, capsys):
         rc = main(["bench", "--pipeline", "identity", "--spec", "60-HD",

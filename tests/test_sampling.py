@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import y4m_bytes
-from vqakit import clip_io
+from vqakit import clip_io, sampling
 from vqakit.clip_io import ClipSpec, Frame, VideoClip, parse_y4m, synth_clip
 from vqakit.errors import DimensionMismatch, InsufficientFrames, SourceTooSmall
 from vqakit.sampling import (
@@ -223,6 +223,36 @@ class TestBuildView:
                           SpatialTransform.pad_square_then_resize(448))
         assert view.frames[0].shape == (448, 448)
 
+    def test_selecting_views_keep_ycbcr(self, monkeypatch):
+        # none and fragment keep (cb, cr) under their luma samples and never
+        # convert a whole frame to RGB; resizes keep transformed (r, g, b)
+        w, h = 40, 36
+        rng = np.random.default_rng(8)
+        frames = [(rng.integers(0, 256, (h, w), dtype=np.uint8),
+                   rng.integers(0, 256, (h // 2, w // 2), dtype=np.uint8),
+                   rng.integers(0, 256, (h // 2, w // 2), dtype=np.uint8)) for _ in range(2)]
+        clip = parse_y4m(y4m_bytes(w, h, frames))
+        plan = temporal_sample(clip, "all")
+        frame_rgb = sampling.frame_rgb
+        calls = []
+        monkeypatch.setattr(sampling, "frame_rgb", lambda f: calls.append(f) or frame_rgb(f))
+
+        view = build_view(clip, plan)
+        for (cb, cr), f in zip(view.color, clip.frames):
+            assert np.array_equal(cb, f.chroma_b) and np.array_equal(cr, f.chroma_r)
+        tr = SpatialTransform.fragment(2, 16)
+        view = build_view(clip, plan, tr, seed=3, threads=2)
+        for i, (cb, cr) in enumerate(view.color):
+            f = clip.frames[i]
+            up = [np.repeat(np.repeat(c, 2, axis=0), 2, axis=1) for c in (f.chroma_b, f.chroma_r)]
+            assert np.array_equal(view.frames[i], fragment_sample(f.luma, 2, 16, 3 ^ i))
+            assert np.array_equal(cb, fragment_sample(up[0], 2, 16, 3 ^ i))
+            assert np.array_equal(cr, fragment_sample(up[1], 2, 16, 3 ^ i))
+        assert calls == []
+
+        view = build_view(clip, plan, SpatialTransform.resize(8, 6))
+        assert len(calls) == 2 and [len(c) for c in view.color] == [3, 3]
+
     def test_mixed_chroma_rejected(self):
         luma = np.zeros((8, 8))
         clip = VideoClip(8, 8, 30, (Frame(luma, luma[::2, ::2], luma[::2, ::2]), Frame(luma)))
@@ -260,17 +290,25 @@ class TestSampledDecode:
     def test_peak_memory_bounded_by_sampled_frames(self):
         w, h = 64, 48
         data = _noise_y4m(90, w, h)
-        # what one sampled frame holds while build_view works on it: its
+        decoded_bytes = 8 * (w * h + 2 * (w // 2) * (h // 2))
+        # what one sampled frame holds while a resize view works on it: its
         # decoded float64 planes plus the three RGB planes made from them
-        frame_bytes = 8 * (w * h + 2 * (w // 2) * (h // 2) + 3 * w * h)
-        tracemalloc.start()
-        try:
-            clip = parse_y4m(data)
-            build_view(clip, temporal_sample(clip, "one_fps"),
-                       SpatialTransform.resize(8, 8), threads=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # frames are converted one at a time, each with one luma-sized
-        # temporary (measured peak: 1.37 sampled frames)
-        assert peak < 1.5 * frame_bytes
+        frame_bytes = decoded_bytes + 8 * 3 * w * h
+        peaks = {}
+        for transform in (SpatialTransform.resize(8, 8), SpatialTransform()):
+            tracemalloc.start()
+            try:
+                clip = parse_y4m(data)
+                view = build_view(clip, temporal_sample(clip, "one_fps"), transform,
+                                  threads=1)
+                peaks[transform.kind] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # frames are converted one at a time, each with one band-sized work
+        # strip (measured peak: 1.33-1.35 sampled frames)
+        assert peaks["resize"] < 1.5 * frame_bytes
+        # a view that keeps whole frames keeps their decoded luma and chroma
+        # and makes no RGB plane (measured peak: 3.54 decoded frames for 3;
+        # with RGB planes as well it was 9.2)
+        assert len(view.frames) == 3 and len(view.color[0]) == 2
+        assert peaks["none"] < 4 * decoded_bytes

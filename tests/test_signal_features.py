@@ -12,12 +12,22 @@ import pytest
 
 import corpus as corpus_mod
 import vqakit._parallel as _parallel
+import vqakit.clip_io as clip_io
 import vqakit.signal_features as sf
 from conftest import y4m_bytes
 from vqakit.clip_io import ClipSpec, Frame, VideoClip, frame_rgb, parse_y4m, synth_clip
 from vqakit.errors import DimensionMismatch, PlaneTooSmall
 from vqakit.regressors import init_branchnet
-from vqakit.sampling import SpatialTransform, TemporalPlan, build_view, temporal_sample
+from vqakit.sampling import (
+    SampledView,
+    SpatialTransform,
+    TemporalPlan,
+    build_view,
+    fragment_sample,
+    pad_to_square,
+    resize_bilinear,
+    temporal_sample,
+)
 from vqakit.signal_features import (
     BRANCH_GROUPS,
     FEATURE_ORDER,
@@ -28,6 +38,7 @@ from vqakit.signal_features import (
     colorfulness,
     contrast,
     extract_clip_features,
+    extract_view_features,
     read_features_csv,
     sharpness,
     si,
@@ -162,6 +173,34 @@ def _planes(rgb):
     return rgb[..., 0], rgb[..., 1], rgb[..., 2]
 
 
+CTAGS = ("C420", "C422", "C444", "C420p10", "C422p10", "C444p10")
+
+
+def _random_y4m_clip(rng, w, h, ctag, n_frames):
+    """A parsed stream of uniform random samples in the ctag's layout and depth."""
+    sx, sy = {"420": (2, 2), "422": (2, 1), "444": (1, 1)}[ctag[1:4]]
+    chroma = (-(-h // sy), -(-w // sx))
+    maxv, dtype = (1023, "<u2") if ctag.endswith("p10") else (255, np.uint8)
+    frames = [tuple(rng.integers(0, maxv + 1, shape).astype(dtype)
+                    for shape in ((h, w), chroma, chroma)) for _ in range(n_frames)]
+    return parse_y4m(y4m_bytes(w, h, frames, ctag=ctag))
+
+
+def reference_rgb(clip, i, transform, seed):
+    """Frame i's view RGB the direct way: frame_rgb on the decoded frame, then
+    the transform's full-plane function (fragments with build_view's draws)."""
+    rgb = frame_rgb(clip.frames[i])
+    t = transform
+    if t.kind == "none":
+        return rgb
+    if t.kind == "resize":
+        return tuple(resize_bilinear(p, t.width, t.height) for p in rgb)
+    if t.kind == "pad_square_then_resize":
+        return tuple(resize_bilinear(pad_to_square(p), t.size, t.size) for p in rgb)
+    return tuple(fragment_sample(p, t.grid, t.patch, np.random.default_rng(seed ^ i))
+                 for p in rgb)
+
+
 def colorfulness_stacked(rgb):
     """The Hasler-Suesstrunk formula on an HxWx3 stack, in numpy."""
     r, g, b = _planes(rgb)
@@ -195,26 +234,28 @@ class TestColorfulness:
         with pytest.raises(DimensionMismatch):
             colorfulness(*(rng.random((4, 4)),) * 2, rng.random((4, 1)))
 
-    @pytest.mark.parametrize("ctag", ["C420", "C422", "C444", "C420p10", "C422p10", "C444p10"])
+    @pytest.mark.parametrize("ctag", CTAGS)
     @pytest.mark.parametrize("transform", [
         SpatialTransform(), SpatialTransform.resize(15, 11),
         SpatialTransform.pad_square_then_resize(13), SpatialTransform.fragment(2, 8),
     ], ids=lambda t: t.kind)
     def test_planes_match_stacked_formula_bits(self, ctag, transform):
-        # the view's plane triples give the same bits as the formula on a stack
-        w, h = 24, 20
-        sx, sy = {"420": (2, 2), "422": (2, 1), "444": (1, 1)}[ctag[1:4]]
-        cw, ch = w // sx, h // sy
-        maxv, dtype = (1023, "<u2") if ctag.endswith("p10") else (255, np.uint8)
-        rng = np.random.default_rng(len(ctag) + sx + sy)
-        frames = [tuple(rng.integers(0, maxv + 1, shape).astype(dtype)
-                        for shape in ((h, w), (ch, cw), (ch, cw))) for _ in range(3)]
-        clip = parse_y4m(y4m_bytes(w, h, frames, ctag=ctag))
+        # each frame's colorfulness, from the view's (cb, cr) or (r, g, b),
+        # has the bits of the formula on a stack of its reference RGB planes,
+        # on one thread or four; odd sizes leave a short last colour band
+        w = 25
+        h = 2 * (clip_io._BAND_PIXELS // w) + 5
+        clip = _random_y4m_clip(np.random.default_rng(len(ctag)), w, h, ctag, 3)
         view = build_view(clip, temporal_sample(clip, "all"), transform, seed=4)
-        assert len(view.rgb) == 3
-        for planes in view.rgb:
-            stacked = colorfulness_stacked(np.stack(planes, axis=-1))
-            assert colorfulness(*planes).hex() == stacked.hex()
+        assert len(view.color) == 3
+        for i, planes in enumerate(view.color):
+            stacked = colorfulness_stacked(np.stack(reference_rgb(clip, i, transform, 4), axis=-1))
+            one = SampledView(view.frames[i:i + 1], (i,), transform, (planes,))
+            for threads in (1, 4):
+                got = extract_view_features(one, threads=threads).values["colorfulness"]
+                assert got.hex() == stacked.hex()
+            if not transform.selects_samples:
+                assert colorfulness(*planes).hex() == stacked.hex()
 
     def test_expression_formula_bits(self):
         # the in-place yb rounds exactly as the expression 0.5 * (r + g) - b
@@ -417,44 +458,46 @@ class TestExtraction:
     def test_parallel_bit_identical_chroma(self, transform, k):
         # every view plane is row-major float64, so scratch planes reduce in
         # the order numpy's own temporaries do, on one thread or on more
-        # threads than cores
-        w, h = 40, 36
+        # threads than cores; in every chroma layout and depth, at an odd
+        # size whose last colour band is short
+        w = 41
+        h = 2 * (clip_io._BAND_PIXELS // w) + 3
         rng = np.random.default_rng(12)
-        frames = [tuple(rng.integers(0, 256, shape).astype(np.uint8)
-                        for shape in ((h, w), (h // 2, w // 2), (h // 2, w // 2)))
-                  for _ in range(k)]
-        clip = parse_y4m(y4m_bytes(w, h, frames))
-        plan = temporal_sample(clip, "all")
-        serial = extract_clip_features(clip, plan, transform, seed=5, threads=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            pooled = extract_clip_features(clip, plan, transform, seed=5, threads=4)
-        finally:
-            sys.setswitchinterval(interval)
-        assert plan.indices == tuple(range(k))
-        assert serial.flags == ({FLAG_SINGLE_FRAME} if k == 1 else set())
-        hexes = {name: v.hex() for name, v in serial.values.items()}
-        assert hexes == {name: v.hex() for name, v in pooled.values.items()}
+        for ctag in CTAGS:
+            clip = _random_y4m_clip(rng, w, h, ctag, k)
+            plan = temporal_sample(clip, "all")
+            serial = extract_clip_features(clip, plan, transform, seed=5, threads=1)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                pooled = extract_clip_features(clip, plan, transform, seed=5, threads=4)
+            finally:
+                sys.setswitchinterval(interval)
+            assert plan.indices == tuple(range(k))
+            assert serial.flags == ({FLAG_SINGLE_FRAME} if k == 1 else set())
+            hexes = {name: v.hex() for name, v in serial.values.items()}
+            assert hexes == {name: v.hex() for name, v in pooled.values.items()}, ctag
 
-        # the same bits as numpy's own expressions on the view's planes
-        view = build_view(clip, plan, transform, seed=5)
-        lumas = view.frames
-        for p in lumas + tuple(c for rgb in view.rgb for c in rgb):
-            assert p.dtype == np.float64 and p.flags.c_contiguous
-        ref = {
-            "si": [si_two_stencil(p) for p in lumas],
-            "colorfulness": [colorfulness_stacked(np.stack(c, axis=-1)) for c in view.rgb],
-            "avg_luminance": [float(p.mean()) for p in lumas],
-            "sharpness": [float(laplacian_expression(p).var()) for p in lumas],
-            "contrast": [float(p.std()) for p in lumas],
-        }
-        if k > 1:
-            ref["ti"] = [float((a - b).std()) for a, b in zip(lumas[1:], lumas)]
-            ref["ti_first"] = [float((a - lumas[0]).std()) for a in lumas[1:]]
-            ref["ssim_pair"] = [ssim(a, b) for a, b in zip(lumas[1:], lumas)]
-        for name, vals in ref.items():
-            assert hexes[name] == float(np.mean(vals)).hex(), name
+            # the same bits as numpy's own expressions on the view's luma planes
+            # and on the reference RGB planes
+            view = build_view(clip, plan, transform, seed=5)
+            lumas = view.frames
+            for p in lumas + tuple(c for planes in view.color for c in planes):
+                assert p.dtype == np.float64 and p.flags.c_contiguous
+            rgbs = [reference_rgb(clip, i, transform, 5) for i in range(k)]
+            ref = {
+                "si": [si_two_stencil(p) for p in lumas],
+                "colorfulness": [colorfulness_stacked(np.stack(c, axis=-1)) for c in rgbs],
+                "avg_luminance": [float(p.mean()) for p in lumas],
+                "sharpness": [float(laplacian_expression(p).var()) for p in lumas],
+                "contrast": [float(p.std()) for p in lumas],
+            }
+            if k > 1:
+                ref["ti"] = [float((a - b).std()) for a, b in zip(lumas[1:], lumas)]
+                ref["ti_first"] = [float((a - lumas[0]).std()) for a in lumas[1:]]
+                ref["ssim_pair"] = [ssim(a, b) for a, b in zip(lumas[1:], lumas)]
+            for name, vals in ref.items():
+                assert hexes[name] == float(np.mean(vals)).hex(), (ctag, name)
 
     def test_scratch_planes_released(self, monkeypatch):
         # the pool call's scratch buffers are gone once extraction returns
@@ -477,9 +520,10 @@ class TestExtraction:
     def test_allocations_bounded_by_scratch_slots(self):
         # Under MALLOC_MMAP_THRESHOLD_ every plane-sized temporary is a fresh
         # mapping that faults its pages in. A repeat extraction of a 5-frame
-        # view (25 kernel calls) faults in the three scratch planes and the
-        # small SSIM window arrays, about 7 planes in all; when every kernel
-        # call maps its own temporaries it is about 100.
+        # 4:2:0 YCbCr view (25 kernel calls) faults in the three scratch
+        # planes, the colour band strips and the small SSIM window arrays,
+        # about 7 planes in all; when every kernel call maps its own
+        # temporaries it is about 100.
         code = textwrap.dedent("""
             import resource
             import numpy as np
@@ -489,8 +533,9 @@ class TestExtraction:
             rng = np.random.default_rng(0)
             side = 256
             lumas = tuple(rng.random((side, side)) for _ in range(5))
-            rgbs = tuple(tuple(rng.random((side, side)) for _ in range(3)) for _ in lumas)
-            view = SampledView(lumas, tuple(range(5)), SpatialTransform(), rgbs)
+            chroma = tuple(tuple(rng.random((side // 2, side // 2)) for _ in range(2))
+                           for _ in lumas)
+            view = SampledView(lumas, tuple(range(5)), SpatialTransform(), chroma)
             extract_view_features(view, threads=1)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             for _ in range(4):
