@@ -66,6 +66,15 @@ class NumericalError(VqaError):
     pass
 
 
+class InvalidParameter(VqaError):
+    """A fit parameter outside the values the fit can use."""
+
+    def __init__(self, name: str, value, need: str):
+        self.name = name
+        self.value = value
+        super().__init__(f"{name}={value!r}: need {need}")
+
+
 class CheckpointError(VqaError):
     pass
 

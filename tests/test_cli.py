@@ -240,6 +240,18 @@ class TestTrainPredict:
         assert "3 rows" in err and "min_leaf=2" in err
         assert not model.exists() and not Path(str(model) + ".log").exists()
 
+    def test_min_leaf_zero_exit_1(self, tmp_path, clip_dir, capsys):
+        feats = _extract(tmp_path, clip_dir)
+        mos = tmp_path / "mos.csv"
+        _mos_for(feats, mos)
+        model = tmp_path / "forest.json"
+        capsys.readouterr()
+        assert main(["train", "--features", str(feats), "--mos", str(mos), "--mode", "forest",
+                     "--trees", "5", "--min-leaf", "0", "--out", str(model)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "min_leaf=0" in err
+        assert not model.exists() and not Path(str(model) + ".log").exists()
+
     def test_mismatched_dataset_counts(self, tmp_path, clip_dir):
         feats = _extract(tmp_path, clip_dir)
         rc = main(["train", "--features", str(feats), "--mos", "a.csv", "b.csv",

@@ -1,11 +1,18 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import forest_trees_oracle
-from vqakit.errors import CheckpointError, DimensionMismatch, EmptyInput, NumericalError
-from vqakit.regressors import ForestModel, fit_forest, load_model, predict_forest, save_model
+from vqakit.errors import (
+    CheckpointError,
+    DimensionMismatch,
+    EmptyInput,
+    InvalidParameter,
+    NumericalError,
+)
+from vqakit.regressors import ForestModel, fit_forest, forest, load_model, predict_forest, save_model
 
 
 def tree_ranges(model):
@@ -32,6 +39,13 @@ def leaf_of(model, root, row):
         f = model.feature[node]
         node = model.left[node] if row[f] <= model.threshold[node] else model.right[node]
     return node
+
+
+def tree_depth(model, node):
+    """The longest path from a node down to a leaf."""
+    if model.feature[node] < 0:
+        return 0
+    return 1 + max(tree_depth(model, model.left[node]), tree_depth(model, model.right[node]))
 
 
 class TestForestBasics:
@@ -99,6 +113,35 @@ class TestForestBasics:
             predict_forest(model, Xb)
         with pytest.raises(NumericalError, match="row 0, column 1"):
             predict_forest(model, Xb[4])
+
+
+class TestForestParameters:
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"min_leaf": 0}, "min_leaf"), ({"min_leaf": -1}, "min_leaf"),
+        ({"min_leaf": 1.5}, "min_leaf"), ({"max_depth": 0}, "max_depth"),
+        ({"max_depth": -3}, "max_depth"), ({"feature_fraction": np.nan}, "feature_fraction"),
+        ({"feature_fraction": 0.0}, "feature_fraction"),
+        ({"feature_fraction": -0.5}, "feature_fraction"),
+        ({"feature_fraction": 5.0}, "feature_fraction"),
+    ], ids=lambda v: repr(v) if isinstance(v, dict) else v)
+    def test_degenerate_parameter_named_before_any_tree(self, monkeypatch, kwargs, name):
+        def no_growth(*args):
+            raise AssertionError("a tree was grown")
+
+        monkeypatch.setattr(forest, "_grow_chunk", no_growth)
+        rng = np.random.default_rng(13)
+        with pytest.raises(InvalidParameter, match=f"^{name}=") as info:
+            fit_forest(rng.random((20, 3)), rng.random(20), n_trees=3, **kwargs)
+        assert info.value.name == name
+
+    @pytest.mark.parametrize("kwargs", [
+        {"min_leaf": 1}, {"max_depth": 1}, {"feature_fraction": 1.0},
+        {"feature_fraction": 0.01}, {"min_leaf": np.int64(2), "max_depth": np.int32(4)},
+    ], ids=repr)
+    def test_edge_values_accepted(self, kwargs):
+        rng = np.random.default_rng(14)
+        model = fit_forest(rng.random((20, 3)), rng.random(20), n_trees=3, **kwargs)
+        assert model.n_trees == 3
 
 
 class TestForestDeterminism:
@@ -257,6 +300,57 @@ class TestForestPacked:
         for g, w in zip(got, want):
             for a, b in zip(g, w):
                 assert a.tobytes() == b.astype(a.dtype).tobytes()
+
+
+def _assert_matches_oracle(model, X, y, n_trees, seed, max_depth=12, min_leaf=2):
+    want = forest_trees_oracle(X, y, n_trees, seed, max_depth, min_leaf)
+    got = local_trees(model)
+    assert len(got) == len(want) == n_trees
+    for g, w in zip(got, want):
+        for a, b in zip(g, w):
+            assert a.tobytes() == b.astype(a.dtype).tobytes()
+
+
+class TestLockStepGrowth:
+    """Trees grown together in chunks equal trees grown one node at a time."""
+
+    def test_two_chunks_and_a_partial_one(self):
+        X, y = _table(160, 21)
+        n_trees = 2 * forest._chunk_trees(160) + 3
+        model = fit_forest(X, y, n_trees=n_trees, seed=21)
+        _assert_matches_oracle(model, X, y, n_trees, 21)
+
+    def test_one_leaf_trees_finish_beside_deep_ones(self):
+        # a constant target but for two rows with the same features: a tree
+        # whose bootstrap misses both is one leaf; one that holds both can
+        # never separate them and peels other rows off down to max_depth
+        rng = np.random.default_rng(22)
+        X = rng.random((160, 9))
+        X[1] = X[0]
+        y = np.full(160, 3.0)
+        y[:2] = 1.0, 5.0
+        model = fit_forest(X, y, n_trees=60, seed=22)
+        depths = [tree_depth(model, r) for r in model.roots]
+        assert min(depths) == 0 and max(depths) == 12
+        _assert_matches_oracle(model, X, y, 60, 22)
+
+    def test_criterion_7_sized_table(self):
+        X, y = _table(300, 23)
+        n_trees = forest._chunk_trees(300) + 4
+        model = fit_forest(X, y, n_trees=n_trees, seed=23)
+        _assert_matches_oracle(model, X, y, n_trees, 23)
+
+    def test_fit_memory_bound(self):
+        # 300 trees of the perfbench train-eval shape: the model arrays take
+        # 1.4 MiB, and growing one node at a time peaked at 3.0-3.8 MiB
+        X, y = _table(160, 24)
+        tracemalloc.start()
+        try:
+            fit_forest(X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2**20
 
 
 def _v1_file(path, trees, names=("a", "b", "c")):
