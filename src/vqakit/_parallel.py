@@ -4,12 +4,13 @@ It serves per-frame numpy work (view building, feature extraction), whose
 kernels release the GIL. Pure-Python loops such as forest fitting hold the
 GIL, gain nothing from threads, and stay serial.
 
-Each thread that runs tasks of one ``parallel_map`` call keeps its own
-scratch buffers for as long as that call lasts, so a kernel run many times
-in one call writes its temporaries into the same memory instead of mapping
-and faulting in fresh planes on every run. The buffers are found through a
-thread-local because the kernels keep their public signatures; they are
-dropped when the call returns.
+Each thread that runs tasks of a ``parallel_map`` call keeps its own scratch
+buffers, so a kernel run many times in one call writes its temporaries into
+the same memory instead of mapping and faulting in fresh planes on every
+run. The buffers are found through a thread-local because the kernels keep
+their public signatures. They live as long as the thread serves the call: a
+pool worker's from its start to its exit at the pool's shutdown, and the
+calling thread's, in a serial call, until the call returns.
 """
 
 from __future__ import annotations
@@ -21,7 +22,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-_local = threading.local()  # .buffers: this thread's {slot: buffer} for the running call
+_local = threading.local()  # .buffers: this thread's {slot: buffer} while it serves a call
+
+
+def _open_scope():
+    _local.buffers = {}
 
 
 def parallel_map(fn: Callable, items: Sequence, threads: int | None) -> list:
@@ -31,23 +36,14 @@ def parallel_map(fn: Callable, items: Sequence, threads: int | None) -> list:
     output bits, do not depend on the thread count. While ``fn`` runs,
     ``scratch`` hands out the running thread's buffers for this call.
     """
-    buffers: dict[int, dict] = {}  # thread id -> that thread's buffers, for this call only
-
-    def task(item):
-        outer = getattr(_local, "buffers", None)
-        _local.buffers = buffers.setdefault(threading.get_ident(), {})
-        try:
-            return fn(item)
-        finally:
-            _local.buffers = outer
-
+    if threads and threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=threads, initializer=_open_scope) as ex:
+            return list(ex.map(fn, items))
+    _open_scope()
     try:
-        if not threads or threads <= 1 or len(items) <= 1:
-            return list(map(task, items))
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(task, items))
+        return list(map(fn, items))
     finally:
-        buffers.clear()
+        del _local.buffers
 
 
 def scratch(slot: int, shape: tuple[int, ...]) -> np.ndarray:

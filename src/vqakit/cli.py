@@ -4,9 +4,10 @@ Subcommands chain into the usual offline workflow:
 
     extract -> train -> predict -> eval / fuse        and       bench
 
-Every command is reproducible given identical inputs and --seed; outputs are
-machine-readable (CSV or JSON). Exit codes: 0 success, 1 fatal input error,
-2 partial success (some clips failed during extraction).
+Every command is reproducible given identical inputs and --seed (extract,
+train, bench), whatever --threads says (extract, bench); outputs are CSV or
+JSON. Exit codes: 0 success, 1 fatal input error, 2 partial success (some
+clips failed during extraction).
 """
 
 from __future__ import annotations
@@ -54,11 +55,12 @@ EXIT_FATAL = 1
 EXIT_PARTIAL = 2
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0, help="global RNG seed")
-    p.add_argument("--threads", type=int, default=os.cpu_count(),
-                   help="threads for frame sampling and feature extraction "
-                   "(never changes outputs)")
+def _add_common(p: argparse.ArgumentParser, *, seed: bool = False, threads: bool = False):
+    if seed:
+        p.add_argument("--seed", type=int, default=0, help="global RNG seed")
+    if threads:
+        p.add_argument("--threads", type=int, default=os.cpu_count(),
+                       help="threads for sampling and extraction (never changes outputs)")
     p.add_argument("--config", type=str, default=None,
                    help="JSON file of defaults; keys match flag names")
 
@@ -94,7 +96,7 @@ def build_parser():
     p.add_argument("--fps", type=int, default=30, help="fps for frame directories")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", "--output", required=True)
-    _add_common(p)
+    _add_common(p, seed=True, threads=True)
     commands["extract"] = p
 
     p = sub.add_parser("train", help="train a quality regressor")
@@ -115,7 +117,7 @@ def build_parser():
     p.add_argument("--max-depth", type=int, default=12)
     p.add_argument("--min-leaf", type=int, default=2,
                    help="rows per leaf; a forest needs at least twice this many rows")
-    _add_common(p)
+    _add_common(p, seed=True)
     commands["train"] = p
 
     p = sub.add_parser("predict", help="score clips from a feature CSV")
@@ -150,7 +152,7 @@ def build_parser():
     p.add_argument("--trees", type=int, default=300)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", "--output", default=None)
-    _add_common(p)
+    _add_common(p, seed=True, threads=True)
     commands["bench"] = p
 
     return parser, commands

@@ -67,7 +67,7 @@ class NumericalError(VqaError):
 
 
 class InvalidParameter(VqaError):
-    """A fit parameter outside the values the fit can use."""
+    """A parameter outside the values its function can use."""
 
     def __init__(self, name: str, value, need: str):
         self.name = name

@@ -52,6 +52,26 @@ def _net_stages(net) -> tuple[Linear | Elementwise, ...]:
                                  for _ in GATED_BRANCHES)
 
 
+def _feature_stages(plane: int, frames: int) -> tuple[Feature, ...]:
+    """The feature kernels ``extract_view_features`` runs on a luma-only view
+    (the specs' clips carry no chroma, so colourfulness does not run) of
+    ``frames`` planes of ``plane`` samples.
+
+    Per frame: si, sharpness and contrast, whose mean is average luminance.
+    More than one frame makes 2k-3 distinct pairs: k-1 consecutive ones (ti)
+    and k-2 more against the first frame (ti_first). SSIM is one full ssim()
+    for the pair of frames 0 and 1, then, per later frame, its statistics
+    with its consecutive cross term (ssim_pair) and its first-frame cross term
+    (ssim_first).
+    """
+    stages = [Feature(f, plane) for f in ("si", "sharpness", "contrast", "avg_luminance")]
+    if frames > 1:
+        calls = {"ti": frames - 1, "ti_first": frames - 2, "ssim": 1,
+                 "ssim_pair": frames - 2, "ssim_first": frames - 2}
+        stages += [Feature(f, plane, per_frame=False) for f, n in calls.items() for _ in range(n)]
+    return tuple(stages)
+
+
 def build_pipeline(
     name: str, spec: ClipSpec | str, *, seed: int = 0, threads: int | None = None,
     n_trees: int = 300,
@@ -81,7 +101,7 @@ def build_pipeline(
         fv = extract_clip_features(clip, plan, seed=seed, threads=threads)
         return float(predict(np.array(fv.as_row())))
 
-    features = tuple(Feature(f, spec.width * spec.height) for f in FEATURE_ORDER)
     frames = len(plan_indices(spec.frame_count, 30, _REFERENCE_PLAN))
+    features = _feature_stages(spec.width * spec.height, frames)
     desc = PipelineDescriptor(features + stages, frames)
     return Pipeline(name, score, desc, params_m)

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .clip_io import Frame, VideoClip, chroma_factors, frame_rgb
-from .errors import DimensionMismatch, InsufficientFrames, SourceTooSmall
+from .errors import DimensionMismatch, InsufficientFrames, InvalidParameter, SourceTooSmall
 
 __all__ = [
     "TEMPORAL_MODES",
@@ -87,6 +87,7 @@ class SpatialTransform:
 
     @classmethod
     def fragment(cls, grid: int = 7, patch: int = 32) -> "SpatialTransform":
+        _check_fragment(grid, patch)
         return cls("fragment", grid=grid, patch=patch)
 
     @property
@@ -257,7 +258,14 @@ def _region_bounds(total: int, grid: int):
     return starts, ends
 
 
+def _check_fragment(grid: int, patch: int):
+    for name, value in (("grid", grid), ("patch", patch)):
+        if value < 1:
+            raise InvalidParameter(name, value, "an integer >= 1")
+
+
 def _fragment_offsets(h: int, w: int, grid: int, patch: int, rng: np.random.Generator):
+    _check_fragment(grid, patch)
     if h < grid * patch or w < grid * patch:
         raise SourceTooSmall(f"{w}x{h} cannot host a {grid}x{grid} grid of {patch}px patches")
     ys, ye = _region_bounds(h, grid)

@@ -15,7 +15,7 @@ from vqakit.bench_harness import (
     count_macs,
     time_pipeline,
 )
-from vqakit.clip_io import CANONICAL_SPECS, synth_clip
+from vqakit.clip_io import CANONICAL_SPECS, ClipSpec, synth_clip
 from vqakit.errors import BenchRunError, SpecMismatch
 from vqakit.pipelines import build_pipeline
 from vqakit.regressors import init_branchnet
@@ -82,6 +82,19 @@ class TestCountMacs:
     def test_per_clip_stage_not_scaled(self):
         desc = PipelineDescriptor((Linear(8, 8, per_frame=False),), 30)
         assert count_macs(desc) == (8 * 8 + 0) / 1e9 * 1  # not multiplied by 30
+
+    @pytest.mark.parametrize("frame_count,k", [(30, 1), (60, 2), (150, 5)])
+    def test_pipeline_counts_the_kernels_that_run(self, frame_count, k):
+        # a luma-only clip runs no colourfulness. Per frame: si, sharpness,
+        # contrast (21 per pixel) and, with pairs, the SSIM statistics (3 + 8);
+        # per distinct pair, 2k - 3 of them: ti (2) and an SSIM cross term (2 + 19)
+        plane = 64 * 48
+        pipeline = build_pipeline("feature-forest", ClipSpec("t", frame_count, 64, 48),
+                                  n_trees=2)
+        pairs = 2 * k - 3 if k > 1 else 0
+        stats = 3 * plane + 8 * plane // 16 if k > 1 else 0
+        want = k * (21 * plane + stats) + pairs * (4 * plane + 19 * plane // 16)
+        assert count_macs(pipeline.descriptor) == want / 1e9
 
 
 class TestCountParams:

@@ -106,6 +106,19 @@ class TestExtract:
                          "--spatial", bad]) == 1
         assert not (tmp_path / "g.csv").exists()
 
+    @pytest.mark.parametrize("spatial,name", [
+        ("fragment:0:32", "grid"), ("fragment:-1:32", "grid"), ("fragment:7:0", "patch"),
+    ])
+    def test_degenerate_fragment_grid_exit_1(self, tmp_path, clip_dir, capsys, monkeypatch,
+                                             spatial, name):
+        read = []
+        monkeypatch.setattr("vqakit.cli.parse_y4m", lambda data: read.append(data))
+        assert main(["extract", "--input", str(clip_dir), "--out", str(tmp_path / "f.csv"),
+                     "--spatial", spatial]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {name}=")
+        assert read == [] and not (tmp_path / "f.csv").exists()
+
     def test_json_format(self, tmp_path, clip_dir):
         out = tmp_path / "f.json"
         rc = main(["extract", "--input", str(clip_dir), "--out", str(out),
@@ -136,6 +149,35 @@ class TestExtract:
         with pytest.raises(SystemExit):
             main(["extract", "--input", str(clip_dir), "--out", "x.csv",
                   "--config", str(cfg)])
+
+
+class TestOptionScope:
+    """--threads only where a pool runs, --seed only where a seed is drawn."""
+
+    ARGS = {
+        "train": ["--features", "f.csv", "--mos", "m.csv", "--out", "m.json"],
+        "predict": ["--model", "m.json", "--features", "f.csv", "--out", "p.csv"],
+        "eval": ["--pred", "p.csv", "--mos", "m.csv"],
+        "fuse": ["--pred", "p.csv", "--weights", "1", "--out", "o.csv"],
+    }
+
+    @pytest.mark.parametrize("command,option", [
+        ("train", "--threads"), ("predict", "--threads"), ("eval", "--threads"),
+        ("fuse", "--threads"), ("predict", "--seed"), ("eval", "--seed"), ("fuse", "--seed"),
+    ])
+    def test_removed_option_is_a_usage_error(self, command, option, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, *self.ARGS[command], option, "2" if option == "--threads" else "1"])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+    def test_threads_config_key_rejected_on_predict(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threads": 2}))
+        with pytest.raises(SystemExit) as info:
+            main(["predict", *self.ARGS["predict"], "--config", str(cfg)])
+        assert info.value.code == 2
+        assert "unknown config keys: ['threads']" in capsys.readouterr().err
 
 
 def _mos_for(features_csv: Path, path: Path, scale=(1.0, 5.0), seed=0):
@@ -506,13 +548,15 @@ class TestBench:
         assert len(doc["runs"]) == 4
         assert doc["pass"] is True
         assert doc["macs_g"] == 0 and doc["params_m"] == 0
-        # the net's pipeline scores the clip: the features' MACs on one
-        # sampled FHD frame plus the net's 596, and its 619 parameters
+        # the net's pipeline scores the clip: the MACs of the features that
+        # run on its one sampled luma-only FHD frame (si, sharpness, contrast
+        # and average luminance, 21 per pixel) plus the net's 596, and its
+        # 619 parameters
         assert main(["bench", "--pipeline", "feature-branchnet", "--spec", "30-FHD",
                      "--runs", "1", "--warmup", "0", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         jsonschema.validate(doc, BENCH_SCHEMA)
-        assert (doc["macs_g"], doc["params_m"]) == (101_347_796 / 1e9, 619 / 1e6)
+        assert (doc["macs_g"], doc["params_m"]) == (43_546_196 / 1e9, 619 / 1e6)
 
     def test_csv_summary(self, tmp_path, capsys):
         rc = main(["bench", "--pipeline", "identity", "--spec", "60-HD",

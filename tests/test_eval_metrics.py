@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import krocc_oracle, pearson_oracle, rmse_oracle, srocc_oracle
+from vqakit import eval_metrics
 from vqakit.errors import DuplicateId, JoinError, UndefinedCorrelation
 from vqakit.eval_metrics import average_ranks, evaluate, krocc, plcc, rmse, srocc
 from vqakit.tables import write_score_table
@@ -43,6 +46,26 @@ class TestKrocc:
     def test_all_tied_undefined(self):
         with pytest.raises(UndefinedCorrelation):
             krocc([2, 2, 2], [1, 2, 3])
+
+    @pytest.mark.parametrize("block", [1, 40, 1 << 19])
+    def test_row_blocks_match_oracle_exactly(self, monkeypatch, block):
+        # the counts are integers, so any block size gives the oracle's bits
+        monkeypatch.setattr(eval_metrics, "_KROCC_BLOCK", block)
+        rng = np.random.default_rng(3)
+        x = rng.integers(0, 6, 37).astype(float)
+        y = x + rng.integers(0, 3, 37)
+        assert krocc(x, y).hex() == krocc_oracle(x.tolist(), y.tolist()).hex()
+
+    def test_memory_bounded_by_row_blocks(self):
+        rng = np.random.default_rng(0)
+        x, y = rng.random(4000), rng.random(4000)
+        tracemalloc.start()
+        try:
+            krocc(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20, peak / 2**20
 
 
 class TestPlccRmse:

@@ -7,7 +7,7 @@ import pytest
 from conftest import y4m_bytes
 from vqakit import clip_io, sampling
 from vqakit.clip_io import ClipSpec, Frame, VideoClip, parse_y4m, synth_clip
-from vqakit.errors import DimensionMismatch, InsufficientFrames, SourceTooSmall
+from vqakit.errors import DimensionMismatch, InsufficientFrames, InvalidParameter, SourceTooSmall
 from vqakit.sampling import (
     SpatialTransform,
     build_view,
@@ -188,6 +188,14 @@ class TestFragment:
     def test_too_small(self):
         with pytest.raises(SourceTooSmall):
             fragment_sample(np.zeros((100, 300)))
+
+    @pytest.mark.parametrize("grid,patch,name", [(0, 32, "grid"), (-1, 32, "grid"),
+                                                 (7, 0, "patch")])
+    def test_degenerate_grid(self, grid, patch, name):
+        with pytest.raises(InvalidParameter, match=f"^{name}="):
+            fragment_sample(np.zeros((300, 300)), grid, patch)
+        with pytest.raises(InvalidParameter, match=f"^{name}="):
+            SpatialTransform.fragment(grid, patch)
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(8)

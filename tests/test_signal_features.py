@@ -517,6 +517,15 @@ class TestExtraction:
             extract_clip_features(clip, temporal_sample(clip, "all"), threads=threads)
         assert len(seen) == 10 and all(ref() is None for ref in seen)
 
+    def test_scratch_scope_is_one_call(self):
+        # a call's tasks on one thread share that thread's buffer; outside a
+        # call every scratch array is fresh
+        for threads in (1, 2):
+            bases = _parallel.parallel_map(lambda _: _parallel.scratch(0, (8,)).base,
+                                           range(6), threads)
+            assert len({id(b) for b in bases}) <= threads
+            assert _parallel.scratch(0, (8,)).base is None
+
     def test_allocations_bounded_by_scratch_slots(self):
         # Under MALLOC_MMAP_THRESHOLD_ every plane-sized temporary is a fresh
         # mapping that faults its pages in. A repeat extraction of a 5-frame
