@@ -5,9 +5,11 @@ Subcommands chain into the usual offline workflow:
     extract -> train -> predict -> eval / fuse        and       bench
 
 Every command is reproducible given identical inputs and --seed (extract,
-train, bench), whatever --threads says (extract, bench); outputs are CSV or
-JSON. Exit codes: 0 success, 1 fatal input error, 2 partial success (some
-clips failed during extraction).
+train, bench), whatever --threads says (extract, bench). extract, eval and
+bench write JSON when --out ends in .json and CSV otherwise; eval and bench
+also print their report, as JSON when there is no --out. bench gates on the
+paper's fixed budget, 1000 ms per clip. Exit codes: 0 success, 1 fatal input
+error, 2 partial success (some clips failed during extraction).
 """
 
 from __future__ import annotations
@@ -94,8 +96,8 @@ def build_parser():
     p.add_argument("--spatial", default="none",
                    help="none | resize:W:H | pad_square:S | fragment[:GRID:PATCH]")
     p.add_argument("--fps", type=int, default=30, help="fps for frame directories")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", "--output", required=True)
+    p.add_argument("--out", "--output", required=True, help="a .json path writes JSON, "
+                   "any other path CSV")
     _add_common(p, seed=True, threads=True)
     commands["extract"] = p
 
@@ -130,7 +132,6 @@ def build_parser():
     p = sub.add_parser("eval", help="correlation metrics of scores vs MOS")
     p.add_argument("--pred", required=True)
     p.add_argument("--mos", required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", "--output", default=None)
     _add_common(p)
     commands["eval"] = p
@@ -148,14 +149,16 @@ def build_parser():
     p.add_argument("--spec", choices=tuple(CANONICAL_SPECS), default="30-FHD")
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--warmup", type=int, default=3)
-    p.add_argument("--budget-ms", type=float, default=1000.0)
-    p.add_argument("--trees", type=int, default=300)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", "--output", default=None)
     _add_common(p, seed=True, threads=True)
     commands["bench"] = p
 
     return parser, commands
+
+
+def _is_json(out) -> bool:
+    """An output's format follows its path: JSON for .json (or no file), else CSV."""
+    return out is None or str(out).lower().endswith(".json")
 
 
 # --- extract ------------------------------------------------------------------
@@ -196,7 +199,7 @@ def cmd_extract(args) -> int:
     if not rows:
         print("error: every clip failed", file=sys.stderr)
         return EXIT_FATAL
-    if args.format == "json":
+    if _is_json(args.out):
         Path(args.out).write_text(features_to_json(rows))
     else:
         write_features_csv(args.out, rows)
@@ -273,13 +276,13 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     report = evaluate(args.pred, args.mos)
-    if args.format == "csv":
+    if _is_json(args.out):
+        text = report.to_json()
+    else:
         lines = ["metric,value"] + [
             f"{k},{round(getattr(report, k), 6)}" for k in ("srocc", "krocc", "plcc", "rmse")
         ]
         text = "\n".join(lines) + "\n"
-    else:
-        text = report.to_json()
     print(text.rstrip("\n"))
     if args.out:
         Path(args.out).write_text(text)
@@ -308,22 +311,25 @@ def cmd_fuse(args) -> int:
 
 def cmd_bench(args) -> int:
     spec = CANONICAL_SPECS[args.spec]
-    pipeline = build_pipeline(args.pipeline, spec, seed=args.seed,
-                              threads=args.threads, n_trees=args.trees)
+    gate = ConstraintGate(spec.label)
+    pipeline = build_pipeline(args.pipeline, spec, seed=args.seed, threads=args.threads)
     clip = synth_clip(spec, "noise", seed=args.seed)
     report = time_pipeline(pipeline, clip, warmup=args.warmup, runs=args.runs,
-                           spec_label=spec.label, budget_ms=args.budget_ms)
-    verdict = check_constraint(report, ConstraintGate(spec.label, args.budget_ms))
+                           spec_label=spec.label)
+    verdict = check_constraint(report, gate)
 
-    if args.format == "csv":
+    if _is_json(args.out):
+        text = json.dumps({"spec": report.clip_spec, "runtime_ms": report.runtime_ms,
+                           "runs": list(report.runtime_runs), "warmup_runs": report.warmup_runs,
+                           "macs_g": report.macs_g, "params_m": report.params_m,
+                           "pass": verdict.passed})
+    else:
         text = ("pipeline,spec,runtime_ms,macs_g,params_m,pass\n"
                 f"{pipeline.name},{report.clip_spec},{report.runtime_ms!r},"
-                f"{report.macs_g!r},{report.params_m!r},{report.constraint_pass}\n")
-    else:
-        text = report.to_json()
+                f"{report.macs_g!r},{report.params_m!r},{verdict.passed}\n")
     print(text.rstrip("\n"))
     print(f"{spec.label}: mean {report.runtime_ms:.2f} ms over {len(report.runtime_runs)} "
-          f"runs ({report.warmup_runs} warmup), budget {args.budget_ms:.0f} ms -> "
+          f"runs ({report.warmup_runs} warmup), budget {gate.budget_ms:.0f} ms -> "
           f"{'PASS' if verdict.passed else 'FAIL'} (margin {verdict.margin_ms:.2f} ms)",
           file=sys.stderr)
     if args.out:

@@ -66,7 +66,7 @@ class NumericalError(VqaError):
     pass
 
 
-class InvalidParameter(VqaError):
+class InvalidParameter(VqaError, ValueError):
     """A parameter outside the values its function can use."""
 
     def __init__(self, name: str, value, need: str):

@@ -67,11 +67,11 @@ def scgb_fuse(x, y, params) -> np.ndarray:
     return _cross_gate(x, y, px, py, po)[0]
 
 
-def _cross_gate(x, y, px, py, po, mask=None):
+def _cross_gate(x, y, px, py, po, mask=1.0):
     """The gating algebra behind scgb_fuse and the net: returns (out, u, g, z)."""
     u = x @ px.T
     g = _sigmoid(y @ py.T)
-    z = u * g if mask is None else u * g * mask
+    z = u * g * mask
     return z @ po.T + x, u, g, z
 
 
@@ -194,7 +194,7 @@ def _forward_batch(net: BranchNet, Xb: dict[str, np.ndarray], dropout_masks=None
     for b in GATED_BRANCHES:
         H[b], u, g, z = _cross_gate(
             E[b], E["semantic"], P[f"scgb_{b}_px"], P[f"scgb_{b}_py"], P[f"scgb_{b}_po"],
-            cache["masks"].get(b),
+            cache["masks"].get(b, 1.0),
         )
         cache[f"scgb_{b}"] = (u, g, z)
     cache["H"] = H
@@ -236,13 +236,13 @@ def _backward_batch(net: BranchNet, cache: dict, dq: dict[str, np.ndarray]):
     dE = {b: np.zeros_like(E[b]) for b in BRANCH_ORDER}
     for b in GATED_BRANCHES:
         u, g, z = cache[f"scgb_{b}"]
-        m = cache["masks"].get(b)
+        m = cache["masks"].get(b, 1.0)
         dHb = dH[b]
         dE[b] += dHb  # residual
         dz = dHb @ P[f"scgb_{b}_po"]
         grads[f"scgb_{b}_po"] += dHb.T @ z
-        du = dz * g if m is None else dz * g * m
-        dg = dz * u if m is None else dz * u * m
+        du = dz * g * m
+        dg = dz * u * m
         dE[b] += du @ P[f"scgb_{b}_px"]
         grads[f"scgb_{b}_px"] += du.T @ E[b]
         dpre_g = dg * g * (1.0 - g)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NoTrainablePairs
+from ..errors import InvalidParameter, NoTrainablePairs
 from .losses import rel_loss_grad
 from .net import (BRANCH_ORDER, GATED_BRANCHES, BranchNet, _backward_batch, _forward_batch,
                   _sigmoid)
@@ -31,14 +31,13 @@ class TrainConfig:
     weight_decay: float = 0.05
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.rank_margin < 0 or self.weight_decay < 0:
-            raise ValueError("rank_margin and weight_decay must be >= 0")
+        for name in ("learning_rate", "rank_margin", "weight_decay"):
+            value = getattr(self, name)
+            if not 0.0 <= value < np.inf:  # NaN fails too
+                raise InvalidParameter(name, value, "a finite number >= 0")
+        for name, least in (("epochs", 0), ("batch_size", 1)):
+            if getattr(self, name) < least:
+                raise InvalidParameter(name, getattr(self, name), f"an integer >= {least}")
 
 
 def _check_dataset(X, mos):
@@ -166,6 +165,8 @@ def finetune_mos(dataset, net: BranchNet, config: TrainConfig,
                  history: list | None = None) -> BranchNet:
     """Gradient descent on the summed per-branch relative loss against MOS."""
     X, m = _check_dataset(*dataset)
+    if config.batch_size < 2:  # a rank/linearity batch needs at least a pair
+        raise InvalidParameter("batch_size", config.batch_size, "an integer >= 2 to fine-tune")
     if config.epochs == 0:
         return net
     if np.unique(m).size < 2:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateScores, OutOfRange
+from .errors import DegenerateScores, InvalidParameter, OutOfRange
 
 __all__ = [
     "LevelDistribution",
@@ -62,8 +62,8 @@ class FusionSpec:
     def __post_init__(self):
         w = tuple(float(x) for x in self.weights)
         object.__setattr__(self, "weights", w)
-        if any(x < 0 for x in w) or sum(w) <= 0:
-            raise ValueError("weights must be non-negative with positive sum")
+        if not (all(x >= 0.0 for x in w) and 0.0 < sum(w) < np.inf):  # NaN fails too
+            raise InvalidParameter("weights", w, "finite, non-negative, with a positive sum")
         if self.normalization not in ("none", "zscore"):
             raise ValueError(f"unknown normalization {self.normalization!r}")
 

@@ -121,8 +121,7 @@ class TestExtract:
 
     def test_json_format(self, tmp_path, clip_dir):
         out = tmp_path / "f.json"
-        rc = main(["extract", "--input", str(clip_dir), "--out", str(out),
-                   "--format", "json"])
+        rc = main(["extract", "--input", str(clip_dir), "--out", str(out)])
         assert rc == 0
         rows = json.loads(out.read_text())
         assert len(rows) == 3
@@ -130,8 +129,20 @@ class TestExtract:
         assert "flags" not in rows[0]
         # a one-frame plan has no frame pairs, and says so
         assert main(["extract", "--input", str(clip_dir), "--out", str(out),
-                     "--format", "json", "--temporal", "one_per_30"]) == 0
+                     "--temporal", "one_per_30"]) == 0
         assert [row["flags"] for row in json.loads(out.read_text())] == [["single_frame"]] * 3
+
+    def test_format_follows_out_path(self, tmp_path, clip_dir):
+        # .json writes the JSON rows, any other path the CSV table, both of the same numbers
+        csv_out = _extract(tmp_path, clip_dir, "f.csv")
+        assert _extract(tmp_path, clip_dir, "f.txt").read_bytes() == csv_out.read_bytes()
+        rows = json.loads(_extract(tmp_path, clip_dir, "f.json").read_text())
+        lines = csv_out.read_text().splitlines()
+        assert lines[0] == "clip_id," + ",".join(FEATURE_ORDER)
+        for row, line in zip(rows, lines[1:], strict=True):
+            clip_id, *values = line.split(",")
+            assert row["clip_id"] == clip_id
+            assert [row["features"][f] for f in FEATURE_ORDER] == [float(v) for v in values]
 
     def test_config_file_defaults(self, tmp_path, clip_dir):
         cfg = tmp_path / "cfg.json"
@@ -152,22 +163,29 @@ class TestExtract:
 
 
 class TestOptionScope:
-    """--threads only where a pool runs, --seed only where a seed is drawn."""
+    """--threads only where a pool runs, --seed only where a seed is drawn; no
+    --format (the --out path decides) and no bench gate or forest settings."""
 
     ARGS = {
+        "extract": ["--input", "clips", "--out", "f.csv"],
         "train": ["--features", "f.csv", "--mos", "m.csv", "--out", "m.json"],
         "predict": ["--model", "m.json", "--features", "f.csv", "--out", "p.csv"],
         "eval": ["--pred", "p.csv", "--mos", "m.csv"],
         "fuse": ["--pred", "p.csv", "--weights", "1", "--out", "o.csv"],
+        "bench": ["--pipeline", "identity"],
     }
+    VALUES = {"--threads": "2", "--seed": "1", "--format": "json", "--budget-ms": "1000",
+              "--trees": "300"}
 
     @pytest.mark.parametrize("command,option", [
         ("train", "--threads"), ("predict", "--threads"), ("eval", "--threads"),
         ("fuse", "--threads"), ("predict", "--seed"), ("eval", "--seed"), ("fuse", "--seed"),
+        ("extract", "--format"), ("eval", "--format"), ("bench", "--format"),
+        ("bench", "--budget-ms"), ("bench", "--trees"),
     ])
     def test_removed_option_is_a_usage_error(self, command, option, capsys):
         with pytest.raises(SystemExit) as info:
-            main([command, *self.ARGS[command], option, "2" if option == "--threads" else "1"])
+            main([command, *self.ARGS[command], option, self.VALUES[option]])
         assert info.value.code == 2
         assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
@@ -178,6 +196,14 @@ class TestOptionScope:
             main(["predict", *self.ARGS["predict"], "--config", str(cfg)])
         assert info.value.code == 2
         assert "unknown config keys: ['threads']" in capsys.readouterr().err
+
+    def test_format_config_key_rejected_on_eval(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "csv"}))
+        with pytest.raises(SystemExit) as info:
+            main(["eval", *self.ARGS["eval"], "--config", str(cfg)])
+        assert info.value.code == 2
+        assert "unknown config keys: ['format']" in capsys.readouterr().err
 
 
 def _mos_for(features_csv: Path, path: Path, scale=(1.0, 5.0), seed=0):
@@ -268,6 +294,24 @@ class TestTrainPredict:
                          "--out", str(pred)]) == 0
             table = read_score_table(pred, "score")
             assert list(table) == ["clip0", "clip1", "clip2"]
+
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--lr", "nan", "learning_rate"), ("--lr", "inf", "learning_rate"),
+        ("--margin", "nan", "rank_margin"), ("--weight-decay", "nan", "weight_decay"),
+        ("--batch-size", "1", "batch_size"),
+    ])
+    def test_unusable_training_setting_exit_1(self, tmp_path, clip_dir, capsys, flag, value, name):
+        feats = _extract(tmp_path, clip_dir)
+        mos = tmp_path / "mos.csv"
+        _mos_for(feats, mos)
+        model = tmp_path / "net.json"
+        capsys.readouterr()
+        assert main(["train", "--features", str(feats), "--mos", str(mos),
+                     "--mode", "siamese+finetune", "--epochs", "2", flag, value,
+                     "--out", str(model)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name}=") and err.count("\n") == 1, err
+        assert not model.exists() and not Path(str(model) + ".log").exists()
 
     def test_too_few_rows_for_min_leaf_exit_1(self, tmp_path, clip_dir, capsys):
         # 3 rows cannot split with --min-leaf 2: no forest of root-only trees
@@ -477,11 +521,15 @@ class TestEvalFuse:
         jsonschema.validate(doc, METRIC_SCHEMA)
         assert doc == {"srocc": 1, "krocc": 1, "plcc": 1, "rmse": 0}
         out = tmp_path / "metrics.csv"
-        assert main(["eval", "--pred", str(pred), "--mos", str(mos), "--format", "csv",
-                     "--out", str(out)]) == 0
+        assert main(["eval", "--pred", str(pred), "--mos", str(mos), "--out", str(out)]) == 0
         text = "metric,value\nsrocc,1.0\nkrocc,1.0\nplcc,1.0\nrmse,0.0\n"
         assert out.read_text() == text
         assert capsys.readouterr().out == text
+        out = tmp_path / "metrics.json"
+        assert main(["eval", "--pred", str(pred), "--mos", str(mos), "--out", str(out)]) == 0
+        text = '{"srocc": 1.0, "krocc": 1.0, "plcc": 1.0, "rmse": 0.0}'
+        assert out.read_text() == text
+        assert capsys.readouterr().out == text + "\n"
 
     def test_eval_join_error(self, tmp_path):
         pred = tmp_path / "p.csv"
@@ -508,6 +556,16 @@ class TestEvalFuse:
         table = read_score_table(out, "score")
         assert table["x"] == pytest.approx((7 * 3.0 + 8 * 4.5) / 15, abs=0)
         assert table["y"] == pytest.approx((7 * 1.0 + 8 * 2.0) / 15, abs=0)
+
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_fuse_non_finite_weight_exit_1(self, tmp_path, capsys, weight):
+        a = tmp_path / "a.csv"
+        write_score_table(a, {"x": 3.0, "y": 1.0}, "score")
+        out = tmp_path / "fused.csv"
+        assert main(["fuse", "--pred", str(a), str(a), "--weights", weight, "1",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: weights=")
+        assert not out.exists()
 
     def test_fuse_id_mismatch(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -559,9 +617,22 @@ class TestBench:
         assert (doc["macs_g"], doc["params_m"]) == (43_546_196 / 1e9, 619 / 1e6)
 
     def test_csv_summary(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
         rc = main(["bench", "--pipeline", "identity", "--spec", "60-HD",
-                   "--runs", "2", "--warmup", "0", "--format", "csv"])
+                   "--runs", "2", "--warmup", "0", "--out", str(out)])
         assert rc == 0
-        out = capsys.readouterr().out.strip().splitlines()
-        assert out[0] == "pipeline,spec,runtime_ms,macs_g,params_m,pass"
-        assert out[1].startswith("identity,60-HD,")
+        assert capsys.readouterr().out == out.read_text()
+        lines = out.read_text().splitlines()
+        assert lines[0] == "pipeline,spec,runtime_ms,macs_g,params_m,pass"
+        assert lines[1].startswith("identity,60-HD,") and lines[1].endswith(",True")
+
+    def test_report_json_keys(self, tmp_path, capsys):
+        # printed with no --out, and written to a .json path
+        out = tmp_path / "bench.json"
+        for extra in ([], ["--out", str(out)]):
+            assert main(["bench", "--pipeline", "identity", "--runs", "1", "--warmup", "0",
+                         *extra]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert set(doc) == {"spec", "runtime_ms", "runs", "warmup_runs",
+                                "macs_g", "params_m", "pass"}
+        assert json.loads(out.read_text()).keys() == doc.keys()

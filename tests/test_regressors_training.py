@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vqakit.errors import NoTrainablePairs
+from vqakit.errors import InvalidParameter, NoTrainablePairs
 from vqakit.eval_metrics import srocc
 from vqakit.regressors import (
     TrainConfig,
@@ -146,3 +146,15 @@ class TestFinetune:
             TrainConfig(epochs=-1)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+
+    @pytest.mark.parametrize("name", ["learning_rate", "rank_margin", "weight_decay"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_setting_refused(self, name, value):
+        with pytest.raises(InvalidParameter, match=f"^{name}="):
+            TrainConfig(**{name: value})
+
+    def test_finetune_needs_a_pair_per_batch(self):
+        # a one-row batch has no pair, so every step would be skipped
+        X, mos = _toy_dataset(n=20)
+        with pytest.raises(InvalidParameter, match="^batch_size=1"):
+            finetune_mos((X, mos), init_branchnet(seed=0), TrainConfig(batch_size=1))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vqakit.errors import DegenerateScores, OutOfRange
+from vqakit.errors import DegenerateScores, InvalidParameter, OutOfRange
 from vqakit.scoring import (
     FusionSpec,
     LevelDistribution,
@@ -144,3 +144,11 @@ class TestFusion:
             FusionSpec((-1.0, 2.0))
         with pytest.raises(ValueError):
             fuse_scores([[1.0]], FusionSpec((1, 2)))
+
+    @pytest.mark.parametrize("weights", [
+        (math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf), (1e308, 1e308),
+    ])
+    def test_non_finite_weights_refused(self, weights):
+        # NaN passes both `x < 0` and `sum <= 0` as False, and would fuse to NaN
+        with pytest.raises(InvalidParameter, match="^weights="):
+            FusionSpec(weights)
