@@ -30,6 +30,7 @@ __all__ = [
     "ConstraintGate",
     "ConstraintVerdict",
     "count_macs",
+    "check_run_counts",
     "time_pipeline",
     "check_constraint",
 ]
@@ -126,6 +127,14 @@ class ConstraintVerdict:
     margin_ms: float
 
 
+def check_run_counts(warmup: int, runs: int):
+    """Refuse counts time_pipeline cannot honour, before anything is built."""
+    if warmup < 0:
+        raise InvalidParameter("warmup", warmup, "an integer >= 0")
+    if runs < 1:
+        raise InvalidParameter("runs", runs, "an integer >= 1")
+
+
 def time_pipeline(
     pipeline,
     clip: VideoClip,
@@ -140,8 +149,7 @@ def time_pipeline(
     bare callable reports 0 MACs and 0 parameters. Clip ingestion is outside
     the timed region (the clip is already in memory).
     """
-    if runs < 1:
-        raise ValueError("need at least one timed run")
+    check_run_counts(warmup, runs)
     score = getattr(pipeline, "score", pipeline)
     descriptor = getattr(pipeline, "descriptor", None)
     macs_g = count_macs(descriptor) if descriptor is not None else 0.0

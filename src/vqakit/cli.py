@@ -9,7 +9,15 @@ train, bench), whatever --threads says (extract, bench). extract, eval and
 bench write JSON when --out ends in .json and CSV otherwise; eval and bench
 also print their report, as JSON when there is no --out. bench gates on the
 paper's fixed budget, 1000 ms per clip. Exit codes: 0 success, 1 fatal input
-error, 2 partial success (some clips failed during extraction).
+error, 2 partial success (some clips failed during extraction) or a usage
+error.
+
+Arguments can come from a file: "vqakit extract @defaults.args --seed 3"
+reads defaults.args in place of @defaults.args, one argument per line
+("--seed" then "3" on the next line, or "--seed=3" on one). Later arguments
+win, so --seed 3 after the file overrides a seed in it. A value from a file
+passes the same type, choice and required checks as one typed out. A value
+that itself starts with @ is read as a file name, in a file too.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench_harness import ConstraintGate, check_constraint, time_pipeline
+from .bench_harness import ConstraintGate, check_constraint, check_run_counts, time_pipeline
 from .clip_io import CANONICAL_SPECS, load_frame_dir, parse_y4m, synth_clip
 from .errors import CheckpointError, JoinError, VqaError
 from .eval_metrics import evaluate
@@ -32,6 +40,7 @@ from .pipelines import PIPELINE_NAMES, build_pipeline
 from .regressors import (
     ForestModel,
     TrainConfig,
+    check_finetune_config,
     finetune_mos,
     fit_forest,
     init_branchnet,
@@ -57,14 +66,11 @@ EXIT_FATAL = 1
 EXIT_PARTIAL = 2
 
 
-def _add_common(p: argparse.ArgumentParser, *, seed: bool = False, threads: bool = False):
-    if seed:
-        p.add_argument("--seed", type=int, default=0, help="global RNG seed")
+def _add_seed(p: argparse.ArgumentParser, *, threads: bool = False):
+    p.add_argument("--seed", type=int, default=0, help="global RNG seed")
     if threads:
         p.add_argument("--threads", type=int, default=os.cpu_count(),
                        help="threads for sampling and extraction (never changes outputs)")
-    p.add_argument("--config", type=str, default=None,
-                   help="JSON file of defaults; keys match flag names")
 
 
 # each --spatial kind: its SpatialTransform constructor and the argument counts it takes
@@ -83,11 +89,12 @@ def _parse_spatial(s: str) -> SpatialTransform:
     return _SPATIAL[kind][0](*map(int, args))
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(prog="vqakit", description=__doc__)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="vqakit", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter,
+                                     fromfile_prefix_chars="@")
     parser.add_argument("--version", action="version", version=f"vqakit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands: dict[str, argparse.ArgumentParser] = {}
 
     p = sub.add_parser("extract", help="extract clip-level signal features")
     p.add_argument("--input", required=True, help="y4m file, directory of y4m files, "
@@ -98,8 +105,7 @@ def build_parser():
     p.add_argument("--fps", type=int, default=30, help="fps for frame directories")
     p.add_argument("--out", "--output", required=True, help="a .json path writes JSON, "
                    "any other path CSV")
-    _add_common(p, seed=True, threads=True)
-    commands["extract"] = p
+    _add_seed(p, threads=True)
 
     p = sub.add_parser("train", help="train a quality regressor")
     p.add_argument("--features", nargs="+", required=True, help="feature CSV per dataset")
@@ -119,30 +125,23 @@ def build_parser():
     p.add_argument("--max-depth", type=int, default=12)
     p.add_argument("--min-leaf", type=int, default=2,
                    help="rows per leaf; a forest needs at least twice this many rows")
-    _add_common(p, seed=True)
-    commands["train"] = p
+    _add_seed(p)
 
     p = sub.add_parser("predict", help="score clips from a feature CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", "--output", required=True)
-    _add_common(p)
-    commands["predict"] = p
 
     p = sub.add_parser("eval", help="correlation metrics of scores vs MOS")
     p.add_argument("--pred", required=True)
     p.add_argument("--mos", required=True)
     p.add_argument("--out", "--output", default=None)
-    _add_common(p)
-    commands["eval"] = p
 
     p = sub.add_parser("fuse", help="weighted fusion of per-model score CSVs")
     p.add_argument("--pred", nargs="+", required=True)
     p.add_argument("--weights", nargs="+", type=float, required=True)
     p.add_argument("--normalization", choices=("none", "zscore"), default="none")
     p.add_argument("--out", "--output", required=True)
-    _add_common(p)
-    commands["fuse"] = p
 
     p = sub.add_parser("bench", help="runtime/MACs benchmark on a synthetic clip")
     p.add_argument("--pipeline", choices=PIPELINE_NAMES, default="feature-forest")
@@ -150,10 +149,9 @@ def build_parser():
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--warmup", type=int, default=3)
     p.add_argument("--out", "--output", default=None)
-    _add_common(p, seed=True, threads=True)
-    commands["bench"] = p
+    _add_seed(p, threads=True)
 
-    return parser, commands
+    return parser
 
 
 def _is_json(out) -> bool:
@@ -241,10 +239,11 @@ def cmd_train(args) -> int:
         siamese_epochs = args.epochs if args.siamese_epochs is None else args.siamese_epochs
         base = dict(learning_rate=args.lr, batch_size=args.batch_size, seed=args.seed,
                     rank_margin=args.margin, weight_decay=args.weight_decay)
+        finetune = TrainConfig(epochs=args.epochs, **base)
+        check_finetune_config(finetune)  # before the pretraining a bad batch size would waste
         train_siamese([(X, y) for _, X, y in datasets], net,
                       TrainConfig(epochs=siamese_epochs, **base), history=log_entries)
-        finetune_mos((datasets[0][1], datasets[0][2]), net,
-                     TrainConfig(epochs=args.epochs, **base), history=log_entries)
+        finetune_mos((datasets[0][1], datasets[0][2]), net, finetune, history=log_entries)
         save_model(args.out, net)
 
     log_path.write_text("".join(json.dumps(e) + "\n" for e in log_entries))
@@ -312,6 +311,7 @@ def cmd_fuse(args) -> int:
 def cmd_bench(args) -> int:
     spec = CANONICAL_SPECS[args.spec]
     gate = ConstraintGate(spec.label)
+    check_run_counts(args.warmup, args.runs)
     pipeline = build_pipeline(args.pipeline, spec, seed=args.seed, threads=args.threads)
     clip = synth_clip(spec, "noise", seed=args.seed)
     report = time_pipeline(pipeline, clip, warmup=args.warmup, runs=args.runs,
@@ -347,27 +347,8 @@ _HANDLERS = {
 }
 
 
-def _apply_config(argv, parser, commands):
-    """Re-parse with a --config JSON file as subcommand defaults."""
-    args = parser.parse_args(argv)
-    if not getattr(args, "config", None):
-        return args
-    sub = commands[args.command]
-    try:
-        cfg = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        parser.error(f"cannot read config {args.config}: {e}")
-    dests = {a.dest for a in sub._actions}
-    unknown = set(cfg) - dests
-    if unknown:
-        parser.error(f"unknown config keys: {sorted(unknown)}")
-    sub.set_defaults(**cfg)
-    return parser.parse_args(argv)
-
-
 def main(argv=None) -> int:
-    parser, commands = build_parser()
-    args = _apply_config(argv if argv is not None else sys.argv[1:], parser, commands)
+    args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except (VqaError, ValueError, OSError) as e:  # OSError: a missing or unreadable file

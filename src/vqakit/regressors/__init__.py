@@ -11,7 +11,8 @@ from .net import (
     predict_scores,
     scgb_fuse,
 )
-from .training import TrainConfig, finetune_mos, total_loss_gradients, train_siamese
+from .training import (TrainConfig, check_finetune_config, finetune_mos, total_loss_gradients,
+                       train_siamese)
 
 __all__ = [
     "BRANCH_ORDER",
@@ -19,6 +20,7 @@ __all__ = [
     "ScgbParams",
     "ForestModel",
     "TrainConfig",
+    "check_finetune_config",
     "init_branchnet",
     "predict_scores",
     "scgb_fuse",

@@ -18,7 +18,8 @@ from .losses import rel_loss_grad
 from .net import (BRANCH_ORDER, GATED_BRANCHES, BranchNet, _backward_batch, _forward_batch,
                   _sigmoid)
 
-__all__ = ["TrainConfig", "train_siamese", "finetune_mos", "total_loss_gradients"]
+__all__ = ["TrainConfig", "check_finetune_config", "train_siamese", "finetune_mos",
+           "total_loss_gradients"]
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,12 @@ class TrainConfig:
         for name, least in (("epochs", 0), ("batch_size", 1)):
             if getattr(self, name) < least:
                 raise InvalidParameter(name, getattr(self, name), f"an integer >= {least}")
+
+
+def check_finetune_config(config: TrainConfig):
+    """Refuse a config finetune_mos cannot use, so a caller can check it before pretraining."""
+    if config.batch_size < 2:  # a rank/linearity batch needs at least a pair
+        raise InvalidParameter("batch_size", config.batch_size, "an integer >= 2 to fine-tune")
 
 
 def _check_dataset(X, mos):
@@ -165,8 +172,7 @@ def finetune_mos(dataset, net: BranchNet, config: TrainConfig,
                  history: list | None = None) -> BranchNet:
     """Gradient descent on the summed per-branch relative loss against MOS."""
     X, m = _check_dataset(*dataset)
-    if config.batch_size < 2:  # a rank/linearity batch needs at least a pair
-        raise InvalidParameter("batch_size", config.batch_size, "an integer >= 2 to fine-tune")
+    check_finetune_config(config)
     if config.epochs == 0:
         return net
     if np.unique(m).size < 2:

@@ -145,7 +145,7 @@ def _second_starts(n: int, fps: Fraction):
     return starts
 
 
-def plan_indices(n_frames: int, fps, mode: str, target: int = 5) -> tuple[int, ...]:
+def plan_indices(n_frames: int, fps, mode: str) -> tuple[int, ...]:
     """Pure index computation behind temporal_sample; see that op for modes."""
     if n_frames < 1:
         raise ValueError("clip is empty")
@@ -181,14 +181,14 @@ def plan_indices(n_frames: int, fps, mode: str, target: int = 5) -> tuple[int, .
         return tuple(out)
     if mode == "frankenstone_reduce":
         firsts = _second_starts(n, fps)
-        t = min(target, len(firsts))
-        keep = frankenstone_subset(len(firsts), t)
-        return tuple(firsts[j] for j in keep)
+        if len(firsts) <= 5:  # too few seconds to reduce: keep each one's first frame
+            return tuple(firsts)
+        return tuple(firsts[j] for j in frankenstone_subset(len(firsts)))
     raise ValueError(f"unknown temporal mode {mode!r}")
 
 
-def temporal_sample(clip: VideoClip, mode: str, target: int = 5) -> TemporalPlan:
-    return TemporalPlan(mode, plan_indices(len(clip), clip.fps, mode, target))
+def temporal_sample(clip: VideoClip, mode: str) -> TemporalPlan:
+    return TemporalPlan(mode, plan_indices(len(clip), clip.fps, mode))
 
 
 def frankenstone_subset(m: int, t: int = 5) -> tuple[int, ...]:

@@ -161,6 +161,13 @@ class TestTimePipeline:
             time_pipeline(flaky, clip, warmup=2, runs=5)
         assert ei.value.run_index == 1
 
+    @pytest.mark.parametrize("warmup,runs,name", [(-1, 5, "warmup"), (1, 0, "runs")])
+    def test_unusable_counts_refused_before_any_run(self, warmup, runs, name):
+        calls = []
+        with pytest.raises(InvalidParameter, match=f"^{name}="):
+            time_pipeline(calls.append, None, warmup=warmup, runs=runs)
+        assert calls == []
+
     def test_outlier_guard(self):
         clip = synth_clip(CANONICAL_SPECS["30-FHD"], "constant")
         report = time_pipeline(lambda c: busy_wait(5) or 0.0, clip, warmup=1, runs=6)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 import vqakit
 from conftest import write_pgm, write_ppm, y4m_bytes
+from vqakit import bench_harness
 from vqakit.cli import main
 from vqakit.regressors import init_branchnet, load_model, save_model
 from vqakit.signal_features import FEATURE_ORDER
@@ -34,6 +36,13 @@ def clip_dir(tmp_path):
     for i in range(3):
         _write_clip(d / f"clip{i}.y4m", seed=i)
     return d
+
+
+def _argfile(tmp_path: Path, lines, name="cli.args") -> str:
+    """Write an argument file, one argument per line, and return its @ reference."""
+    path = tmp_path / name
+    path.write_text("".join(f"{line}\n" for line in lines))
+    return f"@{path}"
 
 
 def _extract(tmp_path, clip_dir, name="feat.csv", extra=()):
@@ -144,27 +153,32 @@ class TestExtract:
             assert row["clip_id"] == clip_id
             assert [row["features"][f] for f in FEATURE_ORDER] == [float(v) for v in values]
 
-    def test_config_file_defaults(self, tmp_path, clip_dir):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"temporal": "one_per_30", "seed": 3}))
-        a = tmp_path / "a.csv"
-        rc = main(["extract", "--input", str(clip_dir), "--out", str(a),
-                   "--config", str(cfg)])
-        assert rc == 0
-        b = _extract(tmp_path, clip_dir, "b.csv", ("--temporal", "one_per_30", "--seed", "3"))
-        assert a.read_bytes() == b.read_bytes()
+    def test_argument_file_matches_typed_flags(self, tmp_path, clip_dir):
+        # one argument per line, as "--flag" then its value or as "--flag=value";
+        # a flag typed after the file wins over the file's
+        args = _argfile(tmp_path, ["--input", str(clip_dir), "--temporal=one_per_30",
+                                   "--spatial=fragment:2:8", "--seed", "3",
+                                   f"--out={tmp_path / 'a.csv'}"])
+        assert main(["extract", args]) == 0
+        typed = ("--temporal", "one_per_30", "--spatial", "fragment:2:8")
+        b = _extract(tmp_path, clip_dir, "b.csv", (*typed, "--seed", "3"))
+        assert (tmp_path / "a.csv").read_bytes() == b.read_bytes()
+        assert main(["extract", args, "--seed", "4"]) == 0
+        c = _extract(tmp_path, clip_dir, "c.csv", (*typed, "--seed", "4"))
+        assert (tmp_path / "a.csv").read_bytes() == c.read_bytes() != b.read_bytes()
 
-    def test_config_unknown_key(self, tmp_path, clip_dir):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
-        with pytest.raises(SystemExit):
-            main(["extract", "--input", str(clip_dir), "--out", "x.csv",
-                  "--config", str(cfg)])
+    def test_argument_file_unknown_option(self, tmp_path, clip_dir, capsys):
+        args = _argfile(tmp_path, ["--bogus=1"])
+        with pytest.raises(SystemExit) as info:
+            main(["extract", "--input", str(clip_dir), "--out", "x.csv", args])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --bogus=1" in capsys.readouterr().err
 
 
 class TestOptionScope:
     """--threads only where a pool runs, --seed only where a seed is drawn; no
-    --format (the --out path decides) and no bench gate or forest settings."""
+    --format (the --out path decides), no bench gate or forest settings and no
+    JSON --config (an @file of arguments replaces it)."""
 
     ARGS = {
         "extract": ["--input", "clips", "--out", "f.csv"],
@@ -175,13 +189,13 @@ class TestOptionScope:
         "bench": ["--pipeline", "identity"],
     }
     VALUES = {"--threads": "2", "--seed": "1", "--format": "json", "--budget-ms": "1000",
-              "--trees": "300"}
+              "--trees": "300", "--config": "cfg.json"}
 
     @pytest.mark.parametrize("command,option", [
         ("train", "--threads"), ("predict", "--threads"), ("eval", "--threads"),
         ("fuse", "--threads"), ("predict", "--seed"), ("eval", "--seed"), ("fuse", "--seed"),
         ("extract", "--format"), ("eval", "--format"), ("bench", "--format"),
-        ("bench", "--budget-ms"), ("bench", "--trees"),
+        ("bench", "--budget-ms"), ("bench", "--trees"), ("eval", "--config"),
     ])
     def test_removed_option_is_a_usage_error(self, command, option, capsys):
         with pytest.raises(SystemExit) as info:
@@ -189,21 +203,17 @@ class TestOptionScope:
         assert info.value.code == 2
         assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
-    def test_threads_config_key_rejected_on_predict(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"threads": 2}))
+    def test_threads_in_argument_file_rejected_on_predict(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:
-            main(["predict", *self.ARGS["predict"], "--config", str(cfg)])
+            main(["predict", *self.ARGS["predict"], _argfile(tmp_path, ["--threads=2"])])
         assert info.value.code == 2
-        assert "unknown config keys: ['threads']" in capsys.readouterr().err
+        assert "unrecognized arguments: --threads=2" in capsys.readouterr().err
 
-    def test_format_config_key_rejected_on_eval(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"format": "csv"}))
+    def test_format_in_argument_file_rejected_on_eval(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:
-            main(["eval", *self.ARGS["eval"], "--config", str(cfg)])
+            main(["eval", *self.ARGS["eval"], _argfile(tmp_path, ["--format", "csv"])])
         assert info.value.code == 2
-        assert "unknown config keys: ['format']" in capsys.readouterr().err
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
 
 def _mos_for(features_csv: Path, path: Path, scale=(1.0, 5.0), seed=0):
@@ -300,17 +310,22 @@ class TestTrainPredict:
         ("--margin", "nan", "rank_margin"), ("--weight-decay", "nan", "weight_decay"),
         ("--batch-size", "1", "batch_size"),
     ])
-    def test_unusable_training_setting_exit_1(self, tmp_path, clip_dir, capsys, flag, value, name):
+    def test_unusable_training_setting_exit_1(self, tmp_path, clip_dir, capsys, monkeypatch,
+                                              flag, value, name):
         feats = _extract(tmp_path, clip_dir)
         mos = tmp_path / "mos.csv"
         _mos_for(feats, mos)
         model = tmp_path / "net.json"
+        # refused before the rank pretraining, which the setting would only waste
+        pretrained = []
+        monkeypatch.setattr("vqakit.cli.train_siamese", lambda *a, **k: pretrained.append(a))
         capsys.readouterr()
         assert main(["train", "--features", str(feats), "--mos", str(mos),
                      "--mode", "siamese+finetune", "--epochs", "2", flag, value,
                      "--out", str(model)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {name}=") and err.count("\n") == 1, err
+        assert pretrained == []
         assert not model.exists() and not Path(str(model) + ".log").exists()
 
     def test_too_few_rows_for_min_leaf_exit_1(self, tmp_path, clip_dir, capsys):
@@ -636,3 +651,103 @@ class TestBench:
             assert set(doc) == {"spec", "runtime_ms", "runs", "warmup_runs",
                                 "macs_g", "params_m", "pass"}
         assert json.loads(out.read_text()).keys() == doc.keys()
+
+    @pytest.mark.parametrize("flag,value,name", [("--warmup", "-1", "warmup"),
+                                                 ("--runs", "0", "runs")])
+    def test_unusable_count_refused_before_pipeline(self, tmp_path, capsys, monkeypatch,
+                                                   flag, value, name):
+        built = []
+        monkeypatch.setattr("vqakit.cli.build_pipeline", lambda *a, **k: built.append(a))
+        out = tmp_path / "bench.json"
+        assert main(["bench", flag, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name}={value}") and err.count("\n") == 1, err
+        assert built == [] and not out.exists()
+
+
+class TestArgumentFile:
+    """Arguments read from an @file go through the same parse as typed ones."""
+
+    @pytest.fixture()
+    def chain(self, tmp_path, clip_dir):
+        feats = _extract(tmp_path, clip_dir)
+        mos = tmp_path / "mos.csv"
+        _mos_for(feats, mos)
+        forest = tmp_path / "forest.json"
+        assert main(["train", "--features", str(feats), "--mos", str(mos), "--trees", "5",
+                     "--min-leaf", "1", "--out", str(forest)]) == 0
+        pred = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(forest), "--features", str(feats),
+                     "--out", str(pred)]) == 0
+        return {"clips": str(clip_dir), "feats": str(feats), "mos": str(mos),
+                "forest": str(forest), "pred": str(pred)}
+
+    COMMANDS = {
+        "extract": (["extract", "--input", "{clips}", "--temporal", "two_per_30",
+                     "--spatial", "fragment:2:8", "--seed", "2"], ".json"),
+        "train-forest": (["train", "--features", "{feats}", "--mos", "{mos}", "--mode", "forest",
+                          "--trees", "5", "--min-leaf", "1", "--seed", "2"], ".json"),
+        "train-siamese": (["train", "--features", "{feats}", "{feats}", "--mos", "{mos}", "{mos}",
+                           "--mode", "siamese+finetune", "--epochs", "2", "--batch-size", "2"],
+                          ".json"),
+        "predict": (["predict", "--model", "{forest}", "--features", "{feats}"], ".csv"),
+        "eval": (["eval", "--pred", "{pred}", "--mos", "{mos}"], ".json"),
+        "fuse": (["fuse", "--pred", "{pred}", "{pred}", "--weights", "7", "8",
+                  "--normalization", "zscore"], ".csv"),
+        "bench": (["bench", "--pipeline", "identity", "--spec", "60-HD", "--runs", "2",
+                   "--warmup", "1", "--seed", "2"], ".json"),
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_same_outputs_as_typed_flags(self, tmp_path, chain, capsys, monkeypatch, command):
+        # a required --out given only in the file is enough
+        monkeypatch.setattr(bench_harness, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        argv, suffix = self.COMMANDS[command]
+        argv = [a.format(**chain) for a in argv]
+        typed, filed = tmp_path / f"typed{suffix}", tmp_path / f"filed{suffix}"
+        capsys.readouterr()
+        assert main([*argv, "--out", str(typed)]) == 0
+        printed = capsys.readouterr()
+        assert main([argv[0], _argfile(tmp_path, [*argv[1:], f"--out={filed}"])]) == 0
+        assert capsys.readouterr() == printed
+        assert filed.read_bytes() == typed.read_bytes()
+        if command.startswith("train"):
+            assert Path(f"{filed}.log").read_bytes() == Path(f"{typed}.log").read_bytes()
+
+    @pytest.mark.parametrize("command,mode,line", [
+        ("extract", None, "--temporal=bogus"), ("extract", None, "--seed=1.5"),
+        ("train", "forest", "--trees=3.5"), ("train", "forest", "--min-leaf=true"),
+        ("train", "siamese+finetune", "--batch-size=4.5"),
+        ("train", "siamese+finetune", "--epochs=2.5"),
+        ("bench", None, "--runs=2.5"),
+    ])
+    def test_mistyped_value_is_a_usage_error(self, tmp_path, chain, capsys, monkeypatch,
+                                            command, mode, line):
+        calls = []
+        for name in ("parse_y4m", "fit_forest", "train_siamese", "build_pipeline"):
+            monkeypatch.setattr(f"vqakit.cli.{name}", lambda *a, name=name, **k: calls.append(name))
+        typed = {
+            "extract": ["--input", chain["clips"], "--out", str(tmp_path / "f.csv")],
+            "train": ["--features", chain["feats"], "--mos", chain["mos"], "--mode", str(mode),
+                      "--out", str(tmp_path / "m.json")],
+            "bench": ["--pipeline", "identity"],
+        }[command]
+        with pytest.raises(SystemExit) as info:
+            main([command, *typed, _argfile(tmp_path, [line])])
+        assert info.value.code == 2
+        flag, value = line.split("=")
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and f"'{value}'" in err, err
+        assert calls == []
+        assert not (tmp_path / "f.csv").exists() and not (tmp_path / "m.json").exists()
+
+    def test_spatial_value_checked_before_any_clip_is_read(self, tmp_path, clip_dir, capsys,
+                                                          monkeypatch):
+        # extract parses --spatial itself, typed or from a file: exit 1, one line
+        read = []
+        monkeypatch.setattr("vqakit.cli.parse_y4m", lambda data: read.append(data))
+        out = tmp_path / "f.csv"
+        assert main(["extract", "--input", str(clip_dir),
+                     _argfile(tmp_path, ["--spatial=5", f"--out={out}"])]) == 1
+        assert capsys.readouterr().err == "error: unknown spatial transform '5'\n"
+        assert read == [] and not out.exists()
