@@ -12,6 +12,11 @@ paper's fixed budget, 1000 ms per clip. Exit codes: 0 success, 1 fatal input
 error, 2 partial success (some clips failed during extraction) or a usage
 error.
 
+train passes on only the flags given, so its defaults are TrainConfig's
+(--epochs, --lr, --batch-size, --margin, --weight-decay; both net phases run
+--epochs epochs) and fit_forest's (--trees, --min-leaf). A bad --spatial, or
+a --threads or --fps below 1, is a usage error before any clip is read.
+
 Arguments can come from a file: "vqakit extract @defaults.args --seed 3"
 reads defaults.args in place of @defaults.args, one argument per line
 ("--seed" then "3" on the next line, or "--seed=3" on one). Later arguments
@@ -26,6 +31,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from itertools import zip_longest
 from pathlib import Path
 
@@ -66,27 +72,27 @@ EXIT_FATAL = 1
 EXIT_PARTIAL = 2
 
 
-def _add_seed(p: argparse.ArgumentParser, *, threads: bool = False):
+def _count(text: str) -> int:
+    """argparse type of --threads and --fps: an integer >= 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
+
+
+def _spatial(text: str) -> SpatialTransform:
+    try:
+        return SpatialTransform.parse(text)
+    except ValueError as e:  # argparse prints this error's message, not a ValueError's
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
+def _add_seed_and_threads(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0, help="global RNG seed")
-    if threads:
-        p.add_argument("--threads", type=int, default=os.cpu_count(),
-                       help="threads for sampling and extraction (never changes outputs)")
-
-
-# each --spatial kind: its SpatialTransform constructor and the argument counts it takes
-_SPATIAL = {
-    "none": (SpatialTransform, (0,)),
-    "resize": (SpatialTransform.resize, (2,)),
-    "pad_square": (SpatialTransform.pad_square_then_resize, (1,)),
-    "fragment": (SpatialTransform.fragment, (0, 2)),
-}
-
-
-def _parse_spatial(s: str) -> SpatialTransform:
-    kind, *args = s.split(":")
-    if kind not in _SPATIAL or len(args) not in _SPATIAL[kind][1]:
-        raise ValueError(f"unknown spatial transform {s!r}")
-    return _SPATIAL[kind][0](*map(int, args))
+    p.add_argument("--threads", type=_count, default=os.cpu_count(),
+                   help="threads for sampling and extraction (never changes outputs)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,32 +106,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="y4m file, directory of y4m files, "
                    "or directory of PGM/PPM frames (one clip)")
     p.add_argument("--temporal", choices=TEMPORAL_MODES, default="all")
-    p.add_argument("--spatial", default="none",
+    p.add_argument("--spatial", type=_spatial, default=SpatialTransform(),
                    help="none | resize:W:H | pad_square:S | fragment[:GRID:PATCH]")
-    p.add_argument("--fps", type=int, default=30, help="fps for frame directories")
+    p.add_argument("--fps", type=_count, default=30, help="fps for frame directories")
     p.add_argument("--out", "--output", required=True, help="a .json path writes JSON, "
                    "any other path CSV")
-    _add_seed(p, threads=True)
+    _add_seed_and_threads(p)
 
-    p = sub.add_parser("train", help="train a quality regressor")
+    # a hyper-parameter reaches the library, as its dest, only when given: one owner per default
+    p = sub.add_parser("train", help="train a quality regressor",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--features", nargs="+", required=True, help="feature CSV per dataset")
     p.add_argument("--mos", nargs="+", required=True, help="MOS CSV per dataset")
     p.add_argument("--mode", choices=("siamese+finetune", "forest"), default="forest")
     p.add_argument("--out", "--output", required=True, help="checkpoint JSON path")
-    p.add_argument("--epochs", type=int, default=60, help="fine-tune epochs")
-    p.add_argument("--siamese-epochs", type=int, default=None,
-                   help="rank-pretraining epochs (default: same as --epochs)")
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--margin", type=float, default=0.05)
-    p.add_argument("--weight-decay", type=float, default=0.05)
-    p.add_argument("--embed-dim", type=int, default=8)
-    p.add_argument("--head-hidden", type=int, default=4)
-    p.add_argument("--trees", type=int, default=300)
-    p.add_argument("--max-depth", type=int, default=12)
-    p.add_argument("--min-leaf", type=int, default=2,
+    p.add_argument("--epochs", type=int, help="epochs of rank pretraining and of fine-tuning")
+    p.add_argument("--lr", dest="learning_rate", type=float)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--margin", dest="rank_margin", type=float)
+    p.add_argument("--weight-decay", type=float)
+    p.add_argument("--trees", dest="n_trees", type=int)
+    p.add_argument("--min-leaf", type=int,
                    help="rows per leaf; a forest needs at least twice this many rows")
-    _add_seed(p)
+    p.add_argument("--seed", type=int, help="global RNG seed")
 
     p = sub.add_parser("predict", help="score clips from a feature CSV")
     p.add_argument("--model", required=True)
@@ -149,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--warmup", type=int, default=3)
     p.add_argument("--out", "--output", default=None)
-    _add_seed(p, threads=True)
+    _add_seed_and_threads(p)
 
     return parser
 
@@ -176,7 +179,6 @@ def _collect_clips(path: Path, fps: int):
 
 
 def cmd_extract(args) -> int:
-    spatial = _parse_spatial(args.spatial)
     clips = _collect_clips(Path(args.input), args.fps)
     if not clips:
         print(f"error: no readable clips under {args.input}", file=sys.stderr)
@@ -187,7 +189,7 @@ def cmd_extract(args) -> int:
         try:
             clip = loader()
             plan = temporal_sample(clip, args.temporal)
-            fv = extract_clip_features(clip, plan, spatial,
+            fv = extract_clip_features(clip, plan, args.spatial,
                                        seed=args.seed, threads=args.threads)
             rows.append((clip_id, fv))
         except (VqaError, ValueError, OSError) as e:
@@ -216,6 +218,10 @@ def _load_dataset(features_csv: str, mos_csv: str):
     return ids, X, y
 
 
+def _given(args, names) -> dict:
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
 def cmd_train(args) -> int:
     if len(args.features) != len(args.mos):
         print("error: need one --mos file per --features file", file=sys.stderr)
@@ -227,23 +233,17 @@ def cmd_train(args) -> int:
     if args.mode == "forest":
         X = np.concatenate([d[1] for d in datasets], axis=0)
         y = np.concatenate([d[2] for d in datasets])
-        model = fit_forest(X, y, n_trees=args.trees, seed=args.seed,
-                           max_depth=args.max_depth, min_leaf=args.min_leaf,
-                           feature_names=FEATURE_ORDER)
+        model = fit_forest(X, y, feature_names=FEATURE_ORDER,
+                           **_given(args, ("n_trees", "min_leaf", "seed")))
         save_model(args.out, model)
         log_entries.append({"phase": "forest", "n_trees": model.n_trees,
                             "rows": int(X.shape[0]), "nodes": model.node_count()})
     else:
-        net = init_branchnet(embed_dim=args.embed_dim, head_hidden=args.head_hidden,
-                             seed=args.seed)
-        siamese_epochs = args.epochs if args.siamese_epochs is None else args.siamese_epochs
-        base = dict(learning_rate=args.lr, batch_size=args.batch_size, seed=args.seed,
-                    rank_margin=args.margin, weight_decay=args.weight_decay)
-        finetune = TrainConfig(epochs=args.epochs, **base)
-        check_finetune_config(finetune)  # before the pretraining a bad batch size would waste
-        train_siamese([(X, y) for _, X, y in datasets], net,
-                      TrainConfig(epochs=siamese_epochs, **base), history=log_entries)
-        finetune_mos((datasets[0][1], datasets[0][2]), net, finetune, history=log_entries)
+        net = init_branchnet(**_given(args, ("seed",)))
+        config = TrainConfig(**_given(args, (f.name for f in fields(TrainConfig))))
+        check_finetune_config(config)  # before the pretraining a bad batch size would waste
+        train_siamese([(X, y) for _, X, y in datasets], net, config, history=log_entries)
+        finetune_mos((datasets[0][1], datasets[0][2]), net, config, history=log_entries)
         save_model(args.out, net)
 
     log_path.write_text("".join(json.dumps(e) + "\n" for e in log_entries))

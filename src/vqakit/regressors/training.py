@@ -24,9 +24,9 @@ __all__ = ["TrainConfig", "check_finetune_config", "train_siamese", "finetune_mo
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 1e-4
-    epochs: int = 20
-    batch_size: int = 8
+    learning_rate: float = 0.05
+    epochs: int = 60
+    batch_size: int = 16
     seed: int = 0
     rank_margin: float = 0.05
     weight_decay: float = 0.05

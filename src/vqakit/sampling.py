@@ -90,6 +90,18 @@ class SpatialTransform:
         _check_fragment(grid, patch)
         return cls("fragment", grid=grid, patch=patch)
 
+    @classmethod
+    def parse(cls, text: str) -> "SpatialTransform":
+        """A transform from text: none, resize:W:H, pad_square:S or fragment[:GRID:PATCH]."""
+        makers = {("none", 0): cls, ("resize", 2): cls.resize,
+                  ("pad_square", 1): cls.pad_square_then_resize,
+                  ("fragment", 0): cls.fragment, ("fragment", 2): cls.fragment}
+        kind, *sizes = text.split(":")
+        if (kind, len(sizes)) not in makers:
+            raise ValueError(f"unknown spatial transform {text!r}: need none, resize:W:H, "
+                             "pad_square:S or fragment[:GRID:PATCH]")
+        return makers[kind, len(sizes)](*map(int, sizes))
+
     @property
     def selects_samples(self) -> bool:
         """Whether every output sample is a source sample (no interpolation)."""

@@ -1,8 +1,10 @@
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from vqakit import signal_features
 from vqakit.bench_harness import (
     BenchReport,
     Conv2d,
@@ -35,6 +37,16 @@ def conv_macs_loop_oracle(c_in, c_out, k_h, k_w, h_out, w_out):
             for _ in range(w_out):
                 count += c_in * k_h * k_w
     return count
+
+
+# the kernel calls each feature of a MAC list stands for; average luminance is
+# the mean of contrast's _moments call, and ssim() makes both frames' statistics
+FEATURE_KERNELS = {
+    "si": ("si",), "sharpness": ("sharpness",), "colorfulness": ("colour",),
+    "contrast": ("_moments",), "avg_luminance": (), "ti": ("ti",), "ti_first": ("ti",),
+    "ssim": ("_ssim_stats", "_ssim_stats", "_ssim_cross_sums"),
+    "ssim_pair": ("_ssim_stats", "_ssim_cross_sums"), "ssim_first": ("_ssim_cross_sums",),
+}
 
 
 class TestCountMacs:
@@ -95,6 +107,41 @@ class TestCountMacs:
         stats = 3 * plane + 8 * plane // 16 if k > 1 else 0
         want = k * (21 * plane + stats) + pairs * (4 * plane + 19 * plane // 16)
         assert count_macs(pipeline.descriptor) == want / 1e9
+
+    @pytest.mark.parametrize("frame_count,k", [(30, 1), (60, 2), (90, 3), (150, 5)])
+    def test_mac_list_matches_the_kernels_extraction_calls(self, monkeypatch,
+                                                           frame_count, k):
+        spec = ClipSpec("t", frame_count, 64, 48)  # luma only, like the gate's clips
+        pipeline = build_pipeline("feature-forest", spec, n_trees=2, threads=1)
+        calls, views = [], []
+
+        def spy(name, kernel):
+            def call(plane, *args, **kwargs):
+                calls.append((name, plane))
+                return kernel(plane, *args, **kwargs)
+            return call
+
+        for name in ("si", "sharpness", "ti", "_ssim_stats", "_ssim_cross_sums", "_moments"):
+            monkeypatch.setattr(signal_features, name, spy(name, getattr(signal_features, name)))
+        for name in ("colorfulness", "_ycbcr_colorfulness"):
+            kernel = getattr(signal_features, name)
+            monkeypatch.setattr(signal_features, name, spy("colour", kernel))
+        extract = signal_features.extract_view_features
+        monkeypatch.setattr(signal_features, "extract_view_features",
+                            lambda view, threads=None: views.append(view) or extract(view, threads))
+        pipeline.score(synth_clip(spec, "noise", seed=0))
+
+        (view,) = views
+        assert len(view.frames) == pipeline.descriptor.frames_per_clip == k
+        # si, ti and sharpness reduce with _moments too: only its calls on a
+        # view frame are contrast's
+        seen = Counter((name, plane.size) for name, plane in calls
+                       if name != "_moments" or any(plane is f for f in view.frames))
+        want = Counter()
+        for stage in pipeline.descriptor.stages:
+            for kernel in FEATURE_KERNELS[stage.name]:
+                want[kernel, stage.plane_size] += k if stage.per_frame else 1
+        assert seen == want
 
 
 class TestCountParams:

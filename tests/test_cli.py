@@ -1,8 +1,10 @@
+import inspect
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from dataclasses import fields
 from types import SimpleNamespace
 
 import jsonschema
@@ -12,8 +14,9 @@ import pytest
 import vqakit
 from conftest import write_pgm, write_ppm, y4m_bytes
 from vqakit import bench_harness
-from vqakit.cli import main
-from vqakit.regressors import init_branchnet, load_model, save_model
+from vqakit.cli import build_parser, main
+from vqakit.regressors import (TrainConfig, finetune_mos, fit_forest, init_branchnet, load_model,
+                               save_model, train_siamese)
 from vqakit.signal_features import FEATURE_ORDER
 from vqakit.tables import read_score_table, write_score_table
 
@@ -102,7 +105,7 @@ class TestExtract:
         assert main(["extract", "--input", str(f), "--out", str(out)]) == 0
         assert len(out.read_text().strip().splitlines()) == 2
 
-    def test_temporal_and_spatial_flags(self, tmp_path, clip_dir):
+    def test_temporal_and_spatial_flags(self, tmp_path, clip_dir, capsys, monkeypatch):
         outputs = set()
         for spatial in ("resize:16:16", "pad_square:20", "fragment:2:8"):
             out = _extract(tmp_path, clip_dir, "f.csv",
@@ -110,22 +113,31 @@ class TestExtract:
             assert len(out.read_text().strip().splitlines()) == 4
             outputs.add(out.read_text())
         assert len(outputs) == 3  # each transform gives its own features
-        for bad in ("resize:16", "fragment:7", "none:1", "pad_square:x"):
-            assert main(["extract", "--input", str(clip_dir), "--out", str(tmp_path / "g.csv"),
-                         "--spatial", bad]) == 1
-        assert not (tmp_path / "g.csv").exists()
+        read = []
+        monkeypatch.setattr("vqakit.cli.parse_y4m", lambda data: read.append(data))
+        for bad, part in (("resize:16", "'resize:16'"), ("fragment:7", "'fragment:7'"),
+                          ("none:1", "'none:1'"), ("pad_square:x", "'x'")):
+            with pytest.raises(SystemExit) as info:
+                main(["extract", "--input", str(clip_dir), "--out", str(tmp_path / "g.csv"),
+                      "--spatial", bad])
+            assert info.value.code == 2
+            err = capsys.readouterr().err
+            assert "error: argument --spatial: " in err and part in err, err
+        assert read == [] and not (tmp_path / "g.csv").exists()
 
     @pytest.mark.parametrize("spatial,name", [
         ("fragment:0:32", "grid"), ("fragment:-1:32", "grid"), ("fragment:7:0", "patch"),
     ])
-    def test_degenerate_fragment_grid_exit_1(self, tmp_path, clip_dir, capsys, monkeypatch,
+    def test_degenerate_fragment_grid_exit_2(self, tmp_path, clip_dir, capsys, monkeypatch,
                                              spatial, name):
         read = []
         monkeypatch.setattr("vqakit.cli.parse_y4m", lambda data: read.append(data))
-        assert main(["extract", "--input", str(clip_dir), "--out", str(tmp_path / "f.csv"),
-                     "--spatial", spatial]) == 1
+        with pytest.raises(SystemExit) as info:
+            main(["extract", "--input", str(clip_dir), "--out", str(tmp_path / "f.csv"),
+                  "--spatial", spatial])
+        assert info.value.code == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith(f"error: {name}=")
+        assert f"error: argument --spatial: {name}=" in err, err
         assert read == [] and not (tmp_path / "f.csv").exists()
 
     def test_json_format(self, tmp_path, clip_dir):
@@ -189,13 +201,16 @@ class TestOptionScope:
         "bench": ["--pipeline", "identity"],
     }
     VALUES = {"--threads": "2", "--seed": "1", "--format": "json", "--budget-ms": "1000",
-              "--trees": "300", "--config": "cfg.json"}
+              "--trees": "300", "--config": "cfg.json", "--siamese-epochs": "60",
+              "--embed-dim": "8", "--head-hidden": "4", "--max-depth": "12"}
 
     @pytest.mark.parametrize("command,option", [
         ("train", "--threads"), ("predict", "--threads"), ("eval", "--threads"),
         ("fuse", "--threads"), ("predict", "--seed"), ("eval", "--seed"), ("fuse", "--seed"),
         ("extract", "--format"), ("eval", "--format"), ("bench", "--format"),
         ("bench", "--budget-ms"), ("bench", "--trees"), ("eval", "--config"),
+        ("train", "--siamese-epochs"), ("train", "--embed-dim"), ("train", "--head-hidden"),
+        ("train", "--max-depth"),
     ])
     def test_removed_option_is_a_usage_error(self, command, option, capsys):
         with pytest.raises(SystemExit) as info:
@@ -352,6 +367,52 @@ class TestTrainPredict:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "min_leaf=0" in err
         assert not model.exists() and not Path(str(model) + ".log").exists()
+
+    @pytest.mark.parametrize("mode", ["forest", "siamese+finetune"])
+    def test_defaults_are_the_librarys(self, tmp_path, mode):
+        # with no hyper-parameter flag, train writes what the library writes
+        # when called with the values the command line used to state itself
+        X = np.random.default_rng(3).random((12, len(FEATURE_ORDER)))
+        y = 1.0 + 4.0 * X[:, 0]
+        ids = [f"c{i}" for i in range(len(y))]
+        feats, mos = tmp_path / "feats.csv", tmp_path / "mos.csv"
+        lines = ["clip_id," + ",".join(FEATURE_ORDER)]
+        lines += [",".join([cid, *map(repr, row)]) for cid, row in zip(ids, X.tolist())]
+        feats.write_text("\n".join(lines) + "\n")
+        write_score_table(mos, dict(zip(ids, y)), "mos")  # both files keep every bit
+        log = []
+        if mode == "forest":
+            model = fit_forest(X, y, n_trees=300, seed=0, max_depth=12, min_leaf=2,
+                               feature_names=FEATURE_ORDER)
+            log.append({"phase": "forest", "n_trees": 300, "rows": 12,
+                        "nodes": model.node_count()})
+        else:
+            model = init_branchnet(embed_dim=8, head_hidden=4, seed=0)
+            config = TrainConfig(learning_rate=0.05, epochs=60, batch_size=16, seed=0,
+                                 rank_margin=0.05, weight_decay=0.05)
+            train_siamese([(X, y)], model, config, history=log)
+            finetune_mos((X, y), model, config, history=log)
+        want = tmp_path / "library.json"
+        save_model(want, model)
+        got = tmp_path / "cli.json"
+        assert main(["train", "--features", str(feats), "--mos", str(mos), "--mode", mode,
+                     "--out", str(got)]) == 0
+        assert got.read_bytes() == want.read_bytes()
+        assert Path(f"{got}.log").read_text() == "".join(json.dumps(e) + "\n" for e in log)
+
+    def test_states_no_default_the_library_owns(self):
+        # each hyper-parameter's dest is the library parameter it sets, and an
+        # option left out is absent, so the library's default applies
+        train = build_parser()._subparsers._group_actions[0].choices["train"]
+        library = ({f.name for f in fields(TrainConfig)}
+                   | set(inspect.signature(fit_forest).parameters)
+                   | set(inspect.signature(init_branchnet).parameters))
+        own = {"help", "features", "mos", "mode", "out"}
+        dests = {a.dest for a in train._actions}
+        assert dests - own and dests - own <= library
+        args = build_parser().parse_args(["train", "--features", "f.csv", "--mos", "m.csv",
+                                          "--out", "m.json"])
+        assert set(vars(args)) == {"command"} | own - {"help"}
 
     def test_mismatched_dataset_counts(self, tmp_path, clip_dir):
         feats = _extract(tmp_path, clip_dir)
@@ -720,6 +781,9 @@ class TestArgumentFile:
         ("train", "siamese+finetune", "--batch-size=4.5"),
         ("train", "siamese+finetune", "--epochs=2.5"),
         ("bench", None, "--runs=2.5"),
+        # counts below 1
+        ("extract", None, "--threads=0"), ("extract", None, "--fps=0"),
+        ("bench", None, "--threads=-3"),
     ])
     def test_mistyped_value_is_a_usage_error(self, tmp_path, chain, capsys, monkeypatch,
                                             command, mode, line):
@@ -743,11 +807,14 @@ class TestArgumentFile:
 
     def test_spatial_value_checked_before_any_clip_is_read(self, tmp_path, clip_dir, capsys,
                                                           monkeypatch):
-        # extract parses --spatial itself, typed or from a file: exit 1, one line
+        # --spatial is parsed by argparse, typed or from a file: a usage error, exit 2
         read = []
         monkeypatch.setattr("vqakit.cli.parse_y4m", lambda data: read.append(data))
         out = tmp_path / "f.csv"
-        assert main(["extract", "--input", str(clip_dir),
-                     _argfile(tmp_path, ["--spatial=5", f"--out={out}"])]) == 1
-        assert capsys.readouterr().err == "error: unknown spatial transform '5'\n"
+        with pytest.raises(SystemExit) as info:
+            main(["extract", "--input", str(clip_dir),
+                  _argfile(tmp_path, ["--spatial=5", f"--out={out}"])])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --spatial: unknown spatial transform '5'" in err, err
         assert read == [] and not out.exists()
