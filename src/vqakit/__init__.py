@@ -1,38 +1,8 @@
-"""vqakit: blind UGC video quality toolkit and efficiency benchmark harness."""
+"""vqakit: blind UGC video quality toolkit and efficiency benchmark harness.
+
+Import each name from the module that defines it, for example
+``vqakit.clip_io.parse_y4m`` or ``vqakit.eval_metrics.evaluate``; the
+package root binds only ``__version__``.
+"""
 
 __version__ = "0.1.0"
-
-from .clip_io import CANONICAL_SPECS, ClipSpec, Frame, VideoClip, parse_y4m, synth_clip
-from .errors import VqaError
-from .eval_metrics import MetricReport, evaluate, krocc, plcc, rmse, srocc
-from .sampling import SpatialTransform, TemporalPlan, temporal_sample
-from .scoring import FusionSpec, LevelDistribution, ScoreRange, bin_score, expected_score
-from .signal_features import FEATURE_ORDER, FeatureVector, extract_clip_features
-
-__all__ = [
-    "__version__",
-    "VqaError",
-    "VideoClip",
-    "Frame",
-    "ClipSpec",
-    "CANONICAL_SPECS",
-    "parse_y4m",
-    "synth_clip",
-    "TemporalPlan",
-    "SpatialTransform",
-    "temporal_sample",
-    "FeatureVector",
-    "FEATURE_ORDER",
-    "extract_clip_features",
-    "LevelDistribution",
-    "ScoreRange",
-    "FusionSpec",
-    "bin_score",
-    "expected_score",
-    "MetricReport",
-    "evaluate",
-    "srocc",
-    "krocc",
-    "plcc",
-    "rmse",
-]

@@ -190,19 +190,19 @@ class _Y4mFrames(Sequence):
         return Frame(*planes, source_bit_depth=self._depth)
 
 
-def parse_y4m(byte_stream) -> VideoClip:
-    """Parse a YUV4MPEG2 stream (bytes or a binary file object) into a clip.
+def parse_y4m(buf: bytes) -> VideoClip:
+    """Parse the bytes of a YUV4MPEG2 stream into a clip.
 
     Supports 4:2:0, 4:2:2 and 4:4:4 layouts, 8- or 10-bit. Samples are
     normalized to [0,1] by the full-range maximum (255 or 1023).
 
     Every frame is checked here (its FRAME line, its length and, for 10-bit
     streams, every sample's range), but none is decoded: the clip keeps the
-    bytes and decodes a frame each time ``clip.frames[i]`` is read.
+    bytes and decodes a frame each time ``clip.frames[i]`` is read, so they
+    must not change: a mutable buffer is refused.
     """
-    buf = byte_stream if isinstance(byte_stream, (bytes, bytearray)) else byte_stream.read()
-    buf = bytes(buf)
-
+    if not isinstance(buf, bytes):
+        raise TypeError(f"parse_y4m takes bytes, got {type(buf).__name__}")
     nl = buf.find(b"\n")
     if nl < 0:
         raise ParseError(0, buf[:20].decode("latin-1"))

@@ -73,8 +73,7 @@ def _feature_stages(plane: int, frames: int) -> tuple[Feature, ...]:
 
 
 def build_pipeline(
-    name: str, spec: ClipSpec | str, *, seed: int = 0, threads: int | None = None,
-    n_trees: int = 300,
+    name: str, spec: ClipSpec | str, *, seed: int = 0, threads: int | None = None
 ) -> Pipeline:
     spec = CANONICAL_SPECS[spec] if isinstance(spec, str) else spec
 
@@ -85,7 +84,7 @@ def build_pipeline(
         rng = np.random.default_rng(seed)  # seeded synthetic rows: quality follows si
         X = rng.random((64, len(FEATURE_ORDER)))
         y = 1.0 + 4.0 * X[:, 0] + 0.1 * rng.standard_normal(64)
-        model = fit_forest(X, y, n_trees=n_trees, seed=seed, feature_names=FEATURE_ORDER)
+        model = fit_forest(X, y, n_trees=300, seed=seed, feature_names=FEATURE_ORDER)
         predict, stages = (lambda row: predict_forest(model, row)), ()
         params_m = 0.0  # trees learn no weights
     elif name == "feature-branchnet":

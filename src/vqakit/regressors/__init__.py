@@ -1,21 +1,13 @@
 """Quality regressors: gated-fusion branch network and random forest."""
 
-from .checkpoint import FOREST_FORMAT, NET_FORMAT, load_model, save_model
+from .checkpoint import load_model, save_model
 from .forest import ForestModel, fit_forest, predict_forest
-from .losses import rel_loss, rel_loss_grad, total_loss
-from .net import (
-    BRANCH_ORDER,
-    BranchNet,
-    ScgbParams,
-    init_branchnet,
-    predict_scores,
-    scgb_fuse,
-)
+from .losses import total_loss
+from .net import BranchNet, ScgbParams, init_branchnet, predict_scores, scgb_fuse
 from .training import (TrainConfig, check_finetune_config, finetune_mos, total_loss_gradients,
                        train_siamese)
 
 __all__ = [
-    "BRANCH_ORDER",
     "BranchNet",
     "ScgbParams",
     "ForestModel",
@@ -24,8 +16,6 @@ __all__ = [
     "init_branchnet",
     "predict_scores",
     "scgb_fuse",
-    "rel_loss",
-    "rel_loss_grad",
     "total_loss",
     "total_loss_gradients",
     "train_siamese",
@@ -34,6 +24,4 @@ __all__ = [
     "predict_forest",
     "save_model",
     "load_model",
-    "NET_FORMAT",
-    "FOREST_FORMAT",
 ]

@@ -12,7 +12,7 @@ from ..errors import CheckpointError
 from .forest import ForestModel
 from .net import BranchNet, init_branchnet
 
-__all__ = ["save_model", "load_model", "NET_FORMAT", "FOREST_FORMAT"]
+__all__ = ["save_model", "load_model"]
 
 NET_FORMAT = "vqakit-branchnet-v1"
 FOREST_FORMAT = "vqakit-forest-v1"

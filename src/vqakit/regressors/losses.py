@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["rel_loss", "rel_loss_grad", "total_loss"]
+__all__ = ["rel_loss_grad", "total_loss"]
 
 
 def _as_batch(v) -> np.ndarray:
@@ -60,13 +60,9 @@ def rel_loss_grad(predictions, mos, margin: float = 0.05):
     return rank + lin, grank + glin
 
 
-def rel_loss(predictions, mos, margin: float = 0.05) -> float:
-    return rel_loss_grad(predictions, mos, margin)[0]
-
-
 def total_loss(branch_batches, mos_batch, margin: float = 0.05) -> float:
     """Sum of the relative loss over a sequence of three branch score batches."""
     batches = list(branch_batches)
     if len(batches) != 3:
         raise ValueError(f"expected 3 branch batches, got {len(batches)}")
-    return sum(rel_loss(b, mos_batch, margin) for b in batches)
+    return sum(rel_loss_grad(b, mos_batch, margin)[0] for b in batches)

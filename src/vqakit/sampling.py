@@ -33,8 +33,6 @@ __all__ = [
     "plan_indices",
     "temporal_sample",
     "frankenstone_subset",
-    "resize_bilinear",
-    "pad_to_square",
     "fragment_sample",
     "build_view",
 ]
@@ -75,14 +73,15 @@ class SpatialTransform:
 
     @classmethod
     def resize(cls, w: int, h: int) -> "SpatialTransform":
-        if w <= 0 or h <= 0:
-            raise ValueError("resize targets must be positive")
+        for name, value in (("width", w), ("height", h)):
+            if value < 1:
+                raise InvalidParameter(name, value, "an integer >= 1")
         return cls("resize", width=w, height=h)
 
     @classmethod
     def pad_square_then_resize(cls, size: int) -> "SpatialTransform":
-        if size <= 0:
-            raise ValueError("resize target must be positive")
+        if size < 1:
+            raise InvalidParameter("size", size, "an integer >= 1")
         return cls("pad_square_then_resize", size=size)
 
     @classmethod
@@ -124,13 +123,10 @@ class SampledView:
     """
 
     frames: tuple[np.ndarray, ...]
-    origin_indices: tuple[int, ...]
     transform: SpatialTransform
     color: tuple[tuple[np.ndarray, ...], ...] | None = None
 
     def __post_init__(self):
-        if len(self.frames) != len(self.origin_indices):
-            raise ValueError("frames and origin_indices must align")
         if self.color is not None:
             want = 2 if self.transform.selects_samples else 3
             if len(self.color) != len(self.frames) or any(len(c) != want for c in self.color):
@@ -237,7 +233,7 @@ def _axis_taps(n_in: int, n_out: int):
     return lo, np.minimum(lo + 1, n_in - 1), src - lo
 
 
-def resize_bilinear(plane: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
+def _resize_bilinear(plane: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     """Separable bilinear resize with half-pixel centers, to a row-major
     float64 plane: rows are blended first, then columns."""
     h, w = plane.shape
@@ -249,12 +245,12 @@ def resize_bilinear(plane: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     return rows.take(xlo, axis=1) * (1.0 - xfrac) + rows.take(xhi, axis=1) * xfrac
 
 
-def pad_to_square(plane: np.ndarray, fill: float = 0.0) -> np.ndarray:
+def _pad_to_square(plane: np.ndarray) -> np.ndarray:
     h, w = plane.shape
     side = max(h, w)
     if h == w:
         return plane.copy()
-    out = np.full((side, side), float(fill))
+    out = np.zeros((side, side))
     top = (side - h) // 2
     left = (side - w) // 2
     out[top : top + h, left : left + w] = plane
@@ -334,9 +330,9 @@ def _apply_transform(frame: Frame, transform: SpatialTransform, rng: np.random.G
             chroma = tuple(c[rows_c, cols_c] for c in chroma)
         return luma[rows, cols], chroma
     if t.kind == "resize":
-        f = lambda p: resize_bilinear(p, t.width, t.height)
+        f = lambda p: _resize_bilinear(p, t.width, t.height)
     elif t.kind == "pad_square_then_resize":
-        f = lambda p: resize_bilinear(pad_to_square(p), t.size, t.size)
+        f = lambda p: _resize_bilinear(_pad_to_square(p), t.size, t.size)
     else:
         raise ValueError(f"unknown transform {t.kind!r}")
     rgb = frame_rgb(frame) if chroma else ()
@@ -379,4 +375,4 @@ def build_view(
             )
     lumas = tuple(r[0] for r in results)
     colors = tuple(r[1] for r in results) if has_color else None
-    return SampledView(lumas, tuple(plan.indices), transform, colors)
+    return SampledView(lumas, transform, colors)

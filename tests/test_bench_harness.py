@@ -101,8 +101,7 @@ class TestCountMacs:
         # contrast (21 per pixel) and, with pairs, the SSIM statistics (3 + 8);
         # per distinct pair, 2k - 3 of them: ti (2) and an SSIM cross term (2 + 19)
         plane = 64 * 48
-        pipeline = build_pipeline("feature-forest", ClipSpec("t", frame_count, 64, 48),
-                                  n_trees=2)
+        pipeline = build_pipeline("feature-forest", ClipSpec("t", frame_count, 64, 48))
         pairs = 2 * k - 3 if k > 1 else 0
         stats = 3 * plane + 8 * plane // 16 if k > 1 else 0
         want = k * (21 * plane + stats) + pairs * (4 * plane + 19 * plane // 16)
@@ -112,7 +111,7 @@ class TestCountMacs:
     def test_mac_list_matches_the_kernels_extraction_calls(self, monkeypatch,
                                                            frame_count, k):
         spec = ClipSpec("t", frame_count, 64, 48)  # luma only, like the gate's clips
-        pipeline = build_pipeline("feature-forest", spec, n_trees=2, threads=1)
+        pipeline = build_pipeline("feature-forest", spec, threads=1)
         calls, views = [], []
 
         def spy(name, kernel):
@@ -149,7 +148,7 @@ class TestCountParams:
         assert build_pipeline("identity", "30-FHD").params_m == 0.0
 
     def test_forest_reports_zero(self):
-        assert build_pipeline("feature-forest", "30-FHD", n_trees=3).params_m == 0.0
+        assert build_pipeline("feature-forest", "30-FHD").params_m == 0.0
 
     def test_branchnet_counts(self):
         net = init_branchnet(seed=0)
@@ -248,7 +247,7 @@ class TestConstraint:
 
     def test_reference_pipeline_passes_gate(self):
         clip = synth_clip(CANONICAL_SPECS["30-FHD"], "noise", seed=0)
-        pipeline = build_pipeline("feature-forest", "30-FHD", seed=0, n_trees=50)
+        pipeline = build_pipeline("feature-forest", "30-FHD", seed=0)
         report = time_pipeline(pipeline, clip, warmup=1, runs=3, spec_label="30-FHD")
         verdict = check_constraint(report, ConstraintGate("30-FHD", 1000.0))
         assert verdict.passed, f"runtime {report.runtime_ms} ms"

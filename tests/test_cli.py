@@ -127,6 +127,8 @@ class TestExtract:
 
     @pytest.mark.parametrize("spatial,name", [
         ("fragment:0:32", "grid"), ("fragment:-1:32", "grid"), ("fragment:7:0", "patch"),
+        ("resize:0:16", "width"), ("resize:16:-1", "height"), ("pad_square:0", "size"),
+        ("pad_square:-1", "size"),
     ])
     def test_degenerate_fragment_grid_exit_2(self, tmp_path, clip_dir, capsys, monkeypatch,
                                              spatial, name):

@@ -90,6 +90,12 @@ class TestParseY4m:
         assert ei.value.position == header + 4 * frame + len(b"FRAME\n") + 2 * 16 + 2 * 1
         assert ei.value.token == "frame 4 cb: sample 1024 above 1023"
 
+    def test_takes_bytes_only(self):
+        # the clip decodes from the buffer it keeps, so that buffer must not change
+        data = y4m_bytes(4, 4, [(_flat(4, 4, 9), _flat(2, 2, 1), _flat(2, 2, 2))])
+        with pytest.raises(TypeError, match="bytearray"):
+            parse_y4m(bytearray(data))
+
     def test_bad_magic(self):
         with pytest.raises(ParseError):
             parse_y4m(b"JUNK W2 H2 F30:1\nFRAME\n" + b"\x00" * 6)

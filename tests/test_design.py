@@ -1,6 +1,6 @@
 """Design rules: one thread pool in the package, none where threads do not pay;
 the benchmark harness does not depend on the regressors; one function builds
-a branch net."""
+a branch net; every public name has a caller besides its own unit tests."""
 
 import ast
 import threading
@@ -12,6 +12,7 @@ import vqakit
 from vqakit.regressors import fit_forest
 
 SRC = Path(vqakit.__file__).parent
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _imports_thread_pool(path: Path) -> bool:
@@ -66,3 +67,54 @@ def test_only_init_branchnet_builds_a_net():
             ):
                 callers.append(fn.name)
     assert callers == ["init_branchnet"]
+
+
+def _referenced(tree: ast.AST) -> set[str]:
+    """Every identifier a module names, as a variable, an attribute, an import
+    or a dotted string (perfbench's span targets name functions by string)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(node.value.split("."))
+    return out
+
+
+def _public_returns(tree: ast.AST) -> set[str]:
+    return {name for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.returns
+            for name in _referenced(node.returns)}
+
+
+def _exported(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__all__":
+            return ast.literal_eval(node.value)
+    return []
+
+
+def test_public_names_have_callers():
+    # a caller is another module of the package (a package __init__'s
+    # re-exports do not count, and a package's own __all__ needs callers
+    # outside that package), perfbench or the acceptance criteria; a type
+    # that a public function returns is public with it
+    modules = {p: ast.parse(p.read_text()) for p in SRC.rglob("*.py")}
+    outside = set().union(*(_referenced(ast.parse(p.read_text()))
+                            for p in [*(REPO / "perfbench").glob("*.py"),
+                                      REPO / "tests" / "test_acceptance.py"]))
+    returned = set().union(*map(_public_returns, modules.values()))
+    assert {"parse_y4m", "fit_forest", "krocc"} <= outside  # the scan sees perfbench
+    unused = []
+    for path, tree in sorted(modules.items()):
+        scope = path.parent if path.name == "__init__.py" else path
+        callers = outside | returned
+        for other, t in modules.items():
+            if other.name != "__init__.py" and scope not in (other, other.parent):
+                callers |= _referenced(t)
+        unused += [f"{path.relative_to(SRC)}:{n}" for n in _exported(tree) if n not in callers]
+    assert unused == []

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from vqakit.regressors import rel_loss, rel_loss_grad, total_loss
+from vqakit.regressors.losses import rel_loss_grad, total_loss
 
 
 class TestRelLoss:
     def test_perfect_linear_zero(self):
         mos = np.array([1.0, 2.0, 3.0, 4.0])
         pred = 2.0 * mos + 1.0  # slope 2 >> margin/min-gap
-        assert rel_loss(pred, mos, margin=0.05) == pytest.approx(0.0, abs=1e-12)
+        assert rel_loss_grad(pred, mos, margin=0.05)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_anti_correlated_closed_form(self):
         mos = np.array([1.0, 2.0, 3.0])
@@ -17,8 +17,8 @@ class TestRelLoss:
         # ordered pairs (mos_i > mos_j): gaps 1, 1, 2; hinge = margin + gap
         rank = np.mean([margin + 1, margin + 1, margin + 2])
         # linearity is 1 - (-1) = 2 at any margin; at margin 0 the hinges are the gaps
-        assert rel_loss(pred, mos, margin=margin) == pytest.approx(rank + 2.0, abs=1e-12)
-        assert rel_loss(pred, mos, margin=0.0) == pytest.approx(4 / 3 + 2.0, abs=1e-12)
+        assert rel_loss_grad(pred, mos, margin=margin)[0] == pytest.approx(rank + 2.0, abs=1e-12)
+        assert rel_loss_grad(pred, mos, margin=0.0)[0] == pytest.approx(4 / 3 + 2.0, abs=1e-12)
 
     def test_two_equal_mos_zero(self):
         # no ordered pair and an undefined PLCC: both terms are skipped, flat
@@ -46,7 +46,7 @@ class TestRelLoss:
             up, dn = pred.copy(), pred.copy()
             up[i] += h
             dn[i] -= h
-            fd = (rel_loss(up, mos) - rel_loss(dn, mos)) / (2 * h)
+            fd = (rel_loss_grad(up, mos)[0] - rel_loss_grad(dn, mos)[0]) / (2 * h)
             assert grad[i] == pytest.approx(fd, abs=1e-6)
 
     def test_constant_pred_linearity_one(self):
@@ -68,14 +68,14 @@ class TestTotalLoss:
         rng = np.random.default_rng(2)
         pred = rng.random(7)
         mos = rng.random(7) * 4 + 1
-        single = rel_loss(pred, mos)
+        single = rel_loss_grad(pred, mos)[0]
         assert total_loss([pred, pred, pred], mos) == pytest.approx(3 * single, abs=1e-12)
 
     def test_equals_sum_of_rel_losses(self):
         rng = np.random.default_rng(3)
         mos = rng.random(9) * 4 + 1
         branches = [rng.random(9) for _ in range(3)]
-        expect = sum(rel_loss(b, mos) for b in branches)
+        expect = sum(rel_loss_grad(b, mos)[0] for b in branches)
         assert total_loss(branches, mos) == pytest.approx(expect, abs=1e-12)
 
     def test_needs_three_branches(self):

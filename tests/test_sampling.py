@@ -10,12 +10,12 @@ from vqakit.clip_io import ClipSpec, Frame, VideoClip, parse_y4m, synth_clip
 from vqakit.errors import DimensionMismatch, InsufficientFrames, InvalidParameter, SourceTooSmall
 from vqakit.sampling import (
     SpatialTransform,
+    _pad_to_square,
+    _resize_bilinear,
     build_view,
     fragment_sample,
     frankenstone_subset,
-    pad_to_square,
     plan_indices,
-    resize_bilinear,
     temporal_sample,
 )
 
@@ -108,50 +108,46 @@ class TestFrankenstoneSubset:
 
 class TestResize:
     def test_constant_preserved(self):
-        out = resize_bilinear(np.full((64, 64), 0.25), 224, 224)
+        out = _resize_bilinear(np.full((64, 64), 0.25), 224, 224)
         assert out.shape == (224, 224)
         assert np.allclose(out, 0.25, atol=0, rtol=0)
 
     def test_half_pixel_weights_2_to_4(self):
         # src centers at (x+0.5)/2 - 0.5 -> [-0.25, 0.25, 0.75, 1.25], clamped
-        out = resize_bilinear(np.array([[0.0, 1.0]]), 4, 1)
+        out = _resize_bilinear(np.array([[0.0, 1.0]]), 4, 1)
         assert np.allclose(out, [[0.0, 0.25, 0.75, 1.0]], atol=1e-15)
 
     def test_identity(self):
         rng = np.random.default_rng(0)
         p = rng.random((5, 7))
-        assert np.array_equal(resize_bilinear(p, 7, 5), p)
+        assert np.array_equal(_resize_bilinear(p, 7, 5), p)
 
     def test_bounds_property(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             h, w = rng.integers(1, 40, size=2)
             p = rng.random((h, w))
-            out = resize_bilinear(p, int(rng.integers(1, 50)), int(rng.integers(1, 50)))
+            out = _resize_bilinear(p, int(rng.integers(1, 50)), int(rng.integers(1, 50)))
             assert out.min() >= p.min() - 1e-12
             assert out.max() <= p.max() + 1e-12
 
 
 class TestPadToSquare:
     def test_fhd_bands(self):
-        out = pad_to_square(np.ones((1080, 1920)))
+        out = _pad_to_square(np.ones((1080, 1920)))
         assert out.shape == (1920, 1920)
         assert np.all(out[:420] == 0) and np.all(out[-420:] == 0)
         assert np.all(out[420:1500] == 1)
 
     def test_square_unchanged(self):
         p = np.arange(9, dtype=float).reshape(3, 3)
-        assert np.array_equal(pad_to_square(p), p)
+        assert np.array_equal(_pad_to_square(p), p)
 
     def test_3x1_centered(self):
-        out = pad_to_square(np.array([[0.1, 0.2, 0.3]]))
+        out = _pad_to_square(np.array([[0.1, 0.2, 0.3]]))
         expect = np.zeros((3, 3))
         expect[1] = [0.1, 0.2, 0.3]
         assert np.array_equal(out, expect)
-
-    def test_fill_value(self):
-        out = pad_to_square(np.zeros((1, 3)), fill=0.7)
-        assert out[0, 0] == 0.7
 
 
 def region_constant_plane(h, w, grid=7):
@@ -216,8 +212,8 @@ class TestBuildView:
 
     def test_view_alignment(self):
         clip = synth_clip(ClipSpec("t", 4, 16, 16), "constant")
-        view = build_view(clip, temporal_sample(clip, "two_per_30"))
-        assert len(view.frames) == len(view.origin_indices)
+        plan = temporal_sample(clip, "two_per_30")
+        assert len(build_view(clip, plan).frames) == len(plan.indices)
 
     def test_resize_transform(self):
         clip = synth_clip(ClipSpec("t", 2, 64, 48), "constant", value=0.5)

@@ -22,10 +22,10 @@ from vqakit.sampling import (
     SampledView,
     SpatialTransform,
     TemporalPlan,
+    _pad_to_square,
+    _resize_bilinear,
     build_view,
     fragment_sample,
-    pad_to_square,
-    resize_bilinear,
     temporal_sample,
 )
 from vqakit.signal_features import (
@@ -194,9 +194,9 @@ def reference_rgb(clip, i, transform, seed):
     if t.kind == "none":
         return rgb
     if t.kind == "resize":
-        return tuple(resize_bilinear(p, t.width, t.height) for p in rgb)
+        return tuple(_resize_bilinear(p, t.width, t.height) for p in rgb)
     if t.kind == "pad_square_then_resize":
-        return tuple(resize_bilinear(pad_to_square(p), t.size, t.size) for p in rgb)
+        return tuple(_resize_bilinear(_pad_to_square(p), t.size, t.size) for p in rgb)
     return tuple(fragment_sample(p, t.grid, t.patch, np.random.default_rng(seed ^ i))
                  for p in rgb)
 
@@ -250,7 +250,7 @@ class TestColorfulness:
         assert len(view.color) == 3
         for i, planes in enumerate(view.color):
             stacked = colorfulness_stacked(np.stack(reference_rgb(clip, i, transform, 4), axis=-1))
-            one = SampledView(view.frames[i:i + 1], (i,), transform, (planes,))
+            one = SampledView(view.frames[i:i + 1], transform, (planes,))
             for threads in (1, 4):
                 got = extract_view_features(one, threads=threads).values["colorfulness"]
                 assert got.hex() == stacked.hex()
@@ -544,7 +544,7 @@ class TestExtraction:
             lumas = tuple(rng.random((side, side)) for _ in range(5))
             chroma = tuple(tuple(rng.random((side // 2, side // 2)) for _ in range(2))
                            for _ in lumas)
-            view = SampledView(lumas, tuple(range(5)), SpatialTransform(), chroma)
+            view = SampledView(lumas, SpatialTransform(), chroma)
             extract_view_features(view, threads=1)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             for _ in range(4):
