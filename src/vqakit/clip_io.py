@@ -5,11 +5,11 @@ Frames are planar and full-range normalized: every sample is a float64 in
 stream's bytes and an index of its frames, and decodes a frame each time it is
 read, so memory is the stream's bytes plus the frames in use. Chroma (when
 present) stays at its source resolution. Colour is converted to clamped
-BT.709 RGB in bands of rows that fit in cache (``color_bands``):
-``ycbcr_to_rgb`` converts one band, with chroma upsampled by nearest
-neighbor, into planes the caller owns, so a consumer that keeps only a band
-at a time needs no full-frame RGB plane. ``frame_rgb`` runs it over all
-rows.
+BT.709 RGB in bands of rows that fit in cache (``row_bands``, which the
+luma kernels of ``signal_features`` walk too): ``ycbcr_to_rgb`` converts one
+band, with chroma upsampled by nearest neighbor, into planes the caller owns,
+so a consumer that keeps only a band at a time needs no full-frame RGB
+plane. ``frame_rgb`` runs it over all rows.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ __all__ = [
     "load_frame_dir",
     "synth_clip",
     "chroma_factors",
-    "color_bands",
+    "row_bands",
     "ycbcr_to_rgb",
     "frame_rgb",
 ]
@@ -391,44 +391,43 @@ def chroma_factors(luma_shape, chroma_shape) -> tuple[int, int]:
     return -(-luma_shape[0] // chroma_shape[0]), -(-luma_shape[1] // chroma_shape[1])
 
 
-# Pixels per band of colour conversion: a band's r, g, b and work strip take
-# 1 MiB as float64, which stays in L2 (about 16 rows of FHD, 50 of 640x360).
-# The budget is in pixels, not rows, because a narrow frame's bands would
-# otherwise cost more numpy calls than their pixels are worth.
+# Pixels per band: a band of colour conversion keeps its r, g, b and work
+# strips, a band of a luma kernel its stencil strips, in one 1 MiB buffer of
+# float64 that stays in L2 (about 16 rows of FHD, 50 of 640x360). The budget
+# is in pixels, not rows, because a narrow frame's bands would otherwise cost
+# more numpy calls than their pixels are worth.
 _BAND_PIXELS = 1 << 15
 
 
-def color_bands(shape: tuple[int, int], fy: int) -> list[tuple[slice, slice]]:
-    """The (luma rows, chroma rows) of each band a plane of ``shape`` is
-    converted in.
+def row_bands(shape: tuple[int, int], fy: int = 1) -> list[slice]:
+    """The rows of each band that a plane of ``shape`` is walked in.
 
     A band holds the rows of ``_BAND_PIXELS`` pixels rounded down to a
-    multiple of ``fy`` (at least ``fy``), so every band starts on a chroma
-    row; the last may be short.
+    multiple of ``fy`` (at least ``fy``), so with chroma subsampled by ``fy``
+    every band starts on a chroma row; the last may be short.
     """
     height, width = shape
     step = max(_BAND_PIXELS // width // fy, 1) * fy
-    bands = []
-    for top in range(0, height, step):
-        end = min(top + step, height)
-        bands.append((slice(top, end), slice(top // fy, -(-end // fy))))
-    return bands
+    return [slice(top, min(top + step, height)) for top in range(0, height, step)]
 
 
-def ycbcr_to_rgb(y, cb, cr, fy: int, fx: int, out) -> None:
-    """Write the clamped BT.709 (r, g, b) of luma rows ``y`` into ``out``.
+def ycbcr_to_rgb(y, cb, cr, rows: slice, fy: int, fx: int, out) -> None:
+    """Write the clamped BT.709 (r, g, b) of luma rows ``y[rows]`` into ``out``.
 
-    ``cb`` and ``cr`` are the chroma rows of those luma rows, subsampled by
-    ``fy`` x ``fx``: luma row i takes chroma row i // fy, so ``y`` must start
-    on a chroma row, as every band of ``color_bands`` does. ``out`` is four
-    row-major planes of ``y``'s shape: r, g, b, then a work plane. Chroma is
-    upsampled by nearest neighbor: each of the fy x fx luma phases (rows
-    dy::fy, columns dx::fx) takes one strided add of the shifted and scaled
-    chroma, so no upsampled copy is made. Every step is per pixel, so a band
-    gets the bits the same rows get in a whole frame.
+    ``cb`` and ``cr`` are whole chroma planes, subsampled by ``fy`` x ``fx``:
+    luma row i takes chroma row i // fy, so ``rows`` must start on a chroma
+    row, as every band of ``row_bands(y.shape, fy)`` does. ``out`` is four
+    row-major planes of ``y[rows]``'s shape: r, g, b, then a work plane.
+    Chroma is upsampled by nearest neighbor: each of the fy x fx luma phases
+    (rows dy::fy, columns dx::fx) takes one strided add of the shifted and
+    scaled chroma, so no upsampled copy is made. Every step is per pixel, so
+    a band gets the bits the same rows get in a whole frame.
     """
+    y = y[rows]
+    chroma_rows = slice(rows.start // fy, -(-rows.stop // fy))
     r, g, b, work = out
-    for plane, c, k in ((r, cr, 2.0 * (1.0 - _KR)), (b, cb, 2.0 * (1.0 - _KB))):
+    for plane, c, k in ((r, cr[chroma_rows], 2.0 * (1.0 - _KR)),
+                        (b, cb[chroma_rows], 2.0 * (1.0 - _KB))):
         shifted = np.subtract(c, 0.5, out=work.reshape(-1)[: c.size].reshape(c.shape))
         shifted *= k
         for dy in range(fy):
@@ -455,9 +454,9 @@ def frame_rgb(frame: Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     y, cb, cr = frame.luma, frame.chroma_b, frame.chroma_r
     fy, fx = chroma_factors(y.shape, cb.shape)
     r, g, b = (np.empty(y.shape) for _ in range(3))
-    bands = color_bands(y.shape, fy)
-    work = np.empty(y[bands[0][0]].shape)
-    for rows, chroma_rows in bands:
+    bands = row_bands(y.shape, fy)
+    work = np.empty(y[bands[0]].shape)
+    for rows in bands:
         strips = (r[rows], g[rows], b[rows], work[: rows.stop - rows.start])
-        ycbcr_to_rgb(y[rows], cb[chroma_rows], cr[chroma_rows], fy, fx, strips)
+        ycbcr_to_rgb(y, cb, cr, rows, fy, fx, strips)
     return r, g, b

@@ -15,17 +15,22 @@ its product plane.
 A view's features are one pass: every per-frame and per-pair kernel call is
 one task of a single thread-pool call, and only the small SSIM window arrays
 are combined after it. The kernels write their plane-sized temporaries
-(gradients, differences, products, deviations) into scratch planes that each
-worker thread reuses for the length of that call. Called outside a pool,
-a kernel allocates fresh planes and keeps none.
+(gradient magnitudes, Laplacians, differences, products, deviations) into
+scratch planes of the running thread (``_parallel.scratch``): a pool worker
+keeps them from one clip to the next, at most two full-size planes, a
+sixteenth of one and a 1 MiB band buffer. Called outside a pool, a kernel
+allocates fresh planes and keeps none.
 
-Colour of a view that keeps YCbCr is converted where it is measured: the
-frame is walked in bands of rows (``clip_io.color_bands``), each band
-is converted to RGB in four scratch strips that stay in cache, and its
-opponent planes rg and yb are written into two full-size scratch planes.
-Their moments then reduce whole planes, as ``colorfulness`` does, so the
-value has the bits of ``colorfulness(*frame_rgb(frame))`` and no full-size
-RGB plane is made.
+SI, sharpness and colour walk the frame in bands of rows of about 32k pixels
+(``clip_io.row_bands``). Each band's elementwise stages (the stencil sums,
+or the conversion to RGB) run in strips of the band buffer, which stays in
+cache, and write the band's rows of one full-size plane per output: the
+gradient magnitude, the Laplacian, or colour's opponent planes rg and yb.
+Elementwise steps give the same bits in any band; only reductions depend on
+the shape they reduce, so each ``_moments`` call still reduces a whole
+plane, with numpy's bits. Colour of a view that keeps YCbCr thus has the
+bits of ``colorfulness(*frame_rgb(frame))``, and no full-size RGB plane is
+made.
 
 Feature values are grouped into three branch families (technical,
 aesthetic-proxy, semantic-proxy) which feed the fusion regressor.
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import parallel_map, scratch
-from .clip_io import VideoClip, chroma_factors, color_bands, ycbcr_to_rgb
+from .clip_io import _BAND_PIXELS, VideoClip, chroma_factors, row_bands, ycbcr_to_rgb
 from .errors import DimensionMismatch, PlaneTooSmall
 from .sampling import SampledView, SpatialTransform, TemporalPlan, build_view
 from .tables import read_id_rows
@@ -121,8 +126,9 @@ def _require(plane: np.ndarray, min_side: int, what: str):
         raise PlaneTooSmall(f"{what} needs at least {min_side}x{min_side}, got {w}x{h}")
 
 
-def _moments(x: np.ndarray, slot: int) -> tuple[float, float]:
-    """``(x.mean(), x.var())``, with the deviations in scratch plane ``slot``.
+def _moments(x: np.ndarray, dev: np.ndarray) -> tuple[float, float]:
+    """``(x.mean(), x.var())``, with the deviations written into ``dev``:
+    x itself when x is a scratch plane, else a scratch plane of its shape.
 
     These are numpy's own steps for ``var``: the sum with keepdims over n,
     the deviations from it, squared in place, their sum over n. On a
@@ -131,37 +137,62 @@ def _moments(x: np.ndarray, slot: int) -> tuple[float, float]:
     """
     n = x.size
     mean = np.add.reduce(x, axis=None, keepdims=True) / n
-    dev = np.subtract(x, mean, out=scratch(slot, x.shape))
+    np.subtract(x, mean, out=dev)
     np.square(dev, out=dev)
     return mean.item(), float(np.add.reduce(dev, axis=None) / n)
+
+
+# Scratch slots: two full-size planes, the SSIM block sums, the band buffer.
+_PLANE_A, _PLANE_B, _BLOCKS, _BAND = range(4)
+
+
+def _band_strips(*shapes: tuple[int, int]) -> list[np.ndarray]:
+    """Row-major strips of ``shapes``, one after another in the band buffer,
+    which is never smaller than 1 MiB, so that every kernel's bands share it."""
+    sizes = [math.prod(shape) for shape in shapes]
+    buf = scratch(_BAND, (max(sum(sizes), 4 * _BAND_PIXELS),))
+    strips, start = [], 0
+    for shape, n in zip(shapes, sizes):
+        strips.append(buf[start:start + n].reshape(shape))
+        start += n
+    return strips
 
 
 def si(luma_plane: np.ndarray) -> float:
     """Spatial information: stddev of the Sobel gradient magnitude (interior).
 
     The Sobel kernels are applied separably: a [1, 2, 1] smoothing across the
-    gradient, then a central difference along it.
+    gradient, then a central difference along it. Each band of output rows
+    smooths its rows and the two beyond them in strips, and writes its
+    magnitudes into one full-size plane.
     """
     _require(luma_plane, 3, "si")
     p = luma_plane
     h, w = p.shape
-    smooth = np.multiply(p[:, 1:-1], 2.0, out=scratch(0, (h, w - 2)))
-    np.add(p[:, :-2], smooth, out=smooth)
-    smooth += p[:, 2:]
-    gy = np.subtract(smooth[2:], smooth[:-2], out=scratch(1, (h - 2, w - 2)))
-    smooth = np.multiply(p[1:-1], 2.0, out=scratch(0, (h - 2, w)))
-    np.add(p[:-2], smooth, out=smooth)
-    smooth += p[2:]
-    gx = np.subtract(smooth[:, 2:], smooth[:, :-2], out=scratch(2, (h - 2, w - 2)))
-    return math.sqrt(_moments(np.hypot(gx, gy, out=gx), 0)[1])
+    mag = scratch(_PLANE_A, (h - 2, w - 2))
+    for rows in row_bands((h - 2, w)):
+        top, end = rows.start, rows.stop
+        across, gy, along = _band_strips((end - top + 2, w - 2), (end - top, w - 2),
+                                         (end - top, w))
+        q = p[top:end + 2]
+        np.multiply(q[:, 1:-1], 2.0, out=across)
+        np.add(q[:, :-2], across, out=across)
+        across += q[:, 2:]
+        np.subtract(across[2:], across[:-2], out=gy)
+        np.multiply(q[1:-1], 2.0, out=along)
+        np.add(q[:-2], along, out=along)
+        along += q[2:]
+        gx = np.subtract(along[:, 2:], along[:, :-2], out=mag[rows])
+        np.hypot(gx, gy, out=gx)
+    return math.sqrt(_moments(mag, mag)[1])
 
 
 def ti(luma_t: np.ndarray, luma_prev: np.ndarray) -> float:
     """Temporal information: stddev of the pixelwise difference plane."""
     if luma_t.shape != luma_prev.shape:
         raise DimensionMismatch(f"{luma_t.shape} vs {luma_prev.shape}")
-    diff = np.subtract(luma_t, luma_prev, out=scratch(0, luma_t.shape))
-    return math.sqrt(_moments(diff, 1)[1])
+    diff = np.subtract(luma_t, luma_prev, out=scratch(_PLANE_A, luma_t.shape))
+    return math.sqrt(_moments(diff, diff)[1])
 
 
 def _opponents(r, g, b, rg: np.ndarray, yb: np.ndarray):
@@ -173,8 +204,9 @@ def _opponents(r, g, b, rg: np.ndarray, yb: np.ndarray):
 
 
 def _hasler(rg: np.ndarray, yb: np.ndarray) -> float:
-    rg_mean, rg_var = _moments(rg, 2)
-    yb_mean, yb_var = _moments(yb, 2)
+    """The colourfulness of scratch opponent planes, which it overwrites."""
+    rg_mean, rg_var = _moments(rg, rg)
+    yb_mean, yb_var = _moments(yb, yb)
     return float(
         np.hypot(math.sqrt(rg_var), math.sqrt(yb_var)) + 0.3 * np.hypot(rg_mean, yb_mean)
     )
@@ -184,7 +216,7 @@ def colorfulness(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> float:
     """Hasler-Suesstrunk colorfulness on [0,1] RGB planes."""
     if not r.shape == g.shape == b.shape:
         raise DimensionMismatch(f"{r.shape} vs {g.shape} vs {b.shape}")
-    rg, yb = scratch(0, r.shape), scratch(1, r.shape)
+    rg, yb = scratch(_PLANE_A, r.shape), scratch(_PLANE_B, r.shape)
     _opponents(r, g, b, rg, yb)
     return _hasler(rg, yb)
 
@@ -193,10 +225,10 @@ def _ycbcr_colorfulness(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> float:
     """``colorfulness(*frame_rgb(Frame(y, cb, cr)))``, converted in bands,
     with the same bits (see the module docstring)."""
     fy, fx = chroma_factors(y.shape, cb.shape)
-    rg, yb = scratch(0, y.shape), scratch(1, y.shape)
-    for rows, chroma_rows in color_bands(y.shape, fy):
-        strips = scratch(3, (4, rows.stop - rows.start, y.shape[1]))
-        ycbcr_to_rgb(y[rows], cb[chroma_rows], cr[chroma_rows], fy, fx, strips)
+    rg, yb = scratch(_PLANE_A, y.shape), scratch(_PLANE_B, y.shape)
+    for rows in row_bands(y.shape, fy):
+        strips = _band_strips(*[(rows.stop - rows.start, y.shape[1])] * 4)
+        ycbcr_to_rgb(y, cb, cr, rows, fy, fx, strips)
         _opponents(*strips[:3], rg[rows], yb[rows])
     return _hasler(rg, yb)
 
@@ -208,22 +240,28 @@ def avg_luminance(luma_plane: np.ndarray) -> float:
 
 
 def sharpness(luma_plane: np.ndarray) -> float:
-    """Variance of the 3x3 Laplacian response over interior pixels."""
+    """Variance of the 3x3 Laplacian response over interior pixels, written
+    band by band into one full-size plane."""
     _require(luma_plane, 3, "sharpness")
     p = luma_plane
     h, w = p.shape
-    # up + down + left + right - 4 * centre, added in that order into one buffer
-    lap = np.add(p[:-2, 1:-1], p[2:, 1:-1], out=scratch(0, (h - 2, w - 2)))
-    lap += p[1:-1, :-2]
-    lap += p[1:-1, 2:]
-    lap -= np.multiply(p[1:-1, 1:-1], 4.0, out=scratch(1, lap.shape))
-    return _moments(lap, 1)[1]
+    lap = scratch(_PLANE_A, (h - 2, w - 2))
+    for rows in row_bands((h - 2, w)):
+        # up + down + left + right - 4 * centre, added in that order
+        top, end = rows.start, rows.stop
+        centre = p[top + 1:end + 1]
+        band = np.add(p[top:end, 1:-1], p[top + 2:end + 2, 1:-1], out=lap[rows])
+        band += centre[:, :-2]
+        band += centre[:, 2:]
+        (four,) = _band_strips(band.shape)
+        band -= np.multiply(centre[:, 1:-1], 4.0, out=four)
+    return _moments(lap, lap)[1]
 
 
 def contrast(luma_plane: np.ndarray) -> float:
     if luma_plane.size == 0:
         raise PlaneTooSmall("empty plane")
-    return math.sqrt(_moments(luma_plane, 0)[1])
+    return math.sqrt(_moments(luma_plane, scratch(_PLANE_A, luma_plane.shape))[1])
 
 
 _SSIM_C1 = 0.01 ** 2
@@ -244,13 +282,13 @@ def _ssim_windows(q: np.ndarray) -> np.ndarray:
     _require(q, _SSIM_WIN, "ssim")
     b = _SSIM_STRIDE
     h, w = q.shape[0] // b * b, q.shape[1] // b * b
-    rows = np.add(q[0:h:b], q[1:h:b], out=scratch(1, (h // b, q.shape[1])))
+    rows = np.add(q[0:h:b], q[1:h:b], out=scratch(_PLANE_B, (h // b, q.shape[1])))
     rows += q[2:h:b]
     rows += q[3:h:b]
-    blocks = np.add(rows[:, 0:w:b], rows[:, 1:w:b], out=scratch(2, (h // b, w // b)))
+    blocks = np.add(rows[:, 0:w:b], rows[:, 1:w:b], out=scratch(_BLOCKS, (h // b, w // b)))
     blocks += rows[:, 2:w:b]
     blocks += rows[:, 3:w:b]
-    pairs = np.add(blocks[:-1], blocks[1:], out=scratch(1, (h // b - 1, w // b)))
+    pairs = np.add(blocks[:-1], blocks[1:], out=scratch(_PLANE_B, (h // b - 1, w // b)))
     return pairs[:, :-1] + pairs[:, 1:]
 
 
@@ -258,7 +296,7 @@ def _ssim_stats(plane: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One plane's SSIM window means and variances, shared by all its pairs."""
     mu = _ssim_windows(plane)
     mu /= _SSIM_N
-    var = _ssim_windows(np.multiply(plane, plane, out=scratch(0, plane.shape)))
+    var = _ssim_windows(np.multiply(plane, plane, out=scratch(_PLANE_A, plane.shape)))
     var /= _SSIM_N
     var -= mu * mu
     return mu, var
@@ -266,7 +304,7 @@ def _ssim_stats(plane: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _ssim_cross_sums(plane_a: np.ndarray, plane_b: np.ndarray) -> np.ndarray:
     """The window sums of a·b: all that a pair adds to its planes' _ssim_stats."""
-    return _ssim_windows(np.multiply(plane_a, plane_b, out=scratch(0, plane_a.shape)))
+    return _ssim_windows(np.multiply(plane_a, plane_b, out=scratch(_PLANE_A, plane_a.shape)))
 
 
 def _ssim_combine(stats_a, stats_b, cross_sums: np.ndarray) -> float:
@@ -331,8 +369,9 @@ def extract_view_features(view: SampledView, threads: int | None = None) -> Feat
     the frame's SSIM window statistics; per pair, ti and the window sums of
     the pair's product plane. No task waits for another: each pair's SSIM is
     formed from the small window arrays after the pool returns. The kernels'
-    temporaries are scratch planes of that pool call. Every mean adds its
-    terms in a fixed order, so threaded extraction is bit-identical to serial.
+    temporaries are scratch planes of the thread that runs them. Every mean
+    adds its terms in a fixed order, so threaded extraction is bit-identical
+    to serial.
     """
     lumas = view.frames
     colors = view.color
@@ -359,7 +398,7 @@ def extract_view_features(view: SampledView, threads: int | None = None) -> Feat
         return ti(lumas[i], lumas[j]), _ssim_cross_sums(lumas[i], lumas[j])
 
     def stats(i: int):
-        mean, var = _moments(lumas[i], 0)  # contrast and average luminance
+        mean, var = _moments(lumas[i], scratch(_PLANE_A, lumas[i].shape))  # contrast, luminance
         return math.sqrt(var), mean, _ssim_stats(lumas[i]) if pairs else None
 
     tasks = ([(si, lumas[i]) for i in range(k)] + [(looks, i) for i in range(k)]

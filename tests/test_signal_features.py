@@ -1,8 +1,10 @@
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
+import threading
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -297,6 +299,24 @@ class TestLumaStats:
         for p in planes:
             assert sharpness(p).hex() == float(laplacian_expression(p).var()).hex()
 
+    @pytest.mark.parametrize("h,w", [
+        (3, 40),  # one interior row: one band of one row
+        (2 * (clip_io._BAND_PIXELS // 64) + 3, 64),  # a last band of one row
+        (6, clip_io._BAND_PIXELS + 5),  # wider than a band: one row per band
+    ], ids=["one-row", "last-band-one-row", "wide"])
+    def test_band_edges_formula_bits(self, h, w):
+        # si and sharpness walk their interior rows in bands; at the edges of
+        # that walk they keep the bits of the whole-plane expressions, with
+        # fresh planes and with a pool's scratch
+        last = clip_io.row_bands((h - 2, w))[-1]
+        assert (last.start, last.stop) == (h - 3, h - 2)
+        p = np.round(np.random.default_rng(h).random((h, w)) * 255) / 255
+        want = [si_two_stencil(p).hex(), float(laplacian_expression(p).var()).hex()]
+        assert [si(p).hex(), sharpness(p).hex()] == want
+        for threads in (1, 2):
+            got = _parallel.parallel_map(lambda kernel: kernel(p).hex(), [si, sharpness], threads)
+            assert got == want
+
 
 class TestSsim:
     def test_identical_is_one(self):
@@ -499,40 +519,60 @@ class TestExtraction:
             for name, vals in ref.items():
                 assert hexes[name] == float(np.mean(vals)).hex(), (ctag, name)
 
-    def test_scratch_planes_released(self, monkeypatch):
-        # the pool call's scratch buffers are gone once extraction returns
-        seen = []
-        real_si = sf.si
+    def test_pool_scratch_held_and_bounded(self):
+        # a pool worker keeps its scratch from one call to the next: after
+        # views of two sizes, at most two planes of the largest luma size, the
+        # SSIM block sums and the 1 MiB band buffer; a serial call keeps none
+        _parallel._drop_pools()
+        rng = np.random.default_rng(6)
+        for h, w in ((512, 768), (768, 400)):
+            lumas = tuple(rng.random((h, w)) for _ in range(3))
+            chroma = tuple(tuple(rng.random((h // 2, w // 2)) for _ in range(2)) for _ in lumas)
+            extract_view_features(SampledView(lumas, SpatialTransform(), chroma), threads=2)
+        largest = 512 * 768 * 8
+        held = _workers_scratch(2)
+        for buffers in held:
+            assert sum(b.nbytes for b in buffers) <= 2.5 * largest + 2 ** 20
+        refs = [weakref.ref(b) for buffers in held for b in buffers]
+        assert len(refs) >= 4
+        del held, buffers
+        _parallel._drop_pools()  # frees the workers' scratch
+        assert all(ref() is None for ref in refs)
 
-        def watched(p):
-            value = real_si(p)
-            buffer = _parallel.scratch(0, (1,)).base
-            assert buffer.size >= p.size - 2 * p.shape[0]
-            seen.append(weakref.ref(buffer))
-            return value
-
-        monkeypatch.setattr(sf, "si", watched)
-        clip = synth_clip(ClipSpec("t", 5, 32, 24), "noise", seed=2)
-        for threads in (1, 2):
-            extract_clip_features(clip, temporal_sample(clip, "all"), threads=threads)
-        assert len(seen) == 10 and all(ref() is None for ref in seen)
+        refs = _parallel.parallel_map(lambda _: weakref.ref(_parallel.scratch(0, (8,)).base),
+                                      range(3), 1)
+        assert all(ref() is None for ref in refs)
+        assert not hasattr(_parallel._local, "buffers")
 
     def test_scratch_scope_is_one_call(self):
-        # a call's tasks on one thread share that thread's buffer; outside a
-        # call every scratch array is fresh
+        # a call's tasks on one thread share that thread's buffer, and a pool
+        # worker keeps it for the next call; outside a call every scratch
+        # array is fresh
         for threads in (1, 2):
             bases = _parallel.parallel_map(lambda _: _parallel.scratch(0, (8,)).base,
                                            range(6), threads)
             assert len({id(b) for b in bases}) <= threads
             assert _parallel.scratch(0, (8,)).base is None
+        barrier = threading.Barrier(2, timeout=30)
+
+        def base(_):
+            barrier.wait()  # one task on each worker
+            return _parallel.scratch(0, (8,)).base
+
+        first = _parallel.parallel_map(base, range(2), 2)
+        second = _parallel.parallel_map(base, range(2), 2)
+        assert len({id(b) for b in first}) == 2
+        assert {id(b) for b in second} == {id(b) for b in first}
+        assert _parallel.scratch(0, (8,)).base is None
 
     def test_allocations_bounded_by_scratch_slots(self):
         # Under MALLOC_MMAP_THRESHOLD_ every plane-sized temporary is a fresh
         # mapping that faults its pages in. A repeat extraction of a 5-frame
-        # 4:2:0 YCbCr view (25 kernel calls) faults in the three scratch
-        # planes, the colour band strips and the small SSIM window arrays,
-        # about 7 planes in all; when every kernel call maps its own
-        # temporaries it is about 100.
+        # 4:2:0 YCbCr view (25 kernel calls) on one thread faults in the two
+        # scratch planes, the band buffer and the small SSIM window arrays,
+        # about 8 planes in all; when every kernel call maps its own
+        # temporaries it is about 100. Pool workers keep their scratch from
+        # one call to the next, so a repeat at threads=2 faults in about one.
         code = textwrap.dedent("""
             import resource
             import numpy as np
@@ -545,20 +585,85 @@ class TestExtraction:
             chroma = tuple(tuple(rng.random((side // 2, side // 2)) for _ in range(2))
                            for _ in lumas)
             view = SampledView(lumas, SpatialTransform(), chroma)
-            extract_view_features(view, threads=1)
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            for _ in range(4):
-                extract_view_features(view, threads=1)
-            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-            print(faults / 4 / (side * side * 8 / resource.getpagesize()))
+            for threads in (1, 2):
+                extract_view_features(view, threads=threads)
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                for _ in range(4):
+                    extract_view_features(view, threads=threads)
+                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+                print(faults / 4 / (side * side * 8 / resource.getpagesize()))
         """)
         env = {**os.environ, "MALLOC_MMAP_THRESHOLD_": "131072",
                "PYTHONPATH": str(Path(sf.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=120, env=env)
         assert done.returncode == 0, done.stderr
-        planes_faulted = float(done.stdout)
-        assert planes_faulted < 12, planes_faulted
+        serial, pooled = map(float, done.stdout.split())
+        assert serial < 9, serial
+        assert pooled < 2, pooled
+
+
+def _workers_scratch(threads):
+    """The scratch buffers of each worker of the pool of ``threads``."""
+    barrier = threading.Barrier(threads, timeout=30)
+
+    def held(_):
+        barrier.wait()  # one task on each worker
+        return list(_parallel._local.buffers.values())
+
+    return _parallel.parallel_map(held, range(threads), threads)
+
+
+def _small_view():
+    rng = np.random.default_rng(8)
+    lumas = tuple(rng.random((48, 64)) for _ in range(3))
+    chroma = tuple(tuple(rng.random((24, 32)) for _ in range(2)) for _ in lumas)
+    return SampledView(lumas, SpatialTransform(), chroma)
+
+
+class TestPool:
+    def test_second_threaded_extraction_starts_no_thread(self, monkeypatch):
+        view = _small_view()
+        want = extract_view_features(view, threads=2)
+        _workers_scratch(2)  # every worker of the pool has started
+        started = []
+        orig = threading.Thread.start
+
+        def spy(self):
+            started.append(self.name)
+            return orig(self)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        assert extract_view_features(view, threads=2).values == want.values
+        assert started == []
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_nested_call_raises(self, threads):
+        # a task that waited on the pool running it could deadlock it
+        def outer(_):
+            return _parallel.parallel_map(abs, [1, -2], 2)
+
+        with pytest.raises(RuntimeError, match="inside a parallel_map task"):
+            _parallel.parallel_map(outer, range(2), threads)
+        assert _parallel.parallel_map(abs, [1, -2], threads) == [1, 2]
+
+    @pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
+    def test_forked_child_extracts_with_threads(self):
+        # the child inherits the parent's pool but not its threads
+        view = _small_view()
+        want = extract_view_features(view, threads=2)
+
+        def child():
+            if extract_view_features(view, threads=2).values != want.values:
+                raise SystemExit(3)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+        assert proc.exitcode == 0
 
 
 class TestSerialization:
