@@ -1,15 +1,15 @@
 """Clip ingestion: YUV4MPEG2 parsing, frame directories, synthetic clips.
 
 Frames are planar and full-range normalized: every sample is a float64 in
-[0,1], obtained as raw / (2^bit_depth - 1). A parsed YUV4MPEG2 clip keeps the
-stream's bytes and an index of its frames, and decodes a frame each time it is
-read, so memory is the stream's bytes plus the frames in use. Chroma (when
-present) stays at its source resolution. Colour is converted to clamped
-BT.709 RGB in bands of rows that fit in cache (``row_bands``, which the
-luma kernels of ``signal_features`` walk too): ``ycbcr_to_rgb`` converts one
-band, with chroma upsampled by nearest neighbor, into planes the caller owns,
-so a consumer that keeps only a band at a time needs no full-frame RGB
-plane. ``frame_rgb`` runs it over all rows.
+[0,1], obtained as raw / (2^bit_depth - 1). A YUV4MPEG2 stream or PGM/PPM
+directory is checked when loaded, but the clip keeps the file bytes and
+decodes a frame each time it is read, so memory is the bytes plus the frames
+in use. Chroma (when present) stays at its source resolution. Colour is
+converted to clamped BT.709 RGB in bands of rows that fit in cache
+(``row_bands``, which the luma kernels of ``signal_features`` walk too):
+``ycbcr_to_rgb`` converts one band, with chroma upsampled by nearest
+neighbor, into planes the caller owns, so a consumer that keeps only a band
+at a time needs no full-frame RGB plane. ``frame_rgb`` runs it over all rows.
 """
 
 from __future__ import annotations
@@ -84,8 +84,9 @@ class Frame:
 class VideoClip:
     """A clip's geometry, rate and frames.
 
-    ``frames`` is any sequence of Frame (stored as a tuple), or the lazy
-    sequence parse_y4m builds, whose geometry comes from the stream header.
+    ``frames`` is any sequence of Frame (stored as a tuple, whose frames must
+    all have chroma or all lack it), or the lazy sequence that parse_y4m and
+    load_frame_dir build, whose geometry and chroma they checked.
     """
 
     width: int
@@ -95,11 +96,15 @@ class VideoClip:
 
     def __post_init__(self):
         object.__setattr__(self, "fps", Fraction(self.fps))
-        if isinstance(self.frames, _Y4mFrames):
+        if isinstance(self.frames, _Frames):
             shapes = [self.frames.luma_shape]
         else:
             object.__setattr__(self, "frames", tuple(self.frames))
             shapes = [f.luma.shape for f in self.frames]
+            for i, f in enumerate(self.frames):
+                if f.has_chroma != self.frames[0].has_chroma:
+                    has = "has" if f.has_chroma else "lacks"
+                    raise DimensionMismatch(f"frame {i} {has} chroma, unlike frame 0")
         if not self.frames:
             raise EmptyInput("clip needs at least one frame")
         if self.fps.numerator <= 0 or self.fps.denominator <= 0:
@@ -154,40 +159,33 @@ def _check_10bit(raw: np.ndarray, pos: int, where: str):
         raise ParseError(pos + 2 * bad, f"{where}: sample {int(raw[bad])} above 1023")
 
 
-def _read_plane(buf: bytes, pos: int, w: int, h: int, depth: int):
-    """Decode the plane at ``pos`` (already length- and range-checked).
-
-    Returns the normalized plane and the offset just past it.
-    """
+def _decode_y4m(buf: bytes, pos: int, planes, depth: int) -> Frame:
+    """Decode the frame whose payload starts at ``pos`` (already length- and
+    range-checked), plane by plane, each into its own float64 plane."""
     dtype, maxv = (np.uint8, 255.0) if depth == 8 else (np.dtype("<u2"), 1023.0)
-    raw = np.frombuffer(buf, dtype=dtype, count=w * h, offset=pos)
-    plane = np.divide(raw.reshape(h, w), maxv, out=np.empty((h, w)))
-    return plane, pos + raw.nbytes
+    out = []
+    for w, h in planes:
+        raw = np.frombuffer(buf, dtype=dtype, count=w * h, offset=pos)
+        out.append(np.divide(raw.reshape(h, w), maxv, out=np.empty((h, w))))
+        pos += raw.nbytes
+    return Frame(*out, source_bit_depth=depth)
 
 
-class _Y4mFrames(Sequence):
-    """The frames of a parsed stream, decoded from its bytes on every access.
+class _Frames(Sequence):
+    """A file's frames, decoded from the bytes the clip keeps on every access.
 
-    Nothing is cached: a frame lives only as long as its caller holds it.
+    ``decode(i)`` builds frame i. Nothing is cached: a frame lives only as
+    long as its caller holds it.
     """
 
-    def __init__(self, buf: bytes, offsets: list[int], planes, depth: int):
-        self._buf = buf
-        self._offsets = offsets
-        self._planes = planes  # ((width, height), ...) for luma, cb, cr
-        self._depth = depth
-        self.luma_shape = planes[0][::-1]
+    def __init__(self, n: int, luma_shape: tuple[int, int], decode):
+        self._n, self.luma_shape, self._decode = n, luma_shape, decode
 
     def __len__(self) -> int:
-        return len(self._offsets)
+        return self._n
 
     def __getitem__(self, index: int) -> Frame:
-        pos = self._offsets[operator.index(index)]
-        planes = []
-        for w, h in self._planes:
-            plane, pos = _read_plane(self._buf, pos, w, h, self._depth)
-            planes.append(plane)
-        return Frame(*planes, source_bit_depth=self._depth)
+        return self._decode(range(self._n)[operator.index(index)])
 
 
 def parse_y4m(buf: bytes) -> VideoClip:
@@ -271,7 +269,8 @@ def parse_y4m(buf: bytes) -> VideoClip:
 
     if not offsets:
         raise TruncatedFrame(0)
-    return VideoClip(width, height, fps, _Y4mFrames(buf, offsets, planes, depth))
+    return VideoClip(width, height, fps, _Frames(
+        len(offsets), (height, width), lambda i: _decode_y4m(buf, offsets[i], planes, depth)))
 
 
 # --- PGM/PPM frame directories ----------------------------------------------
@@ -279,8 +278,10 @@ def parse_y4m(buf: bytes) -> VideoClip:
 _PNM_EXT = (".pgm", ".ppm")
 
 
-def _parse_pnm(data: bytes, name: str):
-    """Parse a binary PGM (P5) or PPM (P6) with maxval 255 or 1023."""
+def _parse_pnm(data: bytes, name: str, index: int):
+    """Check a binary PGM (P5) or PPM (P6) with maxval 255 or 1023, frame
+    ``index`` of its directory. Returns its samples, undecoded, as an (h, w)
+    or (h, w, 3) view of ``data``, and its bit depth."""
     toks = []
     pos = 0
     while len(toks) < 4:
@@ -301,61 +302,62 @@ def _parse_pnm(data: bytes, name: str):
         raise ParseError(pos, f"{name}: {w}x{h}")
     if maxval not in (255, 1023):
         raise Unsupported(f"maxval {maxval}")
-    depth = 8 if maxval == 255 else 10
     channels = 1 if magic == b"P5" else 3
     itemsize = 1 if maxval == 255 else 2
     pos += 1  # single whitespace byte after maxval
     n = w * h * channels
     if pos + n * itemsize > len(data):
-        raise TruncatedFrame(0)
+        raise TruncatedFrame(index, name)
     dtype = np.uint8 if maxval == 255 else ">u2"  # netpbm 16-bit is big-endian
     raw = np.frombuffer(data, dtype=dtype, count=n, offset=pos)
     if maxval == 1023:
         _check_10bit(raw, pos, name)
-    arr = raw.reshape((h, w) if channels == 1 else (h, w, 3)).astype(np.float64) / maxval
-    return arr, depth
+    return raw.reshape((h, w) if channels == 1 else (h, w, 3)), 8 if maxval == 255 else 10
 
 
 # BT.709 analysis/synthesis; the toolkit's single fixed matrix.
 _KR, _KG, _KB = 0.2126, 0.7152, 0.0722
 
 
-def _rgb_to_planes(rgb: np.ndarray):
+def _decode_pnm(raw: np.ndarray, depth: int) -> Frame:
+    """Decode the samples ``_parse_pnm`` checked: a PGM to luma, a PPM to
+    BT.709 Y/Cb/Cr at full resolution."""
+    rgb = raw.astype(np.float64) / (255 if depth == 8 else 1023)
+    if rgb.ndim == 2:
+        return Frame(rgb, source_bit_depth=depth)
     r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
     y = _KR * r + _KG * g + _KB * b
     cb = (b - y) / (2.0 * (1.0 - _KB)) + 0.5
     cr = (r - y) / (2.0 * (1.0 - _KR)) + 0.5
-    return y, cb, cr
+    return Frame(y, cb, cr, source_bit_depth=depth)
 
 
 def load_frame_dir(path, fps) -> VideoClip:
     """Load a directory of same-sized PGM/PPM frames, ordered by filename.
 
-    The frames must all be PGM (luma only) or all PPM (chroma).
+    The frames must all be PGM (luma only) or all PPM (chroma). Every file is
+    checked here (header, length, size, chroma, 10-bit range), but none is
+    decoded: the clip keeps the files' bytes, so a file changed later does not
+    change it, and decodes frame i each time ``clip.frames[i]`` is read.
     """
     root = Path(path)
     files = sorted(p for p in root.iterdir() if p.suffix.lower() in _PNM_EXT)
     if not files:
         raise EmptyInput(f"no PGM/PPM files in {root}")
 
-    frames: list[Frame] = []
-    shape: tuple[int, ...] | None = None
-    for p in files:
-        arr, depth = _parse_pnm(p.read_bytes(), p.name)
-        if shape is None:
-            shape = arr.shape
-        elif arr.shape[:2] != shape[:2]:
+    samples = []
+    for i, p in enumerate(files):
+        raw, depth = _parse_pnm(p.read_bytes(), p.name, i)
+        first = samples[0][0] if samples else raw
+        if raw.shape[:2] != first.shape[:2]:
             raise DimensionMismatch(str(p))
-        elif arr.ndim != len(shape):
-            has = "has" if arr.ndim == 3 else "lacks"
+        if raw.ndim != first.ndim:
+            has = "has" if raw.ndim == 3 else "lacks"
             raise DimensionMismatch(f"{p}: {has} chroma, unlike {files[0].name}")
-        if arr.ndim == 2:
-            frames.append(Frame(arr, source_bit_depth=depth))
-        else:
-            y, cb, cr = _rgb_to_planes(arr)
-            frames.append(Frame(y, cb, cr, source_bit_depth=depth))
-    h, w = shape[:2]
-    return VideoClip(w, h, Fraction(fps), tuple(frames))
+        samples.append((raw, depth))
+    h, w = samples[0][0].shape[:2]
+    frames = _Frames(len(samples), (h, w), lambda i: _decode_pnm(*samples[i]))
+    return VideoClip(w, h, Fraction(fps), frames)
 
 
 # --- synthetic clips ---------------------------------------------------------

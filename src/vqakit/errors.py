@@ -21,9 +21,9 @@ class ParseError(VqaError):
 
 
 class TruncatedFrame(VqaError):
-    def __init__(self, index: int):
+    def __init__(self, index: int, name: str | None = None):
         self.index = index
-        super().__init__(f"truncated payload for frame {index}")
+        super().__init__(f"{name + ': ' if name else ''}truncated payload for frame {index}")
 
 
 class Unsupported(VqaError):

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .clip_io import Frame, VideoClip, chroma_factors, frame_rgb
-from .errors import DimensionMismatch, InsufficientFrames, InvalidParameter, SourceTooSmall
+from .errors import InsufficientFrames, InvalidParameter, SourceTooSmall
 
 __all__ = [
     "TEMPORAL_MODES",
@@ -249,7 +249,7 @@ def _pad_to_square(plane: np.ndarray) -> np.ndarray:
     h, w = plane.shape
     side = max(h, w)
     if h == w:
-        return plane.copy()
+        return plane
     out = np.zeros((side, side))
     top = (side - h) // 2
     left = (side - w) // 2
@@ -362,17 +362,11 @@ def build_view(
             raise IndexError(f"plan index {i} outside clip of {len(clip)} frames")
 
     def one(i: int):
-        # decodes a parsed stream's frame: read it once
+        # a loaded file's frame is decoded on every read: read it once
         return _apply_transform(clip.frames[i], transform, _frame_rng(seed, i))
 
+    # a clip's frames agree on chroma, so the first sampled frame speaks for all
     results = parallel_map(one, plan.indices, threads)
-    has_color = bool(results) and bool(results[0][1])
-    for i, (_, color) in zip(plan.indices, results):
-        if bool(color) != has_color:
-            raise DimensionMismatch(
-                f"sampled frame {i} {'has' if color else 'lacks'} chroma, "
-                f"unlike frame {plan.indices[0]}"
-            )
     lumas = tuple(r[0] for r in results)
-    colors = tuple(r[1] for r in results) if has_color else None
+    colors = tuple(r[1] for r in results) if results and results[0][1] else None
     return SampledView(lumas, transform, colors)

@@ -92,6 +92,16 @@ class TestExtract:
         assert rc == 1
         assert "b.pgm" in err and "Traceback" not in err
 
+    def test_truncated_last_frame_file_named(self, tmp_path, capsys):
+        d = tmp_path / "trunc"
+        d.mkdir()
+        for i in range(3):
+            write_ppm(d / f"f{i}.ppm", np.zeros((16, 16, 3), dtype=np.uint8))
+        (d / "f2.ppm").write_bytes((d / "f2.ppm").read_bytes()[:-5])
+        rc = main(["extract", "--input", str(d), "--out", str(tmp_path / "f.csv")])
+        assert rc == 1
+        assert "trunc: f2.ppm: truncated payload for frame 2" in capsys.readouterr().err
+
     def test_no_clips_fatal(self, tmp_path, capsys):
         empty = tmp_path / "none"
         empty.mkdir()

@@ -238,6 +238,16 @@ class TestFrameDir:
             load_frame_dir(tmp_path, 30)
         assert "b.pgm" in str(ei.value) and "lacks chroma" in str(ei.value)
 
+    def test_truncated_file_named(self, tmp_path):
+        for i in range(3):
+            write_ppm(tmp_path / f"f{i}.ppm", np.zeros((8, 8, 3), dtype=np.uint8))
+        last = tmp_path / "f2.ppm"
+        last.write_bytes(last.read_bytes()[:-5])
+        with pytest.raises(TruncatedFrame) as ei:
+            load_frame_dir(tmp_path, 30)
+        assert ei.value.index == 2
+        assert str(ei.value) == "f2.ppm: truncated payload for frame 2"
+
     def test_empty_dir(self, tmp_path):
         with pytest.raises(EmptyInput):
             load_frame_dir(tmp_path, 30)
@@ -284,13 +294,13 @@ class TestFrameDir:
     ])
     def test_non_positive_dimensions_rejected(self, data):
         with pytest.raises(ParseError):
-            _parse_pnm(data, "bad.pgm")
+            _parse_pnm(data, "bad.pgm", 0)
 
     def test_long_whitespace_run_is_linear(self):
         # a header regex with a nested quantifier took seconds on 26 bytes
         t0 = time.perf_counter()
         with pytest.raises(ParseError):
-            _parse_pnm(b"P5" + b" " * 26, "blank.pgm")
+            _parse_pnm(b"P5" + b" " * 26, "blank.pgm", 0)
         assert time.perf_counter() - t0 < 0.25
 
 
@@ -366,3 +376,9 @@ class TestInvariants:
     def test_clip_requires_uniform_dims(self):
         with pytest.raises(DimensionMismatch):
             VideoClip(4, 4, 30, (Frame(np.zeros((4, 4))), Frame(np.zeros((2, 2)))))
+
+    def test_mixed_chroma_rejected(self):
+        luma = np.zeros((8, 8))
+        frames = (Frame(luma, luma[::2, ::2], luma[::2, ::2]), Frame(luma))
+        with pytest.raises(DimensionMismatch, match="frame 1 lacks chroma, unlike frame 0"):
+            VideoClip(8, 8, 30, frames)

@@ -1,8 +1,8 @@
 """Property tests: any byte string either parses or raises a VqaError.
 
 An IndexError, ValueError, MemoryError or any other exception escaping
-parse_y4m or _parse_pnm fails the test. A y4m stream that parses must then
-decode every frame: parse_y4m checks what decoding on access relies on.
+parse_y4m or _parse_pnm fails the test. A y4m stream or PGM/PPM file that
+parses must then decode: the parsers check what decoding on access relies on.
 """
 
 import numpy as np
@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import y4m_bytes
-from vqakit.clip_io import VideoClip, _parse_pnm, parse_y4m
+from vqakit.clip_io import VideoClip, _decode_pnm, _parse_pnm, parse_y4m
 from vqakit.errors import VqaError
 
 SETTINGS = settings(max_examples=300, deadline=None, database=None,
@@ -41,6 +41,16 @@ def y4m_parses_and_decodes_or_vqa_error(data):
             for p in (f.luma, f.chroma_b, f.chroma_r):
                 assert p.min() >= 0.0 and p.max() <= 1.0
     return clip
+
+
+def pnm_parses_and_decodes_or_vqa_error(data, name):
+    """A file that parses decodes, without error, to its header's luma shape."""
+    out = parses_or_vqa_error(lambda d: _parse_pnm(d, name, 0), data)
+    if out is not None:
+        luma = _decode_pnm(*out).luma
+        assert luma.shape == out[0].shape[:2]
+        assert luma.min() >= 0.0 and luma.max() <= 1.0
+    return out
 
 
 def _valid_y4m(w=4, h=4, frames=2, ctag="C420"):
@@ -133,13 +143,13 @@ class TestParsePnmProperties:
     @SETTINGS
     @given(st.binary(max_size=600))
     def test_random_bytes(self, data):
-        parses_or_vqa_error(lambda d: _parse_pnm(d, "fuzz.pgm"), data)
+        pnm_parses_and_decodes_or_vqa_error(data, "fuzz.pgm")
 
     @SETTINGS
     @given(pnm_headers())
     def test_mutated_headers(self, case):
         data, claimed_shape = case
-        out = parses_or_vqa_error(lambda d: _parse_pnm(d, "fuzz.pnm"), data)
+        out = pnm_parses_and_decodes_or_vqa_error(data, "fuzz.pnm")
         if out is not None:
             arr, depth = out
             assert arr.shape == claimed_shape and depth in (8, 10)
@@ -147,4 +157,4 @@ class TestParsePnmProperties:
     @SETTINGS
     @given(mutated(b"P6 2 2 255\n" + bytes(range(12))))
     def test_mutated_valid_file(self, data):
-        parses_or_vqa_error(lambda d: _parse_pnm(d, "fuzz.ppm"), data)
+        pnm_parses_and_decodes_or_vqa_error(data, "fuzz.ppm")

@@ -4,10 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import y4m_bytes
+from conftest import write_pgm, write_ppm, y4m_bytes
 from vqakit import clip_io, sampling
-from vqakit.clip_io import ClipSpec, Frame, VideoClip, parse_y4m, synth_clip
-from vqakit.errors import DimensionMismatch, InsufficientFrames, InvalidParameter, SourceTooSmall
+from vqakit.clip_io import ClipSpec, load_frame_dir, parse_y4m, synth_clip
+from vqakit.errors import InsufficientFrames, InvalidParameter, SourceTooSmall
 from vqakit.sampling import (
     SpatialTransform,
     _pad_to_square,
@@ -142,6 +142,7 @@ class TestPadToSquare:
     def test_square_unchanged(self):
         p = np.arange(9, dtype=float).reshape(3, 3)
         assert np.array_equal(_pad_to_square(p), p)
+        assert _pad_to_square(p) is p
 
     def test_3x1_centered(self):
         out = _pad_to_square(np.array([[0.1, 0.2, 0.3]]))
@@ -257,12 +258,6 @@ class TestBuildView:
         view = build_view(clip, plan, SpatialTransform.resize(8, 6))
         assert len(calls) == 2 and [len(c) for c in view.color] == [3, 3]
 
-    def test_mixed_chroma_rejected(self):
-        luma = np.zeros((8, 8))
-        clip = VideoClip(8, 8, 30, (Frame(luma, luma[::2, ::2], luma[::2, ::2]), Frame(luma)))
-        with pytest.raises(DimensionMismatch, match="sampled frame 1 lacks chroma"):
-            build_view(clip, temporal_sample(clip, "all"))
-
 
 def _noise_y4m(n_frames, w, h):
     rng = np.random.default_rng(3)
@@ -273,23 +268,49 @@ def _noise_y4m(n_frames, w, h):
     return y4m_bytes(w, h, frames)
 
 
+def _noise_frame_dir(path, n_frames, w, h, ppm):
+    rng = np.random.default_rng(3)
+    for i in range(n_frames):
+        if ppm:
+            write_ppm(path / f"f{i:03d}.ppm", rng.integers(0, 256, (h, w, 3), dtype=np.uint8))
+        else:
+            write_pgm(path / f"f{i:03d}.pgm", rng.integers(0, 256, (h, w), dtype=np.uint8))
+
+
+def _counting(monkeypatch, name):
+    """Record each call of clip_io's ``name``, which decodes one frame."""
+    frames = []
+    decode = getattr(clip_io, name)
+
+    def counting(*args):
+        frames.append(decode(*args))
+        return frames[-1]
+
+    monkeypatch.setattr(clip_io, name, counting)
+    return frames
+
+
 class TestSampledDecode:
-    """A parsed 90-frame clip with a 3-frame plan decodes those 3 frames only."""
+    """A 90-frame clip with a 3-frame plan decodes those 3 frames only."""
 
     def test_only_sampled_planes_read(self, monkeypatch):
-        reads = []
-        read_plane = clip_io._read_plane
-
-        def counting(*args):
-            reads.append(args)
-            return read_plane(*args)
-
-        monkeypatch.setattr(clip_io, "_read_plane", counting)
+        decoded = _counting(monkeypatch, "_decode_y4m")
         clip = parse_y4m(_noise_y4m(90, 32, 16))
         plan = temporal_sample(clip, "one_fps")
         assert plan.indices == (0, 30, 60)
         build_view(clip, plan, threads=1)
-        assert len(reads) == 3 * 3
+        assert len(decoded) == 3
+        assert sum(1 + 2 * f.has_chroma for f in decoded) == 3 * 3
+
+    def test_only_sampled_files_decoded(self, tmp_path, monkeypatch):
+        decoded = _counting(monkeypatch, "_decode_pnm")
+        _noise_frame_dir(tmp_path, 90, 32, 16, ppm=False)
+        clip = load_frame_dir(tmp_path, 30)
+        assert decoded == []
+        plan = temporal_sample(clip, "one_fps")
+        assert plan.indices == (0, 30, 60)
+        build_view(clip, plan, threads=1)
+        assert len(decoded) == 3
 
     def test_peak_memory_bounded_by_sampled_frames(self):
         w, h = 64, 48
@@ -316,3 +337,29 @@ class TestSampledDecode:
         # with RGB planes as well it was 9.2)
         assert len(view.frames) == 3 and len(view.color[0]) == 2
         assert peaks["none"] < 4 * decoded_bytes
+
+    def test_peak_memory_bounded_by_sampled_frames_frame_dir(self, tmp_path):
+        w, h = 64, 48
+        _noise_frame_dir(tmp_path, 90, w, h, ppm=True)
+        file_bytes = sum(p.stat().st_size for p in tmp_path.iterdir())
+        # a decoded PPM frame: float64 Y, Cb and Cr at full resolution
+        frame_bytes = 8 * 3 * w * h
+        peaks = {}
+        for transform in (SpatialTransform.resize(8, 8), SpatialTransform()):
+            tracemalloc.start()
+            try:
+                clip = load_frame_dir(tmp_path, 30)
+                view = build_view(clip, temporal_sample(clip, "one_fps"), transform,
+                                  threads=1)
+                peaks[transform.kind] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the clip keeps the files' bytes, and frames are decoded one at a
+        # time: the float64 RGB stack, the planes made from it and the view's
+        # RGB planes (measured peak: files + 2.96 decoded frames; decoding
+        # every file up front peaked at files + 82)
+        assert peaks["resize"] < file_bytes + 4 * frame_bytes
+        # a view that keeps whole frames keeps 3 decoded frames (measured
+        # peak: files + 4.75 decoded frames)
+        assert len(view.frames) == 3 and len(view.color[0]) == 2
+        assert peaks["none"] < file_bytes + 6 * frame_bytes
