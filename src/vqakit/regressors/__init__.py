@@ -3,12 +3,11 @@
 from .checkpoint import load_model, save_model
 from .forest import ForestModel, fit_forest, predict_forest
 from .losses import total_loss
-from .net import BranchNet, ScgbParams, init_branchnet, predict_scores, scgb_fuse
+from .net import ScgbParams, init_branchnet, predict_scores, scgb_fuse
 from .training import (TrainConfig, check_finetune_config, finetune_mos, total_loss_gradients,
                        train_siamese)
 
 __all__ = [
-    "BranchNet",
     "ScgbParams",
     "ForestModel",
     "TrainConfig",

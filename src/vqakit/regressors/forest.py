@@ -8,14 +8,17 @@ the exact arithmetic mean over trees.
 Trees grow in lock-step, in chunks of consecutive tree indices. Each round
 takes the next depth-first node of every unfinished tree in the chunk; the
 node's features are drawn from its own tree's RNG, in the order a recursive
-build would draw them. One padded numpy pass then searches the splits of all
-the round's nodes, and one more partitions their members. Only the draw and
-the node's mean run per node. Each node's arithmetic is that of a search on
-the node alone, so the trees are the same, bit for bit, as node-by-node
-growth gives. A chunk holds at least 8 trees and about 4096 bootstrap rows
-(25 trees of 160 rows), and each pass is capped, so a 300-tree fit of a
-160x9 table peaks at about the memory the node-by-node fit took (3 MiB under
-tracemalloc, 1.4 MiB of it the model).
+build would draw them. The draw replays numpy's ``Generator.choice(d, k,
+replace=False)`` in Python on a block of the tree's 32-bit words, the stream
+``choice`` itself reads, so it costs a third of a ``choice`` call and gives
+the same features. One padded numpy pass then searches the splits of all the
+round's nodes, and one more partitions their members. Only the draw and the
+node's mean run per node. Each node's arithmetic is that of a search on the
+node alone, so the trees are the same, bit for bit, as node-by-node growth
+gives. A chunk holds at least 8 trees and about 8192 bootstrap rows (51
+trees of 160 rows), and each pass is capped, so a 300-tree fit of a 160x9
+table peaks at about 4.5 MiB under tracemalloc, 1.4 MiB of it the model.
+Chunks of 4096 rows peaked at 3.05 MiB and fitted about a fifth slower.
 
 The whole forest lives in one set of node arrays, the flat layout compiled
 tree engines use (QuickScorer, Lucchese et al., SIGIR 2015): prediction steps
@@ -80,10 +83,10 @@ class ForestModel:
 
 
 # Trees grow together in chunks of consecutive indices: at least 8 trees, so
-# that each round's numpy calls serve several nodes, and about 4096 bootstrap
-# rows in all when trees are small (25 trees of 160 rows). A chunk keeps about
+# that each round's numpy calls serve several nodes, and about 8192 bootstrap
+# rows in all when trees are small (51 trees of 160 rows). A chunk keeps about
 # 180 bytes per bootstrap row.
-_CHUNK_ROWS = 4096
+_CHUNK_ROWS = 8192
 _MIN_CHUNK_TREES = 8
 # A padded split search or a partition works on at most this many values an
 # array (more only for a single node that is larger), so a round's scratch
@@ -105,6 +108,58 @@ def _batches(values):
             first, total = j, 0
         total += v
     yield slice(first, len(values))
+
+
+# 32-bit words a tree draws from its generator at a time for its feature draws
+# (a 160-row tree reads about 330)
+_WORD_BLOCK = 256
+
+
+def _words(rng):
+    """The generator's stream of 32-bit words, the one ``next_uint32`` serves
+    and ``Generator.choice`` reads, as Python ints, a block at a time."""
+    while True:
+        yield from memoryview(rng.integers(0, 1 << 32, size=_WORD_BLOCK, dtype=np.uint32))
+
+
+def _bounded(words, top):
+    """An integer in [0, top] (top < 2**32) from ``words``, as numpy's bounded
+    draw makes it: Lemire's multiply-shift on one word, redrawn while the low
+    half falls under 2**32 mod (top + 1); top 0 reads no word."""
+    if top == 0:
+        return 0
+    span = top + 1
+    m = next(words) * span
+    if (m & 0xFFFFFFFF) < span:
+        floor = (0x100000000 - span) % span
+        while (m & 0xFFFFFFFF) < floor:
+            m = next(words) * span
+    return m >> 32
+
+
+def _choice(words, d, k):
+    """``Generator.choice(d, k, replace=False)`` replayed on the generator's
+    ``words``: the same k of range(d) (d <= 2**32), in the same order, and the
+    same words read. numpy shuffles the tail of range(d) when d > 10000 and
+    k > d // 50, and otherwise runs Floyd's algorithm, then shuffles the
+    result."""
+    if d > 10000 and k > d // 50:
+        pool = list(range(d))
+        for i in range(d - 1, max(d - k, 1) - 1, -1):
+            j = _bounded(words, i)
+            pool[i], pool[j] = pool[j], pool[i]
+        return pool[d - k:]
+    out, seen = [], set()
+    for j in range(d - k, d):
+        v = _bounded(words, j)
+        if v in seen:
+            v = j
+        seen.add(v)
+        out.append(v)
+    for i in range(k - 1, 0, -1):
+        j = _bounded(words, i)
+        out[i], out[j] = out[j], out[i]
+    return out
 
 
 def _ranges(lo, size):
@@ -205,6 +260,8 @@ def _grow_chunk(X, y, trees, seed, max_depth, min_leaf, k_features, base):
     rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
             for t in trees]
     boot = np.concatenate([rng.integers(0, n, size=n) for rng in rngs])
+    # after its bootstrap a tree's generator serves only its feature draws
+    words = [_words(rng) for rng in rngs]
     Xt = np.ascontiguousarray(X[boot].T)
     yb = y[boot]
     ys = np.stack((yb, yb * yb))
@@ -243,8 +300,7 @@ def _grow_chunk(X, y, trees, seed, max_depth, min_leaf, k_features, base):
                 & (np.maximum.reduceat(y_members, starts)
                    > np.minimum.reduceat(y_members, starts))).nonzero()[0]
         if grow.size:
-            feats = np.array([rngs[i].choice(d, size=k_features, replace=False)
-                              for i in t[grow].tolist()])
+            feats = np.array([_choice(words[i], d, k_features) for i in t[grow].tolist()])
             feats.sort(axis=1)
             feature[grow], threshold[grow] = _best_splits(Xt, ys, order, lo[grow], m[grow],
                                                           feats, min_leaf)
@@ -303,10 +359,11 @@ def fit_forest(
     Each round of a chunk grows one node of every unfinished tree, with one
     batched split search and one batched partition, so the per-call cost of
     numpy is paid once per round rather than once per node; the trees match
-    a node-by-node build bit for bit. Chunks hold ``max(8, 4096 // rows)``
-    trees (25 on a 160-row table), which keeps a fit's working memory near
-    what growing one tree at a time took: about 180 bytes per bootstrap row
-    of the chunk, plus capped scratch for each pass.
+    a node-by-node build bit for bit. Chunks hold ``max(8, 8192 // rows)``
+    trees (51 on a 160-row table), so a fit's working memory is about 180
+    bytes per bootstrap row of the chunk, plus capped scratch for each pass.
+    Each node's feature draw replays ``Generator.choice(d, k, replace=False)``
+    on its tree's generator, so the trees are those ``choice`` would give.
 
     ``threads`` is accepted for call compatibility and has no effect: tree
     building is Python code that holds the GIL, so a thread pool made fitting

@@ -211,11 +211,13 @@ def _forward_batch(net: BranchNet, Xb: dict[str, np.ndarray], dropout_masks=None
     return qs, final, cache
 
 
-def _backward_batch(net: BranchNet, cache: dict, dq: dict[str, np.ndarray]):
-    """Gradients of a scalar loss given d(loss)/d(q_branch) per branch."""
+def _backward_batch(net: BranchNet, cache: dict, dq: dict[str, np.ndarray],
+                    grads: dict[str, np.ndarray]):
+    """Add the gradients of a scalar loss, given d(loss)/d(q_branch) per
+    branch, into ``grads``: zeroed arrays by parameter name, each added to
+    once."""
     P = net.params
     E, H = cache["E"], cache["H"]
-    grads = {n: np.zeros_like(P[n]) for n in net.param_names()}
     dH = {b: np.zeros_like(H[b]) for b in BRANCH_ORDER}
 
     for b in BRANCH_ORDER:
@@ -254,7 +256,6 @@ def _backward_batch(net: BranchNet, cache: dict, dq: dict[str, np.ndarray]):
         dpre = dE[b] * (1.0 - E[b] * E[b])
         grads[f"enc_{b}_w"] += dpre.T @ cache["X"][b]
         grads[f"enc_{b}_b"] += dpre.sum(axis=0)
-    return grads
 
 
 def _infer(net: BranchNet, Xb: dict[str, np.ndarray]):

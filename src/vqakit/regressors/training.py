@@ -5,6 +5,12 @@ one or more datasets (pairs never cross datasets, so differing MOS scales are
 harmless), followed by fine-tuning against MOS with the per-branch relative
 loss. Plain gradient descent with decoupled weight decay keeps runs
 bit-reproducible from (seed, config, data).
+
+A training call moves the net's parameters into one flat float64 vector, in
+``flatten()``'s order, and leaves each ``net.params[name]`` a view of it;
+gradients go into flat vectors of the same layout. So a step zeroes, sums,
+updates and decays the whole net in a few numpy calls, not one or more per
+parameter, with the same arithmetic per entry and so the same bits.
 """
 
 from __future__ import annotations
@@ -76,13 +82,37 @@ def _dropout_masks(net: BranchNet, n: int, rng: np.random.Generator):
     }
 
 
-def _apply_update(net: BranchNet, grads: dict[str, np.ndarray], cfg: TrainConfig):
-    lr, wd = cfg.learning_rate, cfg.weight_decay
+def _views(net: BranchNet, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Each parameter's view of ``flat``, a vector laid out as flatten() lays
+    the parameters out."""
+    views, pos = {}, 0
     for name in net.param_names():
         p = net.params[name]
-        p -= lr * grads[name]
-        if wd > 0.0 and p.ndim == 2:  # decoupled decay, matrices only
-            p -= lr * wd * p
+        views[name] = flat[pos:pos + p.size].reshape(p.shape)
+        pos += p.size
+    return views
+
+
+def _flat_params(net: BranchNet):
+    """Move the parameters into one flat vector, each ``net.params[name]``
+    becoming a view of it; returns the vector and a mask of the entries that
+    weight decay shrinks (the matrices')."""
+    flat = net.flatten()
+    net.params.update(_views(net, flat))
+    return flat, np.concatenate([np.full(p.size, p.ndim == 2) for p in net.params.values()])
+
+
+def _gradient(net: BranchNet):
+    """A zeroed flat gradient vector and its views by parameter name."""
+    grad = np.zeros(net.n_params())
+    return grad, _views(net, grad)
+
+
+def _apply_update(flat: np.ndarray, decays: np.ndarray, grad: np.ndarray, cfg: TrainConfig):
+    lr, wd = cfg.learning_rate, cfg.weight_decay
+    flat -= lr * grad
+    if wd > 0.0:  # decoupled decay, matrices only
+        np.subtract(flat, lr * wd * flat, out=flat, where=decays)
 
 
 def total_loss_gradients(net: BranchNet, X, mos, cfg: TrainConfig | None = None,
@@ -95,6 +125,13 @@ def total_loss_gradients(net: BranchNet, X, mos, cfg: TrainConfig | None = None,
     """
     cfg = cfg or TrainConfig()
     X, m = _check_dataset(X, mos)
+    _, grads = _gradient(net)
+    return _relative_loss(net, X, m, cfg, dropout_rng, grads), grads
+
+
+def _relative_loss(net: BranchNet, X, m, cfg: TrainConfig, dropout_rng, grads) -> float:
+    """total_loss_gradients on a checked batch: adds the gradients into
+    ``grads`` and returns the loss value."""
     masks = _dropout_masks(net, X.shape[0], dropout_rng) if dropout_rng is not None else {}
     qs, _, cache = _forward_batch(net, net.route(X), masks)
     value = 0.0
@@ -103,7 +140,8 @@ def total_loss_gradients(net: BranchNet, X, mos, cfg: TrainConfig | None = None,
         v, g = rel_loss_grad(qs[b], m, cfg.rank_margin)
         value += v
         dq[b] = g
-    return value, _backward_batch(net, cache, dq)
+    _backward_batch(net, cache, dq, grads)
+    return value
 
 
 def train_siamese(datasets, net: BranchNet, config: TrainConfig,
@@ -125,6 +163,8 @@ def train_siamese(datasets, net: BranchNet, config: TrainConfig,
     _fit_norm(net, [X for X, _ in data])
     ss = np.random.SeedSequence(config.seed)
     rng, drop_rng = (np.random.default_rng(s) for s in ss.spawn(2))
+    flat, decays = _flat_params(net)
+    (grad_w, grads_w), (grad_l, grads_l) = _gradient(net), _gradient(net)
 
     for epoch in range(config.epochs):
         losses = []
@@ -155,9 +195,12 @@ def train_siamese(datasets, net: BranchNet, config: TrainConfig,
                 dd = -_sigmoid(-d) / B  # d(mean loss)/dd
                 dq_w = {b: dd / 3.0 for b in BRANCH_ORDER}
                 dq_l = {b: -dd / 3.0 for b in BRANCH_ORDER}
-                g_w = _backward_batch(net, cache_w, dq_w)
-                g_l = _backward_batch(net, cache_l, dq_l)
-                _apply_update(net, {k2: g_w[k2] + g_l[k2] for k2 in g_w}, config)
+                grad_w.fill(0.0)
+                grad_l.fill(0.0)
+                _backward_batch(net, cache_w, dq_w, grads_w)
+                _backward_batch(net, cache_l, dq_l, grads_l)
+                grad_w += grad_l
+                _apply_update(flat, decays, grad_w, config)
         if history is not None:
             history.append({
                 "phase": "siamese",
@@ -181,6 +224,8 @@ def finetune_mos(dataset, net: BranchNet, config: TrainConfig,
     ss = np.random.SeedSequence(config.seed)
     rng, drop_rng = (np.random.default_rng(s) for s in ss.spawn(2))
     n = X.shape[0]
+    flat, decays = _flat_params(net)
+    grad, grads = _gradient(net)
 
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -189,9 +234,9 @@ def finetune_mos(dataset, net: BranchNet, config: TrainConfig,
             idx = order[start : start + config.batch_size]
             if idx.size < 2:
                 continue  # a rank/linearity batch needs at least a pair
-            value, grads = total_loss_gradients(net, X[idx], m[idx], config, drop_rng)
-            losses.append(value)
-            _apply_update(net, grads, config)
+            grad.fill(0.0)
+            losses.append(_relative_loss(net, X[idx], m[idx], config, drop_rng, grads))
+            _apply_update(flat, decays, grad, config)
         if history is not None:
             history.append({
                 "phase": "finetune",

@@ -353,6 +353,48 @@ class TestLockStepGrowth:
         assert peak <= 5 * 2**20
 
 
+class TestFeatureDraw:
+    """The per-node draw replays Generator.choice(d, k, replace=False) on the
+    generator's 32-bit words, with no call to choice."""
+
+    @staticmethod
+    def _pair(seed, boot):
+        """Two generators in one state, after a bootstrap draw of ``boot``
+        rows as fit_forest makes it: an odd length leaves half of a 64-bit
+        output buffered, an even one none."""
+        gens = [np.random.default_rng(seed) for _ in range(2)]
+        for g in gens:
+            g.integers(0, boot, size=boot)
+        return gens
+
+    @pytest.mark.parametrize("boot", [159, 160])
+    def test_every_k_of_small_populations(self, boot):
+        for d in (1, 2, 3, 9, 64):
+            numpy_rng, replay_rng = self._pair(d, boot)
+            words = forest._words(replay_rng)
+            for k in [*range(d + 1), *range(d, -1, -1)]:  # one stream, k up and down
+                want = numpy_rng.choice(d, size=k, replace=False).tolist()
+                assert forest._choice(words, d, k) == want, (d, k)
+
+    @pytest.mark.parametrize("boot", [159, 160])
+    def test_tail_shuffle_of_a_large_population(self, boot):
+        # above 10,000 with k > d // 50, numpy shuffles the tail of range(d)
+        numpy_rng, replay_rng = self._pair(7, boot)
+        words = forest._words(replay_rng)
+        for k in (300, 241, 12_000, 240, 1):
+            want = numpy_rng.choice(12_000, size=k, replace=False).tolist()
+            assert forest._choice(words, 12_000, k) == want, k
+
+    def test_redrawn_words(self):
+        # bounds near 2**32 reject up to half of the words; 2**32 rejects none
+        numpy_rng, replay_rng = self._pair(8, 159)
+        words = forest._words(replay_rng)
+        for d in (3_000_000_000, 2**31 + 1, 2**32):
+            for k in (1, 2, 5):
+                want = numpy_rng.choice(d, size=k, replace=False).tolist()
+                assert forest._choice(words, d, k) == want, (d, k)
+
+
 def _v1_file(path, trees, names=("a", "b", "c")):
     """A forest checkpoint written as v1 files have always been written."""
     doc = {
