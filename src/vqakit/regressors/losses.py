@@ -26,38 +26,58 @@ def _rank_term(pred: np.ndarray, mos: np.ndarray, margin: float):
     ordered = dm > 0
     count = int(ordered.sum())
     if count == 0:
-        return 0.0, np.zeros_like(pred)
-    dp = pred[:, None] - pred[None, :]
+        return np.zeros(len(pred)), np.zeros_like(pred)
+    dp = pred[:, :, None] - pred[:, None, :]
     hinge = np.maximum(0.0, margin - dp)
-    value = float(hinge[ordered].sum() / count)
+    # each row's ordered hinges contiguous, so each row sums as one row alone
+    # (hinge[:, ordered] is laid out pair-major and would sum in another order)
+    value = np.compress(ordered.ravel(), hinge.reshape(len(pred), -1), axis=-1).sum(axis=-1)
+    value /= count
     active = (ordered & (hinge > 0.0)).astype(np.float64)
-    return value, (active.sum(axis=0) - active.sum(axis=1)) / count
+    return value, (active.sum(axis=-2) - active.sum(axis=-1)) / count
 
 
 def _linearity_term(pred: np.ndarray, mos: np.ndarray):
     mc = mos - mos.mean()
     smm = float(mc @ mc)
     if smm == 0.0:  # constant MOS: PLCC undefined, term skipped
-        return 0.0, np.zeros_like(pred)
-    pc = pred - pred.mean()
-    spp = float(pc @ pc)
-    if spp == 0.0:
-        # constant predictions against varying MOS: PLCC treated as 0 with a
-        # flat (zero) gradient; the rank term drives the batch off this point
-        return 1.0, np.zeros_like(pred)
-    r = float((pc @ mc) / np.sqrt(spp * smm))
-    return 1.0 - r, -(mc / np.sqrt(spp * smm) - r * pc / spp)
+        return np.zeros(len(pred)), np.zeros_like(pred)
+    pc = pred - pred.mean(axis=-1, keepdims=True)
+    # (1, B) @ (B, 1) per row: the 1-D dot product a single row would make
+    spp = (pc[:, None, :] @ pc[:, :, None])[:, 0, 0]
+    cross = (pc[:, None, :] @ mc[:, None])[:, 0, 0]
+    # constant predictions against varying MOS: PLCC treated as 0 with a flat
+    # (zero) gradient; the rank term drives the batch off this point
+    const = spp == 0.0
+    some_const = bool(const.any())
+    if some_const:
+        spp = np.where(const, 1.0, spp)
+    norm = np.sqrt(spp * smm)
+    r = cross / norm
+    grad = -(mc / norm[:, None] - r[:, None] * pc / spp[:, None])
+    if some_const:
+        r[const] = 0.0
+        grad[const] = 0.0
+    return 1.0 - r, grad
 
 
 def rel_loss_grad(predictions, mos, margin: float = 0.05):
-    """(loss value, d loss / d predictions) for one branch batch."""
-    pred = _as_batch(predictions)
+    """(loss value, d loss / d predictions) for one branch batch, or for each
+    row of a stack of them against the same MOS: then an array of values.
+    A stack computes its MOS-only terms once and each row as one row alone."""
     m = _as_batch(mos)
-    if pred.shape != m.shape:
+    pred = np.asarray(predictions, dtype=np.float64)
+    one = pred.ndim == 1
+    if one:
+        pred = pred[None, :]
+    if pred.ndim != 2 or pred.shape[-1] < 2:
+        raise ValueError("need a 1-D batch of at least 2 values, or a stack of them")
+    if pred.shape[-1] != m.size:
         raise ValueError("predictions and mos must have equal length")
     rank, grank = _rank_term(pred, m, margin)
     lin, glin = _linearity_term(pred, m)
-    return rank + lin, grank + glin
+    value, grad = rank + lin, grank + glin
+    return (float(value[0]), grad[0]) if one else (value, grad)
 
 
 def total_loss(branch_batches, mos_batch, margin: float = 0.05) -> float:

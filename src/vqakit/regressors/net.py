@@ -8,11 +8,23 @@ arithmetic mean is the final prediction.
 
 Forward and backward passes are hand-written numpy so training is plain,
 bit-reproducible gradient descent with no framework dependency.
+
+Layers whose branches share shapes run as one numpy call on a stacked
+leading axis: the two cross-gates, the three heads, and a siamese step's two
+sides (winners and losers), so activations are (side, branch, rows, width).
+The encoders stay one call per branch: the groups' widths differ (3/4/4 by
+default), and padding them would change the products. The stacks keep the
+bits of per-branch calls. np.matmul makes, for each slice of a stack, the
+same BLAS call with the same shapes and transposes as the 2-D product of one
+branch; rows are never concatenated, since a batch's row count picks the
+kernel. Every sum keeps its axis length and order of addition, and the
+stacked parameters are strided views of one flat vector, not copies.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +47,10 @@ GATED_BRANCHES = ("aesthetic", "technical")
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """1 / (1 + exp(-x)) where x >= 0 and exp(x) / (1 + exp(x)) elsewhere, so
+    exp never overflows; both read e = exp(-|x|)."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass(frozen=True)
@@ -67,12 +77,14 @@ def scgb_fuse(x, y, params) -> np.ndarray:
     return _cross_gate(x, y, px, py, po)[0]
 
 
-def _cross_gate(x, y, px, py, po, mask=1.0):
-    """The gating algebra behind scgb_fuse and the net: returns (out, u, g, z)."""
-    u = x @ px.T
-    g = _sigmoid(y @ py.T)
-    z = u * g * mask
-    return z @ po.T + x, u, g, z
+def _cross_gate(x, y, px, py, po, mask=None, out=None):
+    """The gating algebra behind scgb_fuse and the net, on one gate or on
+    gates stacked on a leading axis: writes the gated x to ``out`` (a new
+    array if None) and returns (out, u, g, z)."""
+    u = x @ px.swapaxes(-1, -2)
+    g = _sigmoid(y @ py.swapaxes(-1, -2))
+    z = u * g if mask is None else u * g * mask
+    return np.add(z @ po.swapaxes(-1, -2), x, out=out), u, g, z
 
 
 @dataclass
@@ -181,81 +193,110 @@ def init_branchnet(
 
 # --- batched forward/backward -------------------------------------------------
 
-def _forward_batch(net: BranchNet, Xb: dict[str, np.ndarray], dropout_masks=None):
-    """Forward a batch of per-branch inputs; returns (qs, final, cache)."""
-    P = net.params
-    cache: dict = {"X": Xb, "masks": dropout_masks or {}}
-    E: dict[str, np.ndarray] = {}
+def _param_stacks(net: BranchNet, vec: np.ndarray) -> dict[str, np.ndarray]:
+    """Views of ``vec``, whose last axis holds the parameters in flatten()'s
+    (init_branchnet's) order: the encoders' by parameter name, and the gates'
+    ("px", "py", "po") and heads' ("w1", "b1", "w2", "b2", or "w", "b" without
+    a hidden layer) by kind, each stacked on a branch axis in GATED_BRANCHES
+    or BRANCH_ORDER order. A branch's block of gate or head parameters sits
+    at a fixed spacing in that order, so a stack is a strided view, not a
+    copy: writing to it writes ``vec``."""
+    lead, d, k = vec.shape[:-1], net.embed_dim, net.head_hidden
+    views, pos = {}, 0
     for b in BRANCH_ORDER:
-        E[b] = np.tanh(Xb[b] @ P[f"enc_{b}_w"].T + P[f"enc_{b}_b"])
-    cache["E"] = E
-
-    H: dict[str, np.ndarray] = {"semantic": E["semantic"]}
-    for b in GATED_BRANCHES:
-        H[b], u, g, z = _cross_gate(
-            E[b], E["semantic"], P[f"scgb_{b}_px"], P[f"scgb_{b}_py"], P[f"scgb_{b}_po"],
-            cache["masks"].get(b, 1.0),
-        )
-        cache[f"scgb_{b}"] = (u, g, z)
-    cache["H"] = H
-
-    qs: dict[str, np.ndarray] = {}
-    for b in BRANCH_ORDER:
-        if net.head_hidden > 0:
-            r = np.tanh(H[b] @ P[f"head_{b}_w1"].T + P[f"head_{b}_b1"])
-            qs[b] = r @ P[f"head_{b}_w2"] + P[f"head_{b}_b2"]
-            cache[f"head_{b}"] = r
-        else:
-            qs[b] = H[b] @ P[f"head_{b}_w"] + P[f"head_{b}_b"]
-    final = (qs["semantic"] + qs["aesthetic"] + qs["technical"]) / 3.0
-    return qs, final, cache
+        db = len(net.groups[b])
+        views[f"enc_{b}_w"] = vec[..., pos:pos + d * db].reshape(lead + (d, db))
+        views[f"enc_{b}_b"] = vec[..., pos + d * db:pos + (db + 1) * d]
+        pos += (db + 1) * d
+    gates = vec[..., pos:pos + 6 * d * d].reshape(lead + (2, 3, d, d))
+    for j, kind in enumerate(("px", "py", "po")):
+        views[kind] = gates[..., j, :, :]
+    pos += 6 * d * d
+    kinds = (("w1", (k, d)), ("b1", (k,)), ("w2", (k,)), ("b2", ())) if k > 0 else (
+        ("w", (d,)), ("b", ()))
+    size = sum(math.prod(shape) for _, shape in kinds)
+    heads = vec[..., pos:pos + 3 * size].reshape(lead + (3, size))
+    at = 0
+    for kind, shape in kinds:
+        n = math.prod(shape)
+        views[kind] = heads[..., at:at + n].reshape(lead + (3,) + shape)
+        at += n
+    return views
 
 
-def _backward_batch(net: BranchNet, cache: dict, dq: dict[str, np.ndarray],
-                    grads: dict[str, np.ndarray]):
-    """Add the gradients of a scalar loss, given d(loss)/d(q_branch) per
-    branch, into ``grads``: zeroed arrays by parameter name, each added to
-    once."""
-    P = net.params
-    E, H = cache["E"], cache["H"]
-    dH = {b: np.zeros_like(H[b]) for b in BRANCH_ORDER}
+def _forward_batch(net: BranchNet, Xb: dict[str, np.ndarray], masks=None, params=None):
+    """Forward routed branch inputs, each (..., B, group width) with the same
+    leading axes (a siamese step's two sides, or none); returns (qs, final,
+    cache).
 
-    for b in BRANCH_ORDER:
-        g = np.asarray(dq[b], dtype=np.float64)
-        if net.head_hidden > 0:
-            r = cache[f"head_{b}"]
-            grads[f"head_{b}_w2"] += r.T @ g
-            grads[f"head_{b}_b2"] += g.sum()
-            dpre = (g[:, None] * P[f"head_{b}_w2"][None, :]) * (1.0 - r * r)
-            grads[f"head_{b}_w1"] += dpre.T @ H[b]
-            grads[f"head_{b}_b1"] += dpre.sum(axis=0)
-            dH[b] += dpre @ P[f"head_{b}_w1"]
-        else:
-            grads[f"head_{b}_w"] += H[b].T @ g
-            grads[f"head_{b}_b"] += g.sum()
-            dH[b] += g[:, None] * P[f"head_{b}_w"][None, :]
+    ``masks`` is None or the gates' dropout masks, (..., 2, B, embed_dim);
+    ``params`` are _param_stacks views of the flat parameters, made from
+    flatten() when not given. Activations are stacked (..., branch, B, width),
+    so each gate and head layer is one numpy call for every branch and side.
+    ``qs`` maps each branch to its (..., B) scores, rows of cache["Q"]."""
+    P = _param_stacks(net, net.flatten()) if params is None else params
+    x = Xb[BRANCH_ORDER[0]]
+    E = np.empty(x.shape[:-2] + (len(BRANCH_ORDER), x.shape[-2], net.embed_dim))
+    for i, b in enumerate(BRANCH_ORDER):  # group widths differ: one call per branch
+        np.tanh(Xb[b] @ P[f"enc_{b}_w"].T + P[f"enc_{b}_b"], out=E[..., i, :, :])
 
-    dE = {b: np.zeros_like(E[b]) for b in BRANCH_ORDER}
-    for b in GATED_BRANCHES:
-        u, g, z = cache[f"scgb_{b}"]
-        m = cache["masks"].get(b, 1.0)
-        dHb = dH[b]
-        dE[b] += dHb  # residual
-        dz = dHb @ P[f"scgb_{b}_po"]
-        grads[f"scgb_{b}_po"] += dHb.T @ z
-        du = dz * g * m
-        dg = dz * u * m
-        dE[b] += du @ P[f"scgb_{b}_px"]
-        grads[f"scgb_{b}_px"] += du.T @ E[b]
-        dpre_g = dg * g * (1.0 - g)
-        dE["semantic"] += dpre_g @ P[f"scgb_{b}_py"]
-        grads[f"scgb_{b}_py"] += dpre_g.T @ E["semantic"]
-    dE["semantic"] += dH["semantic"]
+    H = np.empty_like(E)
+    H[..., 0, :, :] = E[..., 0, :, :]
+    _, u, g, z = _cross_gate(E[..., 1:, :, :], E[..., :1, :, :], P["px"], P["py"], P["po"],
+                             masks, out=H[..., 1:, :, :])
 
-    for b in BRANCH_ORDER:
-        dpre = dE[b] * (1.0 - E[b] * E[b])
-        grads[f"enc_{b}_w"] += dpre.T @ cache["X"][b]
-        grads[f"enc_{b}_b"] += dpre.sum(axis=0)
+    r = None
+    if net.head_hidden > 0:
+        r = np.tanh(H @ P["w1"].swapaxes(-1, -2) + P["b1"][:, None, :])
+        Q = (r @ P["w2"][..., None])[..., 0] + P["b2"][:, None]
+    else:
+        Q = (H @ P["w"][..., None])[..., 0] + P["b"][:, None]
+    final = (Q[..., 0, :] + Q[..., 1, :] + Q[..., 2, :]) / 3.0
+    cache = {"X": Xb, "masks": masks, "params": P, "E": E, "H": H, "gate": (u, g, z),
+             "r": r, "Q": Q}
+    return {b: Q[..., i, :] for i, b in enumerate(BRANCH_ORDER)}, final, cache
+
+
+def _backward_batch(cache: dict, dQ: np.ndarray, grads: dict[str, np.ndarray]):
+    """Write the gradients of a scalar loss, given its derivatives by the
+    branch scores, dQ (..., 3, B), into ``grads``: _param_stacks views of a
+    vector with the cache's leading axes (one gradient per side), each view
+    written once. A zero entry may come out -0.0 where adding to a zeroed
+    vector gives +0.0; the caller adds 0.0 to the whole vector once."""
+    P, G = cache["params"], grads
+    E, H, (u, g, z), m = cache["E"], cache["H"], cache["gate"], cache["masks"]
+
+    r = cache["r"]
+    if r is not None:
+        np.matmul(r.swapaxes(-1, -2), dQ[..., None], out=G["w2"][..., None])
+        dQ.sum(axis=-1, out=G["b2"])
+        dpre = (dQ[..., None] * P["w2"][:, None, :]) * (1.0 - r * r)
+        np.matmul(dpre.swapaxes(-1, -2), H, out=G["w1"])
+        dpre.sum(axis=-2, out=G["b1"])
+        dH = dpre @ P["w1"]
+    else:
+        np.matmul(H.swapaxes(-1, -2), dQ[..., None], out=G["w"][..., None])
+        dQ.sum(axis=-1, out=G["b"])
+        dH = dQ[..., None] * P["w"][:, None, :]
+
+    Eg, Es, dHg = E[..., 1:, :, :], E[..., :1, :, :], dH[..., 1:, :, :]
+    dE = np.empty_like(E)
+    dz = dHg @ P["po"]
+    np.matmul(dHg.swapaxes(-1, -2), z, out=G["po"])
+    du = dz * g if m is None else dz * g * m
+    dg = dz * u if m is None else dz * u * m
+    np.add(dHg, du @ P["px"], out=dE[..., 1:, :, :])  # residual + input projection
+    np.matmul(du.swapaxes(-1, -2), Eg, out=G["px"])
+    dpre_g = dg * g * (1.0 - g)
+    ds = dpre_g @ P["py"]  # each gate's part of the semantic gradient, added in gate order
+    np.add(ds[..., 0, :, :] + ds[..., 1, :, :], dH[..., 0, :, :], out=dE[..., 0, :, :])
+    np.matmul(dpre_g.swapaxes(-1, -2), Es, out=G["py"])
+
+    dpre = dE * (1.0 - E * E)
+    for i, b in enumerate(BRANCH_ORDER):
+        dpre_b = dpre[..., i, :, :]
+        np.matmul(dpre_b.swapaxes(-1, -2), cache["X"][b], out=G[f"enc_{b}_w"])
+        dpre_b.sum(axis=-2, out=G[f"enc_{b}_b"])
 
 
 def _infer(net: BranchNet, Xb: dict[str, np.ndarray]):

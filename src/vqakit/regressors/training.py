@@ -8,9 +8,17 @@ bit-reproducible from (seed, config, data).
 
 A training call moves the net's parameters into one flat float64 vector, in
 ``flatten()``'s order, and leaves each ``net.params[name]`` a view of it;
-gradients go into flat vectors of the same layout. So a step zeroes, sums,
-updates and decays the whole net in a few numpy calls, not one or more per
+gradients go into flat vectors of the same layout. So a step sums, updates
+and decays the whole net in a few numpy calls, not one or more per
 parameter, with the same arithmetic per entry and so the same bits.
+
+A call also routes (standardises and splits) its tables once; a step then
+indexes rows. The step's passes are net._forward_batch and _backward_batch
+on stacked branches: a siamese step puts its winners and losers on one side
+axis, and a fine-tune step's three branch losses are one rel_loss_grad call
+on (3, B) scores. The backward pass writes each gradient entry once, and the
+step adds 0.0 to the vector, as adding into a zeroed vector did: a -0.0
+becomes +0.0. The siamese gradient is still the winner's plus the loser's.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import numpy as np
 
 from ..errors import InvalidParameter, NoTrainablePairs
 from .losses import rel_loss_grad
-from .net import (BRANCH_ORDER, GATED_BRANCHES, BranchNet, _backward_batch, _forward_batch,
+from .net import (GATED_BRANCHES, BranchNet, _backward_batch, _forward_batch, _param_stacks,
                   _sigmoid)
 
 __all__ = ["TrainConfig", "check_finetune_config", "train_siamese", "finetune_mos",
@@ -72,14 +80,15 @@ def _fit_norm(net: BranchNet, Xs: list[np.ndarray]):
     net.norm_fitted = True
 
 
-def _dropout_masks(net: BranchNet, n: int, rng: np.random.Generator):
+def _dropout_masks(net: BranchNet, n: int, rng: np.random.Generator, sides: tuple = ()):
+    """The gates' dropout masks, (*sides, 2, n, embed_dim), or None without
+    dropout. One draw reads the stream as a draw of (n, embed_dim) per side
+    and gate, in that order, would."""
     p = net.gate_dropout
     if p <= 0.0:
-        return {}
+        return None
     keep = 1.0 - p
-    return {
-        b: (rng.random((n, net.embed_dim)) < keep) / keep for b in GATED_BRANCHES
-    }
+    return (rng.random(sides + (len(GATED_BRANCHES), n, net.embed_dim)) < keep) / keep
 
 
 def _views(net: BranchNet, flat: np.ndarray) -> dict[str, np.ndarray]:
@@ -102,10 +111,11 @@ def _flat_params(net: BranchNet):
     return flat, np.concatenate([np.full(p.size, p.ndim == 2) for p in net.params.values()])
 
 
-def _gradient(net: BranchNet):
-    """A zeroed flat gradient vector and its views by parameter name."""
-    grad = np.zeros(net.n_params())
-    return grad, _views(net, grad)
+def _gradient(net: BranchNet, sides: tuple = ()):
+    """A gradient vector per side (flat, in flatten()'s order) and their
+    _param_stacks views, which _backward_batch writes."""
+    grad = np.empty(sides + (net.n_params(),))
+    return grad, _param_stacks(net, grad)
 
 
 def _apply_update(flat: np.ndarray, decays: np.ndarray, grad: np.ndarray, cfg: TrainConfig):
@@ -125,22 +135,24 @@ def total_loss_gradients(net: BranchNet, X, mos, cfg: TrainConfig | None = None,
     """
     cfg = cfg or TrainConfig()
     X, m = _check_dataset(X, mos)
-    _, grads = _gradient(net)
-    return _relative_loss(net, X, m, cfg, dropout_rng, grads), grads
+    masks = _dropout_masks(net, X.shape[0], dropout_rng) if dropout_rng is not None else None
+    grad = _gradient(net)
+    value = _relative_loss(net, net.route(X), m, cfg, masks,
+                           _param_stacks(net, net.flatten()), grad)
+    return value, _views(net, grad[0])
 
 
-def _relative_loss(net: BranchNet, X, m, cfg: TrainConfig, dropout_rng, grads) -> float:
-    """total_loss_gradients on a checked batch: adds the gradients into
-    ``grads`` and returns the loss value."""
-    masks = _dropout_masks(net, X.shape[0], dropout_rng) if dropout_rng is not None else {}
-    qs, _, cache = _forward_batch(net, net.route(X), masks)
+def _relative_loss(net: BranchNet, Xb, m, cfg: TrainConfig, masks, params, grad) -> float:
+    """total_loss_gradients on a routed, checked batch: writes the gradient
+    into ``grad`` (a _gradient pair) and returns the loss value. The three
+    branches' losses are one stacked call."""
+    _, _, cache = _forward_batch(net, Xb, masks, params)
+    values, dQ = rel_loss_grad(cache["Q"], m, cfg.rank_margin)
+    _backward_batch(cache, dQ, grad[1])
+    np.add(grad[0], 0.0, out=grad[0])  # every zero +0.0, as in a sum started from zero
     value = 0.0
-    dq = {}
-    for b in BRANCH_ORDER:
-        v, g = rel_loss_grad(qs[b], m, cfg.rank_margin)
+    for v in values.tolist():  # in branch order: sum() compensates on Python 3.12+
         value += v
-        dq[b] = g
-    _backward_batch(net, cache, dq, grads)
     return value
 
 
@@ -164,14 +176,17 @@ def train_siamese(datasets, net: BranchNet, config: TrainConfig,
     ss = np.random.SeedSequence(config.seed)
     rng, drop_rng = (np.random.default_rng(s) for s in ss.spawn(2))
     flat, decays = _flat_params(net)
-    (grad_w, grads_w), (grad_l, grads_l) = _gradient(net), _gradient(net)
+    params = _param_stacks(net, flat)
+    routed = [net.route(X) for X, _ in data]
+    sides, side_grads = _gradient(net, (2,))
+    grad = np.empty(net.n_params())
 
     for epoch in range(config.epochs):
         losses = []
         pair_counts = {k: 0 for k in range(len(data))}
         for k in trainable:
-            X, m = data[k]
-            n = X.shape[0]
+            m, Xr = data[k][1], routed[k]
+            n = m.size
             steps = -(-n // config.batch_size)
             for _ in range(steps):
                 ii = rng.integers(0, n, size=config.batch_size)
@@ -181,26 +196,23 @@ def train_siamese(datasets, net: BranchNet, config: TrainConfig,
                     continue
                 ii, jj = ii[valid], jj[valid]
                 swap = m[jj] > m[ii]
-                wi = np.where(swap, jj, ii)  # winners
-                li = np.where(swap, ii, jj)
-                B = wi.size
+                pair = np.where(swap, (jj, ii), (ii, jj))  # (winners, losers)
+                B = pair.shape[1]
                 pair_counts[k] += B
 
-                masks_w = _dropout_masks(net, B, drop_rng)
-                masks_l = _dropout_masks(net, B, drop_rng)
-                _, s_w, cache_w = _forward_batch(net, net.route(X[wi]), masks_w)
-                _, s_l, cache_l = _forward_batch(net, net.route(X[li]), masks_l)
-                d = s_w - s_l
+                # both sides in one pass: (side, branch, B, width) stacks
+                masks = _dropout_masks(net, B, drop_rng, (2,))
+                _, s, cache = _forward_batch(net, {b: x[pair] for b, x in Xr.items()},
+                                             masks, params)
+                d = s[0] - s[1]
                 losses.append(float(np.mean(np.logaddexp(0.0, -d))))
-                dd = -_sigmoid(-d) / B  # d(mean loss)/dd
-                dq_w = {b: dd / 3.0 for b in BRANCH_ORDER}
-                dq_l = {b: -dd / 3.0 for b in BRANCH_ORDER}
-                grad_w.fill(0.0)
-                grad_l.fill(0.0)
-                _backward_batch(net, cache_w, dq_w, grads_w)
-                _backward_batch(net, cache_l, dq_l, grads_l)
-                grad_w += grad_l
-                _apply_update(flat, decays, grad_w, config)
+                dQ = np.empty((2, 3, B))  # d(mean loss)/d(branch score), by side
+                dQ[0] = -_sigmoid(-d) / B / 3.0
+                np.negative(dQ[0], out=dQ[1])
+                _backward_batch(cache, dQ, side_grads)
+                np.add(sides[0], 0.0, out=grad)  # winner's + loser's, every zero +0.0
+                grad += sides[1]
+                _apply_update(flat, decays, grad, config)
         if history is not None:
             history.append({
                 "phase": "siamese",
@@ -225,7 +237,8 @@ def finetune_mos(dataset, net: BranchNet, config: TrainConfig,
     rng, drop_rng = (np.random.default_rng(s) for s in ss.spawn(2))
     n = X.shape[0]
     flat, decays = _flat_params(net)
-    grad, grads = _gradient(net)
+    params, routed = _param_stacks(net, flat), net.route(X)
+    grad = _gradient(net)
 
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -234,9 +247,10 @@ def finetune_mos(dataset, net: BranchNet, config: TrainConfig,
             idx = order[start : start + config.batch_size]
             if idx.size < 2:
                 continue  # a rank/linearity batch needs at least a pair
-            grad.fill(0.0)
-            losses.append(_relative_loss(net, X[idx], m[idx], config, drop_rng, grads))
-            _apply_update(flat, decays, grad, config)
+            masks = _dropout_masks(net, idx.size, drop_rng)
+            losses.append(_relative_loss(net, {b: x[idx] for b, x in routed.items()}, m[idx],
+                                         config, masks, params, grad))
+            _apply_update(flat, decays, grad[0], config)
         if history is not None:
             history.append({
                 "phase": "finetune",
