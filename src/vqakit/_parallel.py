@@ -16,10 +16,12 @@ through a thread-local because the kernels keep their public signatures.
 A pool worker keeps them from its first task to its exit, so a clip reuses
 the planes the previous clip faulted in. That holds, per worker, one buffer
 per slot at the largest size asked of it: for feature extraction two planes
-of the largest frame seen, a sixteenth of one for the SSIM block sums, and a
-1 MiB band buffer. A serial call (one thread or one item) runs on the
-caller's own thread, which this module does not own, so its buffers are
-dropped when the call returns.
+of the largest frame seen (SI's, sharpness' or colour's outputs; the second
+also takes SSIM's row sums), a sixteenth of one for the SSIM block sums, and
+a 2 MiB band buffer, in which bands of stencil sums, RGB, SSIM products and
+the leaves of each variance are formed. A serial call (one thread or one
+item) runs on the caller's own thread, which this module does not own, so
+its buffers are dropped when the call returns.
 """
 
 from __future__ import annotations

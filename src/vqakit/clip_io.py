@@ -4,7 +4,11 @@ Frames are planar and full-range normalized: every sample is a float64 in
 [0,1], obtained as raw / (2^bit_depth - 1). A YUV4MPEG2 stream or PGM/PPM
 directory is checked when loaded, but the clip keeps the file bytes and
 decodes a frame each time it is read, so memory is the bytes plus the frames
-in use. Chroma (when present) stays at its source resolution. Colour is
+in use. Chroma (when present) stays at its source resolution. A YUV4MPEG2
+frame decodes into one float64 buffer whose row-major views are its three
+planes: numpy advises huge pages only for arrays of 4 MiB or more, and an FHD
+4:2:0 chroma plane (4,147,200 bytes) falls just short, so as planes of their
+own the chroma would fault in a 4 KiB page at a time. Colour is
 converted to clamped BT.709 RGB in bands of rows that fit in cache
 (``row_bands``, which the luma kernels of ``signal_features`` walk too):
 ``ycbcr_to_rgb`` converts one band, with chroma upsampled by nearest
@@ -161,13 +165,17 @@ def _check_10bit(raw: np.ndarray, pos: int, where: str):
 
 def _decode_y4m(buf: bytes, pos: int, planes, depth: int) -> Frame:
     """Decode the frame whose payload starts at ``pos`` (already length- and
-    range-checked), plane by plane, each into its own float64 plane."""
+    range-checked) into one float64 buffer, whose row-major views are the
+    frame's luma, cb and cr planes (see the module docstring)."""
     dtype, maxv = (np.uint8, 255.0) if depth == 8 else (np.dtype("<u2"), 1023.0)
-    out = []
+    flat = np.empty(sum(w * h for w, h in planes))
+    out, start = [], 0
     for w, h in planes:
         raw = np.frombuffer(buf, dtype=dtype, count=w * h, offset=pos)
-        out.append(np.divide(raw.reshape(h, w), maxv, out=np.empty((h, w))))
+        plane = flat[start:start + w * h].reshape(h, w)
+        out.append(np.divide(raw.reshape(h, w), maxv, out=plane))
         pos += raw.nbytes
+        start += w * h
     return Frame(*out, source_bit_depth=depth)
 
 
@@ -394,11 +402,15 @@ def chroma_factors(luma_shape, chroma_shape) -> tuple[int, int]:
 
 
 # Pixels per band: a band of colour conversion keeps its r, g, b and work
-# strips, a band of a luma kernel its stencil strips, in one 1 MiB buffer of
-# float64 that stays in L2 (about 16 rows of FHD, 50 of 640x360). The budget
-# is in pixels, not rows, because a narrow frame's bands would otherwise cost
-# more numpy calls than their pixels are worth.
-_BAND_PIXELS = 1 << 15
+# strips, a band of a luma kernel its stencil strips, in one 2 MiB buffer of
+# float64, the L2 of one core of a 2-vCPU Xeon (about 34 rows of FHD, 102 of
+# 640x360). Every numpy call of a band hands the GIL back and forth when two
+# threads extract, so on that host half this budget, which kept the buffer
+# well inside L2, cost more in calls than it saved in cache misses: 5-frame
+# FHD features at threads=2 took 10-15% longer. The budget is in pixels, not
+# rows, because a narrow frame's bands would otherwise cost more numpy calls
+# than their pixels are worth.
+_BAND_PIXELS = 1 << 16
 
 
 def row_bands(shape: tuple[int, int], fy: int = 1) -> list[slice]:

@@ -10,25 +10,33 @@ statistics use population (ddof=0) moments.
 SSIM (8x8 windows at stride 4) is built from 4x4 block sums: a window is 2x2
 adjacent blocks. Each sampled frame's window means and variances are
 computed once per view, and each pair of frames adds only the block sums of
-its product plane.
+the product of its two planes.
 
 A view's features are one pass: every per-frame and per-pair kernel call is
 one task of a single thread-pool call, and only the small SSIM window arrays
-are combined after it. The kernels write their plane-sized temporaries
-(gradient magnitudes, Laplacians, differences, products, deviations) into
-scratch planes of the running thread (``_parallel.scratch``): a pool worker
-keeps them from one clip to the next, at most two full-size planes, a
-sixteenth of one and a 1 MiB band buffer. Called outside a pool, a kernel
-allocates fresh planes and keeps none.
+are combined after it, in three window-shaped buffers made once per view.
+The kernels write their temporaries into scratch buffers of the running
+thread (``_parallel.scratch``): the gradient magnitudes, the Laplacian or
+colour's rg in one full-size plane; colour's yb, or SSIM's row sums (a
+quarter plane), in a second; SSIM's block sums in a sixteenth of one; and
+the strips of each band in a 2 MiB band buffer. A pool worker keeps them
+from one clip to the next. Called outside a pool, a kernel allocates fresh
+buffers and keeps none.
 
-SI, sharpness and colour walk the frame in bands of rows of about 32k pixels
+SI, sharpness and colour walk the frame in bands of rows of about 64k pixels
 (``clip_io.row_bands``). Each band's elementwise stages (the stencil sums,
 or the conversion to RGB) run in strips of the band buffer, which stays in
 cache, and write the band's rows of one full-size plane per output: the
 gradient magnitude, the Laplacian, or colour's opponent planes rg and yb.
-Elementwise steps give the same bits in any band; only reductions depend on
-the shape they reduce, so each ``_moments`` call still reduces a whole
-plane, with numpy's bits. Colour of a view that keeps YCbCr thus has the
+SSIM forms its squares and products a band at a time in the band buffer, so
+no product plane is made. Elementwise steps give the same bits in any band.
+A sum does not: numpy's sum of a row-major plane is a fixed pairwise tree
+over the flat index. ``_moments`` replays that tree (``_pairwise``) down to
+leaves of at most 64k values, each summed by numpy, and adds the leaves in
+the tree's order. Its variance is a second pass, leaf by leaf, that forms,
+squares and sums the deviations in the band buffer, with the bits of
+numpy's ``var`` and no plane of deviations; TI forms its difference a leaf
+at a time in the same way. Colour of a view that keeps YCbCr thus has the
 bits of ``colorfulness(*frame_rgb(frame))``, and no full-size RGB plane is
 made.
 
@@ -126,29 +134,14 @@ def _require(plane: np.ndarray, min_side: int, what: str):
         raise PlaneTooSmall(f"{what} needs at least {min_side}x{min_side}, got {w}x{h}")
 
 
-def _moments(x: np.ndarray, dev: np.ndarray) -> tuple[float, float]:
-    """``(x.mean(), x.var())``, with the deviations written into ``dev``:
-    x itself when x is a scratch plane, else a scratch plane of its shape.
-
-    These are numpy's own steps for ``var``: the sum with keepdims over n,
-    the deviations from it, squared in place, their sum over n. On a
-    row-major x each step rounds as numpy's does, so both values keep
-    numpy's bits.
-    """
-    n = x.size
-    mean = np.add.reduce(x, axis=None, keepdims=True) / n
-    np.subtract(x, mean, out=dev)
-    np.square(dev, out=dev)
-    return mean.item(), float(np.add.reduce(dev, axis=None) / n)
-
-
-# Scratch slots: two full-size planes, the SSIM block sums, the band buffer.
+# Scratch slots: two full-size planes (the second also takes SSIM's row sums),
+# the SSIM block sums, the band buffer.
 _PLANE_A, _PLANE_B, _BLOCKS, _BAND = range(4)
 
 
 def _band_strips(*shapes: tuple[int, int]) -> list[np.ndarray]:
     """Row-major strips of ``shapes``, one after another in the band buffer,
-    which is never smaller than 1 MiB, so that every kernel's bands share it."""
+    which is never smaller than 2 MiB, so that every kernel's bands share it."""
     sizes = [math.prod(shape) for shape in shapes]
     buf = scratch(_BAND, (max(sum(sizes), 4 * _BAND_PIXELS),))
     strips, start = [], 0
@@ -156,6 +149,65 @@ def _band_strips(*shapes: tuple[int, int]) -> list[np.ndarray]:
         strips.append(buf[start:start + n].reshape(shape))
         start += n
     return strips
+
+
+def _pairwise(leaf_sum, n: int, start: int = 0) -> float:
+    """numpy's pairwise sum of the ``n`` values from flat index ``start``.
+
+    ``np.add.reduce`` over n contiguous float64 values is a fixed tree: a
+    node of more than 128 values is the sum of its halves, split at n // 2
+    rounded down to a multiple of 8. This walks the tree down to nodes of at
+    most ``_BAND_PIXELS`` values, each of which ``leaf_sum(start, stop)``
+    gives as numpy's own sum, and adds them in the tree's order, so the total
+    has the bits of one ``np.add.reduce`` over all n values.
+    """
+    if n <= _BAND_PIXELS:
+        return leaf_sum(start, start + n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise(leaf_sum, half, start) + _pairwise(leaf_sum, n - half, start + half)
+
+
+def _leaf_moments(n: int, values) -> tuple[float, float]:
+    """The mean and variance of n values, with the bits of numpy's
+    ``x.mean()`` and ``x.var()``, where ``values(start, stop, out)`` returns
+    flat indices start to stop of x: a view of x, or those values written
+    into ``out``.
+
+    Both passes walk x in the leaves of ``_pairwise``. The second forms each
+    leaf's deviations from the mean in the band buffer and squares and sums
+    them there: numpy's steps for ``var``, a leaf at a time.
+    """
+    (buf,) = _band_strips((_BAND_PIXELS,))
+
+    def total(start: int, stop: int) -> float:
+        return float(np.add.reduce(values(start, stop, buf[:stop - start])))
+
+    def squares(start: int, stop: int) -> float:
+        dev = buf[:stop - start]
+        np.subtract(values(start, stop, dev), mean, out=dev)
+        return float(np.add.reduce(np.square(dev, out=dev)))
+
+    mean = _pairwise(total, n) / n
+    return mean, _pairwise(squares, n) / n
+
+
+def _moments(x: np.ndarray) -> tuple[float, float]:
+    """``(x.mean(), x.var())``, with numpy's bits.
+
+    A row-major float64 x is walked leaf by leaf (``_leaf_moments``), so no
+    plane of deviations is written. Any other x takes numpy's own steps for
+    ``var``: the sum with keepdims over n (in x's dtype), the deviations from
+    it, written row-major into a scratch plane and squared in place, their
+    sum over n.
+    """
+    if x.flags.c_contiguous and x.dtype == np.float64:
+        flat = x.reshape(-1)
+        return _leaf_moments(flat.size, lambda start, stop, out: flat[start:stop])
+    n = x.size
+    mean = np.add.reduce(x, axis=None, keepdims=True) / n
+    dev = np.subtract(x, mean, out=scratch(_PLANE_A, x.shape))
+    np.square(dev, out=dev)
+    return mean.item(), float(np.add.reduce(dev, axis=None) / n)
 
 
 def si(luma_plane: np.ndarray) -> float:
@@ -184,15 +236,20 @@ def si(luma_plane: np.ndarray) -> float:
         along += q[2:]
         gx = np.subtract(along[:, 2:], along[:, :-2], out=mag[rows])
         np.hypot(gx, gy, out=gx)
-    return math.sqrt(_moments(mag, mag)[1])
+    return math.sqrt(_moments(mag)[1])
 
 
 def ti(luma_t: np.ndarray, luma_prev: np.ndarray) -> float:
-    """Temporal information: stddev of the pixelwise difference plane."""
+    """Temporal information: stddev of the pixelwise difference plane.
+
+    The difference is formed a leaf at a time, in the band buffer, once for
+    its mean and once for its deviations, so no plane of it is written.
+    """
     if luma_t.shape != luma_prev.shape:
         raise DimensionMismatch(f"{luma_t.shape} vs {luma_prev.shape}")
-    diff = np.subtract(luma_t, luma_prev, out=scratch(_PLANE_A, luma_t.shape))
-    return math.sqrt(_moments(diff, diff)[1])
+    a, b = (np.ascontiguousarray(p).reshape(-1) for p in (luma_t, luma_prev))
+    return math.sqrt(_leaf_moments(
+        a.size, lambda start, stop, out: np.subtract(a[start:stop], b[start:stop], out=out))[1])
 
 
 def _opponents(r, g, b, rg: np.ndarray, yb: np.ndarray):
@@ -204,9 +261,9 @@ def _opponents(r, g, b, rg: np.ndarray, yb: np.ndarray):
 
 
 def _hasler(rg: np.ndarray, yb: np.ndarray) -> float:
-    """The colourfulness of scratch opponent planes, which it overwrites."""
-    rg_mean, rg_var = _moments(rg, rg)
-    yb_mean, yb_var = _moments(yb, yb)
+    """The colourfulness of opponent planes rg and yb."""
+    rg_mean, rg_var = _moments(rg)
+    yb_mean, yb_var = _moments(yb)
     return float(
         np.hypot(math.sqrt(rg_var), math.sqrt(yb_var)) + 0.3 * np.hypot(rg_mean, yb_mean)
     )
@@ -255,13 +312,13 @@ def sharpness(luma_plane: np.ndarray) -> float:
         band += centre[:, 2:]
         (four,) = _band_strips(band.shape)
         band -= np.multiply(centre[:, 1:-1], 4.0, out=four)
-    return _moments(lap, lap)[1]
+    return _moments(lap)[1]
 
 
 def contrast(luma_plane: np.ndarray) -> float:
     if luma_plane.size == 0:
         raise PlaneTooSmall("empty plane")
-    return math.sqrt(_moments(luma_plane, scratch(_PLANE_A, luma_plane.shape))[1])
+    return math.sqrt(_moments(luma_plane)[1])
 
 
 _SSIM_C1 = 0.01 ** 2
@@ -271,23 +328,33 @@ _SSIM_STRIDE = 4  # a window is 2x2 blocks of stride x stride pixels
 _SSIM_N = float(_SSIM_WIN * _SSIM_WIN)
 
 
-def _ssim_windows(q: np.ndarray) -> np.ndarray:
-    """Sums of q over the 8x8 windows at stride 4, from its 4x4 block sums.
+def _ssim_windows(plane: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:
+    """Sums over the 8x8 windows at stride 4 of plane, or of plane * other,
+    from their 4x4 block sums.
 
-    Block sums add the four row phases, then the four column phases, of the
-    rows and columns that whole blocks cover. Each window covers 2x2 adjacent
-    blocks, so the window grid is one block shorter than the block grid on
-    each side. Only the returned window sums are a new array.
+    Row sums add the four row phases of the rows and columns that whole
+    blocks cover, in bands of rows; a product is formed a band at a time in
+    the band buffer, so no plane of it is made. Block sums then add the four
+    column phases. Each window covers 2x2 adjacent blocks, so the window grid
+    is one block shorter than the block grid on each side. Only the returned
+    window sums are a new array.
     """
-    _require(q, _SSIM_WIN, "ssim")
+    _require(plane, _SSIM_WIN, "ssim")
     b = _SSIM_STRIDE
-    h, w = q.shape[0] // b * b, q.shape[1] // b * b
-    rows = np.add(q[0:h:b], q[1:h:b], out=scratch(_PLANE_B, (h // b, q.shape[1])))
-    rows += q[2:h:b]
-    rows += q[3:h:b]
-    blocks = np.add(rows[:, 0:w:b], rows[:, 1:w:b], out=scratch(_BLOCKS, (h // b, w // b)))
-    blocks += rows[:, 2:w:b]
-    blocks += rows[:, 3:w:b]
+    h, w = plane.shape[0] // b * b, plane.shape[1] // b * b
+    rows = scratch(_PLANE_B, (h // b, w))
+    for band in row_bands((h, w), b):
+        q = plane[band, :w]
+        if other is not None:
+            (product,) = _band_strips(q.shape)
+            q = np.multiply(q, other[band, :w], out=product)
+        r = rows[band.start // b:band.stop // b]
+        np.add(q[0::b], q[1::b], out=r)
+        r += q[2::b]
+        r += q[3::b]
+    blocks = np.add(rows[:, 0::b], rows[:, 1::b], out=scratch(_BLOCKS, (h // b, w // b)))
+    blocks += rows[:, 2::b]
+    blocks += rows[:, 3::b]
     pairs = np.add(blocks[:-1], blocks[1:], out=scratch(_PLANE_B, (h // b - 1, w // b)))
     return pairs[:, :-1] + pairs[:, 1:]
 
@@ -296,26 +363,44 @@ def _ssim_stats(plane: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One plane's SSIM window means and variances, shared by all its pairs."""
     mu = _ssim_windows(plane)
     mu /= _SSIM_N
-    var = _ssim_windows(np.multiply(plane, plane, out=scratch(_PLANE_A, plane.shape)))
+    var = _ssim_windows(plane, plane)
     var /= _SSIM_N
-    var -= mu * mu
+    var -= np.multiply(mu, mu, out=scratch(_PLANE_B, mu.shape))
     return mu, var
 
 
 def _ssim_cross_sums(plane_a: np.ndarray, plane_b: np.ndarray) -> np.ndarray:
     """The window sums of a·b: all that a pair adds to its planes' _ssim_stats."""
-    return _ssim_windows(np.multiply(plane_a, plane_b, out=scratch(_PLANE_A, plane_a.shape)))
+    return _ssim_windows(plane_a, plane_b)
 
 
-def _ssim_combine(stats_a, stats_b, cross_sums: np.ndarray) -> float:
-    """Mean SSIM of two planes from their _ssim_stats and their _ssim_cross_sums."""
+def _ssim_combine(stats_a, stats_b, cross_sums: np.ndarray, work=None) -> float:
+    """Mean SSIM of two planes from their _ssim_stats and their _ssim_cross_sums.
+
+    ``work`` is three arrays of the windows' shape, which it overwrites (by
+    default fresh ones). The steps and their order are those of
+    ``(2 mu_ab + C1)(2 cov + C2) / ((mu_a² + mu_b² + C1)(var_a + var_b + C2))``
+    with ``cov = cross_sums / N - mu_ab``.
+    """
     mu_a, var_a = stats_a
     mu_b, var_b = stats_b
-    mu_ab = mu_a * mu_b
-    cov = cross_sums / _SSIM_N - mu_ab
-    num = (2.0 * mu_ab + _SSIM_C1) * (2.0 * cov + _SSIM_C2)
-    den = (mu_a * mu_a + mu_b * mu_b + _SSIM_C1) * (var_a + var_b + _SSIM_C2)
-    return float(np.mean(num / den))
+    num, den, t = work if work is not None else (np.empty(mu_a.shape) for _ in range(3))
+    mu_ab = np.multiply(mu_a, mu_b, out=num)
+    cov = np.divide(cross_sums, _SSIM_N, out=den)
+    cov -= mu_ab
+    cov *= 2.0
+    cov += _SSIM_C2
+    mu_ab *= 2.0
+    mu_ab += _SSIM_C1
+    num *= cov
+    np.multiply(mu_a, mu_a, out=den)
+    den += np.multiply(mu_b, mu_b, out=t)
+    den += _SSIM_C1
+    np.add(var_a, var_b, out=t)
+    t += _SSIM_C2
+    den *= t
+    num /= den
+    return float(np.mean(num))
 
 
 def ssim(plane_a: np.ndarray, plane_b: np.ndarray) -> float:
@@ -398,7 +483,7 @@ def extract_view_features(view: SampledView, threads: int | None = None) -> Feat
         return ti(lumas[i], lumas[j]), _ssim_cross_sums(lumas[i], lumas[j])
 
     def stats(i: int):
-        mean, var = _moments(lumas[i], scratch(_PLANE_A, lumas[i].shape))  # contrast, luminance
+        mean, var = _moments(lumas[i])  # contrast, luminance
         return math.sqrt(var), mean, _ssim_stats(lumas[i]) if pairs else None
 
     tasks = ([(si, lumas[i]) for i in range(k)] + [(looks, i) for i in range(k)]
@@ -419,9 +504,10 @@ def extract_view_features(view: SampledView, threads: int | None = None) -> Feat
         return FeatureVector(values, frozenset(flags))
 
     tis, ssims = [], []
+    work = [np.empty(frame_stats[0][2][0].shape) for _ in range(3)]  # _ssim_combine's
     for (i, j), (t, sums) in zip(pairs, done[3 * k:]):
         tis.append(t)
-        ssims.append(_ssim_combine(frame_stats[i][2], frame_stats[j][2], sums))
+        ssims.append(_ssim_combine(frame_stats[i][2], frame_stats[j][2], sums, work))
     for consecutive, first, vals in (("ti", "ti_first", tis), ("ssim_pair", "ssim_first", ssims)):
         values[consecutive] = float(np.mean(vals[: k - 1]))
         values[first] = float(np.mean(vals[:1] + vals[k - 1:]))

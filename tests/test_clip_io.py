@@ -201,6 +201,27 @@ class TestParseY4m:
             for raw, plane in zip(raws, (f.luma, f.chroma_b, f.chroma_r)):
                 assert np.array_equal(plane, raw / 255)
 
+    @pytest.mark.parametrize("ctag", ["420", "422", "444", "420p10", "422p10", "444p10"])
+    def test_planes_are_read_only_views_of_one_buffer(self, ctag):
+        # one allocation per frame: at FHD 4:2:0 it is over the 4 MiB at
+        # which numpy advises huge pages, which a chroma plane alone is not
+        w, h = 7, 5
+        sx, sy = {"420": (2, 2), "422": (2, 1), "444": (1, 1)}[ctag[:3]]
+        maxv, dtype = (1023, "<u2") if ctag.endswith("p10") else (255, np.uint8)
+        rng = np.random.default_rng(len(ctag))
+        shapes = ((h, w), (-(-h // sy), -(-w // sx)), (-(-h // sy), -(-w // sx)))
+        raws = tuple(rng.integers(0, maxv + 1, shape).astype(dtype) for shape in shapes)
+        frame = parse_y4m(y4m_bytes(w, h, [raws], ctag="C" + ctag)).frames[0]
+        planes = (frame.luma, frame.chroma_b, frame.chroma_r)
+        base = frame.luma.base
+        assert base.flags.owndata and base.size == sum(raw.size for raw in raws)
+        for plane, raw in zip(planes, raws):
+            assert plane.base is base
+            assert plane.flags.c_contiguous and not plane.flags.writeable
+            assert plane.tobytes() == (raw.astype(np.float64) / maxv).tobytes()
+        assert [p.__array_interface__["data"][0] for p in planes] == [
+            base.__array_interface__["data"][0] + 8 * n for n in (0, w * h, w * h + raws[1].size)]
+
     def test_frames_sequence(self):
         frames = [(_flat(4, 4, v), _flat(2, 2, 128), _flat(2, 2, 128)) for v in (10, 20, 30)]
         clip = parse_y4m(y4m_bytes(4, 4, frames))

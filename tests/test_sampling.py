@@ -337,8 +337,10 @@ class TestSampledDecode:
         # strip (measured peak: 1.48 sampled frames alone, 1.47 in the suite)
         assert peaks["resize"] < 1.5 * frame_bytes
         # a view that keeps whole frames keeps their decoded luma and chroma
-        # and makes no RGB plane (measured peak: 3.54 decoded frames for 3;
-        # with RGB planes as well it was 9.2)
+        # and makes no RGB plane (measured peak: 3.88 decoded frames for 3,
+        # as each frame's one buffer is made before its luma is decoded
+        # through numpy's cast buffer; 3.54 with a buffer per plane, and 9.2
+        # with RGB planes as well)
         assert len(view.frames) == 3 and len(view.color[0]) == 2
         assert peaks["none"] < 4 * decoded_bytes
 

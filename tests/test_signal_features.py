@@ -50,6 +50,9 @@ from vqakit.signal_features import (
 )
 
 
+_LEAF = clip_io._BAND_PIXELS  # the largest leaf of _moments' summation tree
+
+
 # --- brute-force oracles (pure python loops) -----------------------------------
 
 def sobel_si_oracle(p):
@@ -169,6 +172,16 @@ class TestTi:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             ti(np.zeros((4, 4)), np.zeros((4, 5)))
+
+    @pytest.mark.parametrize("shape", [(4, 4), (1, _LEAF + 1), (358, 638), (1078, 1918)],
+                             ids=str)
+    def test_std_of_difference_bits(self, shape):
+        # the difference, formed a leaf at a time twice, keeps numpy's bits;
+        # inputs that are not row-major get those of the row-major difference
+        rng = np.random.default_rng(shape[0])
+        a, b = rng.random(shape), rng.random(shape)
+        assert ti(a, b).hex() == float(np.std(a - b)).hex()
+        assert ti(a.T, b.T).hex() == float(np.std(np.ascontiguousarray(a.T - b.T))).hex()
 
 
 def _planes(rgb):
@@ -318,6 +331,44 @@ class TestLumaStats:
             assert got == want
 
 
+class TestMoments:
+    # _moments replays numpy's pairwise summation tree in leaves of at most
+    # _LEAF values: at a leaf's size and at 8 past two leaves the tree splits
+    # differently, and below 8 and at 128 numpy sums a node differently
+    @pytest.mark.parametrize("shape", [
+        (1, 1), (1, 7), (1, 8), (1, 9), (1, 127), (1, 128), (1, 129),
+        (1, _LEAF - 1), (1, _LEAF), (1, _LEAF + 1), (1, 2 * _LEAF + 8),
+        (358, 638), (1078, 1918),
+    ], ids=str)
+    def test_numpy_bits(self, shape):
+        rng = np.random.default_rng(shape[1])
+        values = {
+            "random": rng.random(shape),
+            "constant": np.full(shape, 0.37),
+            "signed zeros": np.where(rng.random(shape) < 0.5, -0.0, 0.0),
+            "1e300": rng.standard_normal(shape) * 1e300,
+            "1e-300": rng.standard_normal(shape) * 1e-300,
+        }
+        with np.errstate(over="ignore"):  # squares of 1e300 overflow, in numpy too
+            for kind, x in values.items():
+                want = (float(x.mean()).hex(), float(x.var()).hex())
+                assert tuple(v.hex() for v in sf._moments(x)) == want, kind
+
+    @pytest.mark.parametrize("layout", ["transposed", "float32"])
+    def test_other_input_keeps_numpy_steps(self, monkeypatch, layout):
+        # an input that is not row-major float64 takes numpy's steps for var
+        # over the whole plane, with the deviations written row-major
+        x = np.random.default_rng(3).random((640, 357))
+        x = x.T if layout == "transposed" else x.astype(np.float32)
+        n = x.size
+        mean = np.add.reduce(x, axis=None, keepdims=True) / n
+        dev = np.square(np.subtract(x, mean, out=np.empty(x.shape)))
+        want = (mean.item().hex(), float(np.add.reduce(dev, axis=None) / n).hex())
+        monkeypatch.setattr(sf, "_leaf_moments", None)
+        assert tuple(v.hex() for v in sf._moments(x)) == want
+        assert contrast(x) == math.sqrt(float.fromhex(want[1]))
+
+
 class TestSsim:
     def test_identical_is_one(self):
         p = np.random.default_rng(0).random((16, 16))
@@ -445,9 +496,9 @@ class TestExtraction:
         def counted(name):
             fn = getattr(sf, name)
 
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls[name] += 1
-                return fn(*args)
+                return fn(*args, **kwargs)
             return wrapper
 
         for name in calls:
@@ -522,7 +573,7 @@ class TestExtraction:
     def test_pool_scratch_held_and_bounded(self):
         # a pool worker keeps its scratch from one call to the next: after
         # views of two sizes, at most two planes of the largest luma size, the
-        # SSIM block sums and the 1 MiB band buffer; a serial call keeps none
+        # SSIM block sums and the band buffer; a serial call keeps none
         _parallel._drop_pools()
         rng = np.random.default_rng(6)
         for h, w in ((512, 768), (768, 400)):
@@ -565,22 +616,26 @@ class TestExtraction:
         assert {id(b) for b in second} == {id(b) for b in first}
         assert _parallel.scratch(0, (8,)).base is None
 
-    def test_allocations_bounded_by_scratch_slots(self):
+    @pytest.mark.parametrize("side", [256, 768])
+    def test_allocations_bounded_by_scratch_slots(self, side):
         # Under MALLOC_MMAP_THRESHOLD_ every plane-sized temporary is a fresh
         # mapping that faults its pages in. A repeat extraction of a 5-frame
         # 4:2:0 YCbCr view (25 kernel calls) on one thread faults in the two
-        # scratch planes, the band buffer and the small SSIM window arrays,
-        # about 8 planes in all; when every kernel call maps its own
-        # temporaries it is about 100. Pool workers keep their scratch from
-        # one call to the next, so a repeat at threads=2 faults in about one.
-        code = textwrap.dedent("""
+        # scratch planes, the 2 MiB band buffer and the SSIM window arrays,
+        # about 7.4 planes at side 256 and 3 at 768 (measured); when every
+        # kernel call maps its own temporaries it is about 100. Pool workers
+        # keep their scratch from one call to the next, so a repeat at
+        # threads=2 faults in only the window arrays: 0.9 planes at 256, 1.25
+        # at 768, where they are over the mmap threshold (4.9 when SSIM's
+        # combine made fresh temporaries for every pair).
+        code = textwrap.dedent(f"""
             import resource
             import numpy as np
             from vqakit.sampling import SampledView, SpatialTransform
             from vqakit.signal_features import extract_view_features
 
             rng = np.random.default_rng(0)
-            side = 256
+            side = {side}
             lumas = tuple(rng.random((side, side)) for _ in range(5))
             chroma = tuple(tuple(rng.random((side // 2, side // 2)) for _ in range(2))
                            for _ in lumas)
