@@ -66,8 +66,8 @@ def _net_from_dict(d: dict, path) -> BranchNet:
     extra = sorted(set(params) - set(net.params))
     if extra:
         raise CheckpointError(f"{path}: params: {extra[0]!r} is not a parameter of this net")
-    for k, template in net.params.items():
-        net.params[k] = _stored_array(params, k, template.shape, path, f"params.{k}")
+    for k, view in net.params.items():  # each written into the net's vector
+        view[...] = _stored_array(params, k, view.shape, path, f"params.{k}")
     n = (len(net.feature_names),)
     net.norm_shift = _stored_array(d, "norm_shift", n, path)
     net.norm_scale = _stored_array(d, "norm_scale", n, path)

@@ -23,9 +23,10 @@ stacked parameters are strided views of one flat vector, not copies.
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -89,14 +90,19 @@ def _cross_gate(x, y, px, py, po, mask=None, out=None):
 
 @dataclass
 class BranchNet:
-    """The gated-fusion net; init_branchnet alone builds one and names its params."""
+    """The gated-fusion net; init_branchnet alone builds one and names its params.
+
+    Every parameter lives in ``flat``, laid out by _param_stacks. Two sets of
+    views of it are made once: ``stacks``, which the passes read and training
+    steps, and ``params``, a read-only mapping by name in the vector's order
+    (the checkpoints' order), whose views are written in place."""
 
     feature_names: tuple[str, ...]
     groups: dict[str, tuple[str, ...]]
     embed_dim: int
     head_hidden: int
     gate_dropout: float
-    params: dict[str, np.ndarray]
+    flat: np.ndarray | None  # None: a zeroed vector of the layout's size
     norm_shift: np.ndarray
     norm_scale: np.ndarray
     norm_fitted: bool = False
@@ -108,29 +114,32 @@ class BranchNet:
             b: np.array([name_pos[f] for f in fs], dtype=np.intp)
             for b, fs in self.groups.items()
         }
+        if self.flat is None:
+            self.flat, self.stacks = _param_stacks(self, ())
+        else:
+            self.stacks = _param_stacks(self, self.flat)
+        self.params = MappingProxyType(_named_views(self.stacks))
 
     def param_names(self) -> list[str]:
-        """The parameters in the order init_branchnet makes them, the order of
-        flatten, unflatten and checkpoints."""
+        """The parameters in the vector's order, the order of checkpoints."""
         return list(self.params)
 
     def n_params(self) -> int:
-        return sum(self.params[n].size for n in self.param_names())
+        return self.flat.size
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate([self.params[n].ravel() for n in self.param_names()])
+        return self.flat.copy()
 
     def unflatten(self, flat: np.ndarray):
-        pos = 0
-        for n in self.param_names():
-            p = self.params[n]
-            self.params[n] = flat[pos : pos + p.size].reshape(p.shape).copy()
-            pos += p.size
-        if pos != flat.size:
-            raise ValueError(f"flat vector has {flat.size} values, net needs {pos}")
+        if np.shape(flat) != self.flat.shape:
+            raise ValueError(f"flat vector has shape {np.shape(flat)}, net needs {self.flat.shape}")
+        self.flat[...] = flat
 
     def copy(self) -> "BranchNet":
-        return copy.deepcopy(self)
+        """A net with its own vector, views and normalisation."""
+        return dataclasses.replace(self, groups=dict(self.groups), flat=self.flat.copy(),
+                                   norm_shift=self.norm_shift.copy(),
+                                   norm_scale=self.norm_scale.copy())
 
     def route(self, X: np.ndarray) -> dict[str, np.ndarray]:
         """Standardize a raw feature matrix and split it into branch inputs."""
@@ -159,69 +168,71 @@ def init_branchnet(
         raise ValueError(f"groups name {sorted(unknown)}, which feature_names lacks")
     if embed_dim < 1 or head_hidden < 0:
         raise ValueError(f"embed_dim {embed_dim} must be >= 1, head_hidden {head_hidden} >= 0")
-    rng = np.random.default_rng(seed)
-    d, k = embed_dim, head_hidden
-
-    def mat(rows, cols):
-        return rng.normal(0.0, 1.0 / np.sqrt(max(cols, 1)), size=(rows, cols))
-
-    params: dict[str, np.ndarray] = {}
-    for b in BRANCH_ORDER:
-        db = len(groups[b])
-        params[f"enc_{b}_w"] = mat(d, db)
-        params[f"enc_{b}_b"] = np.zeros(d)
-    for b in GATED_BRANCHES:
-        params[f"scgb_{b}_px"] = mat(d, d)
-        params[f"scgb_{b}_py"] = mat(d, d)
-        params[f"scgb_{b}_po"] = mat(d, d) * 0.1  # small output proj: start near residual
-    for b in BRANCH_ORDER:
-        if k > 0:
-            params[f"head_{b}_w1"] = mat(k, d)
-            params[f"head_{b}_b1"] = np.zeros(k)
-            params[f"head_{b}_w2"] = rng.normal(0.0, 1.0 / np.sqrt(k), size=k)
-            params[f"head_{b}_b2"] = np.zeros(())
-        else:
-            params[f"head_{b}_w"] = rng.normal(0.0, 1.0 / np.sqrt(d), size=d)
-            params[f"head_{b}_b"] = np.zeros(())
-
     n_raw = len(feature_names)
-    return BranchNet(
-        tuple(feature_names), groups, d, k, gate_dropout, params,
-        np.zeros(n_raw), np.ones(n_raw), False, seed,
-    )
+    net = BranchNet(tuple(feature_names), groups, embed_dim, head_hidden, gate_dropout, None,
+                    np.zeros(n_raw), np.ones(n_raw), False, seed)
+    # one draw per weight, in the vector's order, scaled by its fan-in; biases stay zero
+    rng = np.random.default_rng(seed)
+    for name, p in net.params.items():
+        if not name.rstrip("12").endswith("_b"):
+            scale = 0.1 if name.endswith("_po") else 1.0  # small output proj: start near residual
+            p[...] = rng.normal(0.0, 1.0 / np.sqrt(max(p.shape[-1], 1)), size=p.shape) * scale
+    return net
 
 
 # --- batched forward/backward -------------------------------------------------
 
-def _param_stacks(net: BranchNet, vec: np.ndarray) -> dict[str, np.ndarray]:
-    """Views of ``vec``, whose last axis holds the parameters in flatten()'s
-    (init_branchnet's) order: the encoders' by parameter name, and the gates'
-    ("px", "py", "po") and heads' ("w1", "b1", "w2", "b2", or "w", "b" without
-    a hidden layer) by kind, each stacked on a branch axis in GATED_BRANCHES
-    or BRANCH_ORDER order. A branch's block of gate or head parameters sits
-    at a fixed spacing in that order, so a stack is a strided view, not a
-    copy: writing to it writes ``vec``."""
-    lead, d, k = vec.shape[:-1], net.embed_dim, net.head_hidden
-    views, pos = {}, 0
-    for b in BRANCH_ORDER:
-        db = len(net.groups[b])
-        views[f"enc_{b}_w"] = vec[..., pos:pos + d * db].reshape(lead + (d, db))
-        views[f"enc_{b}_b"] = vec[..., pos + d * db:pos + (db + 1) * d]
-        pos += (db + 1) * d
-    gates = vec[..., pos:pos + 6 * d * d].reshape(lead + (2, 3, d, d))
+def _param_stacks(net: BranchNet, vec):
+    """Views of ``vec``, whose last axis holds the net's parameters: the one
+    statement of their layout. In order: each encoder's weight and bias by
+    parameter name, in BRANCH_ORDER; the gates' ("px", "py", "po"), gate by
+    gate in GATED_BRANCHES order; the heads' ("w1", "b1", "w2", "b2", or "w",
+    "b" without a hidden layer), head by head in BRANCH_ORDER. The gates' and
+    heads' views are by kind, each stacked on a branch axis: a branch's block
+    sits at a fixed spacing, so a stack is a strided view, not a copy, and
+    writing to it writes ``vec``.
+
+    ``vec`` may instead be a tuple of leading axes: a zeroed vector with those
+    axes is then made, and (vector, views) returned."""
+    d, k, nb = net.embed_dim, net.head_hidden, len(BRANCH_ORDER)
+    heads = (("w1", (k, d)), ("b1", (k,)), ("w2", (k,)), ("b2", ())) if k > 0 else (
+        ("w", (d,)), ("b", ()))
+    blocks = [(f"enc_{b}_{kind}", shape) for b in BRANCH_ORDER
+              for kind, shape in (("w", (d, len(net.groups[b]))), ("b", (d,)))]
+    blocks += [("gates", (len(GATED_BRANCHES), 3, d, d)),
+               ("heads", (nb, sum(math.prod(s) for _, s in heads)))]
+    size = sum(math.prod(shape) for _, shape in blocks)
+    made = isinstance(vec, tuple)
+    if made:
+        vec = np.zeros(vec + (size,))
+    if vec.shape[-1] != size:
+        raise ValueError(f"vector of {vec.shape[-1]} parameters, the net has {size}")
+    lead, views, pos = vec.shape[:-1], {}, 0
+    for key, shape in blocks:
+        views[key] = vec[..., pos:pos + math.prod(shape)].reshape(lead + shape)
+        pos += math.prod(shape)
+    gates, stacked = views.pop("gates"), views.pop("heads")
     for j, kind in enumerate(("px", "py", "po")):
         views[kind] = gates[..., j, :, :]
-    pos += 6 * d * d
-    kinds = (("w1", (k, d)), ("b1", (k,)), ("w2", (k,)), ("b2", ())) if k > 0 else (
-        ("w", (d,)), ("b", ()))
-    size = sum(math.prod(shape) for _, shape in kinds)
-    heads = vec[..., pos:pos + 3 * size].reshape(lead + (3, size))
     at = 0
-    for kind, shape in kinds:
-        n = math.prod(shape)
-        views[kind] = heads[..., at:at + n].reshape(lead + (3,) + shape)
-        at += n
-    return views
+    for kind, shape in heads:
+        views[kind] = stacked[..., at:at + math.prod(shape)].reshape(lead + (nb,) + shape)
+        at += math.prod(shape)
+    return (vec, views) if made else views
+
+
+def _named_views(stacks: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Each parameter's view of a one-dimensional vector's _param_stacks
+    views, by its init_branchnet name, in the vector's order."""
+    named = {key: v for key, v in stacks.items() if key.startswith("enc_")}
+    for j, b in enumerate(GATED_BRANCHES):
+        for kind in ("px", "py", "po"):
+            named[f"scgb_{b}_{kind}"] = stacks[kind][j, ...]
+    kinds = [kind for kind in stacks if kind not in named and kind not in ("px", "py", "po")]
+    for i, b in enumerate(BRANCH_ORDER):
+        for kind in kinds:
+            named[f"head_{b}_{kind}"] = stacks[kind][i, ...]
+    return named
 
 
 def _forward_batch(net: BranchNet, Xb: dict[str, np.ndarray], masks=None, params=None):
@@ -230,11 +241,12 @@ def _forward_batch(net: BranchNet, Xb: dict[str, np.ndarray], masks=None, params
     cache).
 
     ``masks`` is None or the gates' dropout masks, (..., 2, B, embed_dim);
-    ``params`` are _param_stacks views of the flat parameters, made from
-    flatten() when not given. Activations are stacked (..., branch, B, width),
-    so each gate and head layer is one numpy call for every branch and side.
+    ``params`` are _param_stacks views of a parameter vector, the net's own
+    ``stacks`` when not given, so a pass copies no parameter. Activations are
+    stacked (..., branch, B, width), so each gate and head layer is one numpy
+    call for every branch and side.
     ``qs`` maps each branch to its (..., B) scores, rows of cache["Q"]."""
-    P = _param_stacks(net, net.flatten()) if params is None else params
+    P = net.stacks if params is None else params
     x = Xb[BRANCH_ORDER[0]]
     E = np.empty(x.shape[:-2] + (len(BRANCH_ORDER), x.shape[-2], net.embed_dim))
     for i, b in enumerate(BRANCH_ORDER):  # group widths differ: one call per branch

@@ -6,11 +6,11 @@ harmless), followed by fine-tuning against MOS with the per-branch relative
 loss. Plain gradient descent with decoupled weight decay keeps runs
 bit-reproducible from (seed, config, data).
 
-A training call moves the net's parameters into one flat float64 vector, in
-``flatten()``'s order, and leaves each ``net.params[name]`` a view of it;
-gradients go into flat vectors of the same layout. So a step sums, updates
-and decays the whole net in a few numpy calls, not one or more per
-parameter, with the same arithmetic per entry and so the same bits.
+The net keeps its parameters in one flat float64 vector, ``net.flat``, and
+the passes read its stacked views, ``net.stacks``; gradients go into
+vectors of the same layout. So a step sums, updates and decays the whole
+net in a few numpy calls, in place, not one or more per parameter, and
+every ``net.params[name]`` view sees it.
 
 A call also routes (standardises and splits) its tables once; a step then
 indexes rows. The step's passes are net._forward_batch and _backward_batch
@@ -29,8 +29,8 @@ import numpy as np
 
 from ..errors import InvalidParameter, NoTrainablePairs
 from .losses import rel_loss_grad
-from .net import (GATED_BRANCHES, BranchNet, _backward_batch, _forward_batch, _param_stacks,
-                  _sigmoid)
+from .net import (GATED_BRANCHES, BranchNet, _backward_batch, _forward_batch, _named_views,
+                  _param_stacks, _sigmoid)
 
 __all__ = ["TrainConfig", "check_finetune_config", "train_siamese", "finetune_mos",
            "total_loss_gradients"]
@@ -91,31 +91,19 @@ def _dropout_masks(net: BranchNet, n: int, rng: np.random.Generator, sides: tupl
     return (rng.random(sides + (len(GATED_BRANCHES), n, net.embed_dim)) < keep) / keep
 
 
-def _views(net: BranchNet, flat: np.ndarray) -> dict[str, np.ndarray]:
-    """Each parameter's view of ``flat``, a vector laid out as flatten() lays
-    the parameters out."""
-    views, pos = {}, 0
-    for name in net.param_names():
-        p = net.params[name]
-        views[name] = flat[pos:pos + p.size].reshape(p.shape)
-        pos += p.size
-    return views
-
-
-def _flat_params(net: BranchNet):
-    """Move the parameters into one flat vector, each ``net.params[name]``
-    becoming a view of it; returns the vector and a mask of the entries that
-    weight decay shrinks (the matrices')."""
-    flat = net.flatten()
-    net.params.update(_views(net, flat))
-    return flat, np.concatenate([np.full(p.size, p.ndim == 2) for p in net.params.values()])
+def _decays(net: BranchNet) -> np.ndarray:
+    """A mask of the parameter vector's entries that weight decay shrinks:
+    the matrices'."""
+    mask = np.zeros(net.n_params(), dtype=bool)
+    for v in _named_views(_param_stacks(net, mask)).values():
+        v[...] = v.ndim == 2
+    return mask
 
 
 def _gradient(net: BranchNet, sides: tuple = ()):
-    """A gradient vector per side (flat, in flatten()'s order) and their
+    """A gradient vector per side, laid out as the net's ``flat``, and their
     _param_stacks views, which _backward_batch writes."""
-    grad = np.empty(sides + (net.n_params(),))
-    return grad, _param_stacks(net, grad)
+    return _param_stacks(net, sides)
 
 
 def _apply_update(flat: np.ndarray, decays: np.ndarray, grad: np.ndarray, cfg: TrainConfig):
@@ -137,16 +125,15 @@ def total_loss_gradients(net: BranchNet, X, mos, cfg: TrainConfig | None = None,
     X, m = _check_dataset(X, mos)
     masks = _dropout_masks(net, X.shape[0], dropout_rng) if dropout_rng is not None else None
     grad = _gradient(net)
-    value = _relative_loss(net, net.route(X), m, cfg, masks,
-                           _param_stacks(net, net.flatten()), grad)
-    return value, _views(net, grad[0])
+    value = _relative_loss(net, net.route(X), m, cfg, masks, grad)
+    return value, _named_views(grad[1])
 
 
-def _relative_loss(net: BranchNet, Xb, m, cfg: TrainConfig, masks, params, grad) -> float:
+def _relative_loss(net: BranchNet, Xb, m, cfg: TrainConfig, masks, grad) -> float:
     """total_loss_gradients on a routed, checked batch: writes the gradient
     into ``grad`` (a _gradient pair) and returns the loss value. The three
     branches' losses are one stacked call."""
-    _, _, cache = _forward_batch(net, Xb, masks, params)
+    _, _, cache = _forward_batch(net, Xb, masks)
     values, dQ = rel_loss_grad(cache["Q"], m, cfg.rank_margin)
     _backward_batch(cache, dQ, grad[1])
     np.add(grad[0], 0.0, out=grad[0])  # every zero +0.0, as in a sum started from zero
@@ -175,8 +162,7 @@ def train_siamese(datasets, net: BranchNet, config: TrainConfig,
     _fit_norm(net, [X for X, _ in data])
     ss = np.random.SeedSequence(config.seed)
     rng, drop_rng = (np.random.default_rng(s) for s in ss.spawn(2))
-    flat, decays = _flat_params(net)
-    params = _param_stacks(net, flat)
+    decays = _decays(net)
     routed = [net.route(X) for X, _ in data]
     sides, side_grads = _gradient(net, (2,))
     grad = np.empty(net.n_params())
@@ -202,8 +188,7 @@ def train_siamese(datasets, net: BranchNet, config: TrainConfig,
 
                 # both sides in one pass: (side, branch, B, width) stacks
                 masks = _dropout_masks(net, B, drop_rng, (2,))
-                _, s, cache = _forward_batch(net, {b: x[pair] for b, x in Xr.items()},
-                                             masks, params)
+                _, s, cache = _forward_batch(net, {b: x[pair] for b, x in Xr.items()}, masks)
                 d = s[0] - s[1]
                 losses.append(float(np.mean(np.logaddexp(0.0, -d))))
                 dQ = np.empty((2, 3, B))  # d(mean loss)/d(branch score), by side
@@ -212,7 +197,7 @@ def train_siamese(datasets, net: BranchNet, config: TrainConfig,
                 _backward_batch(cache, dQ, side_grads)
                 np.add(sides[0], 0.0, out=grad)  # winner's + loser's, every zero +0.0
                 grad += sides[1]
-                _apply_update(flat, decays, grad, config)
+                _apply_update(net.flat, decays, grad, config)
         if history is not None:
             history.append({
                 "phase": "siamese",
@@ -236,8 +221,7 @@ def finetune_mos(dataset, net: BranchNet, config: TrainConfig,
     ss = np.random.SeedSequence(config.seed)
     rng, drop_rng = (np.random.default_rng(s) for s in ss.spawn(2))
     n = X.shape[0]
-    flat, decays = _flat_params(net)
-    params, routed = _param_stacks(net, flat), net.route(X)
+    decays, routed = _decays(net), net.route(X)
     grad = _gradient(net)
 
     for epoch in range(config.epochs):
@@ -249,8 +233,8 @@ def finetune_mos(dataset, net: BranchNet, config: TrainConfig,
                 continue  # a rank/linearity batch needs at least a pair
             masks = _dropout_masks(net, idx.size, drop_rng)
             losses.append(_relative_loss(net, {b: x[idx] for b, x in routed.items()}, m[idx],
-                                         config, masks, params, grad))
-            _apply_update(flat, decays, grad[0], config)
+                                         config, masks, grad))
+            _apply_update(net.flat, decays, grad[0], config)
         if history is not None:
             history.append({
                 "phase": "finetune",

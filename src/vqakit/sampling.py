@@ -9,12 +9,15 @@ Views whose transform only selects samples (none, fragment) keep colour as
 YCbCr and leave the RGB conversion to the colour feature; resizes keep RGB
 (``SampledView`` says why).
 
-All randomness flows through explicit 64-bit seeds; per-frame generators are
-derived as seed XOR frame_index so parallel and serial runs agree bit-exactly.
+All randomness flows through explicit 64-bit seeds. A fragment view draws its
+patch offsets once per clip, from the seed alone, so every frame of a clip
+takes the same patches (a still clip reads as still) and parallel and serial
+runs agree bit-exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -310,8 +313,28 @@ def fragment_sample(
     return plane[rows, cols]
 
 
-def _apply_transform(frame: Frame, transform: SpatialTransform, rng: np.random.Generator):
-    """Apply a spatial transform to a frame's luma and colour.
+def _fragment_gather(shape: tuple[int, int], transform: SpatialTransform, seed: int):
+    """A clip's fragment mosaic, as a function from a plane to its mosaic.
+
+    The patch offsets are drawn once per clip, from the seed alone, so every
+    frame takes the same patches and a still clip stays still. A chroma
+    plane takes the samples under the luma ones; each plane shape's gather
+    index is built once."""
+    rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    t = transform
+    rows, cols = _patch_index(*_fragment_offsets(*shape, t.grid, t.patch, rng), t.patch)
+
+    @functools.cache
+    def index(plane_shape):
+        fy, fx = chroma_factors(shape, plane_shape)
+        return rows // fy, cols // fx
+
+    return lambda plane: plane[index(plane.shape)]
+
+
+def _apply_transform(frame: Frame, transform: SpatialTransform, gather):
+    """Apply a spatial transform to a frame's luma and colour; ``gather`` is
+    the clip's _fragment_gather for a fragment transform.
 
     Returns (luma plane, colour planes): () for a chroma-less frame, (cb, cr)
     for a transform that selects samples, else the transformed (r, g, b).
@@ -322,13 +345,7 @@ def _apply_transform(frame: Frame, transform: SpatialTransform, rng: np.random.G
     if t.kind == "none":
         return luma, chroma
     if t.kind == "fragment":
-        tops, lefts = _fragment_offsets(*luma.shape, t.grid, t.patch, rng)
-        rows, cols = _patch_index(tops, lefts, t.patch)
-        if chroma:
-            fy, fx = chroma_factors(luma.shape, chroma[0].shape)
-            rows_c, cols_c = rows // fy, cols // fx
-            chroma = tuple(c[rows_c, cols_c] for c in chroma)
-        return luma[rows, cols], chroma
+        return gather(luma), tuple(gather(c) for c in chroma)
     if t.kind == "resize":
         f = lambda p: _resize_bilinear(p, t.width, t.height)
     elif t.kind == "pad_square_then_resize":
@@ -337,10 +354,6 @@ def _apply_transform(frame: Frame, transform: SpatialTransform, rng: np.random.G
         raise ValueError(f"unknown transform {t.kind!r}")
     rgb = frame_rgb(frame) if chroma else ()
     return f(luma), tuple(f(p) for p in rgb)
-
-
-def _frame_rng(seed: int, frame_index: int) -> np.random.Generator:
-    return np.random.default_rng((int(seed) ^ int(frame_index)) & 0xFFFFFFFFFFFFFFFF)
 
 
 def build_view(
@@ -355,15 +368,20 @@ def build_view(
     Chroma-bearing clips also yield each frame's colour planes, as
     ``SampledView`` describes: (cb, cr) when the transform only selects
     samples, else transformed (r, g, b). Deterministic in (clip, plan,
-    transform, seed) regardless of thread count.
+    transform, seed) regardless of thread count; a fragment view draws its
+    patches once per clip, so every frame takes the same ones.
     """
     for i in plan.indices:
         if i < 0 or i >= len(clip):
             raise IndexError(f"plan index {i} outside clip of {len(clip)} frames")
 
+    gather = None
+    if transform.kind == "fragment" and plan.indices:
+        gather = _fragment_gather((clip.height, clip.width), transform, seed)
+
     def one(i: int):
         # a loaded file's frame is decoded on every read: read it once
-        return _apply_transform(clip.frames[i], transform, _frame_rng(seed, i))
+        return _apply_transform(clip.frames[i], transform, gather)
 
     # a clip's frames agree on chroma, so the first sampled frame speaks for all
     results = parallel_map(one, plan.indices, threads)

@@ -12,7 +12,8 @@ from vqakit.regressors import (
     save_model,
     scgb_fuse,
 )
-from vqakit.regressors.net import BRANCH_ORDER, _infer
+from vqakit.regressors.net import BRANCH_ORDER, BranchNet, _infer
+from vqakit.regressors.training import TrainConfig, finetune_mos
 
 
 def scgb_oracle(x, y, px, py, po):
@@ -76,7 +77,7 @@ def _forced_head_net(values):
     net.norm_fitted = True
     for b, v in zip(BRANCH_ORDER, values):
         net.params[f"head_{b}_w"][:] = 0.0
-        net.params[f"head_{b}_b"] = np.array(float(v))
+        net.params[f"head_{b}_b"][...] = v
     return net
 
 
@@ -173,3 +174,65 @@ class TestCheckpoint:
         net2.unflatten(flat)
         assert np.array_equal(net2.flatten(), flat)
         assert net.n_params() == flat.size
+
+
+class TestOneVector:
+    """The net keeps its parameters in one vector, ``flat``; ``params`` and
+    ``stacks`` are views of it."""
+
+    def test_params_cannot_be_rebound(self):
+        net = init_branchnet(seed=0)
+        with pytest.raises(TypeError):
+            net.params["enc_semantic_b"] = np.ones(net.embed_dim)
+        before = net.flatten()
+        net.params["enc_semantic_b"][...] = 1.0  # an in-place write lands in flat
+        changed = np.flatnonzero(net.flat != before)
+        assert changed.size == net.embed_dim and (net.flat[changed] == 1.0).all()
+
+    def test_training_step_shows_through_every_view(self):
+        rng = np.random.default_rng(1)
+        net = init_branchnet(seed=1)
+        params, stacks = dict(net.params), dict(net.stacks)
+        before = {name: p.copy() for name, p in params.items()}
+        X = rng.random((12, len(net.feature_names)))
+        finetune_mos((X, rng.random(12)), net, TrainConfig(epochs=1, seed=1))
+        for name, p in params.items():
+            assert p is net.params[name] and np.shares_memory(p, net.flat)
+        assert any(not np.array_equal(p, before[name]) for name, p in params.items())
+        for j, b in enumerate(("aesthetic", "technical")):
+            assert np.array_equal(stacks["px"][j], net.params[f"scgb_{b}_px"])
+        for i, b in enumerate(BRANCH_ORDER):
+            assert np.array_equal(stacks["w1"][i], net.params[f"head_{b}_w1"])
+
+    def test_predict_copies_no_parameter(self, monkeypatch):
+        net = init_branchnet(seed=2)
+        X = np.random.default_rng(2).random((5, len(net.feature_names)))
+        want = predict_scores(net, X)
+
+        def refuse(self):
+            raise AssertionError("flatten() on the inference path")
+
+        monkeypatch.setattr(BranchNet, "flatten", refuse)
+        assert predict_scores(net, X).tobytes() == want.tobytes()
+
+    def test_copy_shares_no_memory(self):
+        net = init_branchnet(seed=3)
+        twin = net.copy()
+        assert np.array_equal(twin.flat, net.flat)
+        mine = [net.flat, net.norm_shift, net.norm_scale, *net.params.values(),
+                *net.stacks.values()]
+        theirs = [twin.flat, twin.norm_shift, twin.norm_scale, *twin.params.values(),
+                  *twin.stacks.values()]
+        assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+        for p in twin.params.values():
+            assert np.shares_memory(p, twin.flat)
+
+    def test_loaded_params_are_views_of_flat(self, tmp_path):
+        net = init_branchnet(seed=4)
+        net.unflatten(np.random.default_rng(4).standard_normal(net.n_params()))
+        save_model(tmp_path / "net.json", net)
+        loaded = load_model(tmp_path / "net.json")
+        assert loaded.flat.tobytes() == net.flat.tobytes()
+        for name, p in loaded.params.items():
+            assert np.shares_memory(p, loaded.flat), name
+            assert p.tobytes() == net.params[name].tobytes()

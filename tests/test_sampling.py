@@ -18,6 +18,7 @@ from vqakit.sampling import (
     plan_indices,
     temporal_sample,
 )
+from vqakit.signal_features import extract_clip_features
 
 
 def subset_oracle(m, t):
@@ -250,13 +251,31 @@ class TestBuildView:
         for i, (cb, cr) in enumerate(view.color):
             f = clip.frames[i]
             up = [np.repeat(np.repeat(c, 2, axis=0), 2, axis=1) for c in (f.chroma_b, f.chroma_r)]
-            assert np.array_equal(view.frames[i], fragment_sample(f.luma, 2, 16, 3 ^ i))
-            assert np.array_equal(cb, fragment_sample(up[0], 2, 16, 3 ^ i))
-            assert np.array_equal(cr, fragment_sample(up[1], 2, 16, 3 ^ i))
+            assert np.array_equal(view.frames[i], fragment_sample(f.luma, 2, 16, 3))
+            assert np.array_equal(cb, fragment_sample(up[0], 2, 16, 3))
+            assert np.array_equal(cr, fragment_sample(up[1], 2, 16, 3))
         assert calls == []
 
         view = build_view(clip, plan, SpatialTransform.resize(8, 6))
         assert len(calls) == 2 and [len(c) for c in view.color] == [3, 3]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("spatial", ["none", "resize:97:61", "pad_square:64",
+                                         "fragment:3:32"])
+    def test_still_clip_reads_still(self, spatial, threads):
+        # a clip whose frames are all one frame has no motion in any view: a
+        # fragment view takes the same patches from every frame
+        rng = np.random.default_rng(4)
+        w, h = 160, 120
+        planes = (rng.integers(0, 256, (h, w), dtype=np.uint8),
+                  rng.integers(0, 256, (h // 2, w // 2), dtype=np.uint8),
+                  rng.integers(0, 256, (h // 2, w // 2), dtype=np.uint8))
+        clip = parse_y4m(y4m_bytes(w, h, [planes] * 4))
+        fv = extract_clip_features(clip, temporal_sample(clip, "all"),
+                                   SpatialTransform.parse(spatial), seed=9, threads=threads)
+        values = fv.values
+        assert (values["ti"], values["ti_first"]) == (0.0, 0.0)
+        assert (values["ssim_pair"], values["ssim_first"]) == (1.0, 1.0)
 
 
 def _noise_y4m(n_frames, w, h):

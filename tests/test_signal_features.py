@@ -203,7 +203,8 @@ def _random_y4m_clip(rng, w, h, ctag, n_frames):
 
 def reference_rgb(clip, i, transform, seed):
     """Frame i's view RGB the direct way: frame_rgb on the decoded frame, then
-    the transform's full-plane function (fragments with build_view's draws)."""
+    the transform's full-plane function (fragments with build_view's one draw
+    per clip, from the seed alone)."""
     rgb = frame_rgb(clip.frames[i])
     t = transform
     if t.kind == "none":
@@ -212,7 +213,7 @@ def reference_rgb(clip, i, transform, seed):
         return tuple(_resize_bilinear(p, t.width, t.height) for p in rgb)
     if t.kind == "pad_square_then_resize":
         return tuple(_resize_bilinear(_pad_to_square(p), t.size, t.size) for p in rgb)
-    return tuple(fragment_sample(p, t.grid, t.patch, np.random.default_rng(seed ^ i))
+    return tuple(fragment_sample(p, t.grid, t.patch, np.random.default_rng(seed))
                  for p in rgb)
 
 
