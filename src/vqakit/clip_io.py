@@ -370,29 +370,18 @@ def load_frame_dir(path, fps) -> VideoClip:
 
 # --- synthetic clips ---------------------------------------------------------
 
-def synth_clip(spec: ClipSpec, pattern: str, *, value: float = 0.5, seed: int = 0) -> VideoClip:
+def synth_clip(spec: ClipSpec, pattern: str, *, seed: int = 0) -> VideoClip:
     """Generate a deterministic luma-only clip for a benchmark spec.
 
-    pattern: "constant" (flat at ``value``), "gradient" (raster ramp 0..1,
-    identical frames), or "noise" (uniform [0,1] per frame from ``seed``).
+    pattern: "noise" (uniform [0,1] per frame from ``seed``), the one pattern.
     """
     if spec.width <= 0 or spec.height <= 0 or spec.frame_count <= 0:
         raise ValueError(f"invalid spec {spec}")
-    w, h, n = spec.width, spec.height, spec.frame_count
-
-    if pattern == "constant":
-        planes = [np.full((h, w), float(value))] * n
-    elif pattern == "gradient":
-        ramp = np.arange(h * w, dtype=np.float64).reshape(h, w) / max(h * w - 1, 1)
-        planes = [ramp] * n
-    elif pattern == "noise":
-        rng = np.random.default_rng(seed)
-        planes = [rng.random((h, w)) for _ in range(n)]
-    else:
+    if pattern != "noise":
         raise ValueError(f"unknown pattern {pattern!r}")
-
-    frames = tuple(Frame(p) for p in planes)
-    return VideoClip(w, h, Fraction(30), frames)
+    rng = np.random.default_rng(seed)
+    frames = tuple(Frame(rng.random((spec.height, spec.width))) for _ in range(spec.frame_count))
+    return VideoClip(spec.width, spec.height, Fraction(30), frames)
 
 
 def chroma_factors(luma_shape, chroma_shape) -> tuple[int, int]:

@@ -43,13 +43,9 @@ def _net_stages(net) -> tuple[Linear | Elementwise, ...]:
     A weight matrix or head vector is a Linear layer (biases add, they do not
     multiply); each gated branch also multiplies its projection by its gate.
     """
-    stages: list[Linear | Elementwise] = []
-    for name in net.param_names():
-        if not name.rstrip("12").endswith("_b"):
-            d_out, d_in = np.atleast_2d(net.params[name]).shape
-            stages.append(Linear(d_in, d_out, per_frame=False))
-    return tuple(stages) + tuple(Elementwise(net.embed_dim, per_frame=False)
-                                 for _ in GATED_BRANCHES)
+    shapes = (np.atleast_2d(p).shape for p in net.weights().values())
+    return tuple(Linear(d_in, d_out, per_frame=False) for d_out, d_in in shapes) + tuple(
+        Elementwise(net.embed_dim, per_frame=False) for _ in GATED_BRANCHES)
 
 
 def _feature_stages(plane: int, frames: int) -> tuple[Feature, ...]:

@@ -2,23 +2,22 @@
 
 The relative loss combines a pairwise margin rank term over all ordered MOS
 pairs with a linearity term 1 - PLCC(pred, mos); the per-branch sum of this
-loss supervises all three branch scores against the same MOS. (Siamese
-pretraining uses the logistic pair loss log(1 + exp(-(s_winner - s_loser)))
-inline in training.train_siamese.)
+loss supervises all three branch scores against the same MOS. Its one form,
+rel_loss_grad, takes a (rows, B) stack of score batches (the three branches'
+scores, in BRANCH_ORDER) and computes each row as one row alone; the branch
+values are added left to right by scoring._add_in_order, so total_loss and
+training give the same bits on every Python. (Siamese pretraining uses the
+logistic pair loss log(1 + exp(-(s_winner - s_loser))) inline in
+training.train_siamese.)
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..scoring import _add_in_order
+
 __all__ = ["rel_loss_grad", "total_loss"]
-
-
-def _as_batch(v) -> np.ndarray:
-    a = np.asarray(v, dtype=np.float64)
-    if a.ndim != 1 or a.size < 2:
-        raise ValueError("need a 1-D batch of at least 2 values")
-    return a
 
 
 def _rank_term(pred: np.ndarray, mos: np.ndarray, margin: float):
@@ -62,22 +61,16 @@ def _linearity_term(pred: np.ndarray, mos: np.ndarray):
 
 
 def rel_loss_grad(predictions, mos, margin: float = 0.05):
-    """(loss value, d loss / d predictions) for one branch batch, or for each
-    row of a stack of them against the same MOS: then an array of values.
-    A stack computes its MOS-only terms once and each row as one row alone."""
-    m = _as_batch(mos)
+    """(loss values, d loss / d predictions) for each row of a (rows, B)
+    stack of score batches against the same MOS. The MOS-only terms are
+    computed once, and each row as one row alone."""
+    m = np.asarray(mos, dtype=np.float64)
     pred = np.asarray(predictions, dtype=np.float64)
-    one = pred.ndim == 1
-    if one:
-        pred = pred[None, :]
-    if pred.ndim != 2 or pred.shape[-1] < 2:
-        raise ValueError("need a 1-D batch of at least 2 values, or a stack of them")
-    if pred.shape[-1] != m.size:
-        raise ValueError("predictions and mos must have equal length")
+    if m.ndim != 1 or m.size < 2 or pred.ndim != 2 or pred.shape[-1] != m.size:
+        raise ValueError(f"need (rows, B) scores, B >= 2 MOS; got {pred.shape}, {m.shape}")
     rank, grank = _rank_term(pred, m, margin)
     lin, glin = _linearity_term(pred, m)
-    value, grad = rank + lin, grank + glin
-    return (float(value[0]), grad[0]) if one else (value, grad)
+    return rank + lin, grank + glin
 
 
 def total_loss(branch_batches, mos_batch, margin: float = 0.05) -> float:
@@ -85,4 +78,4 @@ def total_loss(branch_batches, mos_batch, margin: float = 0.05) -> float:
     batches = list(branch_batches)
     if len(batches) != 3:
         raise ValueError(f"expected 3 branch batches, got {len(batches)}")
-    return sum(rel_loss_grad(b, mos_batch, margin)[0] for b in batches)
+    return _add_in_order(rel_loss_grad(np.stack(batches), mos_batch, margin)[0].tolist())

@@ -19,6 +19,10 @@ same BLAS call with the same shapes and transposes as the 2-D product of one
 branch; rows are never concatenated, since a batch's row count picks the
 kernel. Every sum keeps its axis length and order of addition, and the
 stacked parameters are strided views of one flat vector, not copies.
+
+A pass has one signature, _forward_batch(net, inputs, masks): it reads the
+net's own ``stacks``, so training steps them in place and a prediction
+copies no parameter. predict_scores is the one inference entry.
 """
 
 from __future__ import annotations
@@ -120,6 +124,11 @@ class BranchNet:
             self.stacks = _param_stacks(self, self.flat)
         self.params = MappingProxyType(_named_views(self.stacks))
 
+    def weights(self) -> dict[str, np.ndarray]:
+        """The parameters that multiply, by name in the vector's order: all
+        but the biases ("_b", "_b1", "_b2"), which add."""
+        return {n: p for n, p in self.params.items() if not n.rstrip("12").endswith("_b")}
+
     def param_names(self) -> list[str]:
         """The parameters in the vector's order, the order of checkpoints."""
         return list(self.params)
@@ -173,10 +182,9 @@ def init_branchnet(
                     np.zeros(n_raw), np.ones(n_raw), False, seed)
     # one draw per weight, in the vector's order, scaled by its fan-in; biases stay zero
     rng = np.random.default_rng(seed)
-    for name, p in net.params.items():
-        if not name.rstrip("12").endswith("_b"):
-            scale = 0.1 if name.endswith("_po") else 1.0  # small output proj: start near residual
-            p[...] = rng.normal(0.0, 1.0 / np.sqrt(max(p.shape[-1], 1)), size=p.shape) * scale
+    for name, p in net.weights().items():
+        scale = 0.1 if name.endswith("_po") else 1.0  # small output proj: start near residual
+        p[...] = rng.normal(0.0, 1.0 / np.sqrt(max(p.shape[-1], 1)), size=p.shape) * scale
     return net
 
 
@@ -235,18 +243,16 @@ def _named_views(stacks: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return named
 
 
-def _forward_batch(net: BranchNet, Xb: dict[str, np.ndarray], masks=None, params=None):
+def _forward_batch(net: BranchNet, Xb: dict[str, np.ndarray], masks=None):
     """Forward routed branch inputs, each (..., B, group width) with the same
-    leading axes (a siamese step's two sides, or none); returns (qs, final,
-    cache).
+    leading axes (a siamese step's two sides, or none), through the net's
+    ``stacks``; returns (qs, final, cache).
 
-    ``masks`` is None or the gates' dropout masks, (..., 2, B, embed_dim);
-    ``params`` are _param_stacks views of a parameter vector, the net's own
-    ``stacks`` when not given, so a pass copies no parameter. Activations are
-    stacked (..., branch, B, width), so each gate and head layer is one numpy
-    call for every branch and side.
+    ``masks`` is None or the gates' dropout masks, (..., 2, B, embed_dim).
+    Activations are stacked (..., branch, B, width), so each gate and head
+    layer is one numpy call for every branch and side.
     ``qs`` maps each branch to its (..., B) scores, rows of cache["Q"]."""
-    P = net.stacks if params is None else params
+    P = net.stacks
     x = Xb[BRANCH_ORDER[0]]
     E = np.empty(x.shape[:-2] + (len(BRANCH_ORDER), x.shape[-2], net.embed_dim))
     for i, b in enumerate(BRANCH_ORDER):  # group widths differ: one call per branch
@@ -311,14 +317,10 @@ def _backward_batch(cache: dict, dQ: np.ndarray, grads: dict[str, np.ndarray]):
         dpre_b.sum(axis=-2, out=G[f"enc_{b}_b"])
 
 
-def _infer(net: BranchNet, Xb: dict[str, np.ndarray]):
-    """Dropout-free forward of a routed batch; returns (qs, final)."""
-    qs, final, _ = _forward_batch(net, Xb)
+def predict_scores(net: BranchNet, X: np.ndarray) -> np.ndarray:
+    """Final scores for a raw feature matrix (rows in net.feature_names
+    order), from a dropout-free pass."""
+    _, final, _ = _forward_batch(net, net.route(np.atleast_2d(np.asarray(X, dtype=np.float64))))
     if not np.isfinite(final).all():
         raise NumericalError("non-finite scores")
-    return qs, final
-
-
-def predict_scores(net: BranchNet, X: np.ndarray) -> np.ndarray:
-    """Final scores for a raw feature matrix (rows in net.feature_names order)."""
-    return _infer(net, net.route(np.atleast_2d(np.asarray(X, dtype=np.float64))))[1]
+    return final

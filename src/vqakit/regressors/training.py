@@ -16,9 +16,11 @@ A call also routes (standardises and splits) its tables once; a step then
 indexes rows. The step's passes are net._forward_batch and _backward_batch
 on stacked branches: a siamese step puts its winners and losers on one side
 axis, and a fine-tune step's three branch losses are one rel_loss_grad call
-on (3, B) scores. The backward pass writes each gradient entry once, and the
-step adds 0.0 to the vector, as adding into a zeroed vector did: a -0.0
-becomes +0.0. The siamese gradient is still the winner's plus the loser's.
+on (3, B) scores, added in branch order by the same helper as total_loss.
+Gradient vectors and their views come from net._param_stacks. The backward
+pass writes each gradient entry once, and the step adds 0.0 to the vector,
+as adding into a zeroed vector did: a -0.0 becomes +0.0. The siamese
+gradient is still the winner's plus the loser's.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidParameter, NoTrainablePairs
+from ..scoring import _add_in_order
 from .losses import rel_loss_grad
 from .net import (GATED_BRANCHES, BranchNet, _backward_batch, _forward_batch, _named_views,
                   _param_stacks, _sigmoid)
@@ -100,12 +103,6 @@ def _decays(net: BranchNet) -> np.ndarray:
     return mask
 
 
-def _gradient(net: BranchNet, sides: tuple = ()):
-    """A gradient vector per side, laid out as the net's ``flat``, and their
-    _param_stacks views, which _backward_batch writes."""
-    return _param_stacks(net, sides)
-
-
 def _apply_update(flat: np.ndarray, decays: np.ndarray, grad: np.ndarray, cfg: TrainConfig):
     lr, wd = cfg.learning_rate, cfg.weight_decay
     flat -= lr * grad
@@ -113,34 +110,25 @@ def _apply_update(flat: np.ndarray, decays: np.ndarray, grad: np.ndarray, cfg: T
         np.subtract(flat, lr * wd * flat, out=flat, where=decays)
 
 
-def total_loss_gradients(net: BranchNet, X, mos, cfg: TrainConfig | None = None,
-                         dropout_rng: np.random.Generator | None = None):
-    """Loss value and parameter gradients of the summed relative loss.
-
-    With dropout_rng=None the gate dropout is disabled, which makes the
-    result a deterministic, finite-difference-checkable function of the
-    parameters.
-    """
-    cfg = cfg or TrainConfig()
+def total_loss_gradients(net: BranchNet, X, mos):
+    """Value and by-name parameter gradients of the summed relative loss at
+    the default margin, without gate dropout: a deterministic,
+    finite-difference-checkable function of the parameters."""
     X, m = _check_dataset(X, mos)
-    masks = _dropout_masks(net, X.shape[0], dropout_rng) if dropout_rng is not None else None
-    grad = _gradient(net)
-    value = _relative_loss(net, net.route(X), m, cfg, masks, grad)
+    grad = _param_stacks(net, ())
+    value = _relative_loss(net, net.route(X), m, TrainConfig.rank_margin, None, grad)
     return value, _named_views(grad[1])
 
 
-def _relative_loss(net: BranchNet, Xb, m, cfg: TrainConfig, masks, grad) -> float:
-    """total_loss_gradients on a routed, checked batch: writes the gradient
-    into ``grad`` (a _gradient pair) and returns the loss value. The three
-    branches' losses are one stacked call."""
+def _relative_loss(net: BranchNet, Xb, m, margin: float, masks, grad) -> float:
+    """The summed relative loss of a routed, checked batch: writes its
+    gradient into ``grad`` (a _param_stacks vector and views) and returns
+    its value. The three branches' losses are one stacked call."""
     _, _, cache = _forward_batch(net, Xb, masks)
-    values, dQ = rel_loss_grad(cache["Q"], m, cfg.rank_margin)
+    values, dQ = rel_loss_grad(cache["Q"], m, margin)
     _backward_batch(cache, dQ, grad[1])
     np.add(grad[0], 0.0, out=grad[0])  # every zero +0.0, as in a sum started from zero
-    value = 0.0
-    for v in values.tolist():  # in branch order: sum() compensates on Python 3.12+
-        value += v
-    return value
+    return _add_in_order(values.tolist())
 
 
 def train_siamese(datasets, net: BranchNet, config: TrainConfig,
@@ -164,7 +152,7 @@ def train_siamese(datasets, net: BranchNet, config: TrainConfig,
     rng, drop_rng = (np.random.default_rng(s) for s in ss.spawn(2))
     decays = _decays(net)
     routed = [net.route(X) for X, _ in data]
-    sides, side_grads = _gradient(net, (2,))
+    sides, side_grads = _param_stacks(net, (2,))
     grad = np.empty(net.n_params())
 
     for epoch in range(config.epochs):
@@ -222,7 +210,7 @@ def finetune_mos(dataset, net: BranchNet, config: TrainConfig,
     rng, drop_rng = (np.random.default_rng(s) for s in ss.spawn(2))
     n = X.shape[0]
     decays, routed = _decays(net), net.route(X)
-    grad = _gradient(net)
+    grad = _param_stacks(net, ())
 
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -233,7 +221,7 @@ def finetune_mos(dataset, net: BranchNet, config: TrainConfig,
                 continue  # a rank/linearity batch needs at least a pair
             masks = _dropout_masks(net, idx.size, drop_rng)
             losses.append(_relative_loss(net, {b: x[idx] for b, x in routed.items()}, m[idx],
-                                         config, masks, grad))
+                                         config.rank_margin, masks, grad))
             _apply_update(net.flat, decays, grad[0], config)
         if history is not None:
             history.append({

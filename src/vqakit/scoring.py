@@ -54,6 +54,16 @@ class ScoreRange:
 MOS_RANGE = ScoreRange(1.0, 5.0)
 
 
+def _add_in_order(terms):
+    """Left-to-right plain adds from 0.0, for fusion and the net's branch
+    losses: builtin sum() compensates float terms on Python 3.12+, so its
+    last bit would depend on the Python."""
+    total = 0.0
+    for t in terms:
+        total = total + t
+    return total
+
+
 @dataclass(frozen=True)
 class FusionSpec:
     weights: tuple[float, ...]
@@ -62,7 +72,7 @@ class FusionSpec:
     def __post_init__(self):
         w = tuple(float(x) for x in self.weights)
         object.__setattr__(self, "weights", w)
-        if not (all(x >= 0.0 for x in w) and 0.0 < sum(w) < np.inf):  # NaN fails too
+        if not (all(x >= 0.0 for x in w) and 0.0 < _add_in_order(w) < np.inf):  # NaN fails too
             raise InvalidParameter("weights", w, "finite, non-negative, with a positive sum")
         if self.normalization not in ("none", "zscore"):
             raise ValueError(f"unknown normalization {self.normalization!r}")
@@ -129,5 +139,5 @@ def fuse_scores(score_lists, spec: FusionSpec) -> np.ndarray:
 
     if len(arrays) == 1:  # single model: exact identity regardless of weight
         return arrays[0].copy()
-    total = sum(w * a for w, a in zip(spec.weights, arrays))
-    return total / sum(spec.weights)
+    total = _add_in_order(w * a for w, a in zip(spec.weights, arrays))
+    return total / _add_in_order(spec.weights)

@@ -1,4 +1,5 @@
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # for the shared corpus module
 
 import corpus as corpus_mod
+from vqakit.clip_io import Frame, VideoClip
 
 
 @pytest.fixture(scope="session")
@@ -44,3 +46,11 @@ def write_ppm(path, arr, maxval=255):
         fh.write(f"P6 {w} {h} {maxval}\n".encode())
         dtype = np.uint8 if maxval == 255 else ">u2"
         fh.write(arr.astype(dtype).tobytes())
+
+
+def flat_clip(spec, value=0.5):
+    """A luma-only 30 fps clip of the spec's size whose every sample is
+    ``value``: one plane, shared by every frame."""
+    plane = np.full((spec.height, spec.width), float(value))
+    return VideoClip(spec.width, spec.height, Fraction(30),
+                     tuple(Frame(plane) for _ in range(spec.frame_count)))

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import flat_clip
 from vqakit import signal_features
 from vqakit.bench_harness import (
     BenchReport,
@@ -157,7 +158,7 @@ class TestCountParams:
 
 class TestTimePipeline:
     def test_run_bookkeeping(self):
-        clip = synth_clip(CANONICAL_SPECS["30-FHD"], "constant")
+        clip = flat_clip(CANONICAL_SPECS["30-FHD"])
         report = time_pipeline(lambda c: 0.0, clip, warmup=3, runs=10,
                                spec_label="30-FHD")
         assert len(report.runtime_runs) == 10
@@ -168,17 +169,17 @@ class TestTimePipeline:
     def test_identity_under_1ms_on_fhd(self):
         # timing excludes ingestion: the clip is pre-loaded, so a no-op scorer
         # must be far below the gate
-        clip = synth_clip(CANONICAL_SPECS["30-FHD"], "constant")
+        clip = flat_clip(CANONICAL_SPECS["30-FHD"])
         report = time_pipeline(lambda c: 0.0, clip, warmup=1, runs=5)
         assert report.runtime_ms < 1.0
 
     def test_busy_wait_calibration(self):
-        clip = synth_clip(CANONICAL_SPECS["30-FHD"], "constant")
+        clip = flat_clip(CANONICAL_SPECS["30-FHD"])
         report = time_pipeline(lambda c: busy_wait(50) or 0.0, clip, warmup=1, runs=3)
         assert 40.0 <= report.runtime_ms <= 200.0
 
     def test_branchwise_times_sum_to_total(self):
-        clip = synth_clip(CANONICAL_SPECS["30-FHD"], "constant")
+        clip = flat_clip(CANONICAL_SPECS["30-FHD"])
         stages = {"semantic": 30.0, "aesthetic": 20.0, "technical": 10.0}
 
         def total(c):
@@ -194,7 +195,7 @@ class TestTimePipeline:
         assert sum(stage_means) == pytest.approx(report_total.runtime_ms, rel=0.05)
 
     def test_failure_carries_run_index(self):
-        clip = synth_clip(CANONICAL_SPECS["30-FHD"], "constant")
+        clip = flat_clip(CANONICAL_SPECS["30-FHD"])
         calls = {"n": 0}
 
         def flaky(c):
@@ -215,7 +216,7 @@ class TestTimePipeline:
         assert calls == []
 
     def test_outlier_guard(self):
-        clip = synth_clip(CANONICAL_SPECS["30-FHD"], "constant")
+        clip = flat_clip(CANONICAL_SPECS["30-FHD"])
         report = time_pipeline(lambda c: busy_wait(5) or 0.0, clip, warmup=1, runs=6)
         assert report.runtime_ms <= 3.0 * np.median(report.runtime_runs)
 

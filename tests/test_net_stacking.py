@@ -11,7 +11,7 @@ from oracles import (NET_BRANCHES, NET_GATED, net_backward_oracle, net_forward_o
 from vqakit.regressors import init_branchnet
 from vqakit.regressors.losses import rel_loss_grad
 from vqakit.regressors.net import _backward_batch, _forward_batch, _param_stacks, _sigmoid
-from vqakit.regressors.training import _dropout_masks, _gradient
+from vqakit.regressors.training import _dropout_masks
 
 # every group a different width, one of them a single feature
 UNEQUAL = {"semantic": ("f0",), "aesthetic": ("f1", "f2", "f3", "f4", "f5"),
@@ -57,9 +57,9 @@ def _dq_rows(rng, B):
     return dQ
 
 
-def _check_one_pass(net, Xb, masks, dQ, params, grad):
+def _check_one_pass(net, Xb, masks, dQ, grad):
     """The stacked pass on one side's inputs against the oracle's pass."""
-    qs, final, cache = _forward_batch(net, Xb, masks, params)
+    qs, final, cache = _forward_batch(net, Xb, masks)
     gate_masks = {} if masks is None else dict(zip(NET_GATED, masks))
     want_qs, want_final, want = net_forward_oracle(net, Xb, gate_masks)
     for i, b in enumerate(NET_BRANCHES):
@@ -89,13 +89,7 @@ def test_stacked_pass_matches_per_branch(embed_dim, head_hidden, dropout, groups
     rng = np.random.default_rng(seed)
     Xb = net.route(rng.standard_normal((rows, len(net.feature_names))))
     masks = _dropout_masks(net, rows, rng)
-    params = _param_stacks(net, net.flatten())
-    _check_one_pass(net, Xb, masks, _dq_rows(rng, rows), params, _gradient(net))
-
-    # parameters left out of _forward_batch's call are stacked from flatten()
-    _, final, _ = _forward_batch(net, Xb, masks)
-    _assert_same(final, net_forward_oracle(
-        net, Xb, {} if masks is None else dict(zip(NET_GATED, masks)))[1])
+    _check_one_pass(net, Xb, masks, _dq_rows(rng, rows), _param_stacks(net, ()))
 
 
 @pytest.mark.parametrize("rows", [1, 2, 16, 17])
@@ -117,8 +111,8 @@ def test_siamese_step_matches_two_passes(rows, head_hidden, dropout):
     dQ = np.empty((2, 3, rows))
     dQ[0], dQ[1] = dq, -dq
 
-    sides, side_grads = _gradient(net, (2,))
-    _, s, cache = _forward_batch(net, Xs, masks, _param_stacks(net, net.flatten()))
+    sides, side_grads = _param_stacks(net, (2,))
+    _, s, cache = _forward_batch(net, Xs, masks)
     _backward_batch(cache, dQ, side_grads)
     grad = sides[0] + 0.0
     grad += sides[1]
@@ -141,8 +135,7 @@ def test_param_stacks_are_views():
         v[...] = 1.0
     assert (vec == 1.0).all()  # every entry is in exactly one view, none a copy
     assert sum(v.size for v in views.values()) == vec.size
-    flat = net.flatten()
-    stacks = _param_stacks(net, flat)
+    stacks = net.stacks
     for j, b in enumerate(NET_BRANCHES):
         _assert_same(stacks["w1"][j], net.params[f"head_{b}_w1"])
         _assert_same(stacks["b2"][j], net.params[f"head_{b}_b2"])
@@ -197,8 +190,5 @@ def test_stacked_rel_loss_matches_per_branch(B, margin):
             v, g = rel_loss_grad_oracle(pred[row], mos, margin)
             assert values[row].hex() == float(v).hex()
             _assert_same(grads[row], g)
-            one_v, one_g = rel_loss_grad(pred[row], mos, margin)
-            assert float(one_v).hex() == float(v).hex()
-            _assert_same(one_g, g)
     values, grads = rel_loss_grad(rng.standard_normal((3, B)), np.full(B, 2.0), margin)
     assert not values.any() and not grads.any()

@@ -12,7 +12,7 @@ from vqakit.regressors import (
     save_model,
     scgb_fuse,
 )
-from vqakit.regressors.net import BRANCH_ORDER, BranchNet, _infer
+from vqakit.regressors.net import BRANCH_ORDER, BranchNet, _forward_batch
 from vqakit.regressors.training import TrainConfig, finetune_mos
 
 
@@ -88,7 +88,7 @@ class TestForward:
 
     def test_mean_of_heads(self):
         net = _forced_head_net((1.0, 3.0, 5.0))
-        qs, final = _infer(net, net.route(np.ones((1, len(net.feature_names)))))
+        qs, final, _ = _forward_batch(net, net.route(np.ones((1, len(net.feature_names)))))
         assert tuple(float(qs[b][0]) for b in BRANCH_ORDER) == (1.0, 3.0, 5.0)
         assert final[0] == pytest.approx(3.0, abs=0)
 
@@ -98,7 +98,7 @@ class TestForward:
         net = init_branchnet(embed_dim=3, head_hidden=2, seed=5)
         net.norm_fitted = True
         feats = {b: rng.standard_normal(len(net.groups[b])) for b in BRANCH_ORDER}
-        qs, final = _infer(net, {b: v[None, :] for b, v in feats.items()})
+        qs, final, _ = _forward_batch(net, {b: v[None, :] for b, v in feats.items()})
 
         P = net.params
         E = {b: np.tanh(P[f"enc_{b}_w"] @ feats[b] + P[f"enc_{b}_b"]) for b in BRANCH_ORDER}

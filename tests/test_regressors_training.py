@@ -12,6 +12,7 @@ from vqakit.regressors import (
     total_loss_gradients,
     train_siamese,
 )
+from vqakit.regressors.losses import rel_loss_grad
 from vqakit.regressors.net import BRANCH_ORDER, _forward_batch
 
 
@@ -128,6 +129,28 @@ class TestFinetune:
             fd = (loss_at(up) - loss_at(dn)) / (2 * h)
             denom = max(abs(fd), 1e-4)
             assert abs(analytic[i] - fd) / denom < 1e-4
+
+    def test_loss_values_agree_bit_for_bit(self):
+        # acceptance criterion 5's tiny nets: total_loss on a pass's branch
+        # scores, total_loss_gradients' value and the stacked values added
+        # left to right are one float, whatever the Python's builtin sum() does
+        rng = np.random.default_rng(2024)
+        names = ("f0", "f1", "f2")
+        groups = {"semantic": ("f0",), "aesthetic": ("f1",), "technical": ("f2",)}
+        shapes = [(1, 0), (2, 0), (1, 1), (1, 2)]  # (embed_dim, head_hidden)
+        for _ in range(100):
+            d, k = shapes[rng.integers(0, len(shapes))]
+            net = init_branchnet(names, groups, embed_dim=d, head_hidden=k,
+                                 gate_dropout=0.0, seed=int(rng.integers(0, 2**31)))
+            net.norm_fitted = True
+            X = rng.standard_normal((6, 3))
+            mos = rng.uniform(1, 5, 6)
+            qs, _, _ = _forward_batch(net, net.route(X))
+            batches = [qs[b] for b in BRANCH_ORDER]
+            v0, v1, v2 = rel_loss_grad(np.stack(batches), mos)[0].tolist()
+            want = (((0.0 + v0) + v1) + v2).hex()
+            assert total_loss(batches, mos).hex() == want
+            assert total_loss_gradients(net, X, mos)[0].hex() == want
 
     def test_weight_decay_shrinks_matrices(self):
         X, mos = _toy_dataset(seed=11)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import write_pgm, write_ppm, y4m_bytes
+from conftest import flat_clip, write_pgm, write_ppm, y4m_bytes
 from vqakit import clip_io, sampling
 from vqakit.clip_io import ClipSpec, load_frame_dir, parse_y4m, synth_clip
 from vqakit.errors import InsufficientFrames, InvalidParameter, SourceTooSmall
@@ -35,14 +35,14 @@ def subset_oracle(m, t):
 
 class TestTemporalPlans:
     def test_one_per_30(self):
-        clip = synth_clip(ClipSpec("t", 60, 8, 8), "constant")
+        clip = flat_clip(ClipSpec("t", 60, 8, 8))
         assert temporal_sample(clip, "one_per_30").indices == (0, 30)
 
     def test_two_per_30(self):
         assert plan_indices(60, 30, "two_per_30") == (0, 15, 30, 45)
 
     def test_one_fps_single_second(self):
-        clip = synth_clip(ClipSpec("t", 30, 8, 8), "constant")  # 30 frames @30fps
+        clip = flat_clip(ClipSpec("t", 30, 8, 8))  # 30 frames @30fps
         assert temporal_sample(clip, "one_fps").indices == (0,)
 
     def test_one_fps_rational(self):
@@ -213,18 +213,18 @@ class TestBuildView:
             assert np.array_equal(a, b)
 
     def test_view_alignment(self):
-        clip = synth_clip(ClipSpec("t", 4, 16, 16), "constant")
+        clip = flat_clip(ClipSpec("t", 4, 16, 16))
         plan = temporal_sample(clip, "two_per_30")
         assert len(build_view(clip, plan).frames) == len(plan.indices)
 
     def test_resize_transform(self):
-        clip = synth_clip(ClipSpec("t", 2, 64, 48), "constant", value=0.5)
+        clip = flat_clip(ClipSpec("t", 2, 64, 48), 0.5)
         view = build_view(clip, temporal_sample(clip, "all"), SpatialTransform.resize(32, 32))
         assert view.frames[0].shape == (32, 32)
         assert np.allclose(view.frames[0], 0.5)
 
     def test_pad_square_then_resize(self):
-        clip = synth_clip(ClipSpec("t", 1, 64, 32), "constant", value=1.0)
+        clip = flat_clip(ClipSpec("t", 1, 64, 32), 1.0)
         view = build_view(clip, temporal_sample(clip, "all"),
                           SpatialTransform.pad_square_then_resize(448))
         assert view.frames[0].shape == (448, 448)

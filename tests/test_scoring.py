@@ -125,6 +125,16 @@ class TestFusion:
         b = fuse_scores(lists, FusionSpec((10, 20, 30)))
         assert np.array_equal(np.argsort(a), np.argsort(b))
 
+    def test_weights_added_left_to_right(self):
+        # plain float adds in list order: 0.1 + 0.2 + 0.3 is 0.6000000000000001,
+        # where a compensated sum (Python 3.12's builtin sum) gives 0.6
+        s = [1.0, 2.0, 3.5]
+        fused = fuse_scores([s, s, s], FusionSpec((0.1, 0.2, 0.3)))
+        a = np.array(s)
+        want = ((0.1 * a + 0.2 * a) + 0.3 * a) / ((0.1 + 0.2) + 0.3)
+        assert [v.hex() for v in fused.tolist()] == [v.hex() for v in want.tolist()]
+        assert fused[2] == 3.4999999999999996
+
     def test_zscore_degenerate(self):
         with pytest.raises(DegenerateScores) as ei:
             fuse_scores([[1.0, 2.0], [3.0, 3.0]], FusionSpec((1, 1), "zscore"))
