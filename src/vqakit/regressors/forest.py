@@ -5,20 +5,28 @@ node (sqrt fraction by default). Per-tree RNG streams are derived from the
 forest seed and the tree index, so fitting is bit-reproducible; prediction is
 the exact arithmetic mean over trees.
 
-Trees grow in lock-step, in chunks of consecutive tree indices. Each round
-takes the next depth-first node of every unfinished tree in the chunk; the
-node's features are drawn from its own tree's RNG, in the order a recursive
-build would draw them. The draw replays numpy's ``Generator.choice(d, k,
-replace=False)`` in Python on a block of the tree's 32-bit words, the stream
-``choice`` itself reads, so it costs a third of a ``choice`` call and gives
-the same features. One padded numpy pass then searches the splits of all the
-round's nodes, and one more partitions their members. Only the draw and the
-node's mean run per node. Each node's arithmetic is that of a search on the
-node alone, so the trees are the same, bit for bit, as node-by-node growth
-gives. A chunk holds at least 8 trees and about 8192 bootstrap rows (51
-trees of 160 rows), and each pass is capped, so a 300-tree fit of a 160x9
-table peaks at about 4.5 MiB under tracemalloc, 1.4 MiB of it the model.
-Chunks of 4096 rows peaked at 3.05 MiB and fitted about a fifth slower.
+Trees grow in lock-step, in chunks of consecutive tree indices. A tree's
+stack holds only nodes that will draw features: when a round's nodes split,
+every child's mean and grow test (depth, size, a target that is not
+constant) are taken at once, a child that fails is a leaf on the spot, and
+the others are pushed, right before left. Each round pops one node of every
+tree with one pending, so each tree draws its features in the order a
+recursive build would; a 300-tree fit of a 160x9 table takes about 420
+rounds, where popping leaves too took about 790. The round's draws replay
+numpy's ``Generator.choice(d, k, replace=False)`` on each tree's stream of
+32-bit words, the stream ``choice`` itself reads, in one numpy pass: without
+a redraw every draw reads the same number of words, so they form one array.
+A tree whose word might be redrawn, and ``choice``'s tail shuffle, draw word
+by word in Python. One padded numpy pass then searches the splits of all
+the round's nodes, and one more partitions their members. The means of many
+rounds' new nodes are taken in one pass that replays numpy's sum of up to
+128 values (a longer one is summed by numpy). Each node's arithmetic is
+that of a search on the node alone, so the trees are the same, bit for bit,
+as node-by-node growth gives. Nodes are numbered as they are made, and each
+chunk's are put in preorder at its end. A chunk holds at least 8 trees and
+about 8192 bootstrap rows (51 trees of 160 rows), and each pass is capped,
+so a 300-tree fit of a 160x9 table peaks at about 4.5 MiB under
+tracemalloc, 1.4 MiB of it the model.
 
 The whole forest lives in one set of node arrays, the flat layout compiled
 tree engines use (QuickScorer, Lucchese et al., SIGIR 2015): prediction steps
@@ -81,16 +89,22 @@ class ForestModel:
             node = np.concatenate((self.left[node], self.right[node]))
             depth += 1
 
+    @cached_property
+    def kids(self) -> np.ndarray:
+        """Node i's left child at ``2 * i`` and its right child next to it."""
+        return np.stack((self.left, self.right), axis=1).ravel()
+
 
 # Trees grow together in chunks of consecutive indices: at least 8 trees, so
 # that each round's numpy calls serve several nodes, and about 8192 bootstrap
 # rows in all when trees are small (51 trees of 160 rows). A chunk keeps about
-# 180 bytes per bootstrap row.
+# 16 bytes per column and 41 more per bootstrap row (185 at 9 columns).
 _CHUNK_ROWS = 8192
 _MIN_CHUNK_TREES = 8
 # A padded split search or a partition works on at most this many values an
-# array (more only for a single node that is larger), so a round's scratch
-# memory does not grow with the chunk.
+# array (more only for a single node that is larger), and node means wait for
+# about this many members, so a round's scratch memory does not grow with the
+# chunk.
 _PASS_VALUES = 1 << 15
 
 
@@ -115,11 +129,42 @@ def _batches(values):
 _WORD_BLOCK = 256
 
 
-def _words(rng):
-    """The generator's stream of 32-bit words, the one ``next_uint32`` serves
-    and ``Generator.choice`` reads, as Python ints, a block at a time."""
-    while True:
-        yield from memoryview(rng.integers(0, 1 << 32, size=_WORD_BLOCK, dtype=np.uint32))
+class _Words:
+    """Each tree's stream of 32-bit words, the one ``next_uint32`` serves and
+    ``Generator.choice`` reads, taken from its generator a block at a time.
+    ``width`` is the most words one read of ``block`` takes."""
+
+    def __init__(self, rngs, width):
+        self.rngs = rngs
+        self.buf = np.empty((len(rngs), _WORD_BLOCK + width), dtype=np.uint32)
+        self.pos = np.zeros(len(rngs), dtype=np.intp)
+        self.end = np.zeros(len(rngs), dtype=np.intp)
+
+    def _refill(self, i):
+        rest = self.end[i] - self.pos[i]
+        self.buf[i, :rest] = self.buf[i, self.pos[i]:self.end[i]]
+        self.buf[i, rest:rest + _WORD_BLOCK] = self.rngs[i].integers(
+            0, 1 << 32, size=_WORD_BLOCK, dtype=np.uint32)
+        self.pos[i], self.end[i] = 0, rest + _WORD_BLOCK
+
+    def block(self, t, width):
+        """The next ``width`` words of each tree in ``t``, one row per tree,
+        left unread: advance ``pos`` past the ones used."""
+        for i in t[self.end[t] - self.pos[t] < width].tolist():
+            while self.end[i] - self.pos[i] < width:
+                self._refill(i)
+        return self.buf[t[:, None], self.pos[t][:, None] + np.arange(width)]
+
+    def stream(self, i):
+        """Tree i's words one at a time, as Python ints, each read once."""
+        while True:
+            if self.pos[i] == self.end[i]:
+                self._refill(i)
+            first = int(self.pos[i])
+            # pos passes each word as it is handed out
+            for self.pos[i], word in enumerate(self.buf[i, first:self.end[i]].tolist(),
+                                               first + 1):
+                yield word
 
 
 def _bounded(words, top):
@@ -160,6 +205,69 @@ def _choice(words, d, k):
         j = _bounded(words, i)
         out[i], out[j] = out[j], out[i]
     return out
+
+
+def _draw(words, t, d, k):
+    """What ``Generator.choice(d, k, replace=False)`` draws for each tree in
+    ``t`` from its ``words`` (a ``_Words``), ascending, one row per tree.
+
+    Without a redraw, a draw reads one word per Floyd step whose bound is at
+    least 1 and one per shuffle step, so all the trees' words are read as one
+    array and the draws made column by column; the shuffle only reorders, so
+    its words are read and not applied. A tree with a word that might be
+    redrawn, and every tree in ``choice``'s tail-shuffle regime, draws word
+    by word through ``_choice``.
+    """
+    out = np.empty((t.size, k), dtype=np.intp)
+    scalar = np.ones(t.size, dtype=bool)
+    if d <= 10000 or k <= d // 50:
+        first = max(d - k, 1)
+        bound = np.array([*range(first, d), *range(k - 1, 0, -1)], dtype=np.uint64)
+        w = words.block(t, bound.size) * (bound + 1)
+        # Lemire's method redraws only when the low half is under the span
+        scalar = ((w & 0xFFFFFFFF) <= bound).any(axis=1)
+        words.pos[t[~scalar]] += bound.size
+        w = (w >> 32).astype(np.intp)
+        for s, j in enumerate(range(d - k, d)):
+            v = w[:, j - first] if j else np.zeros(t.size, dtype=np.intp)
+            out[:, s] = np.where((out[:, :s] == v[:, None]).any(axis=1), j, v)
+    for r in scalar.nonzero()[0].tolist():
+        out[r] = _choice(words.stream(t[r]), d, k)
+    out.sort(axis=1)
+    return out
+
+
+def _means(y, start, m):
+    """``np.add.reduce(y[a:a + b]) / b`` for each segment (a, b) of ``start``
+    and ``m``, with its bits.
+
+    numpy sums a segment of up to 128 values in eight lanes over its whole
+    blocks of 8, combines the lanes as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``,
+    adds the rest one by one (a segment under 8 values is all rest, from
+    -0.0), and adds that to the reduction's initial 0.0. That is replayed for
+    all such segments at once; a longer segment is summed by numpy, one call
+    each, which costs less than a replay of its values.
+    """
+    total = np.empty(m.size)
+    big = (m > 128).nonzero()[0]
+    for i, a, b in zip(big.tolist(), start[big].tolist(), m[big].tolist()):
+        total[i] = np.add.reduce(y[a:a + b])
+    small = (m <= 128).nonzero()[0]
+    if small.size:
+        small = small[np.argsort(-m[small])]  # most blocks first
+        a, b = start[small], m[small]
+        blocks = b // 8
+        lanes = np.full((small.size, 8), -0.0)  # adding -0.0 changes no value
+        # block j is added to the segments that have more than j blocks
+        for j, c in enumerate(np.searchsorted(-blocks, -np.arange(blocks[0])).tolist()):
+            lanes[:c] += y.take(a[:c, None] + np.arange(8 * j, 8 * j + 8))
+        r = lanes.T
+        sums = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        tail, rest = a + 8 * blocks, b - 8 * blocks
+        for j in range(7):
+            sums += np.where(j < rest, y.take(tail + j, mode="clip"), -0.0)
+        total[small] = sums + 0.0
+    return total / m
 
 
 def _ranges(lo, size):
@@ -249,11 +357,15 @@ def _grow_chunk(X, y, trees, seed, max_depth, min_leaf, k_features, base):
     """Grow the trees ``trees`` (a range) in lock-step, as the nodes from
     ``base`` on of a packed forest; returns their five node arrays and roots.
 
-    Each round takes the next depth-first node of every unfinished tree, so
-    every tree draws its features in the order a recursive build would.
-    Tree t's bootstrap rows sit at ``t * n`` onwards. A node holds a range of
-    positions in every row of ``order``: its members sorted by each column
-    (ties by row) and, in the last row, ascending.
+    A tree's stack holds only nodes that draw features: a node's mean and
+    grow test (depth, size, a target that is not constant) are computed when
+    its parent splits, and a node that fails the test is a leaf at once.
+    Each round pops one node of every tree with a pending one, left before
+    right, so every tree draws its features in the order a recursive build
+    would. Tree t's bootstrap rows sit at ``t * n`` onwards. A node holds a
+    range of positions in every row of ``order``: its members sorted by each
+    column (ties by row) and, in the last row, ascending. Nodes are numbered
+    as they are made, and placed in preorder at the end.
     """
     n, d = X.shape
     T = len(trees)
@@ -261,7 +373,7 @@ def _grow_chunk(X, y, trees, seed, max_depth, min_leaf, k_features, base):
             for t in trees]
     boot = np.concatenate([rng.integers(0, n, size=n) for rng in rngs])
     # after its bootstrap a tree's generator serves only its feature draws
-    words = [_words(rng) for rng in rngs]
+    words = _Words(rngs, 2 * k_features)
     Xt = np.ascontiguousarray(X[boot].T)
     yb = y[boot]
     ys = np.stack((yb, yb * yb))
@@ -272,65 +384,91 @@ def _grow_chunk(X, y, trees, seed, max_depth, min_leaf, k_features, base):
     order[:d, :T * n].reshape(d, T, n)[:] += (np.arange(T) * n)[:, None]
     order[d, :T * n] = np.arange(T * n)
     goes = np.empty(T * n, dtype=bool)
-    # each tree's stack of pending nodes: (first position, size, depth, parent);
-    # the parent is kept for right children, whose id is known only when popped
+
+    # the members and sizes of new nodes whose means are not yet taken: the
+    # means of many rounds' nodes are taken in one pass
+    due, values = [], []
+
+    def take_means():
+        members, m = (np.concatenate(a) for a in zip(*due))
+        values.append(_means(members, m.cumsum() - m, m))
+        due.clear()
+
+    def made(lo, m, depth):
+        """Which of the new nodes grow; their means are taken in turn."""
+        members = yb.take(order[d].take(_ranges(lo, m)))
+        starts = m.cumsum() - m
+        due.append((members, m))
+        if sum(a.size for a, _ in due) >= _PASS_VALUES:
+            take_means()
+        return ((depth < max_depth) & (m >= 2 * min_leaf)
+                & (np.maximum.reduceat(members, starts) > np.minimum.reduceat(members, starts)))
+
+    # each tree's stack of nodes that draw: (first position, size, depth, id)
     stack = np.zeros((4, T, min(max_depth, n) + 2), dtype=np.intp)
-    stack[0, :, 0] = np.arange(T) * n
-    stack[1, :, 0] = n
-    stack[3, :, 0] = -1
-    height = np.ones(T, dtype=np.intp)
-    count = np.zeros(T, dtype=np.intp)
-    nodes = []
+    lo, m, depth = np.arange(T) * n, np.full(T, n), np.zeros(T, dtype=np.intp)
+    stack[:, :, 0] = lo, m, depth, np.arange(T)
+    height = made(lo, m, depth).astype(np.intp)
+    count = T  # ids given out; the roots are 0 to T - 1
+    none = np.empty(0, dtype=np.intp)
+    splits = [(none, none, np.empty(0), none, none)]  # id, feature, threshold, depth, kid
     while True:
         t = height.nonzero()[0]
         if t.size == 0:
             break
         top = height[t] - 1
-        lo, m, depth, parent = stack[:, t, top]
-        node = count[t]
-        count[t] = node + 1
-        # members' targets in ascending row order, node after node
-        y_members = yb.take(order[d].take(_ranges(lo, m)))
-        starts = m.cumsum() - m
-        value = [float(np.add.reduce(y_members[a:a + b]) / b)
-                 for a, b in zip(starts.tolist(), m.tolist())]
-        feature = np.full(t.size, -1, dtype=np.intp)
-        threshold = np.zeros(t.size)
-        grow = ((depth < max_depth) & (m >= 2 * min_leaf)
-                & (np.maximum.reduceat(y_members, starts)
-                   > np.minimum.reduceat(y_members, starts))).nonzero()[0]
-        if grow.size:
-            feats = np.array([_choice(words[i], d, k_features) for i in t[grow].tolist()])
-            feats.sort(axis=1)
-            feature[grow], threshold[grow] = _best_splits(Xt, ys, order, lo[grow], m[grow],
-                                                          feats, min_leaf)
-            s = (feature >= 0).nonzero()[0]
-            if s.size:
-                lo, m, depth = lo[s], m[s], depth[s] + 1
-                n_left = np.concatenate([
-                    _partition(Xt, order, goes, lo[b], m[b], feature[s[b]], threshold[s[b]])
-                    for b in _batches((m * (d + 1)).tolist())])
-                # push the right child, then the left one to pop next
-                ts, at = t[s], top[s]
-                stack[:, ts, at] = lo + n_left, m - n_left, depth, node[s]
-                stack[:3, ts, at + 1] = lo, n_left, depth
-                stack[3, ts, at + 1] = -1
-                top[s] += 2
         height[t] = top
-        nodes.append((t, node, parent, feature, threshold, value))
-    t, node, parent, feature, threshold, value = (np.concatenate(a) for a in zip(*nodes))
-    roots = base + count.cumsum() - count
-    # popped round by round; packed tree by tree, each in preorder
-    packed = np.empty(t.size, dtype=np.intp)
-    packed[roots[t] + node - base] = np.arange(t.size)
-    feature, threshold, value = feature[packed], threshold[packed], value[packed]
-    # a leaf is its own child; a left child is the node right after its parent
-    left = np.arange(base, base + t.size)
+        lo, m, depth, node = stack[:, t, top]
+        feature, threshold = _best_splits(Xt, ys, order, lo, m, _draw(words, t, d, k_features),
+                                          min_leaf)
+        s = (feature >= 0).nonzero()[0]
+        if s.size == 0:
+            continue
+        t, top, lo, m, depth, node = t[s], top[s], lo[s], m[s], depth[s], node[s]
+        n_left = np.concatenate([
+            _partition(Xt, order, goes, lo[b], m[b], feature[s[b]], threshold[s[b]])
+            for b in _batches((m * (d + 1)).tolist())])
+        # a node's children take the next two ids, left then right
+        kid = count + 2 * np.arange(s.size)
+        count += 2 * s.size
+        splits.append((node, feature[s], threshold[s], depth, kid))
+        below = depth + 1
+        grow = made(np.stack((lo, lo + n_left), axis=1).ravel(),
+                    np.stack((n_left, m - n_left), axis=1).ravel(), below.repeat(2))
+        # push the children that grow, the right one first so the left pops next
+        grow_left, grow_right = grow[0::2], grow[1::2]
+        r = grow_right.nonzero()[0]
+        stack[:, t[r], top[r]] = (lo + n_left)[r], (m - n_left)[r], below[r], kid[r] + 1
+        top += grow_right
+        r = grow_left.nonzero()[0]
+        stack[:, t[r], top[r]] = lo[r], n_left[r], below[r], kid[r]
+        height[t] = top + grow_left
+    if due:
+        take_means()
+    node, feature, threshold, depth, kid = (np.concatenate(a) for a in zip(*splits))
+    # each node's place in the chunk, tree by tree in preorder: subtree sizes
+    # bottom-up, then places top-down, a level at a time
+    levels = [(depth == level).nonzero()[0] for level in range(depth.max(initial=-1) + 1)]
+    size = np.ones(count, dtype=np.intp)
+    for i in reversed(levels):
+        size[node[i]] = 1 + size[kid[i]] + size[kid[i] + 1]
+    at = np.empty(count, dtype=np.intp)
+    at[:T] = size[:T].cumsum() - size[:T]
+    for i in levels:
+        at[kid[i]] = at[node[i]] + 1
+        at[kid[i] + 1] = at[node[i]] + 1 + size[kid[i]]
+    inner = at[node]
+    packed_feature = np.full(count, -1, dtype=np.intp)
+    packed_feature[inner] = feature
+    packed_threshold = np.zeros(count)
+    packed_threshold[inner] = threshold
+    packed_value = np.empty(count)
+    packed_value[at] = np.concatenate(values)
+    # a leaf is its own child
+    left = np.arange(count)
     right = left.copy()
-    left[feature >= 0] += 1
-    child = parent >= 0
-    right[roots[t[child]] + parent[child] - base] = roots[t[child]] + node[child]
-    return (feature, threshold, left, right, value), roots
+    left[inner], right[inner] = at[kid], at[kid + 1]
+    return (packed_feature, packed_threshold, base + left, base + right, packed_value), base + at[:T]
 
 
 def _check_finite(a: np.ndarray, what: str, names=None):
@@ -356,12 +494,14 @@ def fit_forest(
 ) -> ForestModel:
     """Fit n_trees CART trees, grown in lock-step a chunk of trees at a time.
 
-    Each round of a chunk grows one node of every unfinished tree, with one
-    batched split search and one batched partition, so the per-call cost of
-    numpy is paid once per round rather than once per node; the trees match
-    a node-by-node build bit for bit. Chunks hold ``max(8, 8192 // rows)``
-    trees (51 on a 160-row table), so a fit's working memory is about 180
-    bytes per bootstrap row of the chunk, plus capped scratch for each pass.
+    Each round of a chunk splits one node of every tree that has a node
+    left to split, with one feature draw, one batched split search and one
+    batched partition, so the per-call cost of numpy is paid once per round
+    rather than once per node; leaves are found as their parents split and
+    take no round. The trees match a node-by-node build bit for bit. Chunks
+    hold ``max(8, 8192 // rows)`` trees (51 on a 160-row table), so a fit's
+    working memory is about 16 bytes per column and 41 more per bootstrap
+    row of the chunk (185 at 9 columns), plus capped scratch for each pass.
     Each node's feature draw replays ``Generator.choice(d, k, replace=False)``
     on its tree's generator, so the trees are those ``choice`` would give.
 
@@ -434,8 +574,8 @@ def predict_forest(model: ForestModel, x) -> float | np.ndarray:
     _check_finite(X, "feature matrix", model.feature_names)
     rows = np.arange(X.shape[0])[:, None]
     node = np.tile(model.roots, (X.shape[0], 1))
+    # the rows are finite, so ``>`` is exactly ``not <=``: right is 1, left 0
     for _ in range(model.depth):
-        go_left = X[rows, model.feature[node]] <= model.threshold[node]
-        node = np.where(go_left, model.left[node], model.right[node])
+        node = model.kids[2 * node + (X[rows, model.feature[node]] > model.threshold[node])]
     out = model.value[node].mean(axis=1)
     return float(out[0]) if single else out

@@ -266,6 +266,18 @@ def _table(rows, seed, quantised=False):
     return X, y
 
 
+def _one_leaf_table():
+    """A constant target but for two rows with the same features: a tree whose
+    bootstrap misses both is one leaf; one that holds both can never separate
+    them and peels other rows off down to max_depth."""
+    rng = np.random.default_rng(22)
+    X = rng.random((160, 9))
+    X[1] = X[0]
+    y = np.full(160, 3.0)
+    y[:2] = 1.0, 5.0
+    return X, y
+
+
 class TestForestPacked:
     def test_batch_bits_equal_single_rows(self):
         X, y = _table(64, 9)
@@ -281,6 +293,29 @@ class TestForestPacked:
         for bad in (X[:, :8], np.zeros((2, 10)), np.zeros(8), np.zeros((2, 3, 9))):
             with pytest.raises(DimensionMismatch):
                 predict_forest(model, bad)
+
+    @pytest.mark.parametrize("table, kwargs", [
+        (lambda: _table(160, 26), {}), (_one_leaf_table, {}),
+        (lambda: _table(160, 27), {"feature_fraction": 1.0}),
+    ], ids=["table", "one-leaf-trees", "full-fraction"])
+    def test_trees_packed_in_preorder(self, table, kwargs):
+        X, y = table()
+        model = fit_forest(X, y, n_trees=2 * forest._chunk_trees(160) + 3, seed=26, **kwargs)
+        left, right = model.left.tolist(), model.right.tolist()
+
+        def subtree(i):
+            """Check the nodes under i are i onwards in preorder; their count."""
+            if model.feature[i] < 0:
+                assert left[i] == right[i] == i
+                return 1
+            assert left[i] == i + 1
+            size = subtree(i + 1)
+            assert right[i] == i + 1 + size
+            return 1 + size + subtree(right[i])
+
+        assert model.roots[0] == 0
+        for first, end in tree_ranges(model):
+            assert subtree(first) == end - first
 
     @pytest.mark.parametrize("rows", [64, 160])
     @pytest.mark.parametrize("kwargs", [
@@ -302,8 +337,9 @@ class TestForestPacked:
                 assert a.tobytes() == b.astype(a.dtype).tobytes()
 
 
-def _assert_matches_oracle(model, X, y, n_trees, seed, max_depth=12, min_leaf=2):
-    want = forest_trees_oracle(X, y, n_trees, seed, max_depth, min_leaf)
+def _assert_matches_oracle(model, X, y, n_trees, seed, max_depth=12, min_leaf=2,
+                           feature_fraction=None):
+    want = forest_trees_oracle(X, y, n_trees, seed, max_depth, min_leaf, feature_fraction)
     got = local_trees(model)
     assert len(got) == len(want) == n_trees
     for g, w in zip(got, want):
@@ -320,15 +356,16 @@ class TestLockStepGrowth:
         model = fit_forest(X, y, n_trees=n_trees, seed=21)
         _assert_matches_oracle(model, X, y, n_trees, 21)
 
+    def test_two_chunks_at_full_fraction(self):
+        # every node draws all nine columns: a Floyd step of bound 0 that reads
+        # no word, and eight shuffle steps
+        X, y = _table(160, 25)
+        n_trees = forest._chunk_trees(160) + 2
+        model = fit_forest(X, y, n_trees=n_trees, seed=25, feature_fraction=1.0)
+        _assert_matches_oracle(model, X, y, n_trees, 25, feature_fraction=1.0)
+
     def test_one_leaf_trees_finish_beside_deep_ones(self):
-        # a constant target but for two rows with the same features: a tree
-        # whose bootstrap misses both is one leaf; one that holds both can
-        # never separate them and peels other rows off down to max_depth
-        rng = np.random.default_rng(22)
-        X = rng.random((160, 9))
-        X[1] = X[0]
-        y = np.full(160, 3.0)
-        y[:2] = 1.0, 5.0
+        X, y = _one_leaf_table()
         model = fit_forest(X, y, n_trees=60, seed=22)
         depths = [tree_depth(model, r) for r in model.roots]
         assert min(depths) == 0 and max(depths) == 12
@@ -342,7 +379,8 @@ class TestLockStepGrowth:
 
     def test_fit_memory_bound(self):
         # 300 trees of the perfbench train-eval shape: the model arrays take
-        # 1.4 MiB, and growing one node at a time peaked at 3.0-3.8 MiB
+        # 1.4 MiB, and the fit peaks at 4.45 MiB, in a split search of a
+        # late chunk (growing one node at a time peaked at 3.0-3.8 MiB)
         X, y = _table(160, 24)
         tracemalloc.start()
         try:
@@ -367,11 +405,15 @@ class TestFeatureDraw:
             g.integers(0, boot, size=boot)
         return gens
 
+    @staticmethod
+    def _stream(rng):
+        return forest._Words([rng], 0).stream(0)
+
     @pytest.mark.parametrize("boot", [159, 160])
     def test_every_k_of_small_populations(self, boot):
         for d in (1, 2, 3, 9, 64):
             numpy_rng, replay_rng = self._pair(d, boot)
-            words = forest._words(replay_rng)
+            words = self._stream(replay_rng)
             for k in [*range(d + 1), *range(d, -1, -1)]:  # one stream, k up and down
                 want = numpy_rng.choice(d, size=k, replace=False).tolist()
                 assert forest._choice(words, d, k) == want, (d, k)
@@ -380,7 +422,7 @@ class TestFeatureDraw:
     def test_tail_shuffle_of_a_large_population(self, boot):
         # above 10,000 with k > d // 50, numpy shuffles the tail of range(d)
         numpy_rng, replay_rng = self._pair(7, boot)
-        words = forest._words(replay_rng)
+        words = self._stream(replay_rng)
         for k in (300, 241, 12_000, 240, 1):
             want = numpy_rng.choice(12_000, size=k, replace=False).tolist()
             assert forest._choice(words, 12_000, k) == want, k
@@ -388,11 +430,79 @@ class TestFeatureDraw:
     def test_redrawn_words(self):
         # bounds near 2**32 reject up to half of the words; 2**32 rejects none
         numpy_rng, replay_rng = self._pair(8, 159)
-        words = forest._words(replay_rng)
+        words = self._stream(replay_rng)
         for d in (3_000_000_000, 2**31 + 1, 2**32):
             for k in (1, 2, 5):
                 want = numpy_rng.choice(d, size=k, replace=False).tolist()
                 assert forest._choice(words, d, k) == want, (d, k)
+
+    @staticmethod
+    def _trees(boot, n_trees=4):
+        """Generator pairs in the states of a chunk's trees after a bootstrap
+        of ``boot`` rows, and the chunk's words over the replaying ones; tree
+        i has made i draws of 5 of 9, so the trees sit at different words."""
+        pairs = [TestFeatureDraw._pair([boot, i], boot) for i in range(n_trees)]
+        words = forest._Words([r for _, r in pairs], 2 * 240)
+        for i, (numpy_rng, _) in enumerate(pairs):
+            for _ in range(i):
+                numpy_rng.choice(9, size=5, replace=False)
+                forest._choice(words.stream(i), 9, 5)
+        return [g for g, _ in pairs], words
+
+    @staticmethod
+    def _round(numpy_rngs, words, t, d, k):
+        got = forest._draw(words, np.array(t), d, k)
+        assert got.shape == (len(t), k)
+        for row, i in zip(got.tolist(), t):
+            want = sorted(numpy_rngs[i].choice(d, size=k, replace=False).tolist())
+            assert row == want, (i, d, k)
+
+    @pytest.mark.parametrize("boot", [159, 160])
+    def test_round_draw_every_k_of_small_populations(self, boot):
+        # k = d has a Floyd step of bound 0, which reads no word; k = 1 has no
+        # shuffle step; some rounds leave trees out
+        for d in (1, 2, 3, 9, 64):
+            numpy_rngs, words = self._trees(boot)
+            for k in [*range(1, d + 1), *range(d, 0, -1)]:
+                self._round(numpy_rngs, words, [0, 1, 2, 3] if k % 3 else [1, 3], d, k)
+
+    @pytest.mark.parametrize("boot", [159, 160])
+    def test_round_draw_falls_back_to_the_word_by_word_draw(self, boot, monkeypatch):
+        # bounds near 2**32 reject up to half of the words, and a large
+        # population with k > d // 50 takes choice's tail shuffle: both draw
+        # through _choice, and a round of 3 of 9 after them does not
+        calls = []
+        choice = forest._choice
+
+        def counted(words, d, k):
+            calls.append(d)
+            return choice(words, d, k)
+
+        numpy_rngs, words = self._trees(boot)
+        monkeypatch.setattr(forest, "_choice", counted)
+        for d, ks in ((3_000_000_000, (1, 2, 5)), (2**31 + 1, (1, 2, 5)),
+                      (12_000, (241, 240)), (9, (3,))):
+            for k in ks:
+                self._round(numpy_rngs, words, [0, 1, 2, 3], d, k)
+        assert calls.count(3_000_000_000) > 0 and calls.count(2**31 + 1) > 0
+        assert calls.count(12_000) == 4 and 9 not in calls
+
+
+class TestNodeMeans:
+    """Node means, many segments at once, have the bits of numpy's sum."""
+
+    def test_bits_of_numpy_sum_for_every_size_to_300(self):
+        rng = np.random.default_rng(28)
+        special = np.array([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300])
+        segments = []
+        for size in range(1, 301):
+            segments += [rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size),
+                         rng.choice(special, size) * rng.integers(1, 4, size),
+                         np.full(size, -0.0)]
+        m = np.array([s.size for s in segments])
+        got = forest._means(np.concatenate(segments), m.cumsum() - m, m)
+        want = [float(np.add.reduce(s) / s.size).hex() for s in segments]
+        assert [v.hex() for v in got.tolist()] == want
 
 
 def _v1_file(path, trees, names=("a", "b", "c")):
