@@ -67,7 +67,6 @@ class Frame:
     luma: np.ndarray
     chroma_b: np.ndarray | None = None
     chroma_r: np.ndarray | None = None
-    source_bit_depth: int = 8
 
     def __post_init__(self):
         object.__setattr__(self, "luma", _freeze(self.luma))
@@ -76,8 +75,6 @@ class Frame:
         if self.chroma_b is not None:
             object.__setattr__(self, "chroma_b", _freeze(self.chroma_b))
             object.__setattr__(self, "chroma_r", _freeze(self.chroma_r))
-        if self.source_bit_depth not in (8, 10):
-            raise Unsupported(f"{self.source_bit_depth}-bit")
 
     @property
     def has_chroma(self) -> bool:
@@ -176,7 +173,7 @@ def _decode_y4m(buf: bytes, pos: int, planes, depth: int) -> Frame:
         out.append(np.divide(raw.reshape(h, w), maxv, out=plane))
         pos += raw.nbytes
         start += w * h
-    return Frame(*out, source_bit_depth=depth)
+    return Frame(*out)
 
 
 class _Frames(Sequence):
@@ -332,12 +329,12 @@ def _decode_pnm(raw: np.ndarray, depth: int) -> Frame:
     BT.709 Y/Cb/Cr at full resolution."""
     rgb = raw.astype(np.float64) / (255 if depth == 8 else 1023)
     if rgb.ndim == 2:
-        return Frame(rgb, source_bit_depth=depth)
+        return Frame(rgb)
     r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
     y = _KR * r + _KG * g + _KB * b
     cb = (b - y) / (2.0 * (1.0 - _KB)) + 0.5
     cr = (r - y) / (2.0 * (1.0 - _KR)) + 0.5
-    return Frame(y, cb, cr, source_bit_depth=depth)
+    return Frame(y, cb, cr)
 
 
 def load_frame_dir(path, fps) -> VideoClip:

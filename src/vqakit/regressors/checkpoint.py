@@ -1,4 +1,6 @@
-"""Versioned JSON checkpoints for branch nets and forests."""
+"""Versioned JSON checkpoints for branch nets and forests. A v1 forest file
+keeps per-tree ``left``/``right`` lists, -1 at a leaf; in memory the forest
+holds one ``(nodes, 2)`` child array, ``kids``, where a leaf is its own child."""
 
 from __future__ import annotations
 
@@ -86,12 +88,12 @@ def _forest_to_dict(model: ForestModel) -> dict:
     ends = model.roots[1:].tolist() + [model.node_count()]
     trees = []
     for r, e in zip(model.roots.tolist(), ends):
-        leaf = model.feature[r:e] < 0
+        kids = np.where(model.feature[r:e, None] < 0, -1, model.kids[r:e] - r)
         trees.append({
             "feature": model.feature[r:e].tolist(),
             "threshold": model.threshold[r:e].tolist(),
-            "left": np.where(leaf, -1, model.left[r:e] - r).tolist(),
-            "right": np.where(leaf, -1, model.right[r:e] - r).tolist(),
+            "left": kids[:, 0].tolist(),
+            "right": kids[:, 1].tolist(),
             "value": model.value[r:e].tolist(),
         })
     return {
@@ -123,11 +125,12 @@ def _pack_trees(trees: list[dict], width: int | None, path) -> tuple[np.ndarray,
     feature, threshold, left, right, value = (
         np.fromiter(chain.from_iterable(tree[k] for tree in trees), dtype=dt)
         for k, dt in _TREE_ARRAYS)
+    kids = np.stack((left, right), axis=1)
     sizes = np.array([len(tree["feature"]) for tree in trees], dtype=np.intp)
     roots = np.concatenate(([0], np.cumsum(sizes[:-1]))).astype(np.intp)
-    first = np.repeat(roots, sizes)        # each node's root
-    own = np.arange(feature.size) - first  # and its index within that tree
-    size = np.repeat(sizes, sizes)
+    first = np.repeat(roots, sizes)[:, None]        # each node's root
+    own = np.arange(feature.size)[:, None] - first  # and its index within that tree
+    size = np.repeat(sizes, sizes)[:, None]
     internal = feature >= 0
 
     def reject(bad, what):
@@ -139,16 +142,14 @@ def _pack_trees(trees: list[dict], width: int | None, path) -> tuple[np.ndarray,
     too_wide = feature >= width if width is not None else False
     reject((feature < -1) | too_wide,
            "feature index below -1" if width is None else f"feature index outside -1..{width - 1}")
-    reject(internal & ~((own < left) & (left < size) & (own < right) & (right < size)),
+    reject(internal & ~((own < kids) & (kids < size)).all(axis=1),
            "an internal node's children must come after it inside its tree")
-    reject(~internal & ((left != -1) | (right != -1)), "a leaf's children must be -1")
+    reject(~internal & (kids != -1).any(axis=1), "a leaf's children must be -1")
     reject(~(np.isfinite(threshold) & np.isfinite(value)), "non-finite threshold or value")
-    left = np.where(internal, left, own) + first
-    right = np.where(internal, right, own) + first
-    parents = np.bincount(np.concatenate((left[internal], right[internal])),
-                          minlength=feature.size)
-    reject(parents != (own > 0), "every node but the root needs exactly one parent")
-    return feature, threshold, left, right, value, roots
+    kids = np.where(internal[:, None], kids, own) + first
+    parents = np.bincount(kids[internal].ravel(), minlength=feature.size)
+    reject(parents != (own[:, 0] > 0), "every node but the root needs exactly one parent")
+    return feature, threshold, kids, value, roots
 
 
 def _forest_from_dict(d: dict, path) -> ForestModel:
@@ -179,7 +180,10 @@ def save_model(path, model: BranchNet | ForestModel):
 
 
 def load_model(path) -> BranchNet | ForestModel:
-    d = json.loads(Path(path).read_text())
+    try:
+        d = json.loads(Path(path).read_text())
+    except ValueError as e:  # a JSONDecodeError, or a UnicodeDecodeError
+        raise CheckpointError(f"{path}: not a JSON checkpoint: {e}") from e
     fmt = d.get("format") if isinstance(d, dict) else None
     if fmt == NET_FORMAT:
         return _net_from_dict(d, path)

@@ -29,8 +29,10 @@ so a 300-tree fit of a 160x9 table peaks at about 4.5 MiB under
 tracemalloc, 1.4 MiB of it the model.
 
 The whole forest lives in one set of node arrays, the flat layout compiled
-tree engines use (QuickScorer, Lucchese et al., SIGIR 2015): prediction steps
-every tree of every row at once, one fancy-index step per level.
+tree engines use (QuickScorer, Lucchese et al., SIGIR 2015): each node's
+feature, threshold, value and its two children in one ``(nodes, 2)`` array,
+40 bytes a node. Prediction steps every tree of every row at once, one flat
+gather of that child array per level.
 """
 
 from __future__ import annotations
@@ -51,17 +53,17 @@ class ForestModel:
     """All trees in one set of node arrays.
 
     Tree t owns nodes ``roots[t]`` up to the next root, its root first, and
-    every child sits after its parent. ``left``/``right`` are indices into the
-    whole forest. A leaf has ``feature == -1`` and is its own left and right
-    child, so stepping past a leaf stays on it. ``n_features`` is the width
-    of the rows the forest reads, or None for a checkpoint saved without
-    feature names.
+    every child sits after its parent. Row i of ``kids``, of shape
+    ``(nodes, 2)``, holds node i's left child, then its right one, as
+    indices into the whole forest. A leaf has ``feature == -1`` and is its
+    own two children, so stepping past a leaf stays on it. ``n_features`` is
+    the width of the rows the forest reads, or None for a checkpoint saved
+    without feature names.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
+    kids: np.ndarray
     value: np.ndarray
     roots: np.ndarray
     n_features: int | None
@@ -86,13 +88,8 @@ class ForestModel:
             node = node[self.feature[node] >= 0]
             if node.size == 0:
                 return depth
-            node = np.concatenate((self.left[node], self.right[node]))
+            node = self.kids[node].ravel()
             depth += 1
-
-    @cached_property
-    def kids(self) -> np.ndarray:
-        """Node i's left child at ``2 * i`` and its right child next to it."""
-        return np.stack((self.left, self.right), axis=1).ravel()
 
 
 # Trees grow together in chunks of consecutive indices: at least 8 trees, so
@@ -355,7 +352,8 @@ def _partition(Xt, order, goes, lo, m, feature, threshold):
 
 def _grow_chunk(X, y, trees, seed, max_depth, min_leaf, k_features, base):
     """Grow the trees ``trees`` (a range) in lock-step, as the nodes from
-    ``base`` on of a packed forest; returns their five node arrays and roots.
+    ``base`` on of a packed forest; returns their four node arrays (feature,
+    threshold, kids, value) and roots.
 
     A tree's stack holds only nodes that draw features: a node's mean and
     grow test (depth, size, a target that is not constant) are computed when
@@ -464,11 +462,10 @@ def _grow_chunk(X, y, trees, seed, max_depth, min_leaf, k_features, base):
     packed_threshold[inner] = threshold
     packed_value = np.empty(count)
     packed_value[at] = np.concatenate(values)
-    # a leaf is its own child
-    left = np.arange(count)
-    right = left.copy()
-    left[inner], right[inner] = at[kid], at[kid + 1]
-    return (packed_feature, packed_threshold, base + left, base + right, packed_value), base + at[:T]
+    # a leaf is its own two children
+    kids = np.arange(count).repeat(2).reshape(count, 2)
+    kids[inner] = at[kid[:, None] + (0, 1)]
+    return (packed_feature, packed_threshold, base + kids, packed_value), base + at[:T]
 
 
 def _check_finite(a: np.ndarray, what: str, names=None):
@@ -501,9 +498,10 @@ def fit_forest(
     take no round. The trees match a node-by-node build bit for bit. Chunks
     hold ``max(8, 8192 // rows)`` trees (51 on a 160-row table), so a fit's
     working memory is about 16 bytes per column and 41 more per bootstrap
-    row of the chunk (185 at 9 columns), plus capped scratch for each pass.
-    Each node's feature draw replays ``Generator.choice(d, k, replace=False)``
-    on its tree's generator, so the trees are those ``choice`` would give.
+    row of the chunk (185 at 9 columns), plus capped scratch for each pass;
+    the model keeps 40 bytes a node and 8 a tree. Each node's feature draw
+    replays ``Generator.choice(d, k, replace=False)`` on its tree's
+    generator, so the trees are those ``choice`` would give.
 
     ``threads`` is accepted for call compatibility and has no effect: tree
     building is Python code that holds the GIL, so a thread pool made fitting
@@ -574,8 +572,9 @@ def predict_forest(model: ForestModel, x) -> float | np.ndarray:
     _check_finite(X, "feature matrix", model.feature_names)
     rows = np.arange(X.shape[0])[:, None]
     node = np.tile(model.roots, (X.shape[0], 1))
+    kids = model.kids.reshape(-1)  # node i's left child at 2 * i, its right one next
     # the rows are finite, so ``>`` is exactly ``not <=``: right is 1, left 0
     for _ in range(model.depth):
-        node = model.kids[2 * node + (X[rows, model.feature[node]] > model.threshold[node])]
+        node = kids[2 * node + (X[rows, model.feature[node]] > model.threshold[node])]
     out = model.value[node].mean(axis=1)
     return float(out[0]) if single else out

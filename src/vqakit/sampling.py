@@ -309,20 +309,18 @@ def fragment_sample(
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    rows, cols = _patch_index(*_fragment_offsets(*plane.shape[:2], grid, patch, rng), patch)
-    return plane[rows, cols]
+    return _fragment_gather(plane.shape[:2], grid, patch, rng)(plane)
 
 
-def _fragment_gather(shape: tuple[int, int], transform: SpatialTransform, seed: int):
-    """A clip's fragment mosaic, as a function from a plane to its mosaic.
+def _fragment_gather(shape: tuple[int, int], grid: int, patch: int, rng: np.random.Generator):
+    """A fragment mosaic of a (height, width) ``shape``, as a function from a
+    plane to its mosaic.
 
-    The patch offsets are drawn once per clip, from the seed alone, so every
-    frame takes the same patches and a still clip stays still. A chroma
-    plane takes the samples under the luma ones; each plane shape's gather
-    index is built once."""
-    rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    t = transform
-    rows, cols = _patch_index(*_fragment_offsets(*shape, t.grid, t.patch, rng), t.patch)
+    The patch offsets are drawn once, from ``rng``, so every plane it is
+    applied to takes the same patches: a clip's frames do, and a still clip
+    stays still. A chroma plane takes the samples under the luma ones; each
+    plane shape's gather index is built once."""
+    rows, cols = _patch_index(*_fragment_offsets(*shape, grid, patch, rng), patch)
 
     @functools.cache
     def index(plane_shape):
@@ -377,7 +375,8 @@ def build_view(
 
     gather = None
     if transform.kind == "fragment" and plan.indices:
-        gather = _fragment_gather((clip.height, clip.width), transform, seed)
+        gather = _fragment_gather((clip.height, clip.width), transform.grid, transform.patch,
+                                  np.random.default_rng(int(seed) & 0xFFFF_FFFF_FFFF_FFFF))
 
     def one(i: int):
         # a loaded file's frame is decoded on every read: read it once

@@ -567,6 +567,22 @@ class TestTrainPredict:
                      "--out", str(pred)]) == 0
         assert list(read_score_table(pred, "score")) == ["clip0", "clip1", "clip2"]
 
+    def test_truncated_checkpoint_exit_1(self, tmp_path, clip_dir, capsys):
+        feats = _extract(tmp_path, clip_dir)
+        mos = tmp_path / "mos.csv"
+        _mos_for(feats, mos)
+        model = tmp_path / "forest.json"
+        assert main(["train", "--features", str(feats), "--mos", str(mos), "--mode", "forest",
+                     "--trees", "5", "--min-leaf", "1", "--out", str(model)]) == 0
+        model.write_bytes(model.read_bytes()[:100])
+        pred = tmp_path / "pred.csv"
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--features", str(feats),
+                     "--out", str(pred)]) == 1
+        err = capsys.readouterr().err
+        assert f"{model}: not a JSON checkpoint" in err, err
+        assert not pred.exists()
+
     @pytest.mark.parametrize("command", ["predict", "train", "eval", "fuse"])
     def test_missing_input_file_exit_1(self, tmp_path, command):
         missing = tmp_path / "absent" / "input.csv"

@@ -63,7 +63,6 @@ class TestParseY4m:
         y = np.full((4, 4), 1023, dtype="<u2")
         c = np.full((2, 2), 512, dtype="<u2")
         clip = parse_y4m(y4m_bytes(4, 4, [(y, c, c)], ctag="C420p10"))
-        assert clip.frames[0].source_bit_depth == 10
         assert clip.frames[0].luma[0, 0] == 1.0
         assert clip.frames[0].chroma_b[0, 0] == 512 / 1023
 
@@ -170,7 +169,6 @@ class TestParseY4m:
             )
         ]
         f = parse_y4m(y4m_bytes(6, 4, frames, ctag="C420p10")).frames[0]
-        assert f.source_bit_depth == 10
         for raw, plane in zip(frames[0], (f.luma, f.chroma_b, f.chroma_r)):
             assert np.array_equal(plane, raw / 1023)
 
@@ -297,7 +295,6 @@ class TestFrameDir:
         arr = np.full((4, 4), 1023, dtype=np.uint16)
         write_pgm(tmp_path / "a.pgm", arr, maxval=1023)
         clip = load_frame_dir(tmp_path, 30)
-        assert clip.frames[0].source_bit_depth == 10
         assert clip.frames[0].luma[0, 0] == 1.0
 
     def test_pnm_sample_above_1023_rejected(self, tmp_path):

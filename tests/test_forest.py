@@ -12,7 +12,8 @@ from vqakit.errors import (
     InvalidParameter,
     NumericalError,
 )
-from vqakit.regressors import ForestModel, fit_forest, forest, load_model, predict_forest, save_model
+from vqakit.regressors import (ForestModel, fit_forest, forest, init_branchnet, load_model,
+                               predict_forest, save_model)
 
 
 def tree_ranges(model):
@@ -25,10 +26,9 @@ def local_trees(model):
     """Each tree's arrays counted from its root, leaves with -1 children."""
     out = []
     for r, e in tree_ranges(model):
-        leaf = model.feature[r:e] < 0
-        out.append((model.feature[r:e], model.threshold[r:e],
-                    np.where(leaf, -1, model.left[r:e] - r),
-                    np.where(leaf, -1, model.right[r:e] - r), model.value[r:e]))
+        kids = np.where(model.feature[r:e, None] < 0, -1, model.kids[r:e] - r)
+        out.append((model.feature[r:e], model.threshold[r:e], kids[:, 0], kids[:, 1],
+                    model.value[r:e]))
     return out
 
 
@@ -37,7 +37,7 @@ def leaf_of(model, root, row):
     node = root
     while model.feature[node] >= 0:
         f = model.feature[node]
-        node = model.left[node] if row[f] <= model.threshold[node] else model.right[node]
+        node = model.kids[node, 0 if row[f] <= model.threshold[node] else 1]
     return node
 
 
@@ -45,7 +45,7 @@ def tree_depth(model, node):
     """The longest path from a node down to a leaf."""
     if model.feature[node] < 0:
         return 0
-    return 1 + max(tree_depth(model, model.left[node]), tree_depth(model, model.right[node]))
+    return 1 + max(tree_depth(model, kid) for kid in model.kids[node])
 
 
 class TestForestBasics:
@@ -194,7 +194,7 @@ class TestForestStructure:
         def depth(node):
             if model.feature[node] < 0:
                 return 0
-            return 1 + max(depth(model.left[node]), depth(model.right[node]))
+            return 1 + max(depth(kid) for kid in model.kids[node])
 
         assert all(depth(r) <= 3 for r in model.roots)
         assert model.depth == max(depth(r) for r in model.roots)
@@ -216,11 +216,11 @@ class TestForestStructure:
                 counts[node] += 1
                 while model.feature[node] >= 0:
                     f = model.feature[node]
-                    node = model.left[node] if row[f] <= model.threshold[node] else model.right[node]
+                    node = model.kids[node, 0 if row[f] <= model.threshold[node] else 1]
                     counts[node] += 1
         for node in np.flatnonzero(model.feature >= 0):
-            assert counts[model.left[node]] >= 5
-            assert counts[model.right[node]] >= 5
+            assert counts[model.kids[node, 0]] >= 5
+            assert counts[model.kids[node, 1]] >= 5
 
     def test_node_count_reported(self):
         rng = np.random.default_rng(7)
@@ -231,7 +231,7 @@ class TestForestStructure:
         def reachable(node):
             if model.feature[node] < 0:
                 return 1
-            return 1 + reachable(model.left[node]) + reachable(model.right[node])
+            return 1 + sum(reachable(kid) for kid in model.kids[node])
 
         # every node belongs to exactly one tree, the one whose range holds it
         assert model.node_count() == sum(reachable(r) for r in model.roots)
@@ -248,7 +248,7 @@ class TestForestStructure:
         loaded = load_model(path)
         assert isinstance(loaded, ForestModel)
         assert loaded.feature_names == ("a", "b", "c", "d")
-        for k in ("feature", "threshold", "left", "right", "value", "roots"):
+        for k in ("feature", "threshold", "kids", "value", "roots"):
             assert getattr(loaded, k).tobytes() == getattr(model, k).tobytes()
         assert (loaded.depth, loaded.n_features) == (model.depth, 4)
         q = rng.random((8, 4))
@@ -294,6 +294,26 @@ class TestForestPacked:
             with pytest.raises(DimensionMismatch):
                 predict_forest(model, bad)
 
+    def test_one_child_array(self, tmp_path):
+        X, y = _table(160, 29)
+        model = fit_forest(X, y, n_trees=60, seed=29)
+        predict_forest(model, X[:5])
+        path = tmp_path / "forest.json"
+        save_model(path, model)
+        loaded = load_model(path)
+        predict_forest(loaded, X[:5])
+        for m in (model, loaded):
+            n = m.node_count()
+            assert m.kids.shape == (n, 2) and m.kids.dtype == np.int64
+            leaves = np.flatnonzero(m.feature < 0)
+            assert np.array_equal(m.kids[leaves], np.stack((leaves, leaves), axis=1))
+            # prediction caches nothing node-sized: feature, threshold, value and
+            # the two child columns, and one root a tree
+            held = sum(a.nbytes for a in vars(m).values() if isinstance(a, np.ndarray))
+            assert held == 40 * n + 8 * m.n_trees
+        for k in ("feature", "threshold", "kids", "value", "roots"):
+            assert np.array_equal(getattr(model, k), getattr(loaded, k))
+
     @pytest.mark.parametrize("table, kwargs", [
         (lambda: _table(160, 26), {}), (_one_leaf_table, {}),
         (lambda: _table(160, 27), {"feature_fraction": 1.0}),
@@ -301,17 +321,18 @@ class TestForestPacked:
     def test_trees_packed_in_preorder(self, table, kwargs):
         X, y = table()
         model = fit_forest(X, y, n_trees=2 * forest._chunk_trees(160) + 3, seed=26, **kwargs)
-        left, right = model.left.tolist(), model.right.tolist()
+        kids = model.kids.tolist()
 
         def subtree(i):
             """Check the nodes under i are i onwards in preorder; their count."""
+            left, right = kids[i]
             if model.feature[i] < 0:
-                assert left[i] == right[i] == i
+                assert left == right == i
                 return 1
-            assert left[i] == i + 1
+            assert left == i + 1
             size = subtree(i + 1)
-            assert right[i] == i + 1 + size
-            return 1 + size + subtree(right[i])
+            assert right == i + 1 + size
+            return 1 + size + subtree(right)
 
         assert model.roots[0] == 0
         for first, end in tree_ranges(model):
@@ -584,3 +605,17 @@ class TestForestCheckpoint:
     def test_malformed_header_rejected(self, tmp_path, over):
         with pytest.raises(CheckpointError, match="bad.json"):
             load_model(self._write(tmp_path, [_stump()], over))
+
+    @pytest.mark.parametrize("kind", ["truncated-forest", "truncated-net", "0xff", "text"])
+    def test_file_that_is_not_json_rejected(self, tmp_path, kind):
+        path = tmp_path / "model.json"
+        if kind.startswith("truncated"):
+            X, y = _table(64, 30)
+            save_model(path, fit_forest(X, y, n_trees=3, seed=0) if kind == "truncated-forest"
+                       else init_branchnet(seed=0))
+            path.write_bytes(path.read_bytes()[:100])
+        else:
+            path.write_bytes(b"\xff{}" if kind == "0xff" else b"hello")
+        with pytest.raises(CheckpointError, match="not a JSON checkpoint") as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: ")

@@ -38,8 +38,8 @@ def _table(rows, seed):
 def forest_digest() -> str:
     X, y = _table(160, 41)
     m = fit_forest(X, y, n_trees=60, seed=41)
-    return _sha256(m.feature.astype(np.int64), m.threshold, m.left.astype(np.int64),
-                   m.right.astype(np.int64), m.value, m.roots.astype(np.int64))
+    return _sha256(m.feature.astype(np.int64), m.threshold, m.kids[:, 0].astype(np.int64),
+                   m.kids[:, 1].astype(np.int64), m.value, m.roots.astype(np.int64))
 
 
 def net_digests() -> tuple[str, str]:
