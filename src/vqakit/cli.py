@@ -40,13 +40,12 @@ import numpy as np
 from . import __version__
 from .bench_harness import ConstraintGate, check_constraint, check_run_counts, time_pipeline
 from .clip_io import CANONICAL_SPECS, load_frame_dir, parse_y4m, synth_clip
-from .errors import CheckpointError, JoinError, VqaError
+from .errors import CheckpointError, DuplicateId, JoinError, VqaError
 from .eval_metrics import evaluate
 from .pipelines import PIPELINE_NAMES, build_pipeline
 from .regressors import (
     ForestModel,
     TrainConfig,
-    check_finetune_config,
     finetune_mos,
     fit_forest,
     init_branchnet,
@@ -165,11 +164,16 @@ def _is_json(out) -> bool:
 # --- extract ------------------------------------------------------------------
 
 def _collect_clips(path: Path, fps: int):
-    """Yield (clip_id, loader) pairs for a file or directory input."""
+    """(clip_id, loader) pairs for a file or directory input. Two files with
+    one id (a.y4m and a.Y4M) raise DuplicateId before any clip is read."""
     if path.is_file():
         return [(path.stem, lambda p=path: parse_y4m(p.read_bytes()))]
     if path.is_dir():
         y4ms = sorted(p for p in path.iterdir() if p.suffix.lower() == ".y4m")
+        first = {}
+        for p in y4ms:
+            if first.setdefault(p.stem, p) != p:
+                raise DuplicateId(p.stem, str(p), str(first[p.stem]))
         if y4ms:
             return [(p.stem, lambda p=p: parse_y4m(p.read_bytes())) for p in y4ms]
         frames = [p for p in path.iterdir() if p.suffix.lower() in (".pgm", ".ppm")]
@@ -241,7 +245,6 @@ def cmd_train(args) -> int:
     else:
         net = init_branchnet(**_given(args, ("seed",)))
         config = TrainConfig(**_given(args, (f.name for f in fields(TrainConfig))))
-        check_finetune_config(config)  # before the pretraining a bad batch size would waste
         train_siamese([(X, y) for _, X, y in datasets], net, config, history=log_entries)
         finetune_mos((datasets[0][1], datasets[0][2]), net, config, history=log_entries)
         save_model(args.out, net)

@@ -104,9 +104,11 @@ class JoinError(VqaError):
 
 
 class DuplicateId(VqaError):
-    def __init__(self, clip_id: str):
+    """A clip id given twice: ``where`` and ``first`` name the two places."""
+
+    def __init__(self, clip_id: str, where: str, first: str):
         self.clip_id = clip_id
-        super().__init__(f"duplicate clip_id {clip_id!r}")
+        super().__init__(f"{where} repeats clip id {clip_id!r} of {first}")
 
 
 # --- benchmarking -----------------------------------------------------------

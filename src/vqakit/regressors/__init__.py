@@ -4,14 +4,12 @@ from .checkpoint import load_model, save_model
 from .forest import ForestModel, fit_forest, predict_forest
 from .losses import total_loss
 from .net import ScgbParams, init_branchnet, predict_scores, scgb_fuse
-from .training import (TrainConfig, check_finetune_config, finetune_mos, total_loss_gradients,
-                       train_siamese)
+from .training import TrainConfig, finetune_mos, total_loss_gradients, train_siamese
 
 __all__ = [
     "ScgbParams",
     "ForestModel",
     "TrainConfig",
-    "check_finetune_config",
     "init_branchnet",
     "predict_scores",
     "scgb_fuse",

@@ -1,7 +1,7 @@
 """Random-forest regression from scratch (CART trees, variance splits).
 
 Each tree is fit on a bootstrap resample with a random feature subset per
-node (sqrt fraction by default). Per-tree RNG streams are derived from the
+node (round(sqrt(d)) of the d columns). Per-tree RNG streams are derived from the
 forest seed and the tree index, so fitting is bit-reproducible; prediction is
 the exact arithmetic mean over trees.
 
@@ -16,13 +16,15 @@ rounds, where popping leaves too took about 790. The round's draws replay
 numpy's ``Generator.choice(d, k, replace=False)`` on each tree's stream of
 32-bit words, the stream ``choice`` itself reads, in one numpy pass: without
 a redraw every draw reads the same number of words, so they form one array.
-A tree whose word might be redrawn, and ``choice``'s tail shuffle, draw word
-by word in Python. One padded numpy pass then searches the splits of all
-the round's nodes, and one more partitions their members. The means of many
-rounds' new nodes are taken in one pass that replays numpy's sum of up to
-128 values (a longer one is summed by numpy). Each node's arithmetic is
-that of a search on the node alone, so the trees are the same, bit for bit,
-as node-by-node growth gives. Nodes are numbered as they are made, and each
+A tree whose word might be redrawn draws word by word in Python. Every fit
+draws k = round(sqrt(d)) of d columns, so ``choice`` always takes Floyd's
+algorithm, never its tail shuffle of large populations. One padded numpy
+pass then searches the splits of all the round's nodes, and one more
+partitions their members. The means of many rounds' new nodes are taken in
+one pass that replays numpy's sum of up to 128 values (a longer one is
+summed by numpy). Each node's arithmetic is that of a search on the node
+alone, so the trees are the same, bit for bit, as node-by-node growth
+gives. Nodes are numbered as they are made, and each
 chunk's are put in preorder at its end. A chunk holds at least 8 trees and
 about 8192 bootstrap rows (51 trees of 160 rows), and each pass is capped,
 so a 300-tree fit of a 160x9 table peaks at about 4.5 MiB under
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
@@ -173,7 +175,7 @@ def _bounded(words, top):
     span = top + 1
     m = next(words) * span
     if (m & 0xFFFFFFFF) < span:
-        floor = (0x100000000 - span) % span
+        floor = ((1 << 32) - span) % span
         while (m & 0xFFFFFFFF) < floor:
             m = next(words) * span
     return m >> 32
@@ -182,15 +184,9 @@ def _bounded(words, top):
 def _choice(words, d, k):
     """``Generator.choice(d, k, replace=False)`` replayed on the generator's
     ``words``: the same k of range(d) (d <= 2**32), in the same order, and the
-    same words read. numpy shuffles the tail of range(d) when d > 10000 and
-    k > d // 50, and otherwise runs Floyd's algorithm, then shuffles the
-    result."""
-    if d > 10000 and k > d // 50:
-        pool = list(range(d))
-        for i in range(d - 1, max(d - k, 1) - 1, -1):
-            j = _bounded(words, i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[d - k:]
+    same words read, where ``choice`` runs Floyd's algorithm and then shuffles
+    the result: k <= d // 50 or d <= 10,000 (above that numpy shuffles the
+    tail of range(d) instead, which no fit reaches)."""
     out, seen = [], set()
     for j in range(d - k, d):
         v = _bounded(words, j)
@@ -206,28 +202,27 @@ def _choice(words, d, k):
 
 def _draw(words, t, d, k):
     """What ``Generator.choice(d, k, replace=False)`` draws for each tree in
-    ``t`` from its ``words`` (a ``_Words``), ascending, one row per tree.
+    ``t`` from its ``words`` (a ``_Words``), ascending, one row per tree,
+    where ``choice`` runs Floyd's algorithm: k <= d // 50 or d <= 10,000, as
+    k = round(sqrt(d)) always is.
 
     Without a redraw, a draw reads one word per Floyd step whose bound is at
     least 1 and one per shuffle step, so all the trees' words are read as one
     array and the draws made column by column; the shuffle only reorders, so
     its words are read and not applied. A tree with a word that might be
-    redrawn, and every tree in ``choice``'s tail-shuffle regime, draws word
-    by word through ``_choice``.
+    redrawn draws word by word through ``_choice``.
     """
+    first = max(d - k, 1)
+    bound = np.array([*range(first, d), *range(k - 1, 0, -1)], dtype=np.uint64)
+    w = words.block(t, bound.size) * (bound + 1)
+    # Lemire's method redraws only when the low half is under the span
+    scalar = ((w & 0xFFFFFFFF) <= bound).any(axis=1)
+    words.pos[t[~scalar]] += bound.size
+    w = (w >> 32).astype(np.intp)
     out = np.empty((t.size, k), dtype=np.intp)
-    scalar = np.ones(t.size, dtype=bool)
-    if d <= 10000 or k <= d // 50:
-        first = max(d - k, 1)
-        bound = np.array([*range(first, d), *range(k - 1, 0, -1)], dtype=np.uint64)
-        w = words.block(t, bound.size) * (bound + 1)
-        # Lemire's method redraws only when the low half is under the span
-        scalar = ((w & 0xFFFFFFFF) <= bound).any(axis=1)
-        words.pos[t[~scalar]] += bound.size
-        w = (w >> 32).astype(np.intp)
-        for s, j in enumerate(range(d - k, d)):
-            v = w[:, j - first] if j else np.zeros(t.size, dtype=np.intp)
-            out[:, s] = np.where((out[:, :s] == v[:, None]).any(axis=1), j, v)
+    for s, j in enumerate(range(d - k, d)):
+        v = w[:, j - first] if j else np.zeros(t.size, dtype=np.intp)
+        out[:, s] = np.where((out[:, :s] == v[:, None]).any(axis=1), j, v)
     for r in scalar.nonzero()[0].tolist():
         out[r] = _choice(words.stream(t[r]), d, k)
     out.sort(axis=1)
@@ -485,7 +480,6 @@ def fit_forest(
     seed: int = 0,
     max_depth: int = 12,
     min_leaf: int = 2,
-    feature_fraction: float | None = None,
     threads: int | None = None,
     feature_names=None,
 ) -> ForestModel:
@@ -499,26 +493,23 @@ def fit_forest(
     hold ``max(8, 8192 // rows)`` trees (51 on a 160-row table), so a fit's
     working memory is about 16 bytes per column and 41 more per bootstrap
     row of the chunk (185 at 9 columns), plus capped scratch for each pass;
-    the model keeps 40 bytes a node and 8 a tree. Each node's feature draw
-    replays ``Generator.choice(d, k, replace=False)`` on its tree's
-    generator, so the trees are those ``choice`` would give.
+    the model keeps 40 bytes a node and 8 a tree. Each node draws
+    k = round(sqrt(d)) of the d columns (the model records the fraction
+    sqrt(d) / d), replaying ``Generator.choice(d, k, replace=False)`` on its
+    tree's generator, so the trees are those ``choice`` would give.
 
     ``threads`` is accepted for call compatibility and has no effect: tree
     building is Python code that holds the GIL, so a thread pool made fitting
     slower, not faster.
 
-    ``max_depth`` and ``min_leaf`` must be integers >= 1 and
-    ``feature_fraction`` (default: sqrt(d) / d) a fraction in (0, 1];
+    ``n_trees``, ``max_depth`` and ``min_leaf`` must be integers >= 1;
     anything else raises ``InvalidParameter`` before a tree is grown.
     Fewer than ``2 * min_leaf`` rows raise ``EmptyInput``: no node could
     split, so every tree would be one leaf that scores every input the same.
     """
-    for name, value in (("max_depth", max_depth), ("min_leaf", min_leaf)):
+    for name, value in (("n_trees", n_trees), ("max_depth", max_depth), ("min_leaf", min_leaf)):
         if not isinstance(value, Integral) or value < 1:
             raise InvalidParameter(name, value, "an integer >= 1")
-    if feature_fraction is not None and not (isinstance(feature_fraction, Real)
-                                             and 0 < feature_fraction <= 1):
-        raise InvalidParameter("feature_fraction", feature_fraction, "a fraction in (0, 1]")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -528,12 +519,10 @@ def fit_forest(
     if y.size < 2 * min_leaf:
         raise EmptyInput(f"{y.size} rows cannot split with min_leaf={min_leaf}: "
                          f"need >= {2 * min_leaf}")
-    if n_trees < 1:
-        raise EmptyInput(f"need >= 1 tree, got {n_trees}")
     _check_finite(X, "feature matrix", feature_names)
     _check_finite(y, "target vector")
     d = X.shape[1]
-    frac = feature_fraction if feature_fraction is not None else np.sqrt(d) / d
+    frac = np.sqrt(d) / d
     k_features = min(d, max(1, round(frac * d)))
     chunks, base = [], 0
     per_chunk = _chunk_trees(X.shape[0])

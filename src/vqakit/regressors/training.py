@@ -4,7 +4,10 @@ Two phases mirror the rank-then-regress schedule: siamese pair training on
 one or more datasets (pairs never cross datasets, so differing MOS scales are
 harmless), followed by fine-tuning against MOS with the per-branch relative
 loss. Plain gradient descent with decoupled weight decay keeps runs
-bit-reproducible from (seed, config, data).
+bit-reproducible from (seed, config, data). A TrainConfig checks its rates
+and counts when it is made, so one that either phase cannot use fails
+before any pretraining: batch_size is at least 2, since a fine-tuning batch
+needs a pair to rank.
 
 The net keeps its parameters in one flat float64 vector, ``net.flat``, and
 the passes read its stacked views, ``net.stacks``; gradients go into
@@ -35,8 +38,7 @@ from .losses import rel_loss_grad
 from .net import (GATED_BRANCHES, BranchNet, _backward_batch, _forward_batch, _named_views,
                   _param_stacks, _sigmoid)
 
-__all__ = ["TrainConfig", "check_finetune_config", "train_siamese", "finetune_mos",
-           "total_loss_gradients"]
+__all__ = ["TrainConfig", "train_siamese", "finetune_mos", "total_loss_gradients"]
 
 
 @dataclass(frozen=True)
@@ -53,15 +55,10 @@ class TrainConfig:
             value = getattr(self, name)
             if not 0.0 <= value < np.inf:  # NaN fails too
                 raise InvalidParameter(name, value, "a finite number >= 0")
-        for name, least in (("epochs", 0), ("batch_size", 1)):
+        # a fine-tuning batch is ranked and correlated, so it needs at least a pair
+        for name, least in (("epochs", 0), ("batch_size", 2)):
             if getattr(self, name) < least:
                 raise InvalidParameter(name, getattr(self, name), f"an integer >= {least}")
-
-
-def check_finetune_config(config: TrainConfig):
-    """Refuse a config finetune_mos cannot use, so a caller can check it before pretraining."""
-    if config.batch_size < 2:  # a rank/linearity batch needs at least a pair
-        raise InvalidParameter("batch_size", config.batch_size, "an integer >= 2 to fine-tune")
 
 
 def _check_dataset(X, mos):
@@ -200,7 +197,6 @@ def finetune_mos(dataset, net: BranchNet, config: TrainConfig,
                  history: list | None = None) -> BranchNet:
     """Gradient descent on the summed per-branch relative loss against MOS."""
     X, m = _check_dataset(*dataset)
-    check_finetune_config(config)
     if config.epochs == 0:
         return net
     if np.unique(m).size < 2:

@@ -27,35 +27,34 @@ def read_id_rows(path, columns: tuple[str, ...]) -> tuple[list[str], list[list[f
     """Read a `clip_id,<columns...>` CSV into (clip ids, rows of floats).
 
     A wrong header, a row of the wrong width or a cell that is not a number
-    raises ValueError; a nan or inf cell raises NumericalError. Cell errors
-    name the file, row and column.
+    raises ValueError; a nan or inf cell raises NumericalError; a clip id
+    on a second row raises DuplicateId. Each error names the file and row,
+    and a cell error the column.
     """
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         header = next(r, None)
         if header is None or [h.strip() for h in header] != ["clip_id", *columns]:
             raise ValueError(f"{path}: expected header 'clip_id,{','.join(columns)}', got {header}")
-        ids, rows = [], []
+        lines, rows = {}, []  # each clip id's row
         for row in r:
             if not row:
                 continue
             if len(row) != len(columns) + 1:
                 raise ValueError(f"{path}: row {r.line_num} has {len(row)} fields, "
                                  f"the header {len(columns) + 1}")
+            if row[0] in lines:
+                raise DuplicateId(row[0], f"{path}: row {r.line_num}", f"row {lines[row[0]]}")
             rows.append([_cell(path, r.line_num, row[0], col, text)
                          for col, text in zip(columns, row[1:])])
-            ids.append(row[0])
-    return ids, rows
+            lines[row[0]] = r.line_num
+    return list(lines), rows
 
 
 def read_score_table(path, value_field: str) -> dict[str, float]:
     """Read a `clip_id,<value_field>` CSV into an ordered id->value map."""
-    out: dict[str, float] = {}
-    for cid, (val,) in zip(*read_id_rows(path, (value_field,))):
-        if cid in out:
-            raise DuplicateId(cid)
-        out[cid] = val
-    return out
+    ids, rows = read_id_rows(path, (value_field,))
+    return {cid: val for cid, (val,) in zip(ids, rows)}
 
 
 def write_score_table(path, values: dict[str, float], value_field: str = "score"):

@@ -126,12 +126,11 @@ def _grow_tree_oracle(X, y, max_depth, min_leaf, k, rng):
             np.array(value))
 
 
-def forest_trees_oracle(X, y, n_trees, seed, max_depth, min_leaf, feature_fraction=None):
+def forest_trees_oracle(X, y, n_trees, seed, max_depth, min_leaf):
     """Each tree's (feature, threshold, left, right, value), nodes counted from
     its root and leaves with -1 children, as a v1 checkpoint stores them."""
     d = X.shape[1]
-    frac = feature_fraction if feature_fraction is not None else np.sqrt(d) / d
-    k = min(d, max(1, round(frac * d)))
+    k = round(np.sqrt(d))  # at least 1 and at most d
     trees = []
     for t in range(n_trees):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))

@@ -102,6 +102,18 @@ class TestExtract:
         assert rc == 1
         assert "trunc: f2.ppm: truncated payload for frame 2" in capsys.readouterr().err
 
+    def test_two_files_with_one_id_exit_1(self, tmp_path, clip_dir, capsys, monkeypatch):
+        # a.y4m and a.Y4M would write two rows named "a": refused before any clip is read
+        _write_clip(clip_dir / "clip1.Y4M", seed=5)
+        read = []
+        monkeypatch.setattr("vqakit.cli.parse_y4m", lambda buf: read.append(buf))
+        out = tmp_path / "f.csv"
+        assert main(["extract", "--input", str(clip_dir), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {clip_dir / 'clip1.y4m'} repeats clip id 'clip1' of "
+                       f"{clip_dir / 'clip1.Y4M'}\n")
+        assert read == [] and not out.exists()
+
     def test_no_clips_fatal(self, tmp_path, capsys):
         empty = tmp_path / "none"
         empty.mkdir()
@@ -477,6 +489,28 @@ class TestTrainPredict:
         err = capsys.readouterr().err
         assert "bad_mos.csv" in err and "row 3" in err and "'mos'" in err
 
+
+    def test_repeated_clip_id_exit_1(self, tmp_path, clip_dir, capsys):
+        feats = _extract(tmp_path, clip_dir)
+        mos = tmp_path / "mos.csv"
+        _mos_for(feats, mos)
+        model = tmp_path / "forest.json"
+        assert main(["train", "--features", str(feats), "--mos", str(mos), "--mode", "forest",
+                     "--trees", "5", "--min-leaf", "1", "--out", str(model)]) == 0
+        lines = feats.read_text().splitlines()
+        twice = tmp_path / "twice.csv"
+        twice.write_text("\n".join(lines + lines[1:2]) + "\n")  # clip0 again on row 5
+        capsys.readouterr()
+        for argv in (
+            ["train", "--features", str(twice), "--mos", str(mos), "--mode", "forest",
+             "--trees", "5", "--out", str(tmp_path / "m.json")],
+            ["predict", "--model", str(model), "--features", str(twice),
+             "--out", str(tmp_path / "pred.csv")],
+        ):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == (f"error: {twice}: row 5 repeats clip id "
+                                               "'clip0' of row 2\n")
+        assert not (tmp_path / "m.json").exists() and not (tmp_path / "pred.csv").exists()
 
     @pytest.mark.parametrize("edit, at_root", [
         (lambda t: t["right"].__setitem__(0, 0), True),   # a cycle

@@ -61,8 +61,7 @@ class TestForestBasics:
         # must predict the exact class means on each side
         X = np.array([[0.0], [0.0], [0.0], [1.0], [1.0], [1.0]])
         y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
-        model = fit_forest(X, y, n_trees=1, seed=3, max_depth=1, min_leaf=1,
-                           feature_fraction=1.0)
+        model = fit_forest(X, y, n_trees=1, seed=3, max_depth=1, min_leaf=1)
         assert model.feature[0] == 0
         assert model.threshold[0] == pytest.approx(0.5)
         # bootstrap resample: leaf values are the resample's side means, which
@@ -119,10 +118,8 @@ class TestForestParameters:
     @pytest.mark.parametrize("kwargs, name", [
         ({"min_leaf": 0}, "min_leaf"), ({"min_leaf": -1}, "min_leaf"),
         ({"min_leaf": 1.5}, "min_leaf"), ({"max_depth": 0}, "max_depth"),
-        ({"max_depth": -3}, "max_depth"), ({"feature_fraction": np.nan}, "feature_fraction"),
-        ({"feature_fraction": 0.0}, "feature_fraction"),
-        ({"feature_fraction": -0.5}, "feature_fraction"),
-        ({"feature_fraction": 5.0}, "feature_fraction"),
+        ({"max_depth": -3}, "max_depth"), ({"n_trees": 0}, "n_trees"),
+        ({"n_trees": -1}, "n_trees"), ({"n_trees": 2.5}, "n_trees"),
     ], ids=lambda v: repr(v) if isinstance(v, dict) else v)
     def test_degenerate_parameter_named_before_any_tree(self, monkeypatch, kwargs, name):
         def no_growth(*args):
@@ -131,17 +128,18 @@ class TestForestParameters:
         monkeypatch.setattr(forest, "_grow_chunk", no_growth)
         rng = np.random.default_rng(13)
         with pytest.raises(InvalidParameter, match=f"^{name}=") as info:
-            fit_forest(rng.random((20, 3)), rng.random(20), n_trees=3, **kwargs)
+            fit_forest(rng.random((20, 3)), rng.random(20), **{"n_trees": 3, **kwargs})
         assert info.value.name == name
 
     @pytest.mark.parametrize("kwargs", [
-        {"min_leaf": 1}, {"max_depth": 1}, {"feature_fraction": 1.0},
-        {"feature_fraction": 0.01}, {"min_leaf": np.int64(2), "max_depth": np.int32(4)},
+        {"min_leaf": 1}, {"max_depth": 1}, {"n_trees": 1},
+        {"min_leaf": np.int64(2), "max_depth": np.int32(4)},
     ], ids=repr)
     def test_edge_values_accepted(self, kwargs):
         rng = np.random.default_rng(14)
-        model = fit_forest(rng.random((20, 3)), rng.random(20), n_trees=3, **kwargs)
-        assert model.n_trees == 3
+        kwargs = {"n_trees": 3, **kwargs}
+        model = fit_forest(rng.random((20, 3)), rng.random(20), **kwargs)
+        assert model.n_trees == kwargs["n_trees"]
 
 
 class TestForestDeterminism:
@@ -255,13 +253,13 @@ class TestForestStructure:
         assert np.array_equal(predict_forest(model, q), predict_forest(loaded, q))
 
 
-def _table(rows, seed, quantised=False):
+def _table(rows, seed, quantised=False, columns=9):
     rng = np.random.default_rng([seed, rows])
-    X = rng.random((rows, 9))
+    X = rng.random((rows, columns))
     y = rng.random(rows)
     if quantised:
         X[:, :4] = np.round(X[:, :4] * 3) / 3  # four values per column: many ties
-        X[:, 7] = X[:, 8]                      # two identical columns
+        X[:, 7:8] = X[:, 8:9]                  # two identical columns, given nine
         y[::5] = y[0]
     return X, y
 
@@ -314,13 +312,13 @@ class TestForestPacked:
         for k in ("feature", "threshold", "kids", "value", "roots"):
             assert np.array_equal(getattr(model, k), getattr(loaded, k))
 
-    @pytest.mark.parametrize("table, kwargs", [
-        (lambda: _table(160, 26), {}), (_one_leaf_table, {}),
-        (lambda: _table(160, 27), {"feature_fraction": 1.0}),
+    # one column: every node draws all of it, the full fraction
+    @pytest.mark.parametrize("table", [
+        lambda: _table(160, 26), _one_leaf_table, lambda: _table(160, 27, columns=1),
     ], ids=["table", "one-leaf-trees", "full-fraction"])
-    def test_trees_packed_in_preorder(self, table, kwargs):
+    def test_trees_packed_in_preorder(self, table):
         X, y = table()
-        model = fit_forest(X, y, n_trees=2 * forest._chunk_trees(160) + 3, seed=26, **kwargs)
+        model = fit_forest(X, y, n_trees=2 * forest._chunk_trees(160) + 3, seed=26)
         kids = model.kids.tolist()
 
         def subtree(i):
@@ -338,19 +336,20 @@ class TestForestPacked:
         for first, end in tree_ranges(model):
             assert subtree(first) == end - first
 
+    # nine columns draw 3 of 9; one column draws k = d = 1, a Floyd step of
+    # bound 0 that reads no word; 64 columns draw 8 of 64
     @pytest.mark.parametrize("rows", [64, 160])
     @pytest.mark.parametrize("kwargs", [
         {"min_leaf": 1}, {"min_leaf": 2}, {"min_leaf": 5},
         {"max_depth": 1}, {"max_depth": 3}, {"max_depth": 12},
-        {"feature_fraction": 1.0},
+        {"columns": 1}, {"columns": 64},
     ], ids=lambda kw: "-".join(f"{k}{v}" for k, v in kw.items()))
     @pytest.mark.parametrize("quantised", [False, True], ids=["distinct", "tied"])
     def test_fit_matches_per_node_oracle(self, rows, kwargs, quantised):
-        X, y = _table(rows, rows + len(kwargs), quantised)
-        params = {"max_depth": 12, "min_leaf": 2, **kwargs}
+        params = {"max_depth": 12, "min_leaf": 2, "columns": 9, **kwargs}
+        X, y = _table(rows, rows + len(kwargs), quantised, params.pop("columns"))
         model = fit_forest(X, y, n_trees=6, seed=rows, **params)
-        want = forest_trees_oracle(X, y, 6, rows, params["max_depth"], params["min_leaf"],
-                                   params.get("feature_fraction"))
+        want = forest_trees_oracle(X, y, 6, rows, params["max_depth"], params["min_leaf"])
         got = local_trees(model)
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -358,9 +357,8 @@ class TestForestPacked:
                 assert a.tobytes() == b.astype(a.dtype).tobytes()
 
 
-def _assert_matches_oracle(model, X, y, n_trees, seed, max_depth=12, min_leaf=2,
-                           feature_fraction=None):
-    want = forest_trees_oracle(X, y, n_trees, seed, max_depth, min_leaf, feature_fraction)
+def _assert_matches_oracle(model, X, y, n_trees, seed, max_depth=12, min_leaf=2):
+    want = forest_trees_oracle(X, y, n_trees, seed, max_depth, min_leaf)
     got = local_trees(model)
     assert len(got) == len(want) == n_trees
     for g, w in zip(got, want):
@@ -378,12 +376,12 @@ class TestLockStepGrowth:
         _assert_matches_oracle(model, X, y, n_trees, 21)
 
     def test_two_chunks_at_full_fraction(self):
-        # every node draws all nine columns: a Floyd step of bound 0 that reads
-        # no word, and eight shuffle steps
-        X, y = _table(160, 25)
+        # every node draws the one column: a Floyd step of bound 0 that reads
+        # no word, and no shuffle step
+        X, y = _table(160, 25, columns=1)
         n_trees = forest._chunk_trees(160) + 2
-        model = fit_forest(X, y, n_trees=n_trees, seed=25, feature_fraction=1.0)
-        _assert_matches_oracle(model, X, y, n_trees, 25, feature_fraction=1.0)
+        model = fit_forest(X, y, n_trees=n_trees, seed=25)
+        _assert_matches_oracle(model, X, y, n_trees, 25)
 
     def test_one_leaf_trees_finish_beside_deep_ones(self):
         X, y = _one_leaf_table()
@@ -439,15 +437,6 @@ class TestFeatureDraw:
                 want = numpy_rng.choice(d, size=k, replace=False).tolist()
                 assert forest._choice(words, d, k) == want, (d, k)
 
-    @pytest.mark.parametrize("boot", [159, 160])
-    def test_tail_shuffle_of_a_large_population(self, boot):
-        # above 10,000 with k > d // 50, numpy shuffles the tail of range(d)
-        numpy_rng, replay_rng = self._pair(7, boot)
-        words = self._stream(replay_rng)
-        for k in (300, 241, 12_000, 240, 1):
-            want = numpy_rng.choice(12_000, size=k, replace=False).tolist()
-            assert forest._choice(words, 12_000, k) == want, k
-
     def test_redrawn_words(self):
         # bounds near 2**32 reject up to half of the words; 2**32 rejects none
         numpy_rng, replay_rng = self._pair(8, 159)
@@ -489,8 +478,7 @@ class TestFeatureDraw:
 
     @pytest.mark.parametrize("boot", [159, 160])
     def test_round_draw_falls_back_to_the_word_by_word_draw(self, boot, monkeypatch):
-        # bounds near 2**32 reject up to half of the words, and a large
-        # population with k > d // 50 takes choice's tail shuffle: both draw
+        # bounds near 2**32 reject up to half of the words, so some trees draw
         # through _choice, and a round of 3 of 9 after them does not
         calls = []
         choice = forest._choice
@@ -501,12 +489,11 @@ class TestFeatureDraw:
 
         numpy_rngs, words = self._trees(boot)
         monkeypatch.setattr(forest, "_choice", counted)
-        for d, ks in ((3_000_000_000, (1, 2, 5)), (2**31 + 1, (1, 2, 5)),
-                      (12_000, (241, 240)), (9, (3,))):
+        for d, ks in ((3_000_000_000, (1, 2, 5)), (2**31 + 1, (1, 2, 5)), (9, (3,))):
             for k in ks:
                 self._round(numpy_rngs, words, [0, 1, 2, 3], d, k)
         assert calls.count(3_000_000_000) > 0 and calls.count(2**31 + 1) > 0
-        assert calls.count(12_000) == 4 and 9 not in calls
+        assert 9 not in calls
 
 
 class TestNodeMeans:

@@ -177,7 +177,8 @@ class TestFinetune:
             TrainConfig(**{name: value})
 
     def test_finetune_needs_a_pair_per_batch(self):
-        # a one-row batch has no pair, so every step would be skipped
-        X, mos = _toy_dataset(n=20)
-        with pytest.raises(InvalidParameter, match="^batch_size=1"):
-            finetune_mos((X, mos), init_branchnet(seed=0), TrainConfig(batch_size=1))
+        # a one-row batch has no pair, so every fine-tuning step would be
+        # skipped: the config refuses it before either phase can run
+        with pytest.raises(InvalidParameter, match="^batch_size=1: need an integer >= 2$"):
+            TrainConfig(batch_size=1)
+        TrainConfig(batch_size=2)

@@ -18,7 +18,7 @@ import vqakit.clip_io as clip_io
 import vqakit.signal_features as sf
 from conftest import y4m_bytes
 from vqakit.clip_io import ClipSpec, Frame, VideoClip, frame_rgb, parse_y4m, synth_clip
-from vqakit.errors import DimensionMismatch, PlaneTooSmall
+from vqakit.errors import DimensionMismatch, DuplicateId, PlaneTooSmall
 from vqakit.regressors import init_branchnet
 from vqakit.sampling import (
     SampledView,
@@ -731,6 +731,15 @@ class TestSerialization:
         ids, X = read_features_csv(path)
         assert ids == ["a", "b"]
         assert np.array_equal(X[0], np.array(fv.as_row()))
+
+    def test_repeated_clip_id_rejected(self, tmp_path):
+        clip = synth_clip(ClipSpec("t", 3, 16, 16), "noise", seed=4)
+        fv = extract_clip_features(clip, temporal_sample(clip, "all"))
+        path = tmp_path / "f.csv"
+        write_features_csv(path, [("a", fv), ("b", fv), ("a", fv)])
+        with pytest.raises(DuplicateId) as info:
+            read_features_csv(path)
+        assert str(info.value) == f"{path}: row 4 repeats clip id 'a' of row 2"
 
     def test_branch_groups_cover_known_features(self):
         for feats in BRANCH_GROUPS.values():
