@@ -16,12 +16,14 @@ through a thread-local because the kernels keep their public signatures.
 A pool worker keeps them from its first task to its exit, so a clip reuses
 the planes the previous clip faulted in. That holds, per worker, one buffer
 per slot at the largest size asked of it: for feature extraction two planes
-of the largest frame seen (SI's, sharpness' or colour's outputs; the second
-also takes SSIM's row sums), a sixteenth of one for the SSIM block sums, and
-a 2 MiB band buffer, in which bands of stencil sums, RGB, SSIM products and
-the leaves of each variance are formed. A serial call (one thread or one
-item) runs on the caller's own thread, which this module does not own, so
-its buffers are dropped when the call returns.
+of the largest frame seen (SI's, sharpness' or colour's outputs, or a
+pair's difference, and the first also a resize view's divided luma; the
+second also takes SSIM's row sums), a sixteenth of one for the SSIM block sums, and a band buffer of
+about 2 MiB, into which each plane's rows are read and in which bands of
+stencil sums, RGB, SSIM products and the leaves of each variance are formed.
+A serial call (one thread or one item) runs on the caller's own thread,
+which this module does not own, so its buffers are dropped when the call
+returns.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
+
+# Scratch slots: two full-size planes (the first also takes a resize view's
+# divided luma, the second SSIM's row sums), the SSIM block sums, the band buffer.
+_PLANE_A, _PLANE_B, _BLOCKS, _BAND = range(4)
 
 _local = threading.local()  # .buffers: {slot: buffer}, on a pool worker or in a serial call
 _pools: dict[int, ThreadPoolExecutor] = {}  # thread count -> the pool of that many workers

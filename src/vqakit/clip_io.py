@@ -1,19 +1,28 @@
 """Clip ingestion: YUV4MPEG2 parsing, frame directories, synthetic clips.
 
-Frames are planar and full-range normalized: every sample is a float64 in
-[0,1], obtained as raw / (2^bit_depth - 1). A YUV4MPEG2 stream or PGM/PPM
-directory is checked when loaded, but the clip keeps the file bytes and
-decodes a frame each time it is read, so memory is the bytes plus the frames
-in use. Chroma (when present) stays at its source resolution. A YUV4MPEG2
-frame decodes into one float64 buffer whose row-major views are its three
-planes: numpy advises huge pages only for arrays of 4 MiB or more, and an FHD
-4:2:0 chroma plane (4,147,200 bytes) falls just short, so as planes of their
-own the chroma would fault in a 4 KiB page at a time. Colour is
-converted to clamped BT.709 RGB in bands of rows that fit in cache
-(``row_bands``, which the luma kernels of ``signal_features`` walk too):
-``ycbcr_to_rgb`` converts one band, with chroma upsampled by nearest
-neighbor, into planes the caller owns, so a consumer that keeps only a band
-at a time needs no full-frame RGB plane. ``frame_rgb`` runs it over all rows.
+Frames are planar and full range. A frame is its samples: it holds its planes
+and their scale, and a plane's values in [0,1] are its entries divided by
+that scale. A YUV4MPEG2 frame's planes are read-only ``uint8`` (scale 255) or
+little-endian ``uint16`` (scale 1023) views of the stream's bytes, and a PGM
+frame's are views of its file's bytes (big-endian at 10 bits). A float plane,
+as ``synth_clip``, tests and a PPM frame's BT.709 Y/Cb/Cr give, has scale
+1.0. A kernel divides only the rows it reads, into a float64 band of its
+own (``np.divide(plane[rows], scale, out=band)``); only a resize view, which
+interpolates, divides a whole plane (``sampling``). The divide is per
+sample, so a band has the bits of the same rows of one whole-plane divide,
+and ``x / 1.0`` is ``x``, so float planes take the same path. A frame thus
+costs no memory beyond its samples, which 8-bit FHD 4:2:0 keeps in 3.1 MB
+where a float64 copy took 24.9 MB.
+
+A YUV4MPEG2 stream or PGM/PPM directory is checked when loaded, but the clip
+keeps the file bytes and builds a frame's views each time it is read, so
+memory is the bytes plus what the frames in use made. Chroma (when present)
+stays at its source resolution. Colour is converted to clamped BT.709 RGB in
+bands of rows that fit in cache (``row_bands``, which the luma kernels of
+``signal_features`` walk too): ``ycbcr_to_rgb`` divides and converts one
+band, with chroma upsampled by nearest neighbor, into planes the caller owns,
+so a consumer that keeps only a band at a time needs no full-frame RGB plane.
+``frame_rgb`` runs it over all rows.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EmptyInput,
+    InvalidParameter,
     ParseError,
     TruncatedFrame,
     Unsupported,
@@ -50,16 +60,13 @@ __all__ = [
 ]
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class Frame:
-    """One decoded frame: normalized luma plane plus optional chroma planes.
+    """One frame: a luma plane, optional chroma planes, and their scale.
 
+    A plane's values are its entries divided by ``scale``: 255 or 1023 for
+    samples, which keep their integer dtype, and 1.0 for a float plane, which
+    is stored as float64. Every plane is row-major and read-only.
     chroma_b / chroma_r may be subsampled relative to the luma plane; they are
     either both present or both absent.
     """
@@ -67,14 +74,18 @@ class Frame:
     luma: np.ndarray
     chroma_b: np.ndarray | None = None
     chroma_r: np.ndarray | None = None
+    scale: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "luma", _freeze(self.luma))
         if (self.chroma_b is None) != (self.chroma_r is None):
             raise DimensionMismatch("chroma planes must be both present or both absent")
-        if self.chroma_b is not None:
-            object.__setattr__(self, "chroma_b", _freeze(self.chroma_b))
-            object.__setattr__(self, "chroma_r", _freeze(self.chroma_r))
+        object.__setattr__(self, "scale", float(self.scale))
+        for name in ("luma", "chroma_b", "chroma_r"):
+            plane = getattr(self, name)
+            if plane is not None:
+                plane = np.ascontiguousarray(plane, np.float64 if self.scale == 1.0 else None)
+                plane.setflags(write=False)
+                object.__setattr__(self, name, plane)
 
     @property
     def has_chroma(self) -> bool:
@@ -86,8 +97,9 @@ class VideoClip:
     """A clip's geometry, rate and frames.
 
     ``frames`` is any sequence of Frame (stored as a tuple, whose frames must
-    all have chroma or all lack it), or the lazy sequence that parse_y4m and
-    load_frame_dir build, whose geometry and chroma they checked.
+    all have chroma or all lack it, and share one scale), or the lazy sequence
+    that parse_y4m and load_frame_dir build, whose geometry, chroma and scale
+    they checked.
     """
 
     width: int
@@ -106,10 +118,12 @@ class VideoClip:
                 if f.has_chroma != self.frames[0].has_chroma:
                     has = "has" if f.has_chroma else "lacks"
                     raise DimensionMismatch(f"frame {i} {has} chroma, unlike frame 0")
+                if f.scale != self.frames[0].scale:
+                    raise DimensionMismatch(f"frame {i} has scale {f.scale}, unlike frame 0")
         if not self.frames:
             raise EmptyInput("clip needs at least one frame")
-        if self.fps.numerator <= 0 or self.fps.denominator <= 0:
-            raise ValueError(f"fps must be positive, got {self.fps}")
+        if self.fps <= 0:
+            raise InvalidParameter("fps", self.fps, "a positive rate")
         for i, shape in enumerate(shapes):
             if shape != (self.height, self.width):
                 raise DimensionMismatch(
@@ -161,23 +175,18 @@ def _check_10bit(raw: np.ndarray, pos: int, where: str):
 
 
 def _decode_y4m(buf: bytes, pos: int, planes, depth: int) -> Frame:
-    """Decode the frame whose payload starts at ``pos`` (already length- and
-    range-checked) into one float64 buffer, whose row-major views are the
-    frame's luma, cb and cr planes (see the module docstring)."""
-    dtype, maxv = (np.uint8, 255.0) if depth == 8 else (np.dtype("<u2"), 1023.0)
-    flat = np.empty(sum(w * h for w, h in planes))
-    out, start = [], 0
+    """The frame whose payload starts at ``pos`` (already length- and
+    range-checked): its luma, cb and cr samples as views of ``buf``."""
+    dtype, scale = (np.uint8, 255.0) if depth == 8 else (np.dtype("<u2"), 1023.0)
+    out = []
     for w, h in planes:
-        raw = np.frombuffer(buf, dtype=dtype, count=w * h, offset=pos)
-        plane = flat[start:start + w * h].reshape(h, w)
-        out.append(np.divide(raw.reshape(h, w), maxv, out=plane))
-        pos += raw.nbytes
-        start += w * h
-    return Frame(*out)
+        out.append(np.frombuffer(buf, dtype=dtype, count=w * h, offset=pos).reshape(h, w))
+        pos += out[-1].nbytes
+    return Frame(*out, scale=scale)
 
 
 class _Frames(Sequence):
-    """A file's frames, decoded from the bytes the clip keeps on every access.
+    """A file's frames, built from the bytes the clip keeps on every access.
 
     ``decode(i)`` builds frame i. Nothing is cached: a frame lives only as
     long as its caller holds it.
@@ -196,13 +205,15 @@ class _Frames(Sequence):
 def parse_y4m(buf: bytes) -> VideoClip:
     """Parse the bytes of a YUV4MPEG2 stream into a clip.
 
-    Supports 4:2:0, 4:2:2 and 4:4:4 layouts, 8- or 10-bit. Samples are
-    normalized to [0,1] by the full-range maximum (255 or 1023).
+    Supports 4:2:0, 4:2:2 and 4:4:4 layouts, 8- or 10-bit. A frame's planes
+    are views of its samples, at the full-range maximum (255 or 1023) as
+    their scale.
 
     Every frame is checked here (its FRAME line, its length and, for 10-bit
-    streams, every sample's range), but none is decoded: the clip keeps the
-    bytes and decodes a frame each time ``clip.frames[i]`` is read, so they
-    must not change: a mutable buffer is refused.
+    streams, every sample's range), but none is read: the clip keeps the
+    bytes and makes a frame's views each time ``clip.frames[i]`` is read, so
+    they must not change: a mutable buffer is refused. A bad W, H or F tag is
+    reported at its own byte offset, with its token.
     """
     if not isinstance(buf, bytes):
         raise TypeError(f"parse_y4m takes bytes, got {type(buf).__name__}")
@@ -217,12 +228,14 @@ def parse_y4m(buf: bytes) -> VideoClip:
     width = height = None
     fps = None
     ctag = "420"
+    where = {}  # tag -> (byte offset, token) of its last occurrence
     offset = len(tokens[0]) + 1
     for tok in tokens[1:]:
         if not tok:
             offset += 1
             continue
         key, val = tok[0], tok[1:]
+        where[key] = (offset, tok)
         try:
             if key == "W":
                 width = int(val)
@@ -238,12 +251,9 @@ def parse_y4m(buf: bytes) -> VideoClip:
             raise ParseError(offset, tok) from None
         offset += len(tok) + 1
 
-    if width is None or width <= 0:
-        raise ParseError(0, "W")
-    if height is None or height <= 0:
-        raise ParseError(0, "H")
-    if fps is None or fps <= 0:
-        raise ParseError(0, "F")
+    for key, value in (("W", width), ("H", height), ("F", fps)):
+        if value is None or value <= 0:  # a missing tag is reported where the header ends
+            raise ParseError(*where.get(key, (nl, key)))
     if ctag not in _COLORSPACES:
         raise Unsupported(ctag)
     sx, sy, depth = _COLORSPACES[ctag]
@@ -325,11 +335,12 @@ _KR, _KG, _KB = 0.2126, 0.7152, 0.0722
 
 
 def _decode_pnm(raw: np.ndarray, depth: int) -> Frame:
-    """Decode the samples ``_parse_pnm`` checked: a PGM to luma, a PPM to
-    BT.709 Y/Cb/Cr at full resolution."""
-    rgb = raw.astype(np.float64) / (255 if depth == 8 else 1023)
-    if rgb.ndim == 2:
-        return Frame(rgb)
+    """The frame of the samples ``_parse_pnm`` checked: a PGM's are its luma,
+    and a PPM's are converted to float BT.709 Y/Cb/Cr at full resolution."""
+    scale = 255.0 if depth == 8 else 1023.0
+    if raw.ndim == 2:
+        return Frame(raw, scale=scale)
+    rgb = raw / scale
     r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
     y = _KR * r + _KG * g + _KB * b
     cb = (b - y) / (2.0 * (1.0 - _KB)) + 0.5
@@ -340,10 +351,12 @@ def _decode_pnm(raw: np.ndarray, depth: int) -> Frame:
 def load_frame_dir(path, fps) -> VideoClip:
     """Load a directory of same-sized PGM/PPM frames, ordered by filename.
 
-    The frames must all be PGM (luma only) or all PPM (chroma). Every file is
-    checked here (header, length, size, chroma, 10-bit range), but none is
+    The frames must all be PGM (luma only) or all PPM (chroma), and PGMs
+    must share one bit depth, since a PGM frame's planes are its samples at
+    that depth's scale (a PPM frame is float). Every file is checked here
+    (header, length, size, chroma, PGM depth, 10-bit range), but none is
     decoded: the clip keeps the files' bytes, so a file changed later does not
-    change it, and decodes frame i each time ``clip.frames[i]`` is read.
+    change it, and builds frame i each time ``clip.frames[i]`` is read.
     """
     root = Path(path)
     files = sorted(p for p in root.iterdir() if p.suffix.lower() in _PNM_EXT)
@@ -353,12 +366,14 @@ def load_frame_dir(path, fps) -> VideoClip:
     samples = []
     for i, p in enumerate(files):
         raw, depth = _parse_pnm(p.read_bytes(), p.name, i)
-        first = samples[0][0] if samples else raw
+        first, first_depth = samples[0] if samples else (raw, depth)
         if raw.shape[:2] != first.shape[:2]:
             raise DimensionMismatch(str(p))
         if raw.ndim != first.ndim:
             has = "has" if raw.ndim == 3 else "lacks"
             raise DimensionMismatch(f"{p}: {has} chroma, unlike {files[0].name}")
+        if raw.ndim == 2 and depth != first_depth:  # a PGM frame's scale is its depth's
+            raise DimensionMismatch(f"{p}: {depth}-bit, unlike {files[0].name}")
         samples.append((raw, depth))
     h, w = samples[0][0].shape[:2]
     frames = _Frames(len(samples), (h, w), lambda i: _decode_pnm(*samples[i]))
@@ -411,32 +426,35 @@ def row_bands(shape: tuple[int, int], fy: int = 1) -> list[slice]:
     return [slice(top, min(top + step, height)) for top in range(0, height, step)]
 
 
-def ycbcr_to_rgb(y, cb, cr, rows: slice, fy: int, fx: int, out) -> None:
+def ycbcr_to_rgb(y, cb, cr, scale: float, rows: slice, fy: int, fx: int, out) -> None:
     """Write the clamped BT.709 (r, g, b) of luma rows ``y[rows]`` into ``out``.
 
-    ``cb`` and ``cr`` are whole chroma planes, subsampled by ``fy`` x ``fx``:
-    luma row i takes chroma row i // fy, so ``rows`` must start on a chroma
-    row, as every band of ``row_bands(y.shape, fy)`` does. ``out`` is four
-    row-major planes of ``y[rows]``'s shape: r, g, b, then a work plane.
-    Chroma is upsampled by nearest neighbor: each of the fy x fx luma phases
-    (rows dy::fy, columns dx::fx) takes one strided add of the shifted and
-    scaled chroma, so no upsampled copy is made. Every step is per pixel, so
-    a band gets the bits the same rows get in a whole frame.
+    ``y``, ``cb`` and ``cr`` are a frame's whole planes, of ``scale`` (see
+    ``Frame``); the chroma is subsampled by ``fy`` x ``fx``: luma row i takes
+    chroma row i // fy, so ``rows`` must start on a chroma row, as every band
+    of ``row_bands(y.shape, fy)`` does. ``out`` is four row-major planes of
+    ``y[rows]``'s shape: r, g, b, then a work plane. The band's luma is
+    divided into g, which holds it until g is formed from it; each chroma
+    band is divided, shifted and scaled in the work plane. Chroma is
+    upsampled by nearest neighbor: each of the fy x fx luma phases (rows
+    dy::fy, columns dx::fx) takes one strided add of the chroma, so no
+    upsampled copy is made. Every step is per pixel, so a band gets the bits
+    the same rows get in a whole frame.
     """
-    y = y[rows]
     chroma_rows = slice(rows.start // fy, -(-rows.stop // fy))
     r, g, b, work = out
+    luma = np.divide(y[rows], scale, out=g)
     for plane, c, k in ((r, cr[chroma_rows], 2.0 * (1.0 - _KR)),
                         (b, cb[chroma_rows], 2.0 * (1.0 - _KB))):
-        shifted = np.subtract(c, 0.5, out=work.reshape(-1)[: c.size].reshape(c.shape))
+        shifted = np.divide(c, scale, out=work.reshape(-1)[: c.size].reshape(c.shape))
+        shifted -= 0.5
         shifted *= k
         for dy in range(fy):
             for dx in range(fx):
                 phase = plane[dy::fy, dx::fx]
-                np.add(y[dy::fy, dx::fx], shifted[: phase.shape[0], : phase.shape[1]],
+                np.add(luma[dy::fy, dx::fx], shifted[: phase.shape[0], : phase.shape[1]],
                        out=phase)
-    np.multiply(r, _KR, out=g)
-    np.subtract(y, g, out=g)
+    g -= np.multiply(r, _KR, out=work)  # y - kr r - kb b, in that order
     g -= np.multiply(b, _KB, out=work)
     g /= _KG
     for p in (r, g, b):
@@ -458,5 +476,5 @@ def frame_rgb(frame: Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     work = np.empty(y[bands[0]].shape)
     for rows in bands:
         strips = (r[rows], g[rows], b[rows], work[: rows.stop - rows.start])
-        ycbcr_to_rgb(y, cb, cr, rows, fy, fx, strips)
+        ycbcr_to_rgb(y, cb, cr, frame.scale, rows, fy, fx, strips)
     return r, g, b

@@ -4,10 +4,10 @@ Two phases mirror the rank-then-regress schedule: siamese pair training on
 one or more datasets (pairs never cross datasets, so differing MOS scales are
 harmless), followed by fine-tuning against MOS with the per-branch relative
 loss. Plain gradient descent with decoupled weight decay keeps runs
-bit-reproducible from (seed, config, data). A TrainConfig checks its rates
-and counts when it is made, so one that either phase cannot use fails
-before any pretraining: batch_size is at least 2, since a fine-tuning batch
-needs a pair to rank.
+bit-reproducible from (seed, config, data). A TrainConfig checks its rates,
+counts and seed when it is made, so one that either phase cannot use fails
+before any pretraining: the counts and the seed are ints, and batch_size is
+at least 2, since a fine-tuning batch needs a pair to rank.
 
 The net keeps its parameters in one flat float64 vector, ``net.flat``, and
 the passes read its stacked views, ``net.stacks``; gradients go into
@@ -29,6 +29,7 @@ gradient is still the winner's plus the loser's.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -56,9 +57,10 @@ class TrainConfig:
             if not 0.0 <= value < np.inf:  # NaN fails too
                 raise InvalidParameter(name, value, "a finite number >= 0")
         # a fine-tuning batch is ranked and correlated, so it needs at least a pair
-        for name, least in (("epochs", 0), ("batch_size", 2)):
-            if getattr(self, name) < least:
-                raise InvalidParameter(name, getattr(self, name), f"an integer >= {least}")
+        for name, least in (("epochs", 0), ("batch_size", 2), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+                raise InvalidParameter(name, value, f"an integer >= {least}")
 
 
 def _check_dataset(X, mos):

@@ -5,9 +5,10 @@ rates, or the end-weighted reduction used by the feature+forest pipeline);
 spatial transforms resize, pad-to-square, or mosaic random patches from a
 7x7 grid into a 224x224 frame while preserving relative spatial order.
 
-Views whose transform only selects samples (none, fragment) keep colour as
-YCbCr and leave the RGB conversion to the colour feature; resizes keep RGB
-(``SampledView`` says why).
+Views whose transform only selects samples (none, fragment) keep the
+frames' samples, at their scale, and colour as YCbCr, which the colour
+feature converts to RGB; resizes keep float planes and RGB (``SampledView``
+says why).
 
 All randomness flows through explicit 64-bit seeds. A fragment view draws its
 patch offsets once per clip, from the seed alone, so every frame of a clip
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._parallel import parallel_map
+from ._parallel import _PLANE_A, parallel_map, scratch
 from .clip_io import Frame, VideoClip, chroma_factors, frame_rgb
 from .errors import InsufficientFrames, InvalidParameter, SourceTooSmall
 
@@ -114,20 +115,24 @@ class SpatialTransform:
 class SampledView:
     """Transformed planes for the sampled frames of one clip.
 
-    ``color`` holds one colour tuple per frame, or is None for chroma-less
-    clips. A transform that only selects samples (``none``, ``fragment``)
-    keeps each frame's colour as YCbCr: its luma plane in ``frames`` is Y
-    and ``color`` holds (cb, cr), the decoded chroma at source resolution for
-    ``none`` and the nearest-neighbour chroma under each kept luma sample for
-    ``fragment``. Selecting samples commutes with the per-pixel conversion to
-    RGB, so colour can be converted where it is measured. Resizes interpolate,
-    and interpolation does not commute with the conversion's clamp, so they
-    keep (r, g, b), converted at source resolution and then transformed.
+    Every plane's values are its entries divided by ``scale``, as a
+    ``Frame``'s are. ``color`` holds one colour tuple per frame, or is None
+    for chroma-less clips. A transform that only selects samples (``none``,
+    ``fragment``) keeps the frames' samples and scale, and each frame's
+    colour as YCbCr: its luma plane in ``frames`` is Y and ``color`` holds
+    (cb, cr), the chroma at source resolution for ``none`` and the
+    nearest-neighbour chroma under each kept luma sample for ``fragment``.
+    Selecting samples commutes with the per-pixel conversion to RGB, so
+    colour can be converted where it is measured. Resizes interpolate, and
+    interpolation does not commute with the conversion's clamp, so they keep
+    float planes (scale 1.0) and (r, g, b), converted at source resolution
+    and then transformed.
     """
 
     frames: tuple[np.ndarray, ...]
     transform: SpatialTransform
     color: tuple[tuple[np.ndarray, ...], ...] | None = None
+    scale: float = 1.0
 
     def __post_init__(self):
         if self.color is not None:
@@ -334,16 +339,19 @@ def _apply_transform(frame: Frame, transform: SpatialTransform, gather):
     """Apply a spatial transform to a frame's luma and colour; ``gather`` is
     the clip's _fragment_gather for a fragment transform.
 
-    Returns (luma plane, colour planes): () for a chroma-less frame, (cb, cr)
-    for a transform that selects samples, else the transformed (r, g, b).
+    Returns (luma plane, colour planes, their scale): the colour is () for a
+    chroma-less frame, (cb, cr) samples for a transform that selects
+    samples, else the transformed (r, g, b). A selecting transform keeps
+    samples: a fragment gathers them into its mosaic. A resize divides the
+    whole luma plane, into the running thread's scratch plane, and its RGB
+    (``frame_rgb``) into planes of their own, and interpolates those.
     """
     t = transform
-    luma = frame.luma
     chroma = (frame.chroma_b, frame.chroma_r) if frame.has_chroma else ()
     if t.kind == "none":
-        return luma, chroma
+        return frame.luma, chroma, frame.scale
     if t.kind == "fragment":
-        return gather(luma), tuple(gather(c) for c in chroma)
+        return gather(frame.luma), tuple(gather(c) for c in chroma), frame.scale
     if t.kind == "resize":
         f = lambda p: _resize_bilinear(p, t.width, t.height)
     elif t.kind == "pad_square_then_resize":
@@ -351,7 +359,10 @@ def _apply_transform(frame: Frame, transform: SpatialTransform, gather):
     else:
         raise ValueError(f"unknown transform {t.kind!r}")
     rgb = frame_rgb(frame) if chroma else ()
-    return f(luma), tuple(f(p) for p in rgb)
+    # feature extraction runs in tasks of its own, so a worker holds one
+    # plane for both this and extraction's first full-size plane
+    luma = np.divide(frame.luma, frame.scale, out=scratch(_PLANE_A, frame.luma.shape))
+    return f(luma), tuple(f(p) for p in rgb), 1.0
 
 
 def build_view(
@@ -379,11 +390,11 @@ def build_view(
                                   np.random.default_rng(int(seed) & 0xFFFF_FFFF_FFFF_FFFF))
 
     def one(i: int):
-        # a loaded file's frame is decoded on every read: read it once
+        # a loaded file's frame is built (a PPM's decoded) on every read: read it once
         return _apply_transform(clip.frames[i], transform, gather)
 
-    # a clip's frames agree on chroma, so the first sampled frame speaks for all
+    # a clip's frames agree on chroma and scale, so the first sampled frame speaks for all
     results = parallel_map(one, plan.indices, threads)
     lumas = tuple(r[0] for r in results)
     colors = tuple(r[1] for r in results) if results and results[0][1] else None
-    return SampledView(lumas, transform, colors)
+    return SampledView(lumas, transform, colors, results[0][2] if results else 1.0)

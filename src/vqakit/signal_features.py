@@ -10,35 +10,47 @@ statistics use population (ddof=0) moments.
 SSIM (8x8 windows at stride 4) is built from 4x4 block sums: a window is 2x2
 adjacent blocks. Each sampled frame's window means and variances are
 computed once per view, and each pair of frames adds only the block sums of
-the product of its two planes.
+the product of its two planes, which it forms in the same read of both
+planes as its TI (``_pair``).
 
 A view's features are one pass: every per-frame and per-pair kernel call is
 one task of a single thread-pool call, and only the small SSIM window arrays
 are combined after it, in three window-shaped buffers made once per view.
 The kernels write their temporaries into scratch buffers of the running
-thread (``_parallel.scratch``): the gradient magnitudes, the Laplacian or
-colour's rg in one full-size plane; colour's yb, or SSIM's row sums (a
+thread (``_parallel.scratch``): the gradient magnitudes, the Laplacian,
+colour's rg or a pair's difference in one full-size plane; colour's yb, or SSIM's row sums (a
 quarter plane), in a second; SSIM's block sums in a sixteenth of one; and
-the strips of each band in a 2 MiB band buffer. A pool worker keeps them
-from one clip to the next. Called outside a pool, a kernel allocates fresh
+the strips of each band in a band buffer of about 2 MiB. A pool worker keeps
+them from one clip to the next. Called outside a pool, a kernel allocates fresh
 buffers and keeps none.
 
+A view's planes are a frame's samples (``uint8`` or ``uint16``) or float
+planes, with a scale (``clip_io.Frame``). Every kernel reads a plane one
+way: the rows it needs, divided into a strip of the band buffer,
+``np.divide(plane[rows], scale, out=strip)``. The divide is per sample, so a
+strip has the bits of the same rows of the whole plane divided; a float
+plane's scale is 1.0, which leaves it as it is.
+
 SI, sharpness and colour walk the frame in bands of rows of about 64k pixels
-(``clip_io.row_bands``). Each band's elementwise stages (the stencil sums,
-or the conversion to RGB) run in strips of the band buffer, which stays in
-cache, and write the band's rows of one full-size plane per output: the
-gradient magnitude, the Laplacian, or colour's opponent planes rg and yb.
-SSIM forms its squares and products a band at a time in the band buffer, so
-no product plane is made. Elementwise steps give the same bits in any band.
-A sum does not: numpy's sum of a row-major plane is a fixed pairwise tree
-over the flat index. ``_moments`` replays that tree (``_pairwise``) down to
-leaves of at most 64k values, each summed by numpy, and adds the leaves in
-the tree's order. Its variance is a second pass, leaf by leaf, that forms,
-squares and sums the deviations in the band buffer, with the bits of
-numpy's ``var`` and no plane of deviations; TI forms its difference a leaf
-at a time in the same way. Colour of a view that keeps YCbCr thus has the
-bits of ``colorfulness(*frame_rgb(frame))``, and no full-size RGB plane is
-made.
+(``clip_io.row_bands``). Each band is read, and its elementwise stages (the
+stencil sums, or the conversion to RGB) run, in strips of the band buffer,
+which stays in cache; they write the band's rows of one full-size plane per
+output: the gradient magnitude, the Laplacian, or colour's opponent planes
+rg and yb. SSIM reads its planes and forms their squares and products a band
+at a time in the band buffer, so no float or product plane is made.
+Elementwise steps give the same bits in any band. A sum does not: numpy's
+sum of a row-major plane is a fixed pairwise tree over the flat index.
+``_leaf_moments`` replays that tree (``_pairwise``) down to leaves of at most
+64k values, each summed by numpy, and adds the leaves in the tree's order.
+Its variance is a second pass, leaf by leaf, that forms, squares and sums
+the deviations in the band buffer, with the bits of numpy's ``var`` and no
+plane of deviations. A reader hands it each leaf: ``_moments`` reads a
+plane's leaf into the band buffer; ``ti`` forms its frame difference there,
+a leaf at a time, from both planes; ``_written`` reads a plane that a kernel
+writes itself (the gradient magnitude, the Laplacian, rg and yb, a pair's
+difference) where it lies, after writing the bands that reach the leaf, so
+that the mean's pass sums each band while it is still in cache. Colour of a view that keeps YCbCr thus has the bits of
+``colorfulness(*frame_rgb(frame))``, and no full-size RGB plane is made.
 
 Feature values are grouped into three branch families (technical,
 aesthetic-proxy, semantic-proxy) which feed the fusion regressor.
@@ -53,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map, scratch
+from ._parallel import _BAND, _BLOCKS, _PLANE_A, _PLANE_B, parallel_map, scratch
 from .clip_io import _BAND_PIXELS, VideoClip, chroma_factors, row_bands, ycbcr_to_rgb
 from .errors import DimensionMismatch, PlaneTooSmall
 from .sampling import SampledView, SpatialTransform, TemporalPlan, build_view
@@ -134,11 +146,6 @@ def _require(plane: np.ndarray, min_side: int, what: str):
         raise PlaneTooSmall(f"{what} needs at least {min_side}x{min_side}, got {w}x{h}")
 
 
-# Scratch slots: two full-size planes (the second also takes SSIM's row sums),
-# the SSIM block sums, the band buffer.
-_PLANE_A, _PLANE_B, _BLOCKS, _BAND = range(4)
-
-
 def _band_strips(*shapes: tuple[int, int]) -> list[np.ndarray]:
     """Row-major strips of ``shapes``, one after another in the band buffer,
     which is never smaller than 2 MiB, so that every kernel's bands share it."""
@@ -171,7 +178,7 @@ def _leaf_moments(n: int, values) -> tuple[float, float]:
     """The mean and variance of n values, with the bits of numpy's
     ``x.mean()`` and ``x.var()``, where ``values(start, stop, out)`` returns
     flat indices start to stop of x: a view of x, or those values written
-    into ``out``.
+    into ``out``, the first ``stop - start`` values of the band buffer.
 
     Both passes walk x in the leaves of ``_pairwise``. The second forms each
     leaf's deviations from the mean in the band buffer and squares and sums
@@ -191,18 +198,21 @@ def _leaf_moments(n: int, values) -> tuple[float, float]:
     return mean, _pairwise(squares, n) / n
 
 
-def _moments(x: np.ndarray) -> tuple[float, float]:
-    """``(x.mean(), x.var())``, with numpy's bits.
+def _moments(x: np.ndarray, scale: float = 1.0) -> tuple[float, float]:
+    """The mean and variance of the plane x / scale, with the bits numpy's
+    ``mean`` and ``var`` give on the float64 plane x / scale.
 
-    A row-major float64 x is walked leaf by leaf (``_leaf_moments``), so no
-    plane of deviations is written. Any other x takes numpy's own steps for
-    ``var``: the sum with keepdims over n (in x's dtype), the deviations from
-    it, written row-major into a scratch plane and squared in place, their
-    sum over n.
+    Samples, and a row-major float64 x, are read leaf by leaf into the band
+    buffer (``_leaf_moments``), so no float plane and no plane of deviations
+    is written. Any other x, a float plane of scale 1.0, takes numpy's own
+    steps for ``var``: the sum with keepdims over n (in x's dtype), the
+    deviations from it, written row-major into a scratch plane and squared in
+    place, their sum over n.
     """
-    if x.flags.c_contiguous and x.dtype == np.float64:
+    if scale != 1.0 or (x.flags.c_contiguous and x.dtype == np.float64):
         flat = x.reshape(-1)
-        return _leaf_moments(flat.size, lambda start, stop, out: flat[start:stop])
+        return _leaf_moments(
+            flat.size, lambda start, stop, out: np.divide(flat[start:stop], scale, out=out))
     n = x.size
     mean = np.add.reduce(x, axis=None, keepdims=True) / n
     dev = np.subtract(x, mean, out=scratch(_PLANE_A, x.shape))
@@ -210,23 +220,49 @@ def _moments(x: np.ndarray) -> tuple[float, float]:
     return mean.item(), float(np.add.reduce(dev, axis=None) / n)
 
 
-def si(luma_plane: np.ndarray) -> float:
-    """Spatial information: stddev of the Sobel gradient magnitude (interior).
+def _written(plane: np.ndarray, bands=(), write=None):
+    """A reader for ``_leaf_moments`` of the row-major float64 ``plane``, a
+    plane that a kernel writes itself, read where it lies.
+
+    Given ``bands``, slices of the plane's rows, ``write(rows)`` fills it a
+    band at a time, in order: reading flat indices up to ``stop`` first
+    writes the bands that reach it, so the mean's pass sums each leaf while
+    its band is still in cache, and the variance's pass finds it written.
+    """
+    flat = plane.reshape(-1)
+    pending = iter(bands)
+    written = 0 if bands else flat.size
+
+    def values(start: int, stop: int, out: np.ndarray) -> np.ndarray:
+        nonlocal written
+        while written < stop:
+            rows = next(pending)
+            write(rows)
+            written = rows.stop * plane.shape[1]
+        return flat[start:stop]
+
+    return values
+
+
+def si(luma_plane: np.ndarray, scale: float = 1.0) -> float:
+    """Spatial information: stddev of the Sobel gradient magnitude (interior)
+    of the plane luma_plane / scale.
 
     The Sobel kernels are applied separably: a [1, 2, 1] smoothing across the
     gradient, then a central difference along it. Each band of output rows
-    smooths its rows and the two beyond them in strips, and writes its
-    magnitudes into one full-size plane.
+    reads its rows and the two beyond them, smooths them in strips, and
+    writes its magnitudes into one full-size plane.
     """
     _require(luma_plane, 3, "si")
     p = luma_plane
     h, w = p.shape
     mag = scratch(_PLANE_A, (h - 2, w - 2))
-    for rows in row_bands((h - 2, w)):
+
+    def band(rows: slice):
         top, end = rows.start, rows.stop
-        across, gy, along = _band_strips((end - top + 2, w - 2), (end - top, w - 2),
-                                         (end - top, w))
-        q = p[top:end + 2]
+        q, across, gy, along = _band_strips((end - top + 2, w), (end - top + 2, w - 2),
+                                            (end - top, w - 2), (end - top, w))
+        np.divide(p[top:end + 2], scale, out=q)
         np.multiply(q[:, 1:-1], 2.0, out=across)
         np.add(q[:, :-2], across, out=across)
         across += q[:, 2:]
@@ -236,20 +272,28 @@ def si(luma_plane: np.ndarray) -> float:
         along += q[2:]
         gx = np.subtract(along[:, 2:], along[:, :-2], out=mag[rows])
         np.hypot(gx, gy, out=gx)
-    return math.sqrt(_moments(mag)[1])
+
+    return math.sqrt(_leaf_moments(mag.size, _written(mag, row_bands((h - 2, w)), band))[1])
 
 
-def ti(luma_t: np.ndarray, luma_prev: np.ndarray) -> float:
-    """Temporal information: stddev of the pixelwise difference plane.
+def ti(luma_t: np.ndarray, luma_prev: np.ndarray, scale: float = 1.0) -> float:
+    """Temporal information: stddev of the pixelwise difference plane of
+    luma_t / scale and luma_prev / scale.
 
-    The difference is formed a leaf at a time, in the band buffer, once for
-    its mean and once for its deviations, so no plane of it is written.
+    The difference is formed a leaf at a time, from both planes read into
+    the band buffer, once for its mean and once for its deviations, so no
+    plane of it is written.
     """
     if luma_t.shape != luma_prev.shape:
         raise DimensionMismatch(f"{luma_t.shape} vs {luma_prev.shape}")
     a, b = (np.ascontiguousarray(p).reshape(-1) for p in (luma_t, luma_prev))
-    return math.sqrt(_leaf_moments(
-        a.size, lambda start, stop, out: np.subtract(a[start:stop], b[start:stop], out=out))[1])
+
+    def diff(start: int, stop: int, out: np.ndarray) -> np.ndarray:
+        _, prev = _band_strips(out.shape, out.shape)
+        np.divide(a[start:stop], scale, out=out)
+        return np.subtract(out, np.divide(b[start:stop], scale, out=prev), out=out)
+
+    return math.sqrt(_leaf_moments(a.size, diff)[1])
 
 
 def _opponents(r, g, b, rg: np.ndarray, yb: np.ndarray):
@@ -260,10 +304,9 @@ def _opponents(r, g, b, rg: np.ndarray, yb: np.ndarray):
     yb -= b
 
 
-def _hasler(rg: np.ndarray, yb: np.ndarray) -> float:
-    """The colourfulness of opponent planes rg and yb."""
-    rg_mean, rg_var = _moments(rg)
-    yb_mean, yb_var = _moments(yb)
+def _hasler(rg_moments, yb_moments) -> float:
+    """The colourfulness of opponent planes rg and yb, from their moments."""
+    (rg_mean, rg_var), (yb_mean, yb_var) = rg_moments, yb_moments
     return float(
         np.hypot(math.sqrt(rg_var), math.sqrt(yb_var)) + 0.3 * np.hypot(rg_mean, yb_mean)
     )
@@ -275,19 +318,23 @@ def colorfulness(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> float:
         raise DimensionMismatch(f"{r.shape} vs {g.shape} vs {b.shape}")
     rg, yb = scratch(_PLANE_A, r.shape), scratch(_PLANE_B, r.shape)
     _opponents(r, g, b, rg, yb)
-    return _hasler(rg, yb)
+    return _hasler(*(_leaf_moments(p.size, _written(p)) for p in (rg, yb)))
 
 
-def _ycbcr_colorfulness(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> float:
-    """``colorfulness(*frame_rgb(Frame(y, cb, cr)))``, converted in bands,
-    with the same bits (see the module docstring)."""
+def _ycbcr_colorfulness(y: np.ndarray, cb: np.ndarray, cr: np.ndarray, scale: float) -> float:
+    """``colorfulness(*frame_rgb(Frame(y, cb, cr, scale)))``, converted in
+    bands, with the same bits (see the module docstring)."""
     fy, fx = chroma_factors(y.shape, cb.shape)
     rg, yb = scratch(_PLANE_A, y.shape), scratch(_PLANE_B, y.shape)
-    for rows in row_bands(y.shape, fy):
+
+    def band(rows: slice):
         strips = _band_strips(*[(rows.stop - rows.start, y.shape[1])] * 4)
-        ycbcr_to_rgb(y, cb, cr, rows, fy, fx, strips)
+        ycbcr_to_rgb(y, cb, cr, scale, rows, fy, fx, strips)
         _opponents(*strips[:3], rg[rows], yb[rows])
-    return _hasler(rg, yb)
+
+    # rg's mean pass writes the bands, yb's rows with them
+    rg_moments = _leaf_moments(rg.size, _written(rg, row_bands(y.shape, fy), band))
+    return _hasler(rg_moments, _leaf_moments(yb.size, _written(yb)))
 
 
 def avg_luminance(luma_plane: np.ndarray) -> float:
@@ -296,23 +343,26 @@ def avg_luminance(luma_plane: np.ndarray) -> float:
     return float(luma_plane.mean())
 
 
-def sharpness(luma_plane: np.ndarray) -> float:
-    """Variance of the 3x3 Laplacian response over interior pixels, written
-    band by band into one full-size plane."""
+def sharpness(luma_plane: np.ndarray, scale: float = 1.0) -> float:
+    """Variance of the 3x3 Laplacian response over interior pixels of the
+    plane luma_plane / scale, written band by band into one full-size plane."""
     _require(luma_plane, 3, "sharpness")
     p = luma_plane
     h, w = p.shape
     lap = scratch(_PLANE_A, (h - 2, w - 2))
-    for rows in row_bands((h - 2, w)):
+
+    def band(rows: slice):
         # up + down + left + right - 4 * centre, added in that order
         top, end = rows.start, rows.stop
-        centre = p[top + 1:end + 1]
-        band = np.add(p[top:end, 1:-1], p[top + 2:end + 2, 1:-1], out=lap[rows])
-        band += centre[:, :-2]
-        band += centre[:, 2:]
-        (four,) = _band_strips(band.shape)
-        band -= np.multiply(centre[:, 1:-1], 4.0, out=four)
-    return _moments(lap)[1]
+        q, four = _band_strips((end - top + 2, w), (end - top, w - 2))
+        np.divide(p[top:end + 2], scale, out=q)
+        centre = q[1:-1]
+        out = np.add(q[:-2, 1:-1], q[2:, 1:-1], out=lap[rows])
+        out += centre[:, :-2]
+        out += centre[:, 2:]
+        out -= np.multiply(centre[:, 1:-1], 4.0, out=four)
+
+    return _leaf_moments(lap.size, _written(lap, row_bands((h - 2, w)), band))[1]
 
 
 def contrast(luma_plane: np.ndarray) -> float:
@@ -328,50 +378,98 @@ _SSIM_STRIDE = 4  # a window is 2x2 blocks of stride x stride pixels
 _SSIM_N = float(_SSIM_WIN * _SSIM_WIN)
 
 
-def _ssim_windows(plane: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:
-    """Sums over the 8x8 windows at stride 4 of plane, or of plane * other,
-    from their 4x4 block sums.
+def _row_sums(t: np.ndarray, out: np.ndarray):
+    """Add the four row phases of ``t``, rows of whole 4x4 blocks, into ``out``."""
+    b = _SSIM_STRIDE
+    np.add(t[0::b], t[1::b], out=out)
+    out += t[2::b]
+    out += t[3::b]
 
-    Row sums add the four row phases of the rows and columns that whole
-    blocks cover, in bands of rows; a product is formed a band at a time in
-    the band buffer, so no plane of it is made. Block sums then add the four
-    column phases. Each window covers 2x2 adjacent blocks, so the window grid
-    is one block shorter than the block grid on each side. Only the returned
-    window sums are a new array.
+
+def _window_sums(rows: np.ndarray) -> np.ndarray:
+    """The 8x8 window sums at stride 4 from ``rows``, a plane's ``_row_sums``.
+
+    Block sums add the four column phases. Each window covers 2x2 adjacent
+    blocks, so the window grid is one block shorter than the block grid on
+    each side. Only the returned window sums are a new array.
+    """
+    b = _SSIM_STRIDE
+    h, w = rows.shape[0], rows.shape[1] // b
+    blocks = np.add(rows[:, 0::b], rows[:, 1::b], out=scratch(_BLOCKS, (h, w)))
+    blocks += rows[:, 2::b]
+    blocks += rows[:, 3::b]
+    pairs = np.add(blocks[:-1], blocks[1:], out=scratch(_PLANE_B, (h - 1, w)))
+    return pairs[:, :-1] + pairs[:, 1:]
+
+
+def _ssim_windows(plane: np.ndarray, scale: float, other: np.ndarray | None = None
+                  ) -> np.ndarray:
+    """Sums over the 8x8 windows at stride 4 of plane / scale, or of
+    (plane / scale) * (other / scale), from their 4x4 block sums.
+
+    Row sums cover the rows and columns of whole blocks, in bands of rows:
+    each band is read, and a product formed, in the band buffer (a square
+    reads its one plane once), so no float or product plane is made.
     """
     _require(plane, _SSIM_WIN, "ssim")
     b = _SSIM_STRIDE
     h, w = plane.shape[0] // b * b, plane.shape[1] // b * b
     rows = scratch(_PLANE_B, (h // b, w))
     for band in row_bands((h, w), b):
-        q = plane[band, :w]
+        q, product = _band_strips(*[(band.stop - band.start, w)] * 2)
+        np.divide(plane[band, :w], scale, out=q)
         if other is not None:
-            (product,) = _band_strips(q.shape)
-            q = np.multiply(q, other[band, :w], out=product)
-        r = rows[band.start // b:band.stop // b]
-        np.add(q[0::b], q[1::b], out=r)
-        r += q[2::b]
-        r += q[3::b]
-    blocks = np.add(rows[:, 0::b], rows[:, 1::b], out=scratch(_BLOCKS, (h // b, w // b)))
-    blocks += rows[:, 2::b]
-    blocks += rows[:, 3::b]
-    pairs = np.add(blocks[:-1], blocks[1:], out=scratch(_PLANE_B, (h // b - 1, w // b)))
-    return pairs[:, :-1] + pairs[:, 1:]
+            o = q if other is plane else np.divide(other[band, :w], scale, out=product)
+            q = np.multiply(q, o, out=product)
+        _row_sums(q, rows[band.start // b:band.stop // b])
+    return _window_sums(rows)
 
 
-def _ssim_stats(plane: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _ssim_stats(plane: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """One plane's SSIM window means and variances, shared by all its pairs."""
-    mu = _ssim_windows(plane)
+    mu = _ssim_windows(plane, scale)
     mu /= _SSIM_N
-    var = _ssim_windows(plane, plane)
+    var = _ssim_windows(plane, scale, plane)
     var /= _SSIM_N
     var -= np.multiply(mu, mu, out=scratch(_PLANE_B, mu.shape))
     return mu, var
 
 
-def _ssim_cross_sums(plane_a: np.ndarray, plane_b: np.ndarray) -> np.ndarray:
+def _ssim_cross_sums(plane_a: np.ndarray, plane_b: np.ndarray, scale: float) -> np.ndarray:
     """The window sums of a·b: all that a pair adds to its planes' _ssim_stats."""
-    return _ssim_windows(plane_a, plane_b)
+    return _ssim_windows(plane_a, scale, plane_b)
+
+
+def _pair(plane_a: np.ndarray, plane_b: np.ndarray, scale: float) -> tuple[float, np.ndarray]:
+    """``ti(plane_a, plane_b, scale)`` and ``_ssim_cross_sums(plane_a,
+    plane_b, scale)``, with their bits, from one read of each plane.
+
+    Each band of rows, which starts on a block's first row, is divided into
+    the band buffer once per plane, when the mean's pass of TI's moments
+    reaches it (``_written``). The band's difference is written into a
+    full-size plane, which the variance's pass reads again, and the row sums
+    of its product over whole blocks are formed as ``_ssim_windows`` forms
+    them.
+    """
+    if plane_a.shape != plane_b.shape:
+        raise DimensionMismatch(f"{plane_a.shape} vs {plane_b.shape}")
+    _require(plane_a, _SSIM_WIN, "ssim")
+    b = _SSIM_STRIDE
+    height, width = plane_a.shape
+    h, w = height // b * b, width // b * b
+    diff = scratch(_PLANE_A, (height, width))
+    rows = scratch(_PLANE_B, (h // b, w))
+
+    def band(r: slice):
+        q, o = _band_strips(*[(r.stop - r.start, width)] * 2)
+        np.divide(plane_a[r], scale, out=q)
+        np.subtract(q, np.divide(plane_b[r], scale, out=o), out=diff[r])
+        m = min(r.stop, h) - r.start
+        _row_sums(np.multiply(q[:m, :w], o[:m, :w], out=o[:m, :w]),
+                  rows[r.start // b:(r.start + m) // b])
+
+    var = _leaf_moments(diff.size, _written(diff, row_bands((height, width), b), band))[1]
+    return math.sqrt(var), _window_sums(rows)
 
 
 def _ssim_combine(stats_a, stats_b, cross_sums: np.ndarray, work=None) -> float:
@@ -407,8 +505,8 @@ def ssim(plane_a: np.ndarray, plane_b: np.ndarray) -> float:
     """Mean SSIM over 8x8 windows with stride 4, standard C1/C2 constants."""
     if plane_a.shape != plane_b.shape:
         raise DimensionMismatch(f"{plane_a.shape} vs {plane_b.shape}")
-    return _ssim_combine(_ssim_stats(plane_a), _ssim_stats(plane_b),
-                         _ssim_cross_sums(plane_a, plane_b))
+    return _ssim_combine(_ssim_stats(plane_a, 1.0), _ssim_stats(plane_b, 1.0),
+                         _ssim_cross_sums(plane_a, plane_b, 1.0))
 
 
 # MACs per kernel call as (per pixel, per SSIM window; one 8x8 window per 16
@@ -448,18 +546,21 @@ def extract_view_features(view: SampledView, threads: int | None = None) -> Feat
     first-frame pair, so k frames make 2k-3 distinct pairs.
 
     All the work is one task list run by one ``parallel_map``, long tasks
-    first: per frame, si; per frame, colorfulness (from YCbCr in bands, or
-    from the view's RGB planes) and sharpness; per frame, contrast, with
-    average luminance as the mean it computes, and, when there are pairs,
-    the frame's SSIM window statistics; per pair, ti and the window sums of
-    the pair's product plane. No task waits for another: each pair's SSIM is
-    formed from the small window arrays after the pool returns. The kernels'
-    temporaries are scratch planes of the thread that runs them. Every mean
+    first: per frame, colorfulness (from YCbCr in bands, or from the view's
+    RGB planes) and sharpness; per frame, si; per pair, ti and the window
+    sums of the pair's product, from one read of each plane (``_pair``);
+    per frame, contrast, with average
+    luminance as the mean it computes, and, when there are pairs, the
+    frame's SSIM window statistics. No task waits for another: each pair's
+    SSIM is formed from the small window arrays after the pool returns. Each
+    kernel reads the view's planes at the view's scale, a band at a time, and
+    its temporaries are scratch planes of the thread that runs it. Every mean
     adds its terms in a fixed order, so threaded extraction is bit-identical
     to serial.
     """
     lumas = view.frames
     colors = view.color
+    scale = view.scale
     k = len(lumas)
     if k == 0:
         raise PlaneTooSmall("view has no frames")
@@ -472,26 +573,24 @@ def extract_view_features(view: SampledView, threads: int | None = None) -> Feat
         if colors is None:
             return 0.0
         if view.transform.selects_samples:
-            return _ycbcr_colorfulness(lumas[i], *colors[i])
+            return _ycbcr_colorfulness(lumas[i], *colors[i], scale)
         return colorfulness(*colors[i])
 
     def looks(i: int) -> tuple[float, float]:
         c = color(i)  # first, so that sharpness reuses its full-size scratch planes
-        return sharpness(lumas[i]), c
-
-    def pair(i: int, j: int):
-        return ti(lumas[i], lumas[j]), _ssim_cross_sums(lumas[i], lumas[j])
+        return sharpness(lumas[i], scale), c
 
     def stats(i: int):
-        mean, var = _moments(lumas[i])  # contrast, luminance
-        return math.sqrt(var), mean, _ssim_stats(lumas[i]) if pairs else None
+        mean, var = _moments(lumas[i], scale)  # contrast, luminance
+        return math.sqrt(var), mean, _ssim_stats(lumas[i], scale) if pairs else None
 
-    tasks = ([(si, lumas[i]) for i in range(k)] + [(looks, i) for i in range(k)]
-             + [(stats, i) for i in range(k)] + [(pair, i, j) for i, j in pairs])
+    tasks = ([(looks, i) for i in range(k)] + [(si, lumas[i], scale) for i in range(k)]
+             + [(_pair, lumas[i], lumas[j], scale) for i, j in pairs]
+             + [(stats, i) for i in range(k)])
     done = parallel_map(lambda task: task[0](*task[1:]), tasks, threads)
-    frame_looks, frame_stats = done[k:2 * k], done[2 * k:3 * k]
+    frame_looks, frame_pairs, frame_stats = done[:k], done[2 * k:-k], done[-k:]
     per_frame = {
-        "si": done[:k],
+        "si": done[k:2 * k],
         "sharpness": [v[0] for v in frame_looks],
         "colorfulness": [v[1] for v in frame_looks],
         "contrast": [v[0] for v in frame_stats],
@@ -505,7 +604,7 @@ def extract_view_features(view: SampledView, threads: int | None = None) -> Feat
 
     tis, ssims = [], []
     work = [np.empty(frame_stats[0][2][0].shape) for _ in range(3)]  # _ssim_combine's
-    for (i, j), (t, sums) in zip(pairs, done[3 * k:]):
+    for (i, j), (t, sums) in zip(pairs, frame_pairs):
         tis.append(t)
         ssims.append(_ssim_combine(frame_stats[i][2], frame_stats[j][2], sums, work))
     for consecutive, first, vals in (("ti", "ti_first", tis), ("ssim_pair", "ssim_first", ssims)):

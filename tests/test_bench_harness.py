@@ -41,12 +41,12 @@ def conv_macs_loop_oracle(c_in, c_out, k_h, k_w, h_out, w_out):
 
 
 # the kernel calls each feature of a MAC list stands for; average luminance is
-# the mean of contrast's _moments call, and ssim() makes both frames' statistics
+# the mean of contrast's _moments call, ssim() makes both frames' statistics,
+# and a pair's ti and SSIM cross term are one _pair call, listed under ti
 FEATURE_KERNELS = {
     "si": ("si",), "sharpness": ("sharpness",), "colorfulness": ("colour",),
-    "contrast": ("_moments",), "avg_luminance": (), "ti": ("ti",), "ti_first": ("ti",),
-    "ssim": ("_ssim_stats", "_ssim_stats", "_ssim_cross_sums"),
-    "ssim_pair": ("_ssim_stats", "_ssim_cross_sums"), "ssim_first": ("_ssim_cross_sums",),
+    "contrast": ("_moments",), "avg_luminance": (), "ti": ("_pair",), "ti_first": ("_pair",),
+    "ssim": ("_ssim_stats", "_ssim_stats"), "ssim_pair": ("_ssim_stats",), "ssim_first": (),
 }
 
 
@@ -121,7 +121,8 @@ class TestCountMacs:
                 return kernel(plane, *args, **kwargs)
             return call
 
-        for name in ("si", "sharpness", "ti", "_ssim_stats", "_ssim_cross_sums", "_moments"):
+        for name in ("si", "sharpness", "ti", "_pair", "_ssim_stats", "_ssim_cross_sums",
+                     "_moments"):
             monkeypatch.setattr(signal_features, name, spy(name, getattr(signal_features, name)))
         for name in ("colorfulness", "_ycbcr_colorfulness"):
             kernel = getattr(signal_features, name)
@@ -133,8 +134,7 @@ class TestCountMacs:
 
         (view,) = views
         assert len(view.frames) == pipeline.descriptor.frames_per_clip == k
-        # si, ti and sharpness reduce with _moments too: only its calls on a
-        # view frame are contrast's
+        # only _moments' calls on a view frame are contrast's
         seen = Counter((name, plane.size) for name, plane in calls
                        if name != "_moments" or any(plane is f for f in view.frames))
         want = Counter()

@@ -1,4 +1,6 @@
 import time
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from vqakit.clip_io import (
 from vqakit.errors import (
     DimensionMismatch,
     EmptyInput,
+    InvalidParameter,
     ParseError,
     TruncatedFrame,
     Unsupported,
@@ -49,7 +52,9 @@ class TestParseY4m:
         y = np.arange(16, dtype=np.uint8).reshape(4, 4)
         c = _flat(4, 4, 128)
         clip = parse_y4m(y4m_bytes(4, 4, [(y, c, c)], ctag="C444"))
-        luma = clip.frames[0].luma
+        frame = clip.frames[0]
+        assert frame.scale == 255.0
+        luma = frame.luma / frame.scale
         assert luma[0][0] == 0.0
         assert luma[3][3] == 15 / 255
         assert np.array_equal(luma, np.arange(16).reshape(4, 4) / 255)
@@ -62,9 +67,10 @@ class TestParseY4m:
     def test_10bit(self):
         y = np.full((4, 4), 1023, dtype="<u2")
         c = np.full((2, 2), 512, dtype="<u2")
-        clip = parse_y4m(y4m_bytes(4, 4, [(y, c, c)], ctag="C420p10"))
-        assert clip.frames[0].luma[0, 0] == 1.0
-        assert clip.frames[0].chroma_b[0, 0] == 512 / 1023
+        frame = parse_y4m(y4m_bytes(4, 4, [(y, c, c)], ctag="C420p10")).frames[0]
+        assert frame.scale == 1023.0
+        assert frame.luma[0, 0] / frame.scale == 1.0
+        assert frame.chroma_b[0, 0] / frame.scale == 512 / 1023
 
     def test_10bit_sample_above_1023_rejected(self):
         y = np.full((4, 4), 0xFFFF, dtype="<u2")
@@ -102,6 +108,27 @@ class TestParseY4m:
         with pytest.raises(ParseError):
             parse_y4m(b"YUV4MPEG2 W2 Hx F30:1\nFRAME\n" + b"\x00" * 6)
 
+    @pytest.mark.parametrize("header, position, token", [
+        (b"YUV4MPEG2 W0 H4 F30:1", 10, "W0"),
+        (b"YUV4MPEG2 W4 H-2 F30:1", 13, "H-2"),
+        (b"YUV4MPEG2 W4 H4 F0:1", 16, "F0:1"),
+        (b"YUV4MPEG2 F30:1 W4  H0 C420", 20, "H0"),  # a doubled space counts
+        (b"YUV4MPEG2 W4 H4 F-30:1 W0", 23, "W0"),  # the tag's last occurrence
+        (b"YUV4MPEG2 H4 F30:1", 18, "W"),  # a missing tag: where the header ends
+    ], ids=lambda v: v.decode() if isinstance(v, bytes) else str(v))
+    def test_bad_tag_names_its_offset_and_token(self, header, position, token):
+        with pytest.raises(ParseError) as ei:
+            parse_y4m(header + b"\nFRAME\n" + bytes(24))
+        assert (ei.value.position, ei.value.token) == (position, token)
+        assert str(ei.value) == f"malformed input at byte {position}: {token!r}"
+
+    def test_non_positive_fps_is_invalid_parameter(self):
+        # still a ValueError, as callers catch
+        for fps in (0, -30, Fraction(-1, 2)):
+            with pytest.raises(InvalidParameter, match="^fps=") as ei:
+                VideoClip(4, 4, fps, (Frame(np.zeros((4, 4))),))
+            assert isinstance(ei.value, ValueError)
+
     def test_unsupported_colorspace(self):
         with pytest.raises(Unsupported) as ei:
             parse_y4m(b"YUV4MPEG2 W2 H2 F30:1 Cmono\nFRAME\n" + b"\x00" * 4)
@@ -122,8 +149,8 @@ class TestParseY4m:
 
     @pytest.mark.parametrize("depth", [8, 10])
     def test_decode_matches_cast_then_divide_bits(self, depth):
-        # one divide into a float64 plane rounds as a cast then a divide does,
-        # and RGB from the in-place chroma shift matches the reference formula
+        # a frame's planes are the stream's samples, and RGB divided and
+        # converted in bands matches the reference formula on whole planes
         maxv, dtype, p10 = (255, np.uint8, "") if depth == 8 else (1023, np.dtype("<u2"), "p10")
         rng = np.random.default_rng(depth)
         fhd = [tuple(rng.integers(0, maxv + 1, shape).astype(dtype)
@@ -138,7 +165,7 @@ class TestParseY4m:
             for planes, frame in zip(raws, parse_y4m(data).frames):
                 got = (frame.luma, frame.chroma_b, frame.chroma_r)
                 for raw, plane in zip(planes, got):
-                    assert plane.tobytes() == (raw.astype(np.float64) / maxv).tobytes()
+                    assert plane.dtype == raw.dtype and plane.tobytes() == raw.tobytes()
                 for p, want in zip(frame_rgb(frame), frame_rgb_repeat(frame)):
                     assert p.tobytes() == want.tobytes()
 
@@ -157,7 +184,7 @@ class TestParseY4m:
             assert len(clip) == 3
             for raws, f in zip(frames, clip.frames):
                 for raw, plane in zip(raws, (f.luma, f.chroma_b, f.chroma_r)):
-                    assert np.array_equal(plane, raw / 255)
+                    assert np.array_equal(plane / f.scale, raw / 255)
 
     def test_roundtrip_10bit(self):
         rng = np.random.default_rng(6)
@@ -170,7 +197,7 @@ class TestParseY4m:
         ]
         f = parse_y4m(y4m_bytes(6, 4, frames, ctag="C420p10")).frames[0]
         for raw, plane in zip(frames[0], (f.luma, f.chroma_b, f.chroma_r)):
-            assert np.array_equal(plane, raw / 1023)
+            assert np.array_equal(plane / f.scale, raw / 1023)
 
     def test_normalization_bounds_random_streams(self):
         rng = np.random.default_rng(17)
@@ -185,6 +212,7 @@ class TestParseY4m:
             clip = parse_y4m(y4m_bytes(8, 6, frames))
             for f in clip.frames:
                 for p in (f.luma, f.chroma_b, f.chroma_r):
+                    p = p / f.scale
                     assert p.min() >= 0.0 and p.max() <= 1.0
 
     def test_decode_returns_the_stream_samples(self):
@@ -196,35 +224,59 @@ class TestParseY4m:
         assert (clip.width, clip.height, len(clip)) == (6, 4, 3)
         for raws, f in zip(frames, clip.frames):
             for raw, plane in zip(raws, (f.luma, f.chroma_b, f.chroma_r)):
-                assert np.array_equal(plane, raw / 255)
+                assert np.array_equal(plane, raw)
 
     @pytest.mark.parametrize("ctag", ["420", "422", "444", "420p10", "422p10", "444p10"])
     def test_planes_are_read_only_views_of_one_buffer(self, ctag):
-        # one allocation per frame: at FHD 4:2:0 it is over the 4 MiB at
-        # which numpy advises huge pages, which a chroma plane alone is not
+        # the one buffer is the stream: a frame's planes are its samples in
+        # place, with no copy, and divided by the frame's scale they are the
+        # float64 planes of one cast-then-divide
         w, h = 7, 5
         sx, sy = {"420": (2, 2), "422": (2, 1), "444": (1, 1)}[ctag[:3]]
-        maxv, dtype = (1023, "<u2") if ctag.endswith("p10") else (255, np.uint8)
+        maxv, dtype = (1023, np.dtype("<u2")) if ctag.endswith("p10") else (255, np.dtype(np.uint8))
         rng = np.random.default_rng(len(ctag))
         shapes = ((h, w), (-(-h // sy), -(-w // sx)), (-(-h // sy), -(-w // sx)))
         raws = tuple(rng.integers(0, maxv + 1, shape).astype(dtype) for shape in shapes)
-        frame = parse_y4m(y4m_bytes(w, h, [raws], ctag="C" + ctag)).frames[0]
+        data = y4m_bytes(w, h, [raws], ctag="C" + ctag)
+        frame = parse_y4m(data).frames[0]
+        assert frame.scale == maxv
         planes = (frame.luma, frame.chroma_b, frame.chroma_r)
-        base = frame.luma.base
-        assert base.flags.owndata and base.size == sum(raw.size for raw in raws)
-        for plane, raw in zip(planes, raws):
-            assert plane.base is base
+        payload = data.index(b"FRAME\n") + len(b"FRAME\n")
+        offsets = [payload + dtype.itemsize * n for n in (0, w * h, w * h + raws[1].size)]
+        stream = np.frombuffer(data, np.uint8).__array_interface__["data"][0]
+        for plane, raw, offset in zip(planes, raws, offsets):
+            assert plane.dtype == dtype and plane.shape == raw.shape
+            assert plane.base is not None and plane.base.base is data
+            assert plane.__array_interface__["data"][0] == stream + offset
             assert plane.flags.c_contiguous and not plane.flags.writeable
-            assert plane.tobytes() == (raw.astype(np.float64) / maxv).tobytes()
-        assert [p.__array_interface__["data"][0] for p in planes] == [
-            base.__array_interface__["data"][0] + 8 * n for n in (0, w * h, w * h + raws[1].size)]
+            assert (plane / frame.scale).tobytes() == (raw.astype(np.float64) / maxv).tobytes()
+
+    def test_listing_frames_allocates_no_sample_copies(self):
+        # every plane of every frame of a 90-frame clip, held at once, costs
+        # its views, not 8 bytes a sample: 90 frames of 64x48 4:2:0 are
+        # 414,720 samples, and the bound is 2 kB a frame (measured: 68 kB,
+        # about 760 bytes a frame; float64 planes took 3.39 MB)
+        rng = np.random.default_rng(9)
+        frames = [(rng.integers(0, 256, (48, 64), dtype=np.uint8),
+                   rng.integers(0, 256, (24, 32), dtype=np.uint8),
+                   rng.integers(0, 256, (24, 32), dtype=np.uint8)) for _ in range(90)]
+        clip = parse_y4m(y4m_bytes(64, 48, frames))
+        [p for f in clip.frames for p in (f.luma, f.chroma_b, f.chroma_r)]  # warm numpy up
+        tracemalloc.start()
+        try:
+            planes = [p for f in clip.frames for p in (f.luma, f.chroma_b, f.chroma_r)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(p.size for p in planes) == 90 * 64 * 48 * 3 // 2
+        assert peak < 2048 * 90, peak
 
     def test_frames_sequence(self):
         frames = [(_flat(4, 4, v), _flat(2, 2, 128), _flat(2, 2, 128)) for v in (10, 20, 30)]
         clip = parse_y4m(y4m_bytes(4, 4, frames))
         assert len(clip.frames) == 3
-        assert [f.luma[0, 0] * 255 for f in clip.frames] == [10, 20, 30]
-        assert clip.frames[-1].luma[0, 0] == 30 / 255
+        assert [f.luma[0, 0] for f in clip.frames] == [10, 20, 30]
+        assert clip.frames[-1].luma[0, 0] / clip.frames[-1].scale == 30 / 255
         with pytest.raises(IndexError):
             clip.frames[3]
 
@@ -255,6 +307,29 @@ class TestFrameDir:
         with pytest.raises(DimensionMismatch) as ei:
             load_frame_dir(tmp_path, 30)
         assert "b.pgm" in str(ei.value) and "lacks chroma" in str(ei.value)
+
+    @pytest.mark.parametrize("maxvals", [(255, 1023), (1023, 255)])
+    def test_mixed_pgm_depth_named(self, tmp_path, maxvals):
+        # a PGM frame's planes are its samples at its depth's scale, and a
+        # view divides every frame by one scale, so one depth per directory
+        for name, maxval in zip(("a.pgm", "b.pgm"), maxvals):
+            write_pgm(tmp_path / name, _flat(8, 8, 200), maxval=maxval)
+        with pytest.raises(DimensionMismatch) as ei:
+            load_frame_dir(tmp_path, 30)
+        bits = 8 if maxvals[1] == 255 else 10
+        assert str(ei.value).endswith(f"b.pgm: {bits}-bit, unlike a.pgm")
+
+    def test_mixed_ppm_depth_each_file_at_its_own(self, tmp_path):
+        # a PPM frame is float Y/Cb/Cr, so its depth is spent when it is built
+        arr = np.full((8, 8, 3), 200, dtype=np.uint16)
+        write_ppm(tmp_path / "a.ppm", arr, maxval=255)
+        write_ppm(tmp_path / "b.ppm", arr, maxval=1023)
+        clip = load_frame_dir(tmp_path, 30)
+        a, b = clip.frames
+        assert a.scale == b.scale == 1.0
+        for frame, maxval in ((a, 255), (b, 1023)):
+            v = 200 / maxval  # BT.709 luma of a grey
+            assert np.array_equal(frame.luma, np.full((8, 8), 0.2126 * v + 0.7152 * v + 0.0722 * v))
 
     def test_truncated_file_named(self, tmp_path):
         for i in range(3):
@@ -294,8 +369,9 @@ class TestFrameDir:
     def test_pgm_16bit_maxval_1023(self, tmp_path):
         arr = np.full((4, 4), 1023, dtype=np.uint16)
         write_pgm(tmp_path / "a.pgm", arr, maxval=1023)
-        clip = load_frame_dir(tmp_path, 30)
-        assert clip.frames[0].luma[0, 0] == 1.0
+        frame = load_frame_dir(tmp_path, 30).frames[0]
+        assert frame.luma.dtype == ">u2" and frame.scale == 1023.0
+        assert frame.luma[0, 0] / frame.scale == 1.0
 
     def test_pnm_sample_above_1023_rejected(self, tmp_path):
         arr = np.full((4, 4), 0xFFFF, dtype=np.uint16)
@@ -324,15 +400,15 @@ class TestFrameDir:
 def frame_rgb_repeat(frame):
     """BT.709 RGB with chroma upsampled by np.repeat: the reference formula."""
     kr, kg, kb = 0.2126, 0.7152, 0.0722
-    y = frame.luma
+    y = frame.luma / frame.scale
     h, w = y.shape
 
     def up(plane):
         ph, pw = plane.shape
         return np.repeat(np.repeat(plane, -(-h // ph), axis=0), -(-w // pw), axis=1)[:h, :w]
 
-    cb = up(frame.chroma_b) - 0.5
-    cr = up(frame.chroma_r) - 0.5
+    cb = up(frame.chroma_b / frame.scale) - 0.5
+    cr = up(frame.chroma_r / frame.scale) - 0.5
     r = y + 2.0 * (1.0 - kr) * cr
     b = y + 2.0 * (1.0 - kb) * cb
     g = (y - kr * r - kb * b) / kg

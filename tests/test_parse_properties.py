@@ -39,7 +39,7 @@ def y4m_parses_and_decodes_or_vqa_error(data):
         for f in clip.frames:
             assert f.luma.shape == (clip.height, clip.width)
             for p in (f.luma, f.chroma_b, f.chroma_r):
-                assert p.min() >= 0.0 and p.max() <= 1.0
+                assert p.min() >= 0.0 and p.max() / f.scale <= 1.0
     return clip
 
 
@@ -47,9 +47,9 @@ def pnm_parses_and_decodes_or_vqa_error(data, name):
     """A file that parses decodes, without error, to its header's luma shape."""
     out = parses_or_vqa_error(lambda d: _parse_pnm(d, name, 0), data)
     if out is not None:
-        luma = _decode_pnm(*out).luma
-        assert luma.shape == out[0].shape[:2]
-        assert luma.min() >= 0.0 and luma.max() <= 1.0
+        frame = _decode_pnm(*out)
+        assert frame.luma.shape == out[0].shape[:2]
+        assert frame.luma.min() >= 0.0 and frame.luma.max() / frame.scale <= 1.0
     return out
 
 

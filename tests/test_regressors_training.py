@@ -182,3 +182,17 @@ class TestFinetune:
         with pytest.raises(InvalidParameter, match="^batch_size=1: need an integer >= 2$"):
             TrainConfig(batch_size=1)
         TrainConfig(batch_size=2)
+
+    @pytest.mark.parametrize("name", ["epochs", "batch_size", "seed"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "4"], ids=repr)
+    def test_non_integer_setting_refused(self, name, value):
+        # a count or seed that is not an int fails here, naming its field,
+        # and not later inside training with a bare TypeError; a bool is not
+        # an int here
+        with pytest.raises(InvalidParameter, match=f"^{name}={value!r}: need an integer >= "):
+            TrainConfig(**{name: value})
+        TrainConfig(**{name: np.int64(3)})
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(InvalidParameter, match="^seed=-1: need an integer >= 0$"):
+            TrainConfig(seed=-1)

@@ -334,9 +334,10 @@ class TestSampledDecode:
     def test_peak_memory_bounded_by_sampled_frames(self):
         w, h = 64, 48
         data = _noise_y4m(90, w, h)
-        decoded_bytes = 8 * (w * h + 2 * (w // 2) * (h // 2))
+        sample_bytes = w * h + 2 * (w // 2) * (h // 2)
+        decoded_bytes = 8 * sample_bytes
         # what one sampled frame holds while a resize view works on it: its
-        # decoded float64 planes plus the three RGB planes made from them
+        # planes as float64 plus the three RGB planes made from them
         frame_bytes = decoded_bytes + 8 * 3 * w * h
         peaks = {}
         for transform in (SpatialTransform.resize(8, 8), SpatialTransform()):
@@ -352,16 +353,38 @@ class TestSampledDecode:
                 peaks[transform.kind] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        # frames are converted one at a time, each with one band-sized work
-        # strip (measured peak: 1.48 sampled frames alone, 1.47 in the suite)
+        # frames are converted one at a time, each with its luma divided into
+        # one plane and one band-sized work strip (measured peak: 1.47
+        # sampled frames, alone and in the suite)
         assert peaks["resize"] < 1.5 * frame_bytes
-        # a view that keeps whole frames keeps their decoded luma and chroma
-        # and makes no RGB plane (measured peak: 3.88 decoded frames for 3,
-        # as each frame's one buffer is made before its luma is decoded
-        # through numpy's cast buffer; 3.54 with a buffer per plane, and 9.2
-        # with RGB planes as well)
+        # a view that keeps whole frames keeps views of their samples and
+        # makes no float or RGB plane: its peak is the views' Python objects,
+        # under one frame's samples plus 4 KiB (measured peak: 8,016 bytes
+        # for 3 frames, where float64 planes peaked at 3.88 decoded frames,
+        # 143,072 bytes, and 9.2 with RGB planes as well)
         assert len(view.frames) == 3 and len(view.color[0]) == 2
-        assert peaks["none"] < 4 * decoded_bytes
+        assert all(p.dtype == np.uint8 for p in view.frames + view.color[0])
+        assert peaks["none"] < sample_bytes + 4096
+
+    def test_every_frame_view_bounded_by_one_frame(self):
+        # --temporal all keeps every frame, and a frame is its samples: a
+        # 30-frame view holds views of the clip's bytes, not a float64 copy
+        # of each frame (measured peak: 26,176 bytes, about 870 bytes of
+        # views a frame; 6,997,104 with float64 planes, 243 frames' samples)
+        w, h = 160, 120
+        data = _noise_y4m(30, w, h)
+        sample_bytes = w * h + 2 * (w // 2) * (h // 2)
+        clip = parse_y4m(data)
+        build_view(clip, temporal_sample(clip, "all"), threads=1)
+        tracemalloc.start()
+        try:
+            clip = parse_y4m(data)
+            view = build_view(clip, temporal_sample(clip, "all"), threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(view.frames) == 30 and view.scale == 255.0
+        assert peak < sample_bytes + 8192, peak
 
     def test_peak_memory_bounded_by_sampled_frames_frame_dir(self, tmp_path):
         w, h = 64, 48
@@ -380,11 +403,12 @@ class TestSampledDecode:
             finally:
                 tracemalloc.stop()
         # the clip keeps the files' bytes, and frames are decoded one at a
-        # time: the float64 RGB stack, the planes made from it and the view's
-        # RGB planes (measured peak: files + 2.96 decoded frames; decoding
-        # every file up front peaked at files + 82)
-        assert peaks["resize"] < file_bytes + 4 * frame_bytes
-        # a view that keeps whole frames keeps 3 decoded frames (measured
-        # peak: files + 4.75 decoded frames)
+        # time: the float64 RGB stack, the planes made from it, the view's
+        # RGB planes and the one luma plane its resize reads (measured peak:
+        # files + 3.22 decoded frames; 2.96 when the resize read the decoded
+        # luma in place, and decoding every file up front peaked at files + 82)
+        assert peaks["resize"] < file_bytes + 3.5 * frame_bytes
+        # a view that keeps whole frames keeps 3 decoded frames: a PPM
+        # frame's Y/Cb/Cr are float (measured peak: files + 4.75 decoded frames)
         assert len(view.frames) == 3 and len(view.color[0]) == 2
-        assert peaks["none"] < file_bytes + 6 * frame_bytes
+        assert peaks["none"] < file_bytes + 5 * frame_bytes

@@ -266,7 +266,7 @@ class TestColorfulness:
         assert len(view.color) == 3
         for i, planes in enumerate(view.color):
             stacked = colorfulness_stacked(np.stack(reference_rgb(clip, i, transform, 4), axis=-1))
-            one = SampledView(view.frames[i:i + 1], transform, (planes,))
+            one = SampledView(view.frames[i:i + 1], transform, (planes,), view.scale)
             for threads in (1, 4):
                 got = extract_view_features(one, threads=threads).values["colorfulness"]
                 assert got.hex() == stacked.hex()
@@ -413,6 +413,26 @@ class TestSsim:
         with pytest.raises(PlaneTooSmall):
             ssim(np.zeros((4, 4)), np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("shape", [(8, 8), (15, 21), (137, 1930), (301, 640)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("scale", [1.0, 255.0, 1023.0])
+    def test_pair_is_ti_and_cross_sums(self, shape, scale):
+        # one read of each plane gives the bits of both kernels: at sizes
+        # whose bands, leaves and whole blocks end on different rows
+        rng = np.random.default_rng(shape[0] + int(scale))
+        if scale == 1.0:
+            a, b = rng.random(shape), rng.random(shape)
+        else:
+            dtype = np.uint8 if scale == 255 else np.dtype("<u2")
+            a, b = (rng.integers(0, scale + 1, shape).astype(dtype) for _ in range(2))
+        t, sums = sf._pair(a, b, scale)
+        assert t.hex() == ti(a, b, scale).hex()
+        assert sums.tobytes() == sf._ssim_cross_sums(a, b, scale).tobytes()
+        with pytest.raises(DimensionMismatch):
+            sf._pair(a, b[:-1], scale)
+        with pytest.raises(PlaneTooSmall):
+            sf._pair(a[:7], b[:7], scale)
+
 
 def _clip_from_planes(planes, chroma=None):
     frames = []
@@ -489,10 +509,10 @@ class TestExtraction:
     def test_each_pair_computed_once(self, monkeypatch, k):
         # each frame's SSIM statistics are made once; frame 1's consecutive
         # pair is also its first-frame pair, so k frames make 2k-3 pairs, each
-        # adding ti and the window sums of its product plane
+        # adding ti and the window sums of its product plane in one _pair call
         rng = np.random.default_rng(k)
         planes = [rng.random((16, 16)) for _ in range(k)]
-        calls = {"ti": 0, "ssim": 0, "_ssim_stats": 0, "_ssim_cross_sums": 0}
+        calls = {"_pair": 0, "ti": 0, "ssim": 0, "_ssim_stats": 0, "_ssim_cross_sums": 0}
 
         def counted(name):
             fn = getattr(sf, name)
@@ -508,7 +528,8 @@ class TestExtraction:
         fv = extract_clip_features(clip, temporal_sample(clip, "all"))
         pairs = max(2 * k - 3, 0)
         stats = k if k > 1 else 0
-        assert calls == {"ti": pairs, "ssim": 0, "_ssim_stats": stats, "_ssim_cross_sums": pairs}
+        assert calls == {"_pair": pairs, "ti": 0, "ssim": 0, "_ssim_stats": stats,
+                         "_ssim_cross_sums": 0}
         if k > 1:
             firsts = [ti(p, planes[0]) for p in planes[1:]]
             assert fv.values["ti_first"] == float(np.mean(firsts))
@@ -528,8 +549,9 @@ class TestExtraction:
         SpatialTransform.pad_square_then_resize(28), SpatialTransform.fragment(2, 16),
     ], ids=lambda t: t.kind)
     def test_parallel_bit_identical_chroma(self, transform, k):
-        # every view plane is row-major float64, so scratch planes reduce in
-        # the order numpy's own temporaries do, on one thread or on more
+        # every view plane is row-major, samples or float64, so the bands
+        # read from it and the scratch planes reduce in the order numpy's own
+        # temporaries do on the float64 plane, on one thread or on more
         # threads than cores; in every chroma layout and depth, at an odd
         # size whose last colour band is short
         w = 41
@@ -553,9 +575,12 @@ class TestExtraction:
             # the same bits as numpy's own expressions on the view's luma planes
             # and on the reference RGB planes
             view = build_view(clip, plan, transform, seed=5)
-            lumas = view.frames
-            for p in lumas + tuple(c for planes in view.color for c in planes):
-                assert p.dtype == np.float64 and p.flags.c_contiguous
+            samples = np.uint8 if view.scale == 255 else np.dtype("<u2")
+            assert view.scale == (clip.frames[0].scale if transform.selects_samples else 1.0)
+            for p in view.frames + tuple(c for planes in view.color for c in planes):
+                assert p.dtype == (samples if transform.selects_samples else np.float64)
+                assert p.flags.c_contiguous
+            lumas = tuple(p / view.scale for p in view.frames)
             rgbs = [reference_rgb(clip, i, transform, 5) for i in range(k)]
             ref = {
                 "si": [si_two_stencil(p) for p in lumas],
