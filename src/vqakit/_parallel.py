@@ -36,6 +36,8 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
+from .errors import check_count
+
 # Scratch slots: two full-size planes (the first also takes a resize view's
 # divided luma, the second SSIM's row sums), the SSIM block sums, the band buffer.
 _PLANE_A, _PLANE_B, _BLOCKS, _BAND = range(4)
@@ -74,11 +76,11 @@ def parallel_map(fn: Callable, items: Sequence, threads: int | None) -> list:
     ``scratch`` hands out the running thread's buffers. Every task has ended
     when the call returns or raises; an error is the first in ``items``
     order. A call from inside a task would wait on the pool that runs it, so
-    it raises ``RuntimeError``.
+    it raises ``RuntimeError``. ``threads`` is None (serial) or an integer >= 1.
     """
     if hasattr(_local, "buffers"):
         raise RuntimeError("parallel_map called from inside a parallel_map task")
-    if threads and threads > 1 and len(items) > 1:
+    if threads is not None and check_count("threads", threads) > 1 and len(items) > 1:
         pool = _pool(threads)
         futures = [pool.submit(fn, item) for item in items]
         wait(futures)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clip_io import VideoClip
-from .errors import BenchRunError, InvalidParameter, SpecMismatch
+from .errors import BenchRunError, InvalidParameter, SpecMismatch, check_count
 from .signal_features import KERNEL_MACS
 
 __all__ = [
@@ -129,10 +129,8 @@ class ConstraintVerdict:
 
 def check_run_counts(warmup: int, runs: int):
     """Refuse counts time_pipeline cannot honour, before anything is built."""
-    if warmup < 0:
-        raise InvalidParameter("warmup", warmup, "an integer >= 0")
-    if runs < 1:
-        raise InvalidParameter("runs", runs, "an integer >= 1")
+    check_count("warmup", warmup, 0)
+    check_count("runs", runs)
 
 
 def time_pipeline(

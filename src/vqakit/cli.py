@@ -40,7 +40,7 @@ import numpy as np
 from . import __version__
 from .bench_harness import ConstraintGate, check_constraint, check_run_counts, time_pipeline
 from .clip_io import CANONICAL_SPECS, load_frame_dir, parse_y4m, synth_clip
-from .errors import CheckpointError, DuplicateId, JoinError, VqaError
+from .errors import CheckpointError, DuplicateId, JoinError, VqaError, check_count
 from .eval_metrics import evaluate
 from .pipelines import PIPELINE_NAMES, build_pipeline
 from .regressors import (
@@ -74,11 +74,9 @@ EXIT_PARTIAL = 2
 def _count(text: str) -> int:
     """argparse type of --threads and --fps: an integer >= 1."""
     try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
+        return check_count("count", int(text))
+    except ValueError:  # InvalidParameter is one too
+        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}") from None
 
 
 def _spatial(text: str) -> SpatialTransform:

@@ -43,6 +43,7 @@ from .errors import (
     ParseError,
     TruncatedFrame,
     Unsupported,
+    check_count,
 )
 
 __all__ = [
@@ -109,6 +110,8 @@ class VideoClip:
 
     def __post_init__(self):
         object.__setattr__(self, "fps", Fraction(self.fps))
+        check_count("width", self.width)
+        check_count("height", self.height)
         if isinstance(self.frames, _Frames):
             shapes = [self.frames.luma_shape]
         else:
@@ -142,6 +145,10 @@ class ClipSpec:
     frame_count: int
     width: int
     height: int
+
+    def __post_init__(self):
+        for name in ("frame_count", "width", "height"):
+            check_count(name, getattr(self, name))
 
 
 CANONICAL_SPECS: dict[str, ClipSpec] = {
@@ -216,7 +223,7 @@ def parse_y4m(buf: bytes) -> VideoClip:
     reported at its own byte offset, with its token.
     """
     if not isinstance(buf, bytes):
-        raise TypeError(f"parse_y4m takes bytes, got {type(buf).__name__}")
+        raise InvalidParameter("buf", type(buf).__name__, "bytes")
     nl = buf.find(b"\n")
     if nl < 0:
         raise ParseError(0, buf[:20].decode("latin-1"))
@@ -387,10 +394,8 @@ def synth_clip(spec: ClipSpec, pattern: str, *, seed: int = 0) -> VideoClip:
 
     pattern: "noise" (uniform [0,1] per frame from ``seed``), the one pattern.
     """
-    if spec.width <= 0 or spec.height <= 0 or spec.frame_count <= 0:
-        raise ValueError(f"invalid spec {spec}")
     if pattern != "noise":
-        raise ValueError(f"unknown pattern {pattern!r}")
+        raise InvalidParameter("pattern", pattern, '"noise"')
     rng = np.random.default_rng(seed)
     frames = tuple(Frame(rng.random((spec.height, spec.width))) for _ in range(spec.frame_count))
     return VideoClip(spec.width, spec.height, Fraction(30), frames)

@@ -1,10 +1,15 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and its one count check.
 
-All errors raised by vqakit derive from :class:`VqaError` so callers (and the
-CLI) can catch toolkit failures in one place.
+A bad input raises a :class:`VqaError` subclass, once, where it enters (a
+value object checks itself when made); InvalidParameter, NumericalError and
+MalformedTable are ValueError too. Only programmer errors raise built-ins:
+parallel_map called in a task (RuntimeError), save_model given no model
+(TypeError), and the CLI's argparse.ArgumentTypeError and SystemExit.
 """
 
 from __future__ import annotations
+
+from numbers import Integral
 
 
 class VqaError(Exception):
@@ -62,8 +67,8 @@ class NoTrainablePairs(VqaError):
     pass
 
 
-class NumericalError(VqaError):
-    pass
+class NumericalError(VqaError, ValueError):
+    """A nan or infinite value where a finite number is needed."""
 
 
 class InvalidParameter(VqaError, ValueError):
@@ -73,6 +78,13 @@ class InvalidParameter(VqaError, ValueError):
         self.name = name
         self.value = value
         super().__init__(f"{name}={value!r}: need {need}")
+
+
+def check_count(name: str, value, least: int = 1):
+    """``value``, an integer (Python or numpy, not a bool) >= ``least``, or InvalidParameter."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise InvalidParameter(name, value, f"an integer >= {least}")
+    return value
 
 
 class CheckpointError(VqaError):
@@ -101,6 +113,10 @@ class JoinError(VqaError):
     def __init__(self, clip_id: str):
         self.clip_id = clip_id
         super().__init__(f"no matching row for clip_id {clip_id!r}")
+
+
+class MalformedTable(VqaError, ValueError):
+    """A CSV table whose header, row width or cell cannot be read."""
 
 
 class DuplicateId(VqaError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import JoinError, UndefinedCorrelation
+from .errors import InvalidParameter, JoinError, NumericalError, UndefinedCorrelation
 from .tables import read_score_table
 
 __all__ = [
@@ -44,12 +44,10 @@ def _check(x, y) -> tuple[np.ndarray, np.ndarray]:
     """Predictions and MOS as equal-length, finite float vectors of >= 2 points."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
-        raise ValueError("predictions and mos must be 1-D vectors of equal length")
-    if x.size < 2:
-        raise ValueError("need at least 2 points")
+    if x.ndim != 1 or x.shape != y.shape or x.size < 2:
+        raise InvalidParameter("shapes", (x.shape, y.shape), "two 1-D vectors of one length >= 2")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("non-finite values")
+        raise NumericalError("predictions or mos hold a non-finite value")
     return x, y
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .bench_harness import Elementwise, Feature, Linear, PipelineDescriptor
 from .clip_io import CANONICAL_SPECS, ClipSpec, VideoClip
+from .errors import InvalidParameter
 from .regressors import fit_forest, init_branchnet, predict_forest, predict_scores
 from .regressors.net import GATED_BRANCHES
 from .sampling import plan_indices, temporal_sample
@@ -89,7 +90,7 @@ def build_pipeline(
         predict, stages = (lambda row: predict_scores(net, row)[0]), _net_stages(net)
         params_m = net.n_params() / 1e6
     else:
-        raise ValueError(f"unknown pipeline {name!r}; choose from {PIPELINE_NAMES}")
+        raise InvalidParameter("name", name, f"one of {PIPELINE_NAMES}")
 
     def score(clip: VideoClip) -> float:
         plan = temporal_sample(clip, _REFERENCE_PLAN)

@@ -41,11 +41,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
 
 import numpy as np
 
-from ..errors import DimensionMismatch, EmptyInput, InvalidParameter, NumericalError
+from ..errors import DimensionMismatch, EmptyInput, NumericalError, check_count
 
 __all__ = ["ForestModel", "fit_forest", "predict_forest"]
 
@@ -508,8 +507,7 @@ def fit_forest(
     split, so every tree would be one leaf that scores every input the same.
     """
     for name, value in (("n_trees", n_trees), ("max_depth", max_depth), ("min_leaf", min_leaf)):
-        if not isinstance(value, Integral) or value < 1:
-            raise InvalidParameter(name, value, "an integer >= 1")
+        check_count(name, value)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import InvalidParameter
 from ..scoring import _add_in_order
 
 __all__ = ["rel_loss_grad", "total_loss"]
@@ -67,7 +68,7 @@ def rel_loss_grad(predictions, mos, margin: float = 0.05):
     m = np.asarray(mos, dtype=np.float64)
     pred = np.asarray(predictions, dtype=np.float64)
     if m.ndim != 1 or m.size < 2 or pred.ndim != 2 or pred.shape[-1] != m.size:
-        raise ValueError(f"need (rows, B) scores, B >= 2 MOS; got {pred.shape}, {m.shape}")
+        raise InvalidParameter("shapes", (pred.shape, m.shape), "(rows, B) scores, B >= 2 MOS")
     rank, grank = _rank_term(pred, m, margin)
     lin, glin = _linearity_term(pred, m)
     return rank + lin, grank + glin
@@ -77,5 +78,5 @@ def total_loss(branch_batches, mos_batch, margin: float = 0.05) -> float:
     """Sum of the relative loss over a sequence of three branch score batches."""
     batches = list(branch_batches)
     if len(batches) != 3:
-        raise ValueError(f"expected 3 branch batches, got {len(batches)}")
+        raise InvalidParameter("branch batches", len(batches), "3")
     return _add_in_order(rel_loss_grad(np.stack(batches), mos_batch, margin)[0].tolist())

@@ -34,7 +34,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ..errors import DimensionMismatch, NumericalError
+from ..errors import DimensionMismatch, InvalidParameter, NumericalError, check_count
 from ..signal_features import BRANCH_GROUPS, FEATURE_ORDER
 
 __all__ = [
@@ -141,7 +141,7 @@ class BranchNet:
 
     def unflatten(self, flat: np.ndarray):
         if np.shape(flat) != self.flat.shape:
-            raise ValueError(f"flat vector has shape {np.shape(flat)}, net needs {self.flat.shape}")
+            raise InvalidParameter("flat shape", np.shape(flat), f"{self.flat.shape}")
         self.flat[...] = flat
 
     def copy(self) -> "BranchNet":
@@ -171,12 +171,12 @@ def init_branchnet(
 ) -> BranchNet:
     groups = {b: tuple(fs) for b, fs in (BRANCH_GROUPS if groups is None else groups).items()}
     if set(groups) != set(BRANCH_ORDER):
-        raise ValueError(f"groups must cover {BRANCH_ORDER}")
+        raise InvalidParameter("groups", sorted(groups), f"exactly the branches {BRANCH_ORDER}")
     unknown = {f for fs in groups.values() for f in fs} - set(feature_names)
     if unknown:
-        raise ValueError(f"groups name {sorted(unknown)}, which feature_names lacks")
-    if embed_dim < 1 or head_hidden < 0:
-        raise ValueError(f"embed_dim {embed_dim} must be >= 1, head_hidden {head_hidden} >= 0")
+        raise InvalidParameter("groups", sorted(unknown), "only names in feature_names")
+    check_count("embed_dim", embed_dim)
+    check_count("head_hidden", head_hidden, 0)
     n_raw = len(feature_names)
     net = BranchNet(tuple(feature_names), groups, embed_dim, head_hidden, gate_dropout, None,
                     np.zeros(n_raw), np.ones(n_raw), False, seed)
@@ -214,7 +214,7 @@ def _param_stacks(net: BranchNet, vec):
     if made:
         vec = np.zeros(vec + (size,))
     if vec.shape[-1] != size:
-        raise ValueError(f"vector of {vec.shape[-1]} parameters, the net has {size}")
+        raise InvalidParameter("vector length", vec.shape[-1], f"the net's {size} parameters")
     lead, views, pos = vec.shape[:-1], {}, 0
     for key, shape in blocks:
         views[key] = vec[..., pos:pos + math.prod(shape)].reshape(lead + shape)

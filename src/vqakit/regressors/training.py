@@ -6,8 +6,8 @@ harmless), followed by fine-tuning against MOS with the per-branch relative
 loss. Plain gradient descent with decoupled weight decay keeps runs
 bit-reproducible from (seed, config, data). A TrainConfig checks its rates,
 counts and seed when it is made, so one that either phase cannot use fails
-before any pretraining: the counts and the seed are ints, and batch_size is
-at least 2, since a fine-tuning batch needs a pair to rank.
+before any pretraining: counts and seed are integers (``check_count``), and
+batch_size >= 2, since a fine-tuning batch needs a pair to rank.
 
 The net keeps its parameters in one flat float64 vector, ``net.flat``, and
 the passes read its stacked views, ``net.stacks``; gradients go into
@@ -29,11 +29,10 @@ gradient is still the winner's plus the loser's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from ..errors import InvalidParameter, NoTrainablePairs
+from ..errors import InvalidParameter, NoTrainablePairs, check_count
 from ..scoring import _add_in_order
 from .losses import rel_loss_grad
 from .net import (GATED_BRANCHES, BranchNet, _backward_batch, _forward_batch, _named_views,
@@ -58,16 +57,14 @@ class TrainConfig:
                 raise InvalidParameter(name, value, "a finite number >= 0")
         # a fine-tuning batch is ranked and correlated, so it needs at least a pair
         for name, least in (("epochs", 0), ("batch_size", 2), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-                raise InvalidParameter(name, value, f"an integer >= {least}")
+            check_count(name, getattr(self, name), least)
 
 
 def _check_dataset(X, mos):
     X = np.asarray(X, dtype=np.float64)
     m = np.asarray(mos, dtype=np.float64)
     if X.ndim != 2 or m.ndim != 1 or X.shape[0] != m.size or m.size < 2:
-        raise ValueError("dataset must be (n x d features, n mos) with n >= 2")
+        raise InvalidParameter("dataset", (X.shape, m.shape), "(n x d features, n mos), n >= 2")
     return X, m
 
 
@@ -139,7 +136,7 @@ def train_siamese(datasets, net: BranchNet, config: TrainConfig,
     """
     data = [_check_dataset(X, m) for X, m in datasets]
     if not data:
-        raise ValueError("need at least one dataset")
+        raise InvalidParameter("datasets", data, "at least one (features, mos) pair")
     if config.epochs == 0:
         return net
     trainable = [k for k, (_, m) in enumerate(data) if np.unique(m).size > 1]

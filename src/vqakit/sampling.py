@@ -8,7 +8,9 @@ spatial transforms resize, pad-to-square, or mosaic random patches from a
 Views whose transform only selects samples (none, fragment) keep the
 frames' samples, at their scale, and colour as YCbCr, which the colour
 feature converts to RGB; resizes keep float planes and RGB (``SampledView``
-says why).
+says why). Plans, transforms and views check their fields when made;
+``build_view`` checks only what a plan cannot know: that its indices fit
+the clip.
 
 All randomness flows through explicit 64-bit seeds. A fragment view draws its
 patch offsets once per clip, from the seed alone, so every frame of a clip
@@ -27,7 +29,7 @@ import numpy as np
 
 from ._parallel import _PLANE_A, parallel_map, scratch
 from .clip_io import Frame, VideoClip, chroma_factors, frame_rgb
-from .errors import InsufficientFrames, InvalidParameter, SourceTooSmall
+from .errors import EmptyInput, InsufficientFrames, InvalidParameter, SourceTooSmall, check_count
 
 __all__ = [
     "TEMPORAL_MODES",
@@ -59,8 +61,10 @@ class TemporalPlan:
     def __post_init__(self):
         idx = tuple(int(i) for i in self.indices)
         object.__setattr__(self, "indices", idx)
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValueError("plan indices must be strictly increasing")
+        if self.mode not in TEMPORAL_MODES:
+            raise InvalidParameter("mode", self.mode, f"one of {TEMPORAL_MODES}")
+        if not idx or idx[0] < 0 or any(b <= a for a, b in zip(idx, idx[1:])):
+            raise InvalidParameter("indices", idx, "at least one, from 0 up, strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -75,22 +79,25 @@ class SpatialTransform:
     grid: int = 7
     patch: int = 32
 
+    def __post_init__(self):
+        sizes = {"none": (), "resize": ("width", "height"), "pad_square_then_resize": ("size",),
+                 "fragment": ("grid", "patch")}.get(self.kind)  # each an integer >= 1
+        if sizes is None:
+            raise InvalidParameter("kind", self.kind, "none, resize, pad_square_then_resize "
+                                   "or fragment")
+        for name in sizes:
+            check_count(name, getattr(self, name))
+
     @classmethod
     def resize(cls, w: int, h: int) -> "SpatialTransform":
-        for name, value in (("width", w), ("height", h)):
-            if value < 1:
-                raise InvalidParameter(name, value, "an integer >= 1")
         return cls("resize", width=w, height=h)
 
     @classmethod
     def pad_square_then_resize(cls, size: int) -> "SpatialTransform":
-        if size < 1:
-            raise InvalidParameter("size", size, "an integer >= 1")
         return cls("pad_square_then_resize", size=size)
 
     @classmethod
     def fragment(cls, grid: int = 7, patch: int = 32) -> "SpatialTransform":
-        _check_fragment(grid, patch)
         return cls("fragment", grid=grid, patch=patch)
 
     @classmethod
@@ -100,10 +107,12 @@ class SpatialTransform:
                   ("pad_square", 1): cls.pad_square_then_resize,
                   ("fragment", 0): cls.fragment, ("fragment", 2): cls.fragment}
         kind, *sizes = text.split(":")
-        if (kind, len(sizes)) not in makers:
-            raise ValueError(f"unknown spatial transform {text!r}: need none, resize:W:H, "
-                             "pad_square:S or fragment[:GRID:PATCH]")
-        return makers[kind, len(sizes)](*map(int, sizes))
+        try:
+            maker, sizes = makers[kind, len(sizes)], [int(v) for v in sizes]
+        except (KeyError, ValueError):
+            raise InvalidParameter("spatial", text, "none, resize:W:H, pad_square:S or "
+                                   "fragment[:GRID:PATCH], with integer sizes") from None
+        return maker(*sizes)
 
     @property
     def selects_samples(self) -> bool:
@@ -135,38 +144,30 @@ class SampledView:
     scale: float = 1.0
 
     def __post_init__(self):
+        if not self.frames:
+            raise EmptyInput("a view needs at least one frame")
         if self.color is not None:
             want = 2 if self.transform.selects_samples else 3
             if len(self.color) != len(self.frames) or any(len(c) != want for c in self.color):
-                raise ValueError(f"a {self.transform.kind} view keeps {want} colour planes "
-                                 "per frame")
+                raise InvalidParameter("color", [len(c) for c in self.color],
+                                       f"{want} planes for each of {len(self.frames)} frames")
 
 
 # --- temporal ----------------------------------------------------------------
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
-def _second_starts(n: int, fps: Fraction):
-    """Frame index of the first frame of each second: ceil(k * fps)."""
-    starts = []
-    k = 0
-    while True:
-        s = _ceil_div(k * fps.numerator, fps.denominator)
-        if s >= n:
-            break
-        starts.append(s)
-        k += 1
-    return starts
+def _second_starts(n: int, fps: Fraction) -> list[int]:
+    """Frame index of the first frame of each second, ceil(k * fps), for each
+    second k that starts inside the n frames: k * fps <= n - 1."""
+    num, den = fps.numerator, fps.denominator
+    return [-(-k * num // den) for k in range((n - 1) * den // num + 1)]
 
 
 def plan_indices(n_frames: int, fps, mode: str) -> tuple[int, ...]:
     """Pure index computation behind temporal_sample; see that op for modes."""
-    if n_frames < 1:
-        raise ValueError("clip is empty")
+    n = check_count("n_frames", n_frames)
     fps = Fraction(fps)
-    n = n_frames
+    if fps <= 0:
+        raise InvalidParameter("fps", fps, "a positive rate")
 
     if mode == "all":
         return tuple(range(n))
@@ -200,7 +201,7 @@ def plan_indices(n_frames: int, fps, mode: str) -> tuple[int, ...]:
         if len(firsts) <= 5:  # too few seconds to reduce: keep each one's first frame
             return tuple(firsts)
         return tuple(firsts[j] for j in frankenstone_subset(len(firsts)))
-    raise ValueError(f"unknown temporal mode {mode!r}")
+    raise InvalidParameter("mode", mode, f"one of {TEMPORAL_MODES}")
 
 
 def temporal_sample(clip: VideoClip, mode: str) -> TemporalPlan:
@@ -245,8 +246,6 @@ def _resize_bilinear(plane: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     """Separable bilinear resize with half-pixel centers, to a row-major
     float64 plane: rows are blended first, then columns."""
     h, w = plane.shape
-    if h < 1 or w < 1 or out_w < 1 or out_h < 1:
-        raise ValueError("resize dimensions must be >= 1")
     ylo, yhi, yfrac = _axis_taps(h, out_h)
     xlo, xhi, xfrac = _axis_taps(w, out_w)
     rows = plane[ylo] * (1.0 - yfrac)[:, None] + plane[yhi] * yfrac[:, None]
@@ -274,14 +273,7 @@ def _region_bounds(total: int, grid: int):
     return starts, ends
 
 
-def _check_fragment(grid: int, patch: int):
-    for name, value in (("grid", grid), ("patch", patch)):
-        if value < 1:
-            raise InvalidParameter(name, value, "an integer >= 1")
-
-
 def _fragment_offsets(h: int, w: int, grid: int, patch: int, rng: np.random.Generator):
-    _check_fragment(grid, patch)
     if h < grid * patch or w < grid * patch:
         raise SourceTooSmall(f"{w}x{h} cannot host a {grid}x{grid} grid of {patch}px patches")
     ys, ye = _region_bounds(h, grid)
@@ -312,6 +304,7 @@ def fragment_sample(
     The output cell (i,j) always comes from source region (i,j), so relative
     spatial order is preserved.
     """
+    SpatialTransform.fragment(grid, patch)  # checks grid and patch
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     return _fragment_gather(plane.shape[:2], grid, patch, rng)(plane)
@@ -354,10 +347,8 @@ def _apply_transform(frame: Frame, transform: SpatialTransform, gather):
         return gather(frame.luma), tuple(gather(c) for c in chroma), frame.scale
     if t.kind == "resize":
         f = lambda p: _resize_bilinear(p, t.width, t.height)
-    elif t.kind == "pad_square_then_resize":
+    else:  # pad_square_then_resize
         f = lambda p: _resize_bilinear(_pad_to_square(p), t.size, t.size)
-    else:
-        raise ValueError(f"unknown transform {t.kind!r}")
     rgb = frame_rgb(frame) if chroma else ()
     # feature extraction runs in tasks of its own, so a worker holds one
     # plane for both this and extraction's first full-size plane
@@ -380,12 +371,11 @@ def build_view(
     transform, seed) regardless of thread count; a fragment view draws its
     patches once per clip, so every frame takes the same ones.
     """
-    for i in plan.indices:
-        if i < 0 or i >= len(clip):
-            raise IndexError(f"plan index {i} outside clip of {len(clip)} frames")
+    if plan.indices[-1] >= len(clip):  # a plan's indices increase from 0 or more
+        raise InsufficientFrames(f"plan index {plan.indices[-1]} outside a {len(clip)}-frame clip")
 
     gather = None
-    if transform.kind == "fragment" and plan.indices:
+    if transform.kind == "fragment":
         gather = _fragment_gather((clip.height, clip.width), transform.grid, transform.patch,
                                   np.random.default_rng(int(seed) & 0xFFFF_FFFF_FFFF_FFFF))
 
@@ -396,5 +386,5 @@ def build_view(
     # a clip's frames agree on chroma and scale, so the first sampled frame speaks for all
     results = parallel_map(one, plan.indices, threads)
     lumas = tuple(r[0] for r in results)
-    colors = tuple(r[1] for r in results) if results and results[0][1] else None
-    return SampledView(lumas, transform, colors, results[0][2] if results else 1.0)
+    colors = tuple(r[1] for r in results) if results[0][1] else None
+    return SampledView(lumas, transform, colors, results[0][2])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateScores, InvalidParameter, OutOfRange
+from .errors import DegenerateScores, InvalidParameter, NumericalError, OutOfRange
 
 __all__ = [
     "LevelDistribution",
@@ -33,12 +33,9 @@ class LevelDistribution:
     def __post_init__(self):
         p = tuple(float(v) for v in self.p)
         object.__setattr__(self, "p", p)
-        if len(p) != 5:
-            raise ValueError("need exactly 5 probabilities")
-        if any(v < 0.0 or v > 1.0 for v in p):
-            raise ValueError(f"probabilities outside [0,1]: {p}")
-        if abs(sum(p) - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {sum(p)}, not 1")
+        # written so that a nan fails
+        if len(p) != 5 or not all(0.0 <= v <= 1.0 for v in p) or not abs(sum(p) - 1.0) <= 1e-12:
+            raise InvalidParameter("p", p, "5 probabilities in [0, 1] that sum to 1")
 
 
 @dataclass(frozen=True)
@@ -48,7 +45,7 @@ class ScoreRange:
 
     def __post_init__(self):
         if not self.M > self.m:
-            raise ValueError(f"need M > m, got [{self.m}, {self.M}]")
+            raise InvalidParameter("M", self.M, f"a bound above m={self.m}")
 
 
 MOS_RANGE = ScoreRange(1.0, 5.0)
@@ -75,7 +72,7 @@ class FusionSpec:
         if not (all(x >= 0.0 for x in w) and 0.0 < _add_in_order(w) < np.inf):  # NaN fails too
             raise InvalidParameter("weights", w, "finite, non-negative, with a positive sum")
         if self.normalization not in ("none", "zscore"):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
+            raise InvalidParameter("normalization", self.normalization, '"none" or "zscore"')
 
 
 def bin_score(s: float, score_range: ScoreRange = MOS_RANGE) -> int:
@@ -85,7 +82,7 @@ def bin_score(s: float, score_range: ScoreRange = MOS_RANGE) -> int:
     to their own level, and s == m clamps to level 1.
     """
     lo, hi = score_range.m, score_range.M
-    if s < lo or s > hi:
+    if not lo <= s <= hi:  # a nan too
         raise OutOfRange(f"{s} outside [{lo}, {hi}]")
     for i in range(1, 5):
         if s <= lo + (i * (hi - lo)) / 5.0:
@@ -97,9 +94,9 @@ def softmax_levels(logits) -> LevelDistribution:
     """Numerically stable close-set softmax over the 5 level logits."""
     x = np.asarray(logits, dtype=np.float64)
     if x.shape != (5,):
-        raise ValueError(f"need 5 logits, got shape {x.shape}")
+        raise InvalidParameter("logits", x.shape, "shape (5,)")
     if not np.isfinite(x).all():
-        raise ValueError("logits must be finite")
+        raise NumericalError(f"logits {x.tolist()} are not all finite")
     e = np.exp(x - x.max())
     p = e / e.sum()
     return LevelDistribution(tuple(p))
@@ -123,10 +120,10 @@ def fuse_scores(score_lists, spec: FusionSpec) -> np.ndarray:
     """
     arrays = [np.asarray(s, dtype=np.float64) for s in score_lists]
     if len(arrays) != len(spec.weights):
-        raise ValueError(f"{len(arrays)} score lists vs {len(spec.weights)} weights")
+        raise InvalidParameter("score_lists", len(arrays), f"one per weight, {len(spec.weights)}")
     n = arrays[0].size
     if n < 1 or any(a.ndim != 1 or a.size != n for a in arrays):
-        raise ValueError("score lists must be equal-length 1-D vectors")
+        raise InvalidParameter("score_lists", [a.shape for a in arrays], "1-D, one length >= 1")
 
     if spec.normalization == "zscore":
         normed = []

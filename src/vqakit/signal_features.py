@@ -67,7 +67,7 @@ import numpy as np
 
 from ._parallel import _BAND, _BLOCKS, _PLANE_A, _PLANE_B, parallel_map, scratch
 from .clip_io import _BAND_PIXELS, VideoClip, chroma_factors, row_bands, ycbcr_to_rgb
-from .errors import DimensionMismatch, PlaneTooSmall
+from .errors import DimensionMismatch, InvalidParameter, NumericalError, PlaneTooSmall
 from .sampling import SampledView, SpatialTransform, TemporalPlan, build_view
 from .tables import read_id_rows
 
@@ -121,10 +121,10 @@ class FeatureVector:
     def __post_init__(self):
         missing = [k for k in FEATURE_ORDER if k not in self.values]
         if missing:
-            raise ValueError(f"missing features: {missing}")
+            raise InvalidParameter("values", sorted(self.values), f"every feature, {missing} too")
         for k, v in self.values.items():
             if not np.isfinite(v):
-                raise ValueError(f"feature {k} is not finite: {v}")
+                raise NumericalError(f"feature {k} is not finite: {v}")
 
     def as_row(self) -> list[float]:
         return [self.values[k] for k in FEATURE_ORDER]
@@ -562,8 +562,6 @@ def extract_view_features(view: SampledView, threads: int | None = None) -> Feat
     colors = view.color
     scale = view.scale
     k = len(lumas)
-    if k == 0:
-        raise PlaneTooSmall("view has no frames")
     flags = set()
     if colors is None:
         flags.add(FLAG_DEGRADED_COLOR)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import math
 
-from .errors import DuplicateId, NumericalError
+from .errors import DuplicateId, MalformedTable, NumericalError
 
 __all__ = ["read_score_table", "write_score_table"]
 
@@ -19,7 +19,7 @@ def _cell(path, line: int, clip_id: str, column: str, text: str) -> float:
         return value
     where = f"{path}: row {line} (clip {clip_id!r}), column {column!r} is {text!r}"
     if value is None:
-        raise ValueError(f"{where}, not a number")
+        raise MalformedTable(f"{where}, not a number")
     raise NumericalError(f"{where}, not a finite number")
 
 
@@ -27,7 +27,7 @@ def read_id_rows(path, columns: tuple[str, ...]) -> tuple[list[str], list[list[f
     """Read a `clip_id,<columns...>` CSV into (clip ids, rows of floats).
 
     A wrong header, a row of the wrong width or a cell that is not a number
-    raises ValueError; a nan or inf cell raises NumericalError; a clip id
+    raises MalformedTable; a nan or inf cell raises NumericalError; a clip id
     on a second row raises DuplicateId. Each error names the file and row,
     and a cell error the column.
     """
@@ -35,14 +35,15 @@ def read_id_rows(path, columns: tuple[str, ...]) -> tuple[list[str], list[list[f
         r = csv.reader(fh)
         header = next(r, None)
         if header is None or [h.strip() for h in header] != ["clip_id", *columns]:
-            raise ValueError(f"{path}: expected header 'clip_id,{','.join(columns)}', got {header}")
+            raise MalformedTable(f"{path}: expected header 'clip_id,{','.join(columns)}', "
+                                 f"got {header}")
         lines, rows = {}, []  # each clip id's row
         for row in r:
             if not row:
                 continue
             if len(row) != len(columns) + 1:
-                raise ValueError(f"{path}: row {r.line_num} has {len(row)} fields, "
-                                 f"the header {len(columns) + 1}")
+                raise MalformedTable(f"{path}: row {r.line_num} has {len(row)} fields, "
+                                     f"the header {len(columns) + 1}")
             if row[0] in lines:
                 raise DuplicateId(row[0], f"{path}: row {r.line_num}", f"row {lines[row[0]]}")
             rows.append([_cell(path, r.line_num, row[0], col, text)

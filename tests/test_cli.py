@@ -138,7 +138,7 @@ class TestExtract:
         read = []
         monkeypatch.setattr("vqakit.cli.parse_y4m", lambda data: read.append(data))
         for bad, part in (("resize:16", "'resize:16'"), ("fragment:7", "'fragment:7'"),
-                          ("none:1", "'none:1'"), ("pad_square:x", "'x'")):
+                          ("none:1", "'none:1'"), ("pad_square:x", "'pad_square:x'")):
             with pytest.raises(SystemExit) as info:
                 main(["extract", "--input", str(clip_dir), "--out", str(tmp_path / "g.csv"),
                       "--spatial", bad])
@@ -878,5 +878,5 @@ class TestArgumentFile:
                   _argfile(tmp_path, ["--spatial=5", f"--out={out}"])])
         assert info.value.code == 2
         err = capsys.readouterr().err
-        assert "error: argument --spatial: unknown spatial transform '5'" in err, err
+        assert "error: argument --spatial: spatial='5': need none, resize:W:H" in err, err
         assert read == [] and not out.exists()

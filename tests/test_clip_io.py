@@ -97,7 +97,7 @@ class TestParseY4m:
     def test_takes_bytes_only(self):
         # the clip decodes from the buffer it keeps, so that buffer must not change
         data = y4m_bytes(4, 4, [(_flat(4, 4, 9), _flat(2, 2, 1), _flat(2, 2, 2))])
-        with pytest.raises(TypeError, match="bytearray"):
+        with pytest.raises(InvalidParameter, match="bytearray"):
             parse_y4m(bytearray(data))
 
     def test_bad_magic(self):
@@ -444,11 +444,11 @@ class TestSynthClip:
         clip = synth_clip(spec, "noise", seed=1)
         assert (len(clip), clip.width, clip.height) == (2, 16, 8)
         for pattern in ("constant", "gradient", "ramp"):
-            with pytest.raises(ValueError, match="unknown pattern"):
+            with pytest.raises(InvalidParameter, match="pattern"):
                 synth_clip(spec, pattern)
 
     def test_bad_spec(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter, match="frame_count"):
             synth_clip(ClipSpec("bad", 0, 16, 16), "noise")
 
 

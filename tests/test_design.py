@@ -1,6 +1,7 @@
 """Design rules: one thread pool in the package, none where threads do not pay;
 the benchmark harness does not depend on the regressors; one function builds
-a branch net; every public name has a caller besides its own unit tests."""
+a branch net; every public name has a caller besides its own unit tests;
+every bad-input raise is a VqaError."""
 
 import ast
 import threading
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import vqakit
+from vqakit import errors
 from vqakit.regressors import fit_forest
 
 SRC = Path(vqakit.__file__).parent
@@ -213,3 +215,34 @@ def test_public_names_have_callers():
         unused += [f"{path.relative_to(SRC)}:{n}" for n in _exported(tree)
                    if (module, n) not in reached]
     assert unused == []
+
+
+# The raises that are programmer errors, not bad input, and stay built-in:
+# (module, the class as written, why)
+BUILTIN_RAISES = [
+    ("_parallel.py", "RuntimeError", "a parallel_map nested in a task would wait on its own pool"),
+    ("regressors/checkpoint.py", "TypeError", "save_model was given an object that is no model"),
+    ("cli.py", "argparse.ArgumentTypeError", "argparse makes it a usage error, exit 2"),
+    ("cli.py", "SystemExit", "the console script's exit code"),
+]
+
+
+def test_every_raise_is_a_vqa_error():
+    # a bare `raise` re-raises what it caught; any other names its class
+    bare, exempted = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            name = ast.unparse(getattr(node.exc, "func", node.exc))
+            cls = getattr(errors, name, None)
+            if isinstance(cls, type) and issubclass(cls, errors.VqaError):
+                continue
+            if any(m == module and c == name for m, c, _ in BUILTIN_RAISES):
+                exempted.add((module, name))
+            else:
+                bare.append(f"{module}:{node.lineno}: {name}")
+    assert bare == [], "raises that are not VqaError:\n" + "\n".join(bare)
+    # an exemption that matches no raise has outlived its site
+    assert exempted == {(m, c) for m, c, _ in BUILTIN_RAISES}

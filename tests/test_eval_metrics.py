@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import krocc_oracle, pearson_oracle, rmse_oracle, srocc_oracle
-from vqakit.errors import DuplicateId, JoinError, UndefinedCorrelation
+from vqakit.errors import (DuplicateId, InvalidParameter, JoinError, MalformedTable,
+                           NumericalError, UndefinedCorrelation)
 from vqakit.eval_metrics import _average_ranks, evaluate, krocc, plcc, rmse, srocc
 from vqakit.tables import write_score_table
 
@@ -123,11 +124,11 @@ class TestInvariants:
 
     def test_pair_validation(self):
         for metric in (srocc, krocc, plcc, rmse):
-            with pytest.raises(ValueError):
+            with pytest.raises(InvalidParameter):
                 metric(np.array([1.0]), np.array([1.0]))
-            with pytest.raises(ValueError):
+            with pytest.raises(NumericalError):
                 metric(np.array([1.0, np.nan]), np.array([1.0, 2.0]))
-            with pytest.raises(ValueError):
+            with pytest.raises(InvalidParameter):
                 metric(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0]))
 
 
@@ -154,6 +155,20 @@ class TestEvaluate:
         self._write(tmp_path / "m.csv", [("a", 1.0)], "mos")
         with pytest.raises(DuplicateId):
             evaluate(tmp_path / "p.csv", tmp_path / "m.csv")
+
+    @pytest.mark.parametrize("text,error,says", [
+        ("clip,score\na,1.0\n", MalformedTable, "expected header"),
+        ("clip_id,score\na,1.0,2.0\n", MalformedTable, "row 2 has 3 fields"),
+        ("clip_id,score\na,one\n", MalformedTable, "'one', not a number"),
+        ("clip_id,score\na,nan\n", NumericalError, "'nan', not a finite number"),
+    ])
+    def test_malformed_table_named(self, tmp_path, text, error, says):
+        # a table that cannot be read is a bad input: a ValueError too, as callers catch
+        (tmp_path / "p.csv").write_text(text)
+        self._write(tmp_path / "m.csv", [("a", 1.0)], "mos")
+        with pytest.raises(error, match=says) as ei:
+            evaluate(tmp_path / "p.csv", tmp_path / "m.csv")
+        assert isinstance(ei.value, ValueError) and "p.csv" in str(ei.value)
 
     def test_row_order_insensitive(self, tmp_path):
         rows = [("a", 1.0), ("b", 3.0), ("c", 2.0)]

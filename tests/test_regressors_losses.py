@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vqakit.errors import InvalidParameter
 from vqakit.regressors.losses import rel_loss_grad, total_loss
 
 
@@ -59,7 +60,7 @@ class TestRelLoss:
     def test_takes_a_stack_only(self):
         mos = np.array([1.0, 2.0, 3.0])
         for pred in (mos, np.ones((3, 2)), np.ones((2, 3, 3))):
-            with pytest.raises(ValueError):
+            with pytest.raises(InvalidParameter):
                 rel_loss_grad(pred, mos)
 
 
@@ -85,5 +86,5 @@ class TestTotalLoss:
         assert total_loss(branches, mos).hex() == (((0.0 + v0) + v1) + v2).hex()
 
     def test_needs_three_branches(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             total_loss([np.zeros(3)], np.zeros(3))

@@ -163,11 +163,11 @@ class TestFinetune:
         assert np.linalg.norm(net.params["scgb_technical_py"]) < norm_before
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             TrainConfig(learning_rate=-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             TrainConfig(epochs=-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             TrainConfig(batch_size=0)
 
     @pytest.mark.parametrize("name", ["learning_rate", "rank_margin", "weight_decay"])

@@ -6,10 +6,15 @@ import pytest
 
 from conftest import flat_clip, write_pgm, write_ppm, y4m_bytes
 from vqakit import clip_io, sampling
-from vqakit.clip_io import ClipSpec, load_frame_dir, parse_y4m, synth_clip
-from vqakit.errors import InsufficientFrames, InvalidParameter, SourceTooSmall
+from vqakit.bench_harness import check_run_counts
+from vqakit.clip_io import ClipSpec, Frame, VideoClip, load_frame_dir, parse_y4m, synth_clip
+from vqakit.errors import (EmptyInput, InsufficientFrames, InvalidParameter, NumericalError,
+                           SourceTooSmall)
+from vqakit.regressors import fit_forest
 from vqakit.sampling import (
+    SampledView,
     SpatialTransform,
+    TemporalPlan,
     _pad_to_square,
     _resize_bilinear,
     build_view,
@@ -18,7 +23,7 @@ from vqakit.sampling import (
     plan_indices,
     temporal_sample,
 )
-from vqakit.signal_features import extract_clip_features
+from vqakit.signal_features import FEATURE_ORDER, FeatureVector, extract_clip_features
 
 
 def subset_oracle(m, t):
@@ -44,6 +49,13 @@ class TestTemporalPlans:
     def test_one_fps_single_second(self):
         clip = flat_clip(ClipSpec("t", 30, 8, 8))  # 30 frames @30fps
         assert temporal_sample(clip, "one_fps").indices == (0,)
+
+    @pytest.mark.parametrize("mode", ["one_fps", "five_fps", "frankenstone_reduce", "all"])
+    @pytest.mark.parametrize("fps", [0, -30])
+    def test_non_positive_fps_refused(self, fps, mode):
+        # every second would start at frame 0, so the second-start loop would never end
+        with pytest.raises(InvalidParameter, match="^fps="):
+            plan_indices(10, fps, mode)
 
     def test_one_fps_rational(self):
         # 30000/1001 fps: second k starts at ceil(k*30000/1001)
@@ -412,3 +424,43 @@ class TestSampledDecode:
         # frame's Y/Cb/Cr are float (measured peak: files + 4.75 decoded frames)
         assert len(view.frames) == 3 and len(view.color[0]) == 2
         assert peaks["none"] < file_bytes + 5 * frame_bytes
+
+
+# Each input is checked where it is made: (the call, the error, what its message starts with)
+BAD_INPUTS = {
+    "unknown-kind": (lambda: SpatialTransform("bogus"), InvalidParameter, "kind="),
+    "zero-width": (lambda: SpatialTransform("resize", width=0), InvalidParameter, "width="),
+    "float-width": (lambda: SpatialTransform.resize(20.5, 16), InvalidParameter, "width="),
+    "float-size": (lambda: SpatialTransform.pad_square_then_resize(16.5), InvalidParameter,
+                   "size="),
+    "float-grid": (lambda: SpatialTransform.fragment(2.5, 8), InvalidParameter, "grid="),
+    "bool-width": (lambda: SpatialTransform.resize(True, 16), InvalidParameter, "width="),
+    "text-size": (lambda: SpatialTransform.parse("resize:a:b"), InvalidParameter,
+                  "spatial='resize:a:b'"),
+    "empty-clip": (lambda: VideoClip(0, 0, 30, [Frame(np.zeros((0, 0)))]), InvalidParameter,
+                   "width="),
+    "unknown-mode": (lambda: TemporalPlan("bogus", (0,)), InvalidParameter, "mode="),
+    "no-index": (lambda: TemporalPlan("all", ()), InvalidParameter, "indices="),
+    "negative-index": (lambda: TemporalPlan("all", (-1,)), InvalidParameter, "indices="),
+    "empty-view": (lambda: SampledView((), SpatialTransform()), EmptyInput, "a view"),
+    "index-past-end": (lambda: build_view(flat_clip(ClipSpec("t", 3, 8, 8)),
+                                          TemporalPlan("all", (0, 3))),
+                       InsufficientFrames, "plan index 3"),
+    "missing-feature": (lambda: FeatureVector({"si": 0.0}), InvalidParameter, "values="),
+    "nan-feature": (lambda: FeatureVector(dict.fromkeys(FEATURE_ORDER, math.nan)),
+                    NumericalError, "feature si"),
+    "float-runs": (lambda: check_run_counts(0.5, 1.5), InvalidParameter, "warmup="),
+    "bool-trees": (lambda: fit_forest(np.zeros((4, 2)), np.arange(4.0), n_trees=True),
+                   InvalidParameter, "n_trees="),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_named_where_it_enters(case, monkeypatch):
+    call, error, start = BAD_INPUTS[case]
+    read = []
+    monkeypatch.setattr(sampling, "_apply_transform", lambda *a: read.append(a))
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value).startswith(start), info.value
+    assert read == []  # before any pixel is read

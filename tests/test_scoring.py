@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vqakit.errors import DegenerateScores, InvalidParameter, OutOfRange
+from vqakit.errors import DegenerateScores, InvalidParameter, NumericalError, OutOfRange
 from vqakit.scoring import (
     FusionSpec,
     LevelDistribution,
@@ -36,6 +36,8 @@ class TestBinScore:
             bin_score(0.99, ScoreRange(1, 5))
         with pytest.raises(OutOfRange):
             bin_score(5.01, ScoreRange(1, 5))
+        with pytest.raises(OutOfRange):  # not the top level
+            bin_score(math.nan, ScoreRange(1, 5))
 
     def test_midpoint_roundtrip(self):
         rng = ScoreRange(1, 5)
@@ -67,7 +69,7 @@ class TestSoftmax:
             assert abs(sum(dist.p) - 1.0) <= 1e-12
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError):
             softmax_levels([0.0, np.inf, 0.0, 0.0, 0.0])
 
 
@@ -97,10 +99,12 @@ class TestExpectedScore:
             assert b >= a - 1e-12
 
     def test_distribution_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             LevelDistribution((0.5, 0.5, 0.5, -0.3, -0.2))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             LevelDistribution((0.3, 0.3, 0.3, 0.3, 0.3))
+        with pytest.raises(InvalidParameter):  # a nan sum is not 1
+            LevelDistribution((0.25, 0.25, 0.25, 0.25, math.nan))
 
 
 class TestFusion:
@@ -148,11 +152,11 @@ class TestFusion:
         assert np.allclose(fused, expected, atol=1e-12)
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             FusionSpec((0.0, 0.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             FusionSpec((-1.0, 2.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             fuse_scores([[1.0]], FusionSpec((1, 2)))
 
     @pytest.mark.parametrize("weights", [

@@ -18,7 +18,8 @@ import vqakit.clip_io as clip_io
 import vqakit.signal_features as sf
 from conftest import y4m_bytes
 from vqakit.clip_io import ClipSpec, Frame, VideoClip, frame_rgb, parse_y4m, synth_clip
-from vqakit.errors import DimensionMismatch, DuplicateId, PlaneTooSmall
+from vqakit.errors import (DimensionMismatch, DuplicateId, InvalidParameter, NumericalError,
+                           PlaneTooSmall)
 from vqakit.regressors import init_branchnet
 from vqakit.sampling import (
     SampledView,
@@ -728,6 +729,15 @@ class TestPool:
             _parallel.parallel_map(outer, range(2), threads)
         assert _parallel.parallel_map(abs, [1, -2], threads) == [1, 2]
 
+    @pytest.mark.parametrize("threads", [0, -3, 2.0, True])
+    def test_threads_is_a_count_or_none(self, threads):
+        # the library refuses what the CLI refuses; None is serial
+        calls = []
+        with pytest.raises(InvalidParameter, match="^threads="):
+            _parallel.parallel_map(calls.append, [1, 2], threads)
+        assert calls == []
+        assert _parallel.parallel_map(abs, [1, -2], None) == [1, 2]
+
     @pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
     def test_forked_child_extracts_with_threads(self):
         # the child inherits the parent's pool but not its threads
@@ -780,5 +790,5 @@ class TestSerialization:
     def test_nonfinite_rejected(self):
         vals = {k: 0.0 for k in FEATURE_ORDER}
         vals["si"] = float("nan")
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError):
             FeatureVector(vals)
