@@ -9,21 +9,26 @@ until it exits; importing this module starts no thread. A forked child drops
 the pools it inherits, whose threads did not survive the fork, and makes its
 own when it first needs one.
 
-Each thread that runs ``parallel_map`` tasks has its own scratch buffers, so
-a kernel run many times writes its temporaries into the same memory instead
-of mapping and faulting in fresh planes on every run. The buffers are found
-through a thread-local because the kernels keep their public signatures.
-A pool worker keeps them from its first task to its exit, so a clip reuses
-the planes the previous clip faulted in. That holds, per worker, one buffer
-per slot at the largest size asked of it: for feature extraction two planes
-of the largest frame seen (SI's, sharpness' or colour's outputs, or a
-pair's difference, and the first also a resize view's divided luma; the
-second also takes SSIM's row sums), a sixteenth of one for the SSIM block sums, and a band buffer of
-about 2 MiB, into which each plane's rows are read and in which bands of
-stencil sums, RGB, SSIM products and the leaves of each variance are formed.
-A serial call (one thread or one item) runs on the caller's own thread,
-which this module does not own, so its buffers are dropped when the call
-returns.
+Each ``parallel_map`` task holds a scratch set while it runs, so a kernel
+run many times writes its temporaries into the same memory instead of
+mapping and faulting in fresh planes on every run. The set is found through
+a thread-local because the kernels keep their public signatures. A task
+takes a set from the process's idle list when it starts and gives it back
+when it ends; serial and pooled calls draw from the one list. A thread
+takes back the set its last task held when that set is idle, so that its
+band buffer is still in the core's cache, then any idle set, and a new set
+is made only when none is idle. So a process holds at most as many sets as
+tasks ever ran at once (two at ``threads=2``, whose serial calls reuse
+them), and it keeps them until ``_drop_pools`` or its exit, so a clip
+reuses the planes the previous clip faulted in.
+
+A set holds one buffer per slot at the largest size asked of it: for
+feature extraction two planes of the largest frame seen (SI's, sharpness' or
+colour's outputs, or a pair's difference; the first also takes a resize
+view's divided luma and SSIM's block pair sums, the second SSIM's block
+sums), and a band buffer of about 2 MiB, into which each plane's rows are
+read and in which bands of stencil sums, RGB, SSIM products and row sums
+and the leaves of each variance are formed.
 """
 
 from __future__ import annotations
@@ -39,15 +44,37 @@ import numpy as np
 from .errors import check_count
 
 # Scratch slots: two full-size planes (the first also takes a resize view's
-# divided luma, the second SSIM's row sums), the SSIM block sums, the band buffer.
-_PLANE_A, _PLANE_B, _BLOCKS, _BAND = range(4)
+# divided luma and SSIM's block pair sums, the second SSIM's block sums), the band buffer.
+_PLANE_A, _PLANE_B, _BAND = range(3)
 
-_local = threading.local()  # .buffers: {slot: buffer}, on a pool worker or in a serial call
+# .buffers: the running task's set; .last: the id of the set the thread's last
+# task held, which keeps no set alive once it is dropped
+_local = threading.local()
+_idle: list[dict] = []  # scratch sets ({slot: buffer}) that no running task holds
+_idle_lock = threading.Lock()
 _pools: dict[int, ThreadPoolExecutor] = {}  # thread count -> the pool of that many workers
 
 
-def _open_scope():
-    _local.buffers = {}
+def _take() -> dict:
+    """An idle scratch set: the one this thread held last, else any, else a new one."""
+    last = getattr(_local, "last", None)
+    with _idle_lock:
+        # by identity: == would compare two sets' buffers
+        at = next((i for i, s in enumerate(_idle) if id(s) == last), -1)
+        buffers = _idle.pop(at) if _idle else {}
+    _local.last = id(buffers)
+    return buffers
+
+
+def _run(fn: Callable, item):
+    """``fn(item)`` as a task, holding a scratch set while it runs."""
+    _local.buffers = _take()
+    try:
+        return fn(item)
+    finally:
+        with _idle_lock:
+            _idle.append(_local.buffers)
+        del _local.buffers
 
 
 def _pool(threads: int) -> ThreadPoolExecutor:
@@ -55,17 +82,26 @@ def _pool(threads: int) -> ThreadPoolExecutor:
     if pool is None:
         # setdefault is atomic, so racing callers share one pool; a loser's
         # executor has started no thread and is dropped
-        pool = _pools.setdefault(threads, ThreadPoolExecutor(threads, initializer=_open_scope))
+        pool = _pools.setdefault(threads, ThreadPoolExecutor(threads))
     return pool
 
 
 def _drop_pools():
-    """Shut every pool down, which frees its workers' scratch."""
+    """Shut every pool down and free every idle scratch set."""
     while _pools:
         _pools.popitem()[1].shutdown()
+    with _idle_lock:
+        _idle.clear()
 
 
-os.register_at_fork(after_in_child=_pools.clear)
+def _after_fork():
+    # a lock that a parent thread held at the fork stays held in the child
+    global _idle_lock
+    _idle_lock = threading.Lock()
+    _pools.clear()
+
+
+os.register_at_fork(after_in_child=_after_fork)
 
 
 def parallel_map(fn: Callable, items: Sequence, threads: int | None) -> list:
@@ -73,32 +109,29 @@ def parallel_map(fn: Callable, items: Sequence, threads: int | None) -> list:
 
     Results keep the order of ``items``, so reductions over them, and the
     output bits, do not depend on the thread count. While ``fn`` runs,
-    ``scratch`` hands out the running thread's buffers. Every task has ended
-    when the call returns or raises; an error is the first in ``items``
-    order. A call from inside a task would wait on the pool that runs it, so
-    it raises ``RuntimeError``. ``threads`` is None (serial) or an integer >= 1.
+    ``scratch`` hands out the buffers of the set its task holds. Every task
+    has ended when the call returns or raises; an error is the first in
+    ``items`` order. A call from inside a task would wait on the pool that
+    runs it, so it raises ``RuntimeError``. ``threads`` is None (serial) or
+    an integer >= 1.
     """
     if hasattr(_local, "buffers"):
         raise RuntimeError("parallel_map called from inside a parallel_map task")
     if threads is not None and check_count("threads", threads) > 1 and len(items) > 1:
         pool = _pool(threads)
-        futures = [pool.submit(fn, item) for item in items]
+        futures = [pool.submit(_run, fn, item) for item in items]
         wait(futures)
         return [f.result() for f in futures]
-    _open_scope()
-    try:
-        return list(map(fn, items))
-    finally:
-        del _local.buffers
+    return [_run(fn, item) for item in items]
 
 
 def scratch(slot: int, shape: tuple[int, ...]) -> np.ndarray:
     """An uninitialised row-major float64 array of ``shape``.
 
-    Inside a ``parallel_map`` task it is a view of the running thread's
-    buffer number ``slot``, grown when too small and reused by the thread's
-    later tasks: arrays a caller needs at the same time take different
-    slots, and none may outlive the task. Elsewhere it is a fresh array.
+    Inside a ``parallel_map`` task it is a view of buffer number ``slot`` of
+    the task's scratch set, grown when too small and reused by later tasks:
+    arrays a caller needs at the same time take different slots, and none
+    may outlive the task. Elsewhere it is a fresh array.
     """
     buffers = getattr(_local, "buffers", None)
     if buffers is None:

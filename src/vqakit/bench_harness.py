@@ -145,7 +145,9 @@ def time_pipeline(
     pipeline is either a callable or an object with .score (callable),
     .descriptor and .params_m — MACs are counted from the descriptor, and a
     bare callable reports 0 MACs and 0 parameters. Clip ingestion is outside
-    the timed region (the clip is already in memory).
+    the timed region (the clip is already in memory), but a ``synth_clip``
+    clip draws each frame when it is first read: with ``warmup=0`` the first
+    timed run includes drawing the frames it samples.
     """
     check_run_counts(warmup, runs)
     score = getattr(pipeline, "score", pipeline)

@@ -68,8 +68,9 @@ class Frame:
     A plane's values are its entries divided by ``scale``: 255 or 1023 for
     samples, which keep their integer dtype, and 1.0 for a float plane, which
     is stored as float64. Every plane is row-major and read-only.
-    chroma_b / chroma_r may be subsampled relative to the luma plane; they are
-    either both present or both absent.
+    chroma_b / chroma_r are either both present or both absent, and may be
+    subsampled by 1 or 2 on each axis: a chroma plane is (ceil(h / fy),
+    ceil(w / fx)) for an h x w luma, with fy and fx each 1 or 2.
     """
 
     luma: np.ndarray
@@ -87,6 +88,15 @@ class Frame:
                 plane = np.ascontiguousarray(plane, np.float64 if self.scale == 1.0 else None)
                 plane.setflags(write=False)
                 object.__setattr__(self, name, plane)
+        if self.has_chroma:
+            fits = [tuple(-(-n // f) for n, f in zip(self.luma.shape, fs))
+                    for fs in ((1, 1), (1, 2), (2, 1), (2, 2))]
+            if self.chroma_b.shape not in fits:
+                raise DimensionMismatch(f"chroma_b is {self.chroma_b.shape}, not one of {fits} "
+                                        f"for a luma of {self.luma.shape}")
+            if self.chroma_r.shape != self.chroma_b.shape:
+                raise DimensionMismatch(
+                    f"chroma_r is {self.chroma_r.shape}, chroma_b {self.chroma_b.shape}")
 
     @property
     def has_chroma(self) -> bool:
@@ -193,10 +203,11 @@ def _decode_y4m(buf: bytes, pos: int, planes, depth: int) -> Frame:
 
 
 class _Frames(Sequence):
-    """A file's frames, built from the bytes the clip keeps on every access.
+    """A clip's frames, each built by ``decode(i)`` when it is read.
 
-    ``decode(i)`` builds frame i. Nothing is cached: a frame lives only as
-    long as its caller holds it.
+    A file's frames are built from the bytes the clip keeps on every access,
+    and nothing is cached: a frame lives only as long as its caller holds
+    it. ``synth_clip``'s ``decode`` keeps each frame it makes.
     """
 
     def __init__(self, n: int, luma_shape: tuple[int, int], decode):
@@ -393,12 +404,27 @@ def synth_clip(spec: ClipSpec, pattern: str, *, seed: int = 0) -> VideoClip:
     """Generate a deterministic luma-only clip for a benchmark spec.
 
     pattern: "noise" (uniform [0,1] per frame from ``seed``), the one pattern.
+    Frame i is made when it is first read, and kept: it is the values that
+    ``np.random.default_rng(seed).random((h, w))`` drawn once per frame in
+    order gives frame i, from a generator advanced past the i * h * w draws
+    of the frames before it (one 64-bit draw per value). So a clip costs the
+    frames that are read, not its length. Two threads that make one frame at
+    once make the same values, and both get the one kept first.
     """
     if pattern != "noise":
         raise InvalidParameter("pattern", pattern, '"noise"')
-    rng = np.random.default_rng(seed)
-    frames = tuple(Frame(rng.random((spec.height, spec.width))) for _ in range(spec.frame_count))
-    return VideoClip(spec.width, spec.height, Fraction(30), frames)
+    shape = (spec.height, spec.width)
+    made: dict[int, Frame] = {}
+
+    def make(i: int) -> Frame:
+        frame = made.get(i)
+        if frame is None:
+            rng = np.random.default_rng(seed)
+            rng.bit_generator.advance(i * spec.height * spec.width)
+            frame = made.setdefault(i, Frame(rng.random(shape)))
+        return frame
+
+    return VideoClip(spec.width, spec.height, Fraction(30), _Frames(spec.frame_count, shape, make))
 
 
 def chroma_factors(luma_shape, chroma_shape) -> tuple[int, int]:

@@ -72,7 +72,10 @@ def _feature_stages(plane: int, frames: int) -> tuple[Feature, ...]:
 def build_pipeline(
     name: str, spec: ClipSpec | str, *, seed: int = 0, threads: int | None = None
 ) -> Pipeline:
-    spec = CANONICAL_SPECS[spec] if isinstance(spec, str) else spec
+    if isinstance(spec, str):
+        if spec not in CANONICAL_SPECS:
+            raise InvalidParameter("spec", spec, f"one of {tuple(CANONICAL_SPECS)} or a ClipSpec")
+        spec = CANONICAL_SPECS[spec]
 
     if name == "identity":
         return Pipeline("identity", lambda clip: 0.0, PipelineDescriptor((), 1), 0.0)

@@ -29,6 +29,7 @@ gradient is still the winner's plus the loser's.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -53,7 +54,8 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("learning_rate", "rank_margin", "weight_decay"):
             value = getattr(self, name)
-            if not 0.0 <= value < np.inf:  # NaN fails too
+            # a number, not a bool; NaN fails the range too
+            if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 <= value < np.inf:
                 raise InvalidParameter(name, value, "a finite number >= 0")
         # a fine-tuning batch is ranked and correlated, so it needs at least a pair
         for name, least in (("epochs", 0), ("batch_size", 2), ("seed", 0)):

@@ -216,7 +216,8 @@ def frankenstone_subset(m: int, t: int = 5) -> tuple[int, ...]:
     (so m == t degenerates to the identity). For m=20, t=5 this yields
     [0, 6, 11, 15, 18].
     """
-    if t < 1 or m < t:
+    check_count("t", t)
+    if check_count("m", m, 0) < t:
         raise InsufficientFrames(f"need at least t={t} of m={m} frames")
     idx = []
     for j in range(t):

@@ -67,7 +67,10 @@ class FusionSpec:
     normalization: str = "none"
 
     def __post_init__(self):
-        w = tuple(float(x) for x in self.weights)
+        try:
+            w = tuple(float(x) for x in self.weights)
+        except (TypeError, ValueError):
+            raise InvalidParameter("weights", self.weights, "a sequence of numbers") from None
         object.__setattr__(self, "weights", w)
         if not (all(x >= 0.0 for x in w) and 0.0 < _add_in_order(w) < np.inf):  # NaN fails too
             raise InvalidParameter("weights", w, "finite, non-negative, with a positive sum")

@@ -9,20 +9,21 @@ statistics use population (ddof=0) moments.
 
 SSIM (8x8 windows at stride 4) is built from 4x4 block sums: a window is 2x2
 adjacent blocks. Each sampled frame's window means and variances are
-computed once per view, and each pair of frames adds only the block sums of
-the product of its two planes, which it forms in the same read of both
-planes as its TI (``_pair``).
+computed once per view, from one read of its plane, and each pair of frames
+adds only the block sums of the product of its two planes, which it forms
+in the same read of both planes as its TI (``_pair``).
 
 A view's features are one pass: every per-frame and per-pair kernel call is
 one task of a single thread-pool call, and only the small SSIM window arrays
 are combined after it, in three window-shaped buffers made once per view.
-The kernels write their temporaries into scratch buffers of the running
-thread (``_parallel.scratch``): the gradient magnitudes, the Laplacian,
-colour's rg or a pair's difference in one full-size plane; colour's yb, or SSIM's row sums (a
-quarter plane), in a second; SSIM's block sums in a sixteenth of one; and
-the strips of each band in a band buffer of about 2 MiB. A pool worker keeps
-them from one clip to the next. Called outside a pool, a kernel allocates fresh
-buffers and keeps none.
+The kernels write their temporaries into the scratch set of the running
+task (``_parallel.scratch``): the gradient magnitudes, the Laplacian,
+colour's rg, a pair's difference or SSIM's sums of vertical block pairs in
+one full-size plane; colour's yb, or SSIM's block sums (at most two
+sixteenths of a plane), in a second; and the strips of each band in a band
+buffer of about 2 MiB. The process keeps the sets from one clip to the
+next. Called outside ``parallel_map``, a kernel allocates fresh buffers and
+keeps none.
 
 A view's planes are a frame's samples (``uint8`` or ``uint16``) or float
 planes, with a scale (``clip_io.Frame``). Every kernel reads a plane one
@@ -36,8 +37,9 @@ SI, sharpness and colour walk the frame in bands of rows of about 64k pixels
 stencil sums, or the conversion to RGB) run, in strips of the band buffer,
 which stays in cache; they write the band's rows of one full-size plane per
 output: the gradient magnitude, the Laplacian, or colour's opponent planes
-rg and yb. SSIM reads its planes and forms their squares and products a band
-at a time in the band buffer, so no float or product plane is made.
+rg and yb. SSIM reads its planes and forms their squares and products, and
+their row and block sums, a band at a time in the band buffer, so no float,
+product or row-sum plane is made.
 Elementwise steps give the same bits in any band. A sum does not: numpy's
 sum of a row-major plane is a fixed pairwise tree over the flat index.
 ``_leaf_moments`` replays that tree (``_pairwise``) down to leaves of at most
@@ -65,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import _BAND, _BLOCKS, _PLANE_A, _PLANE_B, parallel_map, scratch
+from ._parallel import _BAND, _PLANE_A, _PLANE_B, parallel_map, scratch
 from .clip_io import _BAND_PIXELS, VideoClip, chroma_factors, row_bands, ycbcr_to_rgb
 from .errors import DimensionMismatch, InvalidParameter, NumericalError, PlaneTooSmall
 from .sampling import SampledView, SpatialTransform, TemporalPlan, build_view
@@ -378,66 +380,75 @@ _SSIM_STRIDE = 4  # a window is 2x2 blocks of stride x stride pixels
 _SSIM_N = float(_SSIM_WIN * _SSIM_WIN)
 
 
-def _row_sums(t: np.ndarray, out: np.ndarray):
-    """Add the four row phases of ``t``, rows of whole 4x4 blocks, into ``out``."""
+def _block_sums(t: np.ndarray, rows: np.ndarray, blocks: np.ndarray):
+    """Write the 4x4 block sums of ``t``, rows and columns of whole blocks,
+    into ``blocks``: its four row phases are added into ``rows``, a strip of
+    the band buffer, and their four column phases into ``blocks``."""
     b = _SSIM_STRIDE
-    np.add(t[0::b], t[1::b], out=out)
-    out += t[2::b]
-    out += t[3::b]
-
-
-def _window_sums(rows: np.ndarray) -> np.ndarray:
-    """The 8x8 window sums at stride 4 from ``rows``, a plane's ``_row_sums``.
-
-    Block sums add the four column phases. Each window covers 2x2 adjacent
-    blocks, so the window grid is one block shorter than the block grid on
-    each side. Only the returned window sums are a new array.
-    """
-    b = _SSIM_STRIDE
-    h, w = rows.shape[0], rows.shape[1] // b
-    blocks = np.add(rows[:, 0::b], rows[:, 1::b], out=scratch(_BLOCKS, (h, w)))
+    np.add(t[0::b], t[1::b], out=rows)
+    rows += t[2::b]
+    rows += t[3::b]
+    np.add(rows[:, 0::b], rows[:, 1::b], out=blocks)
     blocks += rows[:, 2::b]
     blocks += rows[:, 3::b]
-    pairs = np.add(blocks[:-1], blocks[1:], out=scratch(_PLANE_B, (h - 1, w)))
+
+
+def _window_sums(blocks: np.ndarray) -> np.ndarray:
+    """The 8x8 window sums at stride 4 from a plane's 4x4 block sums.
+
+    Each window covers 2x2 adjacent blocks, so the window grid is one block
+    shorter than the block grid on each side. The sums of vertical block
+    pairs take the first scratch plane, and only the returned window sums
+    are a new array.
+    """
+    h, w = blocks.shape
+    pairs = np.add(blocks[:-1], blocks[1:], out=scratch(_PLANE_A, (h - 1, w)))
     return pairs[:, :-1] + pairs[:, 1:]
 
 
-def _ssim_windows(plane: np.ndarray, scale: float, other: np.ndarray | None = None
-                  ) -> np.ndarray:
-    """Sums over the 8x8 windows at stride 4 of plane / scale, or of
-    (plane / scale) * (other / scale), from their 4x4 block sums.
+def _ssim_blocks(plane: np.ndarray, scale: float, other: np.ndarray | None = None
+                 ) -> np.ndarray:
+    """The 4x4 block sums, over the rows and columns of whole blocks, of
+    plane / scale and of its square (two planes of sums), or, given
+    ``other``, of (plane / scale) * (other / scale) (one).
 
-    Row sums cover the rows and columns of whole blocks, in bands of rows:
-    each band is read, and a product formed, in the band buffer (a square
-    reads its one plane once), so no float or product plane is made.
+    Each band of rows is divided into the band buffer once per plane, and
+    its square or product, row sums and block sums are formed there while
+    it is in cache, so no float, product or row-sum plane is made.
     """
     _require(plane, _SSIM_WIN, "ssim")
     b = _SSIM_STRIDE
     h, w = plane.shape[0] // b * b, plane.shape[1] // b * b
-    rows = scratch(_PLANE_B, (h // b, w))
+    blocks = scratch(_PLANE_B, (1 if other is not None else 2, h // b, w // b))
     for band in row_bands((h, w), b):
-        q, product = _band_strips(*[(band.stop - band.start, w)] * 2)
+        n = band.stop - band.start
+        q, t, rows = _band_strips((n, w), (n, w), (n // b, w))
         np.divide(plane[band, :w], scale, out=q)
-        if other is not None:
-            o = q if other is plane else np.divide(other[band, :w], scale, out=product)
-            q = np.multiply(q, o, out=product)
-        _row_sums(q, rows[band.start // b:band.stop // b])
-    return _window_sums(rows)
+        k = slice(band.start // b, band.stop // b)
+        if other is None:
+            _block_sums(q, rows, blocks[0, k])
+            np.multiply(q, q, out=t)
+        else:
+            np.multiply(q, np.divide(other[band, :w], scale, out=t), out=t)
+        _block_sums(t, rows, blocks[-1, k])
+    return blocks
 
 
 def _ssim_stats(plane: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """One plane's SSIM window means and variances, shared by all its pairs."""
-    mu = _ssim_windows(plane, scale)
+    """One plane's SSIM window means and variances, shared by all its pairs,
+    from one read of the plane."""
+    sums, squares = _ssim_blocks(plane, scale)
+    mu = _window_sums(sums)
     mu /= _SSIM_N
-    var = _ssim_windows(plane, scale, plane)
+    var = _window_sums(squares)
     var /= _SSIM_N
-    var -= np.multiply(mu, mu, out=scratch(_PLANE_B, mu.shape))
+    var -= np.multiply(mu, mu, out=scratch(_PLANE_A, mu.shape))
     return mu, var
 
 
 def _ssim_cross_sums(plane_a: np.ndarray, plane_b: np.ndarray, scale: float) -> np.ndarray:
     """The window sums of a·b: all that a pair adds to its planes' _ssim_stats."""
-    return _ssim_windows(plane_a, scale, plane_b)
+    return _window_sums(_ssim_blocks(plane_a, scale, plane_b)[0])
 
 
 def _pair(plane_a: np.ndarray, plane_b: np.ndarray, scale: float) -> tuple[float, np.ndarray]:
@@ -447,9 +458,10 @@ def _pair(plane_a: np.ndarray, plane_b: np.ndarray, scale: float) -> tuple[float
     Each band of rows, which starts on a block's first row, is divided into
     the band buffer once per plane, when the mean's pass of TI's moments
     reaches it (``_written``). The band's difference is written into a
-    full-size plane, which the variance's pass reads again, and the row sums
-    of its product over whole blocks are formed as ``_ssim_windows`` forms
-    them.
+    full-size plane, which the variance's pass reads again, and the block
+    sums of its product over whole blocks are formed as ``_ssim_blocks``
+    forms them. The window sums are formed after that pass, in the plane
+    that held the difference.
     """
     if plane_a.shape != plane_b.shape:
         raise DimensionMismatch(f"{plane_a.shape} vs {plane_b.shape}")
@@ -458,18 +470,19 @@ def _pair(plane_a: np.ndarray, plane_b: np.ndarray, scale: float) -> tuple[float
     height, width = plane_a.shape
     h, w = height // b * b, width // b * b
     diff = scratch(_PLANE_A, (height, width))
-    rows = scratch(_PLANE_B, (h // b, w))
+    blocks = scratch(_PLANE_B, (h // b, w // b))
 
     def band(r: slice):
-        q, o = _band_strips(*[(r.stop - r.start, width)] * 2)
+        m = min(r.stop, h) - r.start
+        q, o, rows = _band_strips((r.stop - r.start, width), (r.stop - r.start, width),
+                                  (m // b, w))
         np.divide(plane_a[r], scale, out=q)
         np.subtract(q, np.divide(plane_b[r], scale, out=o), out=diff[r])
-        m = min(r.stop, h) - r.start
-        _row_sums(np.multiply(q[:m, :w], o[:m, :w], out=o[:m, :w]),
-                  rows[r.start // b:(r.start + m) // b])
+        _block_sums(np.multiply(q[:m, :w], o[:m, :w], out=o[:m, :w]), rows,
+                    blocks[r.start // b:(r.start + m) // b])
 
     var = _leaf_moments(diff.size, _written(diff, row_bands((height, width), b), band))[1]
-    return math.sqrt(var), _window_sums(rows)
+    return math.sqrt(var), _window_sums(blocks)
 
 
 def _ssim_combine(stats_a, stats_b, cross_sums: np.ndarray, work=None) -> float:

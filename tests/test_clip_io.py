@@ -1,3 +1,4 @@
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 import corpus as corpus_mod
 from conftest import flat_clip, write_pgm, write_ppm, y4m_bytes
 from vqakit.clip_io import (
+    CANONICAL_SPECS,
     ClipSpec,
     Frame,
     VideoClip,
@@ -451,6 +453,59 @@ class TestSynthClip:
         with pytest.raises(InvalidParameter, match="frame_count"):
             synth_clip(ClipSpec("bad", 0, 16, 16), "noise")
 
+    @pytest.mark.parametrize("spec,seed", [
+        (ClipSpec("tiny", 5, 33, 17), 0),
+        (ClipSpec("pixel", 4, 1, 1), 9),
+        (ClipSpec("odd", 3, 64, 47), 123456789),
+        (ClipSpec("wide", 6, 320, 2), 7),
+    ], ids=lambda v: getattr(v, "label", v))
+    def test_frames_are_the_eager_draws(self, spec, seed):
+        # frame i is made when read, from a generator advanced past the frames
+        # before it: the values drawing every frame in order gives, in any
+        # read order
+        rng = np.random.default_rng(seed)
+        eager = [rng.random((spec.height, spec.width)) for _ in range(spec.frame_count)]
+        clip = synth_clip(spec, "noise", seed=seed)
+        order = list(range(spec.frame_count))[::-2] + list(range(spec.frame_count))
+        got = {i: float(clip.frames[i].luma.sum()).hex() for i in order}
+        assert got == {i: float(f.sum()).hex() for i, f in enumerate(eager)}
+        assert all(np.array_equal(clip.frames[i].luma, f) for i, f in enumerate(eager))
+
+    def test_frame_made_once_when_read(self):
+        # a 30-4K clip costs the frames read: making it and reading frame 0
+        # stays under two 4K float64 frames, where all 30 are 1.9 GiB
+        spec = CANONICAL_SPECS["30-4K"]
+        frame_bytes = spec.width * spec.height * 8
+        tracemalloc.start()
+        try:
+            clip = synth_clip(spec, "noise", seed=3)
+            first = clip.frames[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * frame_bytes, peak
+        assert clip.frames[0] is first
+
+    def test_frame_made_by_two_threads_at_once(self):
+        # both threads make the same values, and both get the one kept
+        clip = synth_clip(ClipSpec("t", 4, 96, 64), "noise", seed=5)
+        barrier = threading.Barrier(2, timeout=30)
+        got = [None, None]
+
+        def read(k):
+            barrier.wait()
+            got[k] = clip.frames[2]
+
+        workers = [threading.Thread(target=read, args=(k,)) for k in range(2)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        assert got[0] is got[1] is clip.frames[2]
+        want = synth_clip(ClipSpec("t", 4, 96, 64), "noise", seed=5).frames[2]
+        assert np.array_equal(got[0].luma, want.luma)
+
 
 class TestInvariants:
     def test_clip_frames_immutable(self):
@@ -461,6 +516,31 @@ class TestInvariants:
     def test_frame_chroma_must_pair(self):
         with pytest.raises(DimensionMismatch):
             Frame(np.zeros((4, 4)), chroma_b=np.zeros((2, 2)), chroma_r=None)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (32, 32), (16, 17), (4, 8), (7, 8), (16, 0)],
+                             ids=str)
+    def test_chroma_must_fit_luma(self, shape):
+        # a chroma plane is the luma's size or half of it, rounded up, on each
+        # axis; one that is not would fail only in extraction, with a bare
+        # ZeroDivisionError (0, 0) or numpy's reshape error (32, 32)
+        luma = np.zeros((16, 16))
+        with pytest.raises(DimensionMismatch, match="^chroma_b is"):
+            VideoClip(16, 16, 30, [Frame(luma, np.zeros(shape), np.zeros(shape))])
+        with pytest.raises(DimensionMismatch, match="^chroma_r is"):
+            Frame(luma, np.zeros((8, 8)), np.zeros(shape))
+
+    @pytest.mark.parametrize("chroma", [(15, 17), (8, 17), (15, 9), (8, 9)], ids=str)
+    def test_chroma_that_fits_accepted(self, chroma):
+        luma = np.random.default_rng(1).random((15, 17))
+        cb, cr = np.full(chroma, 0.5), np.full(chroma, 0.5)
+        clip = VideoClip(17, 15, 30, [Frame(luma, cb, cr)])
+        rgb = frame_rgb(clip.frames[0])
+        assert all(np.allclose(p, luma, rtol=0, atol=1e-12) for p in rgb)  # neutral chroma: gray
+
+    def test_chroma_planes_share_a_shape(self):
+        luma = np.zeros((16, 16))
+        with pytest.raises(DimensionMismatch, match="^chroma_r is"):
+            Frame(luma, np.zeros((8, 8)), np.zeros((16, 8)))
 
     def test_clip_requires_uniform_dims(self):
         with pytest.raises(DimensionMismatch):

@@ -1,17 +1,22 @@
 """Design rules: one thread pool in the package, none where threads do not pay;
 the benchmark harness does not depend on the regressors; one function builds
 a branch net; every public name has a caller besides its own unit tests;
-every bad-input raise is a VqaError."""
+every bad input, raised or not, fails with a VqaError."""
 
 import ast
 import threading
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import vqakit
 from vqakit import errors
+from vqakit.pipelines import build_pipeline
 from vqakit.regressors import fit_forest
+from vqakit.regressors.training import TrainConfig
+from vqakit.sampling import frankenstone_subset
+from vqakit.scoring import FusionSpec
 
 SRC = Path(vqakit.__file__).parent
 REPO = Path(__file__).resolve().parents[1]
@@ -246,3 +251,23 @@ def test_every_raise_is_a_vqa_error():
     assert bare == [], "raises that are not VqaError:\n" + "\n".join(bare)
     # an exemption that matches no raise has outlived its site
     assert exempted == {(m, c) for m, c, _ in BUILTIN_RAISES}
+
+
+# Bad inputs that reached a built-in error without a `raise` of their own,
+# which the scan above cannot see: (call, the field the error names)
+BAD_INPUTS = [
+    (lambda: build_pipeline("identity", "bogus"), "spec"),
+    (lambda: TrainConfig(learning_rate="x"), "learning_rate"),
+    (lambda: TrainConfig(rank_margin=True), "rank_margin"),
+    (lambda: FusionSpec(("a",)), "weights"),
+    (lambda: FusionSpec(None), "weights"),
+    (lambda: frankenstone_subset(10, 2.5), "t"),
+    (lambda: frankenstone_subset(10.0, 5), "m"),
+]
+
+
+@pytest.mark.parametrize("call,field", BAD_INPUTS,
+                         ids=[f"{field}-{i}" for i, (_, field) in enumerate(BAD_INPUTS)])
+def test_bad_input_without_a_raise_is_typed(call, field):
+    with pytest.raises(errors.VqaError, match=f"^{field}="):
+        call()

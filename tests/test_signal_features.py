@@ -598,9 +598,11 @@ class TestExtraction:
                 assert hexes[name] == float(np.mean(vals)).hex(), (ctag, name)
 
     def test_pool_scratch_held_and_bounded(self):
-        # a pool worker keeps its scratch from one call to the next: after
-        # views of two sizes, at most two planes of the largest luma size, the
-        # SSIM block sums and the band buffer; a serial call keeps none
+        # scratch sets outlive the calls whose tasks held them: after views of
+        # two sizes at threads=2, each of the two sets holds at most two planes
+        # of the largest luma size and the band buffer, which a band of SI's
+        # strips at width 768 grows past 2 MiB by 14 kB; a serial call then
+        # keeps reusing one of those two sets, and _drop_pools frees them all
         _parallel._drop_pools()
         rng = np.random.default_rng(6)
         for h, w in ((512, 768), (768, 400)):
@@ -608,37 +610,91 @@ class TestExtraction:
             chroma = tuple(tuple(rng.random((h // 2, w // 2)) for _ in range(2)) for _ in lumas)
             extract_view_features(SampledView(lumas, SpatialTransform(), chroma), threads=2)
         largest = 512 * 768 * 8
-        held = _workers_scratch(2)
+        held = _held_sets(2)
+        assert held[0] is not held[1]
         for buffers in held:
-            assert sum(b.nbytes for b in buffers) <= 2.5 * largest + 2 ** 20
-        refs = [weakref.ref(b) for buffers in held for b in buffers]
-        assert len(refs) >= 4
-        del held, buffers
-        _parallel._drop_pools()  # frees the workers' scratch
+            assert sum(b.nbytes for b in buffers.values()) <= 2 * largest + 2 ** 21 + 2 ** 14
+        serial = _parallel.parallel_map(lambda _: _parallel._local.buffers, range(3), 1)
+        assert serial[0] is serial[1] is serial[2]
+        assert any(serial[0] is buffers for buffers in held)
+        assert len(_parallel._idle) == 2
+        refs = [weakref.ref(b) for buffers in held for b in buffers.values()]
+        assert len(refs) >= 3
+        del held, serial, buffers
+        _parallel._drop_pools()  # frees every idle set
         assert all(ref() is None for ref in refs)
+        assert _parallel._idle == []
 
-        refs = _parallel.parallel_map(lambda _: weakref.ref(_parallel.scratch(0, (8,)).base),
-                                      range(3), 1)
-        assert all(ref() is None for ref in refs)
-        assert not hasattr(_parallel._local, "buffers")
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_running_tasks_never_share_a_set(self, threads):
+        # tasks held at a barrier run at once, and each holds its own set,
+        # told apart by identity: sets that no kernel used are equal empty
+        # dicts. A process holds no more sets than tasks ever ran at once,
+        # whatever mix of pools and serial calls drew on them.
+        _parallel._drop_pools()
+        seen = {}
+        for t in (threads, 1, 3, threads, 1, 2, 3, threads):
+            sets = _held_sets(t)
+            assert len({id(s) for s in sets}) == t
+            seen.update((id(s), s) for s in sets)
+        assert len(seen) == max(threads, 3)
+        assert len(_parallel._idle) == len(seen)
 
-    def test_scratch_scope_is_one_call(self):
-        # a call's tasks on one thread share that thread's buffer, and a pool
-        # worker keeps it for the next call; outside a call every scratch
-        # array is fresh
-        for threads in (1, 2):
-            bases = _parallel.parallel_map(lambda _: _parallel.scratch(0, (8,)).base,
-                                           range(6), threads)
-            assert len({id(b) for b in bases}) <= threads
-            assert _parallel.scratch(0, (8,)).base is None
-        barrier = threading.Barrier(2, timeout=30)
+    def test_no_set_held_twice_under_contention(self):
+        # more workers than cores, a short switch interval, and serial calls
+        # from a second caller thread beside the pooled ones: no set is ever
+        # held by two running tasks, and no more sets are made than tasks
+        # could run at once (8 pooled and 1 serial)
+        _parallel._drop_pools()
+        held, lock, clashes = set(), threading.Lock(), []
 
+        def task(_):
+            key = id(_parallel._local.buffers)
+            with lock:
+                clashes.extend([key] if key in held else [])
+                held.add(key)
+            _parallel.scratch(0, (64,))[:] = 1.0
+            with lock:
+                held.discard(key)
+
+        def serial_calls():
+            for _ in range(20):
+                _parallel.parallel_map(task, range(50), 1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(target=serial_calls)
+            caller.start()
+            for threads in (8, 3, 8):
+                for _ in range(10):
+                    _parallel.parallel_map(task, range(64), threads)
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert clashes == []
+        assert len(_parallel._idle) <= 9
+        _parallel._drop_pools()
+
+    def test_scratch_set_kept_from_call_to_call(self):
+        # a thread's tasks take back the set it held last, so a serial
+        # call's buffer is the previous serial call's, and each pool worker
+        # reuses its own; outside a task every scratch array is fresh
         def base(_):
-            barrier.wait()  # one task on each worker
             return _parallel.scratch(0, (8,)).base
 
-        first = _parallel.parallel_map(base, range(2), 2)
-        second = _parallel.parallel_map(base, range(2), 2)
+        bases = [b for _ in range(2) for b in _parallel.parallel_map(base, range(3), 1)]
+        assert all(b is bases[0] for b in bases)
+        assert _parallel.scratch(0, (8,)).base is None
+        barrier = threading.Barrier(2, timeout=30)
+
+        def held(_):
+            barrier.wait()  # one task on each worker
+            return base(_)
+
+        first = _parallel.parallel_map(held, range(2), 2)
+        second = _parallel.parallel_map(held, range(2), 2)
         assert len({id(b) for b in first}) == 2
         assert {id(b) for b in second} == {id(b) for b in first}
         assert _parallel.scratch(0, (8,)).base is None
@@ -646,15 +702,14 @@ class TestExtraction:
     @pytest.mark.parametrize("side", [256, 768])
     def test_allocations_bounded_by_scratch_slots(self, side):
         # Under MALLOC_MMAP_THRESHOLD_ every plane-sized temporary is a fresh
-        # mapping that faults its pages in. A repeat extraction of a 5-frame
-        # 4:2:0 YCbCr view (25 kernel calls) on one thread faults in the two
-        # scratch planes, the 2 MiB band buffer and the SSIM window arrays,
-        # about 7.4 planes at side 256 and 3 at 768 (measured); when every
-        # kernel call maps its own temporaries it is about 100. Pool workers
-        # keep their scratch from one call to the next, so a repeat at
-        # threads=2 faults in only the window arrays: 0.9 planes at 256, 1.25
-        # at 768, where they are over the mmap threshold (4.9 when SSIM's
-        # combine made fresh temporaries for every pair).
+        # mapping that faults its pages in. Scratch sets are kept from one
+        # call to the next, serial or pooled, so a repeat extraction of a
+        # 5-frame 4:2:0 YCbCr view (25 kernel calls) faults in only the SSIM
+        # window arrays: measured 0 planes at side 256 and 1.25 at 768, where
+        # they are over the mmap threshold, at threads 1, and 0.7-0.9 and 1.25
+        # at threads 2. A set made for each call faults in about 6-7.4 planes
+        # at 256 and 3 at 768, and temporaries mapped by every kernel call
+        # about 100.
         code = textwrap.dedent(f"""
             import resource
             import numpy as np
@@ -681,17 +736,17 @@ class TestExtraction:
                               timeout=120, env=env)
         assert done.returncode == 0, done.stderr
         serial, pooled = map(float, done.stdout.split())
-        assert serial < 9, serial
+        assert serial < 2, serial
         assert pooled < 2, pooled
 
 
-def _workers_scratch(threads):
-    """The scratch buffers of each worker of the pool of ``threads``."""
+def _held_sets(threads):
+    """The scratch set of each of ``threads`` tasks that run at once."""
     barrier = threading.Barrier(threads, timeout=30)
 
     def held(_):
         barrier.wait()  # one task on each worker
-        return list(_parallel._local.buffers.values())
+        return _parallel._local.buffers
 
     return _parallel.parallel_map(held, range(threads), threads)
 
@@ -707,7 +762,7 @@ class TestPool:
     def test_second_threaded_extraction_starts_no_thread(self, monkeypatch):
         view = _small_view()
         want = extract_view_features(view, threads=2)
-        _workers_scratch(2)  # every worker of the pool has started
+        _held_sets(2)  # every worker of the pool has started
         started = []
         orig = threading.Thread.start
 
