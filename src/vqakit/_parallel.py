@@ -25,7 +25,8 @@ reuses the planes the previous clip faulted in.
 A set holds one buffer per slot at the largest size asked of it: for
 feature extraction two planes of the largest frame seen (SI's, sharpness' or
 colour's outputs, or a pair's difference; the first also takes a resize
-view's divided luma and SSIM's block pair sums, the second SSIM's block
+view's divided luma, SSIM's block pair sums and the three window-sized
+arrays in which a task combines a pair's SSIM, the second SSIM's block
 sums), and a band buffer of about 2 MiB, into which each plane's rows are
 read and in which bands of stencil sums, RGB, SSIM products and row sums
 and the leaves of each variance are formed.
@@ -44,7 +45,8 @@ import numpy as np
 from .errors import check_count
 
 # Scratch slots: two full-size planes (the first also takes a resize view's
-# divided luma and SSIM's block pair sums, the second SSIM's block sums), the band buffer.
+# divided luma, SSIM's block pair sums and a pair's SSIM combine arrays, the
+# second SSIM's block sums), the band buffer.
 _PLANE_A, _PLANE_B, _BAND = range(3)
 
 # .buffers: the running task's set; .last: the id of the set the thread's last
@@ -108,21 +110,49 @@ def parallel_map(fn: Callable, items: Sequence, threads: int | None) -> list:
     """``list(map(fn, items))``, on ``threads`` workers when there is more than one item.
 
     Results keep the order of ``items``, so reductions over them, and the
-    output bits, do not depend on the thread count. While ``fn`` runs,
-    ``scratch`` hands out the buffers of the set its task holds. Every task
-    has ended when the call returns or raises; an error is the first in
-    ``items`` order. A call from inside a task would wait on the pool that
-    runs it, so it raises ``RuntimeError``. ``threads`` is None (serial) or
-    an integer >= 1.
+    output bits, do not depend on the thread count. Items start in their
+    order: each worker takes the next one when it is free, so a caller can
+    bound what is in flight by how it orders its items. One pool task per
+    worker runs them, so the call's bookkeeping does not grow with the
+    number of items. While ``fn`` runs, ``scratch`` hands out the buffers of
+    the set its task holds. Every task has ended when the call returns or
+    raises. A worker, like a serial call, stops at an error, and the error
+    raised is the first in ``items`` order. A call from inside a task would
+    wait on the pool that runs it, so it raises ``RuntimeError``.
+    ``threads`` is None (serial) or an integer >= 1.
     """
     if hasattr(_local, "buffers"):
         raise RuntimeError("parallel_map called from inside a parallel_map task")
     if threads is not None and check_count("threads", threads) > 1 and len(items) > 1:
-        pool = _pool(threads)
-        futures = [pool.submit(_run, fn, item) for item in items]
-        wait(futures)
-        return [f.result() for f in futures]
+        return _pooled(fn, items, threads)
     return [_run(fn, item) for item in items]
+
+
+def _pooled(fn: Callable, items: Sequence, threads: int) -> list:
+    """``parallel_map`` on a pool: ``threads`` workers, each taking the next
+    item in order until none is left, or until its item raises."""
+    results, failed = [None] * len(items), {}  # failed: worker -> the item it stopped on
+    order, lock = iter(range(len(items))), threading.Lock()
+
+    def worker(w: int):
+        while True:
+            with lock:
+                i = next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = _run(fn, items[i])
+            except Exception:
+                failed[w] = i
+                raise
+
+    pool = _pool(threads)
+    workers = [pool.submit(worker, w) for w in range(min(threads, len(items)))]
+    wait(workers)
+    # items start in order, so the first failed item is the earliest a worker stopped on
+    for w in sorted(range(len(workers)), key=lambda w: failed.get(w, len(items))):
+        workers[w].result()
+    return results
 
 
 def scratch(slot: int, shape: tuple[int, ...]) -> np.ndarray:

@@ -59,6 +59,7 @@ from .sampling import TEMPORAL_MODES, SpatialTransform, temporal_sample
 from .scoring import FusionSpec, fuse_scores
 from .signal_features import (
     FEATURE_ORDER,
+    FeatureVector,
     extract_clip_features,
     features_to_json,
     read_features_csv,
@@ -180,6 +181,14 @@ def _collect_clips(path: Path, fps: int):
     return []
 
 
+def _clip_features(loader, args) -> FeatureVector:
+    """One clip's features. The clip is this call's alone, so it is freed
+    before the next clip is read."""
+    clip = loader()
+    plan = temporal_sample(clip, args.temporal)
+    return extract_clip_features(clip, plan, args.spatial, seed=args.seed, threads=args.threads)
+
+
 def cmd_extract(args) -> int:
     clips = _collect_clips(Path(args.input), args.fps)
     if not clips:
@@ -189,13 +198,9 @@ def cmd_extract(args) -> int:
     rows, failures = [], []
     for clip_id, loader in clips:
         try:
-            clip = loader()
-            plan = temporal_sample(clip, args.temporal)
-            fv = extract_clip_features(clip, plan, args.spatial,
-                                       seed=args.seed, threads=args.threads)
-            rows.append((clip_id, fv))
+            rows.append((clip_id, _clip_features(loader, args)))
         except (VqaError, ValueError, OSError) as e:
-            failures.append((clip_id, e))
+            failures.append(clip_id)  # not e: its traceback holds the clip's bytes
             print(f"{clip_id}: {e}", file=sys.stderr)
 
     if not rows:

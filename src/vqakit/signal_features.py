@@ -14,9 +14,11 @@ adds only the block sums of the product of its two planes, which it forms
 in the same read of both planes as its TI (``_pair``).
 
 A view's features are one pass: every per-frame and per-pair kernel call is
-one task of a single thread-pool call, and only the small SSIM window arrays
-are combined after it, in three window-shaped buffers made once per view.
-The kernels write their temporaries into the scratch set of the running
+one task of a single thread-pool call, in frame order, and the task that
+supplies a pair's last SSIM input combines the pair from the window arrays.
+A frame's window means and variances are kept only until its last pair is
+combined, so what a view holds beyond its planes does not grow with its
+length. The kernels write their temporaries into the scratch set of the running
 task (``_parallel.scratch``): the gradient magnitudes, the Laplacian,
 colour's rg, a pair's difference or SSIM's sums of vertical block pairs in
 one full-size plane; colour's yb, or SSIM's block sums (at most two
@@ -63,6 +65,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import threading
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -550,6 +554,66 @@ KERNEL_MACS: dict[str, tuple[int, int]] = {
 
 # --- clip-level aggregation ---------------------------------------------------
 
+class _PairSsim:
+    """The SSIM of a view's pairs, each combined by whichever task supplies
+    its last input: the pair's cross sums (``_pair``) or either frame's
+    statistics (``_ssim_stats``).
+
+    A frame's statistics are kept until its last pair has been combined, and
+    a pair's cross sums only until both its frames' statistics are there.
+    The combine runs in the supplying task, in its scratch set, outside the
+    lock, so tasks on other threads do not wait for it.
+    """
+
+    def __init__(self, pairs: list[tuple[int, int]]):
+        self.pairs = pairs
+        self.ssim: list[float | None] = [None] * len(pairs)
+        self._stats: dict[int, tuple] = {}  # frame -> its _ssim_stats
+        self._parked: dict[int, np.ndarray] = {}  # pair -> its cross sums
+        self._left = Counter(f for pair in pairs for f in pair)  # frame -> pairs not combined
+        self._lock = threading.Lock()
+
+    def _complete(self, p: int) -> bool:
+        return all(f in self._stats for f in self.pairs[p])
+
+    def _inputs(self, p: int, sums: np.ndarray) -> tuple:
+        return (p, sums, *(self._stats[f] for f in self.pairs[p]))
+
+    def frame(self, i: int, stats: tuple):
+        """Frame i's statistics: combine each parked pair they complete."""
+        with self._lock:
+            self._stats[i] = stats
+            ready = [p for p in self._parked if self._complete(p)]
+            ready = [self._inputs(p, self._parked.pop(p)) for p in ready]
+        self._combine(ready)
+
+    def cross(self, p: int, sums: np.ndarray):
+        """Pair p's cross sums: combine the pair now if both its frames'
+        statistics are there, else park the sums until they are."""
+        with self._lock:
+            if not self._complete(p):
+                self._parked[p] = sums
+                return
+            ready = [self._inputs(p, sums)]
+        self._combine(ready)
+
+    def _combine(self, ready: list[tuple]):
+        for p, sums, stats_a, stats_b in ready:
+            work = scratch(_PLANE_A, (3, *sums.shape))
+            self.ssim[p] = _ssim_combine(stats_a, stats_b, sums, work)
+            with self._lock:
+                for f in self.pairs[p]:
+                    self._left[f] -= 1
+                    if not self._left[f]:
+                        del self._stats[f]
+
+    def drop(self):
+        """Free whatever a failed view left: statistics and parked sums."""
+        with self._lock:
+            self._stats.clear()
+            self._parked.clear()
+
+
 def extract_view_features(view: SampledView, threads: int | None = None) -> FeatureVector:
     """Mean-aggregated features for an already-sampled view.
 
@@ -558,18 +622,21 @@ def extract_view_features(view: SampledView, threads: int | None = None) -> Feat
     0 (with a flag) for single-frame views. Frame 1's consecutive pair is its
     first-frame pair, so k frames make 2k-3 distinct pairs.
 
-    All the work is one task list run by one ``parallel_map``, long tasks
-    first: per frame, colorfulness (from YCbCr in bands, or from the view's
-    RGB planes) and sharpness; per frame, si; per pair, ti and the window
-    sums of the pair's product, from one read of each plane (``_pair``);
-    per frame, contrast, with average
-    luminance as the mean it computes, and, when there are pairs, the
-    frame's SSIM window statistics. No task waits for another: each pair's
-    SSIM is formed from the small window arrays after the pool returns. Each
-    kernel reads the view's planes at the view's scale, a band at a time, and
-    its temporaries are scratch planes of the thread that runs it. Every mean
-    adds its terms in a fixed order, so threaded extraction is bit-identical
-    to serial.
+    All the work is one task list run by one ``parallel_map``, in frame
+    order: frame i's colorfulness (from YCbCr in bands, or from the view's
+    RGB planes) with its sharpness, its si, and its contrast, with average
+    luminance as the mean it computes, and, when there are pairs, its SSIM
+    window statistics; then its pairs (i, i-1) and (i, 0), each ti and the
+    window sums of the pair's product from one read of each plane
+    (``_pair``). No task waits for another. Whichever task supplies a pair's
+    last input combines its SSIM (``_PairSsim``), and a frame's statistics
+    are dropped once its last pair is combined. The pool runs tasks in list
+    order, so the window arrays held at once are a few frames' and frame
+    0's, however long the view. Each kernel reads the view's planes at the
+    view's scale, a band at a time, and its temporaries are scratch planes
+    of the task that runs it. Every mean adds its terms in a fixed order (per
+    frame, or per pair in the order consecutive pairs then first-frame
+    pairs), so threaded extraction is bit-identical to serial.
     """
     lumas = view.frames
     colors = view.color
@@ -579,6 +646,7 @@ def extract_view_features(view: SampledView, threads: int | None = None) -> Feat
     if colors is None:
         flags.add(FLAG_DEGRADED_COLOR)
     pairs = [(i, i - 1) for i in range(1, k)] + [(i, 0) for i in range(2, k)]
+    ssims = _PairSsim(pairs)
 
     def color(i: int) -> float:
         if colors is None:
@@ -591,21 +659,39 @@ def extract_view_features(view: SampledView, threads: int | None = None) -> Feat
         c = color(i)  # first, so that sharpness reuses its full-size scratch planes
         return sharpness(lumas[i], scale), c
 
-    def stats(i: int):
+    def stats(i: int) -> tuple[float, float]:
         mean, var = _moments(lumas[i], scale)  # contrast, luminance
-        return math.sqrt(var), mean, _ssim_stats(lumas[i], scale) if pairs else None
+        if pairs:
+            ssims.frame(i, _ssim_stats(lumas[i], scale))
+        return math.sqrt(var), mean
 
-    tasks = ([(looks, i) for i in range(k)] + [(si, lumas[i], scale) for i in range(k)]
-             + [(_pair, lumas[i], lumas[j], scale) for i, j in pairs]
-             + [(stats, i) for i in range(k)])
-    done = parallel_map(lambda task: task[0](*task[1:]), tasks, threads)
-    frame_looks, frame_pairs, frame_stats = done[:k], done[2 * k:-k], done[-k:]
+    def pair(p: int) -> float:
+        i, j = pairs[p]
+        t, sums = _pair(lumas[i], lumas[j], scale)
+        ssims.cross(p, sums)
+        return t
+
+    frame_pairs = [[] for _ in range(k)]  # frame i's pairs (i, i-1) and (i, 0)
+    for p, (i, _) in enumerate(pairs):
+        frame_pairs[i].append(p)
+    tasks = {}
+    for i in range(k):
+        tasks["looks", i] = (looks, i)
+        tasks["si", i] = (si, lumas[i], scale)
+        tasks["stats", i] = (stats, i)
+        for p in frame_pairs[i]:
+            tasks["pair", p] = (pair, p)
+    try:
+        done = dict(zip(tasks, parallel_map(lambda task: task[0](*task[1:]),
+                                            list(tasks.values()), threads)))
+    finally:
+        ssims.drop()
     per_frame = {
-        "si": done[k:2 * k],
-        "sharpness": [v[0] for v in frame_looks],
-        "colorfulness": [v[1] for v in frame_looks],
-        "contrast": [v[0] for v in frame_stats],
-        "avg_luminance": [v[1] for v in frame_stats],
+        "si": [done["si", i] for i in range(k)],
+        "sharpness": [done["looks", i][0] for i in range(k)],
+        "colorfulness": [done["looks", i][1] for i in range(k)],
+        "contrast": [done["stats", i][0] for i in range(k)],
+        "avg_luminance": [done["stats", i][1] for i in range(k)],
     }
     values = {name: float(np.mean(vals)) for name, vals in per_frame.items()}
     if not pairs:
@@ -613,12 +699,9 @@ def extract_view_features(view: SampledView, threads: int | None = None) -> Feat
         values.update(ti=0.0, ti_first=0.0, ssim_pair=0.0, ssim_first=0.0)
         return FeatureVector(values, frozenset(flags))
 
-    tis, ssims = [], []
-    work = [np.empty(frame_stats[0][2][0].shape) for _ in range(3)]  # _ssim_combine's
-    for (i, j), (t, sums) in zip(pairs, frame_pairs):
-        tis.append(t)
-        ssims.append(_ssim_combine(frame_stats[i][2], frame_stats[j][2], sums, work))
-    for consecutive, first, vals in (("ti", "ti_first", tis), ("ssim_pair", "ssim_first", ssims)):
+    tis = [done["pair", p] for p in range(len(pairs))]
+    for consecutive, first, vals in (("ti", "ti_first", tis),
+                                     ("ssim_pair", "ssim_first", ssims.ssim)):
         values[consecutive] = float(np.mean(vals[: k - 1]))
         values[first] = float(np.mean(vals[:1] + vals[k - 1:]))
     return FeatureVector(values, frozenset(flags))
